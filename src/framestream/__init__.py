@@ -16,9 +16,11 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, curl,
                           directional_derivative, frame_jet, jacobian)
 from .errors import (DegenerateMetric, DegeneratePoint, DegenerateTangent,
                      DomainExit, EvaluationFailure, FoliationMissing,
-                     FramestreamError, InconsistentDirection, LeftDomain,
-                     NotOnLeaf, NotUnitField, OutOfRange, OutsideValidRegion,
-                     ParallelInput, PolarDirection, UnwrapFailure)
+                     FramestreamError, InconsistentBreakdown,
+                     InconsistentDirection, LeftDomain, NotOnLeaf,
+                     NotOrthonormal, NotUnitField, OutOfRange,
+                     OutsideValidRegion, ParallelInput, PolarDirection,
+                     UnwrapFailure)
 from .frames import (AngularPoint, Constant, CylindricalI, CylindricalII,
                      Ellipsoid, FrameField, FramePoint, Graph, Paraboloid,
                      Sphere, angles_from_direction, builtin_frame,
@@ -40,8 +42,9 @@ __all__ = [
     "DegenerateMetric", "DegeneratePoint", "DegenerateTangent", "DiffConfig",
     "DomainExit", "Ellipsoid", "EvaluationFailure", "FoliationMissing",
     "FrameField", "FrameJet", "FramePoint", "FramestreamError", "Graph",
-    "InconsistentDirection", "LeftDomain", "MuForm", "NotOnLeaf",
-    "NotUnitField", "OmegaForm", "OutOfRange", "OutsideValidRegion",
+    "InconsistentBreakdown", "InconsistentDirection", "LeftDomain", "MuForm",
+    "NotOnLeaf", "NotOrthonormal", "NotUnitField", "OmegaForm", "OutOfRange",
+    "OutsideValidRegion",
     "ParallelInput", "Paraboloid", "PolarDirection", "RayOracleResult",
     "ShapeOperator2x2", "Sphere", "StreamingCoefficients", "UnwrapFailure",
     "angles_from_direction", "apply_streaming", "builtin_frame",

@@ -11,18 +11,29 @@ import time
 import numpy as np
 
 from .curvature import parallel_transport_holonomy
-from .derivatives import DiffConfig
+from .derivatives import DiffConfig, frame_jet
 from .errors import FramestreamError
 from .frames import (Constant, CylindricalI, CylindricalII, Ellipsoid,
-                     Paraboloid, Sphere, builtin_frame)
-from .streaming import streaming_coefficients
+                     FramePoint, Paraboloid, Sphere, builtin_frame)
+from .streaming import (angle_arrays, check_breakdown, check_mu,
+                        coefficient_terms)
 from .verification import (conservation_check, default_graph_id,
                            random_states, run_checks)
 
 FRAME_NAMES = ("constant", "cylindrical-i", "cylindrical-ii", "sphere",
                "ellipsoid", "paraboloid", "graph")
-CSV_COLUMNS = ("x", "y", "z", "mu", "omega", "a_mu", "a_omega",
-               "mu_surface", "mu_curve_n", "omega_curve", "omega_wind")
+TABLE_COLUMNS = ("x", "y", "z", "mu", "omega", "a_mu", "a_omega",
+                 "mu_surface", "mu_curve_n", "omega_curve", "omega_wind",
+                 "omega_tilt")
+CSV_COLUMNS = TABLE_COLUMNS[:-1]
+_CHUNK_ROWS = 1024
+# One state as _emit_json renders a record dict at depth 2, and as a
+# CSV row; "%.17g" gives the same text as _fmt's f"{x:.17g}".
+_JSON_RECORD = ("    {\n"
+                + ",\n".join(f"      {json.dumps(c)}: %.17g"
+                             for c in TABLE_COLUMNS)
+                + "\n    }")
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS))
 
 
 def _fmt(x) -> str:
@@ -54,12 +65,16 @@ def _emit_json(obj, indent: int = 0) -> str:
     return _fmt(obj)
 
 
-def _write_out(text: str, args) -> None:
+def _write_out(chunks, args) -> None:
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _write_doc(doc, args) -> None:
+    _write_out([_emit_json(doc) + "\n"], args)
 
 
 def _meta(args) -> dict:
@@ -111,33 +126,61 @@ def _parse_axis(text: str):
     return np.linspace(lo, hi, count)
 
 
-def _record(field, r, mu, omega, cfg) -> dict:
-    coeffs = streaming_coefficients(field, r, mu, omega, cfg)
-    bd = coeffs.breakdown
-    return {
-        "x": float(r[0]), "y": float(r[1]), "z": float(r[2]),
-        "mu": float(mu), "omega": float(omega),
-        "a_mu": coeffs.a_mu, "a_omega": coeffs.a_omega,
-        "mu_surface": bd["mu_surface"], "mu_curve_n": bd["mu_curve_n"],
-        "omega_curve": bd["omega_curve"], "omega_wind": bd["omega_wind"],
-        "omega_tilt": bd["omega_tilt"],
-    }
-
-
-def _render_records(records, args) -> str:
+def _table_chunks(table, args):
+    """The table as the JSON report or CSV text, a chunk of rows at a
+    time, byte for byte as _emit_json renders one dict per row."""
     if args.format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for rec in records:
-            lines.append(",".join(_fmt(rec[c]) for c in CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
-    doc = {"version": 1, "records": records, "meta": _meta(args)}
-    return _emit_json(doc) + "\n"
+        yield ",".join(CSV_COLUMNS) + "\n"
+        for lo in range(0, len(table), _CHUNK_ROWS):
+            rows = table[lo:lo + _CHUNK_ROWS, :len(CSV_COLUMNS)].tolist()
+            yield "".join(_CSV_ROW % tuple(row) + "\n" for row in rows)
+        return
+    yield '{\n  "version": 1,\n  "records": [\n'
+    for lo in range(0, len(table), _CHUNK_ROWS):
+        rows = table[lo:lo + _CHUNK_ROWS].tolist()
+        yield (",\n" if lo else "") + ",\n".join(
+            _JSON_RECORD % tuple(row) for row in rows)
+    yield '\n  ],\n  "meta": ' + _emit_json(_meta(args), 1) + "\n}\n"
+
+
+def _emit_states(field, points, mus, omegas, args) -> int:
+    """Evaluate every (point, mu, omega) state, point-major with the
+    columns TABLE_COLUMNS, then write the report; returns the exit code.
+    Each point gets one frame jet and one frame validation, and its
+    directions are assembled in one numpy pass.  Nothing is written
+    when a state fails."""
+    cfg = _cfg(args)
+    mu, s, c, sn = angle_arrays(mus, omegas)
+    try:
+        check_mu(mu)
+    except FramestreamError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    k = len(mu)
+    table = np.empty((len(points) * k, len(TABLE_COLUMNS)))
+    for i, r in enumerate(points):
+        try:
+            jet = frame_jet(field, r, cfg)
+            FramePoint.loose(jet.n, jet.t, jet.b)
+            terms = coefficient_terms(jet, mu, s, c, sn)
+            check_breakdown(*terms)
+        except FramestreamError as exc:
+            print(f"error: frame evaluation failed at point "
+                  f"({r[0]:g},{r[1]:g},{r[2]:g}): {exc}", file=sys.stderr)
+            return 3
+        block = table[i * k:(i + 1) * k]
+        block[:, 0:3] = r
+        block[:, 3] = mu
+        block[:, 4] = omegas
+        for j, column in enumerate(terms, start=5):
+            block[:, j] = column
+    _write_out(_table_chunks(table, args), args)
+    return 0
 
 
 def _cmd_coeffs(args) -> int:
     fid = _fid(args)
     field = builtin_frame(fid)
-    cfg = _cfg(args)
     if args.point:
         points = args.point
     elif args.rho is not None:
@@ -153,45 +196,23 @@ def _cmd_coeffs(args) -> int:
     else:
         print("error: provide --point or --rho", file=sys.stderr)
         return 2
-    records = []
-    for r in points:
-        try:
-            records.append(_record(field, r, args.mu, args.omega, cfg))
-        except FramestreamError as exc:
-            print(f"error: frame evaluation failed at point "
-                  f"({r[0]:g},{r[1]:g},{r[2]:g}): {exc}", file=sys.stderr)
-            return 3
-    _write_out(_render_records(records, args), args)
-    return 0
+    return _emit_states(field, points, [args.mu], [args.omega], args)
 
 
 def _cmd_sweep(args) -> int:
     fid = _fid(args)
     field = builtin_frame(fid)
-    cfg = _cfg(args)
     if args.mu_count < 1 or args.omega_count < 1:
         print("error: angular counts must be >= 1", file=sys.stderr)
         return 2
     nodes, _ = np.polynomial.legendre.leggauss(args.mu_count)
     omegas = [2.0 * math.pi * j / args.omega_count
               for j in range(args.omega_count)]
-    records = []
-    for x in args.x:
-        for y in args.y:
-            for z in args.z:
-                r = np.array([x, y, z])
-                for mu in nodes:
-                    for omega in omegas:
-                        try:
-                            records.append(_record(field, r, float(mu),
-                                                   omega, cfg))
-                        except FramestreamError as exc:
-                            print(f"error: frame evaluation failed at "
-                                  f"point ({x:g},{y:g},{z:g}): {exc}",
-                                  file=sys.stderr)
-                            return 3
-    _write_out(_render_records(records, args), args)
-    return 0
+    points = [np.array([x, y, z])
+              for x in args.x for y in args.y for z in args.z]
+    return _emit_states(field, points,
+                        [float(mu) for mu in nodes for _ in omegas],
+                        omegas * len(nodes), args)
 
 
 def _cmd_verify(args) -> int:
@@ -206,7 +227,7 @@ def _cmd_verify(args) -> int:
                "max_residual": c.max_residual, "tolerance": c.tolerance,
                "samples": c.samples} for c in results]
     doc = {"version": 1, "checks": checks, "meta": _meta(args)}
-    _write_out(_emit_json(doc) + "\n", args)
+    _write_doc(doc, args)
     failed = [c for c in results if c.status == "fail"]
     if failed:
         print(f"FAIL: {failed[0].name}", file=sys.stderr)
@@ -238,7 +259,7 @@ def _cmd_conservation(args) -> int:
                             "f": f_name, "g": g_name,
                             "samples_checked": report.samples_checked},
            "meta": _meta(args)}
-    _write_out(_emit_json(doc) + "\n", args)
+    _write_doc(doc, args)
     return 0
 
 
@@ -272,7 +293,7 @@ def _cmd_holonomy(args) -> int:
                         "expected": expected,
                         "error": abs(angle - expected)},
            "meta": _meta(args)}
-    _write_out(_emit_json(doc) + "\n", args)
+    _write_doc(doc, args)
     return 0
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from .derivatives import (DEFAULT_CFG, DiffConfig, curl,
                           directional_derivative, frame_jet, jacobian)
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
-                     NotOnLeaf, NotUnitField, OutOfRange)
+                     NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -30,10 +30,10 @@ class ShapeOperator2x2:
                      (self.basis1, self.normal),
                      (self.basis2, self.normal)):
             if abs(float(u @ v)) > 1e-10:
-                raise ValueError("shape operator basis not orthogonal")
+                raise NotOrthonormal("shape operator basis not orthogonal")
         for u in (self.basis1, self.basis2, self.normal):
             if abs(float(u @ u) - 1.0) > 1e-10:
-                raise ValueError("shape operator basis not unit")
+                raise NotOrthonormal("shape operator basis not unit")
 
     @property
     def trace(self) -> float:
@@ -119,7 +119,10 @@ def winding_term(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
     jet = frame_jet(frame_field, r, cfg)
     w = float(jet.t @ (jet.jb @ jet.n))
     w_anti = float(jet.b @ (jet.jt @ jet.n))
-    assert abs(w + w_anti) <= 1e-8, "winding antisymmetry violated"
+    if not abs(w + w_anti) <= 1e-8:
+        raise NotOrthonormal(
+            f"winding antisymmetry violated: t.grad_n b + b.grad_n t = "
+            f"{w + w_anti:.3e} at {tuple(np.asarray(r, dtype=float))}")
     return w
 
 

@@ -63,3 +63,12 @@ class InconsistentDirection(FramestreamError):
 
 class OutsideValidRegion(FramestreamError):
     """Catalog entry evaluated outside its valid region."""
+
+
+class NotOrthonormal(FramestreamError, ValueError):
+    """Frame vectors miss unit norm, orthogonality or right-handedness
+    (non-finite vectors included)."""
+
+
+class InconsistentBreakdown(FramestreamError, ValueError):
+    """A coefficient differs from the sum of its named contributions."""

@@ -10,11 +10,12 @@ import math
 import numpy as np
 
 from .derivatives import DEFAULT_CFG, DiffConfig, FrameJet, frame_jet
-from .errors import (FoliationMissing, InconsistentDirection, OutOfRange,
-                     PolarDirection)
+from .errors import (FoliationMissing, InconsistentBreakdown,
+                     InconsistentDirection, OutOfRange, PolarDirection)
 from .frames import FramePoint
 
 _POLAR_TOL = 1e-14
+_BREAKDOWN_RTOL = 1e-10
 _FOLIATION_TOL = 1e-6
 
 
@@ -49,12 +50,31 @@ class StreamingCoefficients:
 
     def __post_init__(self):
         bd = self.breakdown
-        if abs(self.a_mu - bd["mu_surface"] - bd["mu_curve_n"]) > 1e-10:
-            raise ValueError("a_mu breakdown inconsistent")
-        resid = (self.a_omega - bd["omega_curve"] - bd["omega_wind"]
-                 - bd["omega_tilt"])
-        if abs(resid) > 1e-10:
-            raise ValueError("a_omega breakdown inconsistent")
+        check_breakdown(self.a_mu, self.a_omega, bd["mu_surface"],
+                        bd["mu_curve_n"], bd["omega_curve"],
+                        bd["omega_wind"], bd["omega_tilt"])
+
+
+def check_breakdown(a_mu, a_omega, mu_surface, mu_curve_n, omega_curve,
+                    omega_wind, omega_tilt) -> None:
+    """Raise InconsistentBreakdown unless each coefficient equals the sum
+    of its contributions, for floats or equal-length arrays.  The
+    tolerance is _BREAKDOWN_RTOL * (1 + the size of the parts): near a
+    singular axis the parts reach 1e8, where rounding alone exceeds any
+    fixed absolute bound."""
+    mu_size = 1.0 + abs(mu_surface) + abs(mu_curve_n)
+    if _any(abs(a_mu - mu_surface - mu_curve_n) > _BREAKDOWN_RTOL * mu_size):
+        raise InconsistentBreakdown("a_mu breakdown inconsistent")
+    omega_size = 1.0 + abs(omega_curve) + abs(omega_wind) + abs(omega_tilt)
+    if _any(abs(a_omega - omega_curve - omega_wind - omega_tilt)
+            > _BREAKDOWN_RTOL * omega_size):
+        raise InconsistentBreakdown("a_omega breakdown inconsistent")
+
+
+def _any(flags) -> bool:
+    """True if a comparison of floats, or any entry of an array of
+    comparisons, holds."""
+    return flags if isinstance(flags, bool) else bool(flags.any())
 
 
 def _foliation_defect_from(jet_vec, jet_jac) -> float:
@@ -67,6 +87,26 @@ def _foliation_defect_from(jet_vec, jet_jac) -> float:
 def _angles(mu: float, omega: float):
     s = math.sqrt(max(0.0, 1.0 - mu * mu))
     return s, math.cos(omega), math.sin(omega)
+
+
+def angle_arrays(mus, omegas):
+    """Arrays (mu, s, c, sn) for paired lists of mu and omega, each entry
+    computed by the same math calls as a single state."""
+    trig = [_angles(mu, omega) for mu, omega in zip(mus, omegas)]
+    return (np.array(mus, dtype=float),
+            *(np.array(column) for column in zip(*trig)))
+
+
+def check_mu(mu) -> None:
+    """Raise OutOfRange for mu outside [-1, 1] and PolarDirection for mu
+    at +-1, where omega is undefined.  For an array the entry of largest
+    magnitude (or the first NaN) decides."""
+    if isinstance(mu, np.ndarray):
+        mu = float(mu[np.argmax(np.abs(mu))])
+    if not -1.0 <= mu <= 1.0:
+        raise OutOfRange(f"mu = {mu} outside [-1, 1]")
+    if 1.0 - mu * mu < _POLAR_TOL:
+        raise PolarDirection("omega undefined for mu at +-1")
 
 
 def grad_mu(frame_field, r, mu, omega, form: MuForm = MuForm.CURVE_CURVATURE,
@@ -103,8 +143,7 @@ def grad_omega(frame_field, r, mu, omega,
 
     All forms evaluate the same quantity through different derivative
     routes; the surface routes additionally require their foliation."""
-    if 1.0 - mu * mu < _POLAR_TOL:
-        raise PolarDirection("omega undefined for mu at +-1")
+    check_mu(mu)
     jet = frame_jet(frame_field, np.asarray(r, dtype=float), cfg)
     s, c, sn = _angles(mu, omega)
     n, t, b = jet.n, jet.t, jet.b
@@ -137,14 +176,42 @@ def grad_omega(frame_field, r, mu, omega,
     raise OutOfRange(f"unknown omega form {form!r}")
 
 
-def coefficients_from_jet(jet: FrameJet, mu: float, omega: float,
-                          at_point=None) -> StreamingCoefficients:
-    """Assemble both coefficients from a precomputed frame jet."""
-    if 1.0 - mu * mu < _POLAR_TOL:
-        raise PolarDirection("omega undefined for mu at +-1")
-    at_point = (np.zeros(3) if at_point is None
-                else np.asarray(at_point, dtype=float).copy())
-    s, c, sn = _angles(mu, omega)
+def _direction(jet: FrameJet, mu, s, c, sn):
+    """Omega = mu n + s (c t + sn b): one 3-vector, or (K, 3) rows."""
+    if isinstance(mu, np.ndarray):
+        mu, s, c, sn = mu[:, None], s[:, None], c[:, None], sn[:, None]
+    return mu * jet.n + s * (c * jet.t + sn * jet.b)
+
+
+def _matvec(m, v):
+    """m @ v for one 3-vector or each row of a (K, 3) stack.  The stack
+    goes through np.matmul on (K, 3, 1), which makes the same BLAS gemv
+    call per row as the 3-vector; ``v @ m.T`` is one gemm and rounds
+    differently in the last bit."""
+    if v.ndim == 1:
+        return m @ v
+    return np.matmul(m, v[:, :, None])[:, :, 0]
+
+
+def _dot(u, v):
+    """u . v for one 3-vector v, or u . row for each row of a (K, 3)
+    stack, through the same BLAS dot call either way."""
+    if v.ndim == 1:
+        return float(u @ v)
+    return np.matmul(v[:, None, :], u)[:, 0]
+
+
+def coefficient_terms(jet: FrameJet, mu, s, c, sn):
+    """The coefficients and their contributions from a frame jet:
+    (a_mu, a_omega, mu_surface, mu_curve_n, omega_curve, omega_wind,
+    omega_tilt).
+
+    mu, s = sqrt(1 - mu^2), c = cos(omega) and sn = sin(omega) are
+    Python floats, or equal-length arrays holding many directions at
+    the jet's point; each state gets the same bits either way.  The
+    catalog assembles the same quantities from its own hand-derived
+    scalars, and the ray oracle checks both without any jet.
+    """
     n, t, b = jet.n, jet.t, jet.b
     quad = (c * c * float(t @ (jet.jn @ t))
             + sn * c * float(t @ (jet.jn @ b) + b @ (jet.jn @ t))
@@ -157,20 +224,28 @@ def coefficients_from_jet(jet: FrameJet, mu: float, omega: float,
     t_kb = -float(t @ (jet.jb @ b))
     omega_curve = s * (c * b_kt - sn * t_kb)
     omega_wind = mu * float(t @ (jet.jb @ n))
-    omega_vec = mu * n + s * (c * t + sn * b)
-    dn_along = jet.jn @ omega_vec
-    omega_tilt = -mu * (-sn * float(t @ dn_along)
-                        + c * float(b @ dn_along)) / s
+    dn_along = _matvec(jet.jn, _direction(jet, mu, s, c, sn))
+    omega_tilt = -mu * (-sn * _dot(t, dn_along)
+                        + c * _dot(b, dn_along)) / s
+    return (mu_surface + mu_curve_n, omega_curve + omega_wind + omega_tilt,
+            mu_surface, mu_curve_n, omega_curve, omega_wind, omega_tilt)
 
+
+def coefficients_from_jet(jet: FrameJet, mu: float, omega: float,
+                          at_point=None) -> StreamingCoefficients:
+    """Assemble both coefficients from a precomputed frame jet."""
+    check_mu(mu)
+    at_point = (np.zeros(3) if at_point is None
+                else np.asarray(at_point, dtype=float).copy())
+    (a_mu, a_omega, mu_surface, mu_curve_n, omega_curve, omega_wind,
+     omega_tilt) = coefficient_terms(jet, mu, *_angles(mu, omega))
     breakdown = {"mu_surface": mu_surface, "mu_curve_n": mu_curve_n,
                  "omega_curve": omega_curve, "omega_wind": omega_wind,
                  "omega_tilt": omega_tilt}
     return StreamingCoefficients(
-        a_mu=mu_surface + mu_curve_n,
-        a_omega=omega_curve + omega_wind + omega_tilt,
-        breakdown=breakdown,
+        a_mu=a_mu, a_omega=a_omega, breakdown=breakdown,
         at=(at_point, mu, omega),
-        frame=FramePoint.loose(n, t, b))
+        frame=FramePoint.loose(jet.n, jet.t, jet.b))
 
 
 def streaming_coefficients(frame_field, r, mu, omega,

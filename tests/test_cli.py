@@ -83,6 +83,18 @@ def test_coeffs_exit_3_on_singular_point(capsys):
     assert "0,0,2" in err.replace(" ", "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--frame", "sphere", "--point", "nan,0,1", "--mu", "0.3",
+     "--omega", "1.0"],
+    ["sweep", "--frame", "sphere", "--x=nan:nan:1", "--y=0:0:1",
+     "--z=1:1:1"],
+])
+def test_non_finite_point_exits_3(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 3 and out == ""
+    assert "point (nan,0,1)" in err
+
+
 def test_bad_frame_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--frame", "none"])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from framestream import (Constant, CylindricalI, CylindricalII,
-                         DegenerateTangent, Ellipsoid, LeftDomain, NotOnLeaf,
-                         NotUnitField, OutOfRange, ShapeOperator2x2, Sphere,
+                         DegenerateTangent, Ellipsoid, FrameField,
+                         LeftDomain, NotOnLeaf, NotOrthonormal, NotUnitField,
+                         OutOfRange, ShapeOperator2x2, Sphere,
                          builtin_frame, curvature_from_parametrization,
                          curvature_report, foliation_defect,
                          integral_curve_curvature, integrate_curve,
@@ -120,6 +121,14 @@ def test_winding_vanishes_for_builtin_frames():
         field = builtin_frame(fid)
         for r, _, _ in random_states(fid, 10, rng):
             assert abs(winding_term(field, r)) < 1e-12
+
+
+def test_winding_antisymmetry_violation_is_typed():
+    # Orthonormal at z = 0 only: b tilts toward t along n, t does not.
+    def raw(x, y, z):
+        return (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (z, 1.0, 0.0)
+    with pytest.raises(NotOrthonormal, match="winding antisymmetry"):
+        winding_term(FrameField(raw, "tilting"), (0.0, 0.0, 0.0))
 
 
 def test_winding_nonzero_on_ellipsoid():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from framestream import (Constant, CylindricalI, CylindricalII, DegeneratePoint,
-                         Ellipsoid, FramePoint, Graph, OutOfRange, ParallelInput,
+                         Ellipsoid, FramePoint, FramestreamError, Graph,
+                         NotOrthonormal, OutOfRange, ParallelInput,
                          Paraboloid, PolarDirection, Sphere,
                          angles_from_direction, builtin_frame,
                          direction_from_angles, orthonormalize)
@@ -156,3 +157,22 @@ def test_paraboloid_matches_quadratic_graph():
 def test_unknown_frame_id_rejected():
     with pytest.raises(OutOfRange):
         builtin_frame("sphere")
+
+
+@pytest.mark.parametrize("n, t, b", [
+    ((0, 0, 2), (1, 0, 0), (0, 1, 0)),
+    ((0, 0, 1), (1, 0, 0), (0, -1, 0)),
+    ((0, 0, math.nan), (1, 0, 0), (0, 1, 0)),
+    ((0, 0, 1), (1, 0, math.inf), (0, 1, 0)),
+    ((0, 0, 1), (1, 0), (0, 1, 0)),
+])
+def test_frame_point_raises_typed_error(n, t, b):
+    with pytest.raises(NotOrthonormal) as exc:
+        FramePoint.loose(n, t, b)
+    assert isinstance(exc.value, FramestreamError)
+    assert isinstance(exc.value, ValueError)
+
+
+def test_frame_point_names_non_finite_vector():
+    with pytest.raises(NotOrthonormal, match="t must be a finite 3-vector"):
+        FramePoint((0, 0, 1), (math.nan, 0, 0), (0, 1, 0))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from framestream import (Constant, CylindricalI, CylindricalII, Ellipsoid,
-                         FoliationMissing, InconsistentDirection, MuForm,
+                         FoliationMissing, FramestreamError,
+                         InconsistentBreakdown, InconsistentDirection, MuForm,
                          OmegaForm, OutOfRange, Paraboloid, PolarDirection,
-                         Sphere, apply_streaming, builtin_frame,
+                         Sphere, StreamingCoefficients, apply_streaming,
+                         builtin_frame,
                          coefficients_from_jet, direction_from_angles,
                          frame_jet, grad_mu, grad_omega,
                          streaming_coefficients)
@@ -195,3 +197,40 @@ def test_constant_frame_all_coefficients_zero():
     coeffs = streaming_coefficients(field, (1.0, 1.0, 1.0), 0.3, 1.0)
     assert coeffs.a_mu == 0.0 and coeffs.a_omega == 0.0
     assert all(v == 0.0 for v in coeffs.breakdown.values())
+
+
+def test_coefficients_reject_mu_outside_unit_interval():
+    jet = frame_jet(builtin_frame(Sphere()), np.array([1.0, 0.2, 0.4]))
+    for mu in (1.5, -1.01, math.nan):
+        with pytest.raises(OutOfRange):
+            coefficients_from_jet(jet, mu, 0.0)
+    with pytest.raises(OutOfRange):
+        grad_omega(builtin_frame(Sphere()), (1.0, 0.2, 0.4), 1.5, 0.0)
+
+
+def test_breakdown_tolerance_scales_near_axis():
+    # Within a few nm of the cylinder axis a_mu reaches 1e8; rounding of
+    # its parts alone exceeds an absolute 1e-10.
+    field = builtin_frame(CylindricalII())
+    count = 0
+    for rho in (1e-9, 1e-8, 1e-7):
+        r = np.array([0.6 * rho, 0.8 * rho, 0.3])
+        for mu in np.linspace(-0.95, 0.95, 9):
+            for omega in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False):
+                coeffs = streaming_coefficients(field, r, mu, omega)
+                want = (1.0 - mu * mu) * math.cos(omega) ** 2 / rho
+                assert abs(coeffs.a_mu - want) <= 1e-9 * (1.0 + abs(want))
+                count += 1
+    assert count == 324
+
+
+def test_inconsistent_breakdown_is_typed():
+    coeffs = streaming_coefficients(builtin_frame(Sphere()),
+                                    (1.0, 0.2, 0.4), 0.3, 1.0)
+    bd = dict(coeffs.breakdown, mu_surface=coeffs.breakdown["mu_surface"]
+              + 1e-6)
+    with pytest.raises(InconsistentBreakdown) as exc:
+        StreamingCoefficients(coeffs.a_mu, coeffs.a_omega, bd, coeffs.at,
+                              coeffs.frame)
+    assert isinstance(exc.value, FramestreamError)
+    assert isinstance(exc.value, ValueError)
