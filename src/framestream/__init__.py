@@ -17,8 +17,8 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, curl,
 from .errors import (DegenerateMetric, DegeneratePoint, DegenerateTangent,
                      DomainExit, EvaluationFailure, FoliationMissing,
                      FramestreamError, InconsistentBreakdown,
-                     InconsistentDirection, LeftDomain, NotOnLeaf,
-                     NotOrthonormal, NotUnitField, OutOfRange,
+                     InconsistentDirection, InconsistentReport, LeftDomain,
+                     NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange,
                      OutsideValidRegion, ParallelInput, PolarDirection,
                      UnwrapFailure)
 from .frames import (AngularPoint, Constant, CylindricalI, CylindricalII,
@@ -42,7 +42,8 @@ __all__ = [
     "DegenerateMetric", "DegeneratePoint", "DegenerateTangent", "DiffConfig",
     "DomainExit", "Ellipsoid", "EvaluationFailure", "FoliationMissing",
     "FrameField", "FrameJet", "FramePoint", "FramestreamError", "Graph",
-    "InconsistentBreakdown", "InconsistentDirection", "LeftDomain", "MuForm",
+    "InconsistentBreakdown", "InconsistentDirection", "InconsistentReport",
+    "LeftDomain", "MuForm",
     "NotOnLeaf", "NotOrthonormal", "NotUnitField", "OmegaForm", "OutOfRange",
     "OutsideValidRegion",
     "ParallelInput", "Paraboloid", "PolarDirection", "RayOracleResult",

@@ -12,13 +12,13 @@ import numpy as np
 
 from .curvature import parallel_transport_holonomy
 from .derivatives import DiffConfig, frame_jet
-from .errors import FramestreamError
+from .errors import FramestreamError, OutOfRange
 from .frames import (Constant, CylindricalI, CylindricalII, Ellipsoid,
                      FramePoint, Paraboloid, Sphere, builtin_frame)
 from .streaming import (angle_arrays, check_breakdown, check_mu,
                         coefficient_terms)
 from .verification import (conservation_check, default_graph_id,
-                           random_states, run_checks)
+                           random_states, run_checks, selected_checks)
 
 FRAME_NAMES = ("constant", "cylindrical-i", "cylindrical-ii", "sphere",
                "ellipsoid", "paraboloid", "graph")
@@ -216,10 +216,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Bad flag values raise OutOfRange here, outside the try: exit 2.
+    cfg = _cfg(args)
+    selected_checks(args.check)
     try:
         results = run_checks(frame_filter=args.frame,
                              check_filter=args.check, seed=args.seed,
-                             cfg=_cfg(args), holonomy_theta=args.theta)
+                             cfg=cfg, holonomy_theta=args.theta)
     except FramestreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -363,7 +366,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutOfRange as exc:
+        # A flag value the parser accepts but a frame, DiffConfig or the
+        # check filter rejects.  The commands catch failures of the
+        # evaluation itself and exit 3.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

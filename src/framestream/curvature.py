@@ -154,14 +154,42 @@ def integrate_curve(field, r0, tau_span, steps: int):
 
 def _loop_normals(frame_field, pts):
     normals = np.empty_like(pts)
-    for i, p in enumerate(pts):
+    for i, p in enumerate(pts.tolist()):
         try:
-            n, _, _ = frame_field.raw(p[0], p[1], p[2])
+            normals[i] = frame_field.raw(*p)[0]
         except Exception as exc:
             raise LeftDomain(f"frame undefined at loop point {tuple(p)}") \
                 from exc
-        normals[i] = n
     return normals
+
+
+def _dot(a, b):
+    """Row-wise dot products of two (m,3) arrays."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _tangential(vecs, normals):
+    """Rows of ``vecs`` projected onto the planes normal to ``normals``."""
+    return vecs - _dot(vecs, normals)[:, None] * normals
+
+
+def _prefix_rotations(prev, nxt):
+    """Inclusive products R_k ... R_1 of the minimal rotations R_k taking
+    prev[k-1] to nxt[k-1]: R = I + [a]x + [a]x^2 / (1 + c), with
+    a = prev x nxt and c = prev . nxt.
+
+    The products come from a Hillis-Steele scan, ceil(log2 m) batched
+    matmuls; the right side of each update is evaluated before it is
+    stored, so the in-place slice assignment is safe.
+    """
+    # [a]x: row i is e_i x a.
+    ax = np.cross(np.eye(3), np.cross(prev, nxt)[:, None, :])
+    rot = np.eye(3) + ax + (ax @ ax) / (1.0 + _dot(prev, nxt))[:, None, None]
+    k = 1
+    while k < len(rot):
+        rot[k:] = rot[k:] @ rot[:-k]
+        k *= 2
+    return rot
 
 
 def parallel_transport_holonomy(frame_field, loop, v0) -> float:
@@ -176,6 +204,9 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
     Gauss-Bonnet estimate.  For loops whose turning sum cannot resolve
     the orientation (geodesic loops such as a great circle), the
     positive orientation is assumed.
+
+    The step rotations are composed by a prefix scan, so the cost is
+    O(m) numpy work plus one ``raw`` frame call per loop vertex.
     """
     pts = np.asarray(loop, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 8:
@@ -185,14 +216,16 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
     m = pts.shape[0] - 1  # closed: pts[m] == pts[0]
     normals = _loop_normals(frame_field, pts[:m])
 
-    # Tangency precondition with central-difference tangents.
-    for i in range(m):
-        tang = pts[(i + 1) % m] - pts[(i - 1) % m]
-        norm = float(np.linalg.norm(tang))
-        if norm == 0.0:
-            continue
-        if abs(float(normals[i] @ tang)) / norm > 1e-6:
-            raise NotOnLeaf(f"loop tangent leaves the leaf at index {i}")
+    # Central-difference tangents, vertex i from pts[i-1] to pts[i+1]
+    # (cyclic); they serve the tangency precondition and adapted angles.
+    ahead = np.roll(pts[:m], -1, axis=0)
+    tang = ahead - np.roll(pts[:m], 1, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.abs(_dot(normals, tang)) / np.linalg.norm(tang, axis=1)
+    off_leaf = np.flatnonzero(slope > 1e-6)  # a zero tangent gives nan
+    if off_leaf.size:
+        raise NotOnLeaf(
+            f"loop tangent leaves the leaf at index {off_leaf[0]}")
 
     n0 = normals[0]
     v = np.asarray(v0, dtype=float)
@@ -200,46 +233,36 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
     nv = float(np.linalg.norm(v))
     if nv < 1e-12:
         raise NotOnLeaf("v0 has no tangential part at the loop start")
-    v = v / nv
-    v_start = v.copy()
+    v_start = v / nv
     w_start = np.cross(n0, v_start)
 
-    def adapted_angle(i, vec):
-        ni = normals[i % m]
-        tang = pts[(i + 1) % m if i < m else 1] - pts[(i - 1) % m]
-        u = tang - float(tang @ ni) * ni
-        un = float(np.linalg.norm(u))
-        if un == 0.0:
-            return None
-        u = u / un
-        return math.atan2(float(vec @ np.cross(ni, u)), float(vec @ u))
+    # Step i = 1..m rotates normals[i-1] onto normals[i % m]; vecs[i-1]
+    # is v0 carried through step i.
+    n_next = np.roll(normals, -1, axis=0)
+    vecs = _prefix_rotations(normals, n_next) @ v_start
+    vecs = _tangential(vecs, n_next)
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
 
-    # Adapted-frame drift, used only for the integer turn count.
-    drift = 0.0
-    prev_angle = adapted_angle(0, v)
-    turning = 0.0
-    for i in range(1, m + 1):
-        ni = normals[i % m]
-        nprev = normals[i - 1]
-        axis = np.cross(nprev, ni)
-        v = (v + np.cross(axis, v)
-             + np.cross(axis, np.cross(axis, v))
-             / (1.0 + float(nprev @ ni)))
-        v = v - float(v @ ni) * ni
-        v = v / float(np.linalg.norm(v))
-        ang = adapted_angle(i, v)
-        if ang is not None and prev_angle is not None:
-            d = ang - prev_angle
-            drift += math.atan2(math.sin(d), math.cos(d))
-        if ang is not None:
-            prev_angle = ang
-        e_in = pts[i] - pts[i - 1]
-        e_out = pts[(i + 1) % m if i < m else 1] - pts[i % m]
-        ei = e_in - float(e_in @ ni) * ni
-        eo = e_out - float(e_out @ ni) * ni
-        turning += math.atan2(float(np.cross(ei, eo) @ ni), float(ei @ eo))
+    # Adapted-frame drift, used only for the integer turn count: the
+    # angle of the transported vector against the projected tangent at
+    # vertices 0..m, skipping vertices where that tangent vanishes.  The
+    # angle does not depend on the length of u, so u is not normalized.
+    u = _tangential(tang, normals)
+    defined = np.linalg.norm(u, axis=1) != 0.0
+    idx = np.arange(m + 1) % m
+    carried = np.vstack([v_start, vecs])
+    angles = np.arctan2(_dot(carried, np.cross(normals[idx], u[idx])),
+                        _dot(carried, u[idx]))[defined[idx]]
+    d = np.diff(angles)
+    drift = float(np.sum(np.arctan2(np.sin(d), np.cos(d))))
 
-    v_end = v - float(v @ n0) * n0
+    # Discrete Gauss-Bonnet turning at vertices 1..m.
+    e_in = _tangential(np.diff(pts, axis=0), n_next)
+    e_out = _tangential(np.roll(ahead - pts[:m], -1, axis=0), n_next)
+    turning = float(np.sum(np.arctan2(_dot(np.cross(e_in, e_out), n_next),
+                                      _dot(e_in, e_out))))
+
+    v_end = vecs[-1] - float(vecs[-1] @ n0) * n0
     v_end = v_end / float(np.linalg.norm(v_end))
     principal = math.atan2(float(v_end @ w_start), float(v_end @ v_start))
 

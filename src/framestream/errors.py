@@ -72,3 +72,8 @@ class NotOrthonormal(FramestreamError, ValueError):
 
 class InconsistentBreakdown(FramestreamError, ValueError):
     """A coefficient differs from the sum of its named contributions."""
+
+
+class InconsistentReport(FramestreamError, ValueError):
+    """A verification result violates its own invariant (a negative
+    error estimate, a feasible verdict without factors)."""

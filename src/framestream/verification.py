@@ -14,7 +14,8 @@ from .curvature import ShapeOperator2x2, parallel_transport_holonomy
 from .derivatives import (DEFAULT_CFG, DiffConfig, directional_derivative,
                           frame_jet)
 from .errors import (DegenerateMetric, DomainExit, FoliationMissing,
-                     OutOfRange, PolarDirection, UnwrapFailure)
+                     InconsistentReport, OutOfRange, PolarDirection,
+                     UnwrapFailure)
 from .frames import (Constant, CylindricalI, CylindricalII, Ellipsoid,
                      Graph, Paraboloid, Sphere, builtin_frame)
 from .streaming import (MuForm, OmegaForm, coefficients_from_jet, grad_mu,
@@ -34,7 +35,7 @@ class RayOracleResult:
 
     def __post_init__(self):
         if self.richardson_error_estimate < 0.0:
-            raise ValueError("error estimate must be nonnegative")
+            raise InconsistentReport("error estimate must be nonnegative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,7 +50,8 @@ class ConservationReport:
         if self.feasible and (self.reason != "Feasible"
                               or self.f_factor is None
                               or self.g_factor is None):
-            raise ValueError("feasible report must carry both factors")
+            raise InconsistentReport(
+                "feasible report must carry both factors")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -494,6 +496,18 @@ _CHECK_TOLS = {
 }
 
 
+def selected_checks(check_filter: str = None) -> list:
+    """Names of the checks whose name contains ``check_filter``, in run
+    order; all of them when it is None.  Raises OutOfRange when none
+    matches."""
+    names = [name for name in _CHECK_TOLS
+             if check_filter is None or check_filter in name]
+    if not names:
+        raise OutOfRange(f"unknown check {check_filter!r}; checks are "
+                         + ", ".join(_CHECK_TOLS))
+    return names
+
+
 def run_checks(frame_filter: str = None, check_filter: str = None,
                seed: int = 0, cfg: DiffConfig = DEFAULT_CFG,
                holonomy_theta: float = math.pi / 3.0) -> list:
@@ -503,6 +517,7 @@ def run_checks(frame_filter: str = None, check_filter: str = None,
         if frame_filter not in frames:
             raise OutOfRange(f"unknown frame {frame_filter!r}")
         frames = {frame_filter: frames[frame_filter]}
+    wanted = selected_checks(check_filter)
     rng = np.random.default_rng(seed)
     results = []
 
@@ -516,24 +531,22 @@ def run_checks(frame_filter: str = None, check_filter: str = None,
                                    max_residual=float(worst),
                                    tolerance=tol, samples=samples))
 
-    wanted = (lambda name: check_filter is None or name == check_filter
-              or check_filter in name)
-    if wanted("catalog-agreement"):
+    if "catalog-agreement" in wanted:
         add("catalog-agreement", *_check_catalog(frames, rng, cfg))
-    if wanted("oracle-agreement"):
+    if "oracle-agreement" in wanted:
         add("oracle-agreement", *_check_oracle(frames, rng, cfg))
-    if wanted("form-equivalence"):
+    if "form-equivalence" in wanted:
         add("form-equivalence", *_check_forms(frames, rng, cfg))
-    if wanted("frame-identities"):
+    if "frame-identities" in wanted:
         add("frame-identities", *_check_identities(frames, rng, cfg))
-    if wanted("homothety"):
+    if "homothety" in wanted:
         add("homothety", *_check_homothety(frames, rng, cfg))
-    if wanted("conservation-trichotomy"):
+    if "conservation-trichotomy" in wanted:
         add("conservation-trichotomy",
             *_check_conservation(frames, rng, cfg))
-    if wanted("holonomy-convergence"):
+    if "holonomy-convergence" in wanted:
         add("holonomy-convergence", *_check_holonomy(holonomy_theta))
-    if wanted("kb-transform-residual"):
+    if "kb-transform-residual" in wanted:
         add("kb-transform-residual", *_check_kb_transform(cfg),
             report_only=True)
     return results

@@ -102,6 +102,27 @@ def test_bad_frame_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["coeffs", "--frame", "ellipsoid", "--a", "-1", "--point", "1,0,0",
+      "--mu", "0.5", "--omega", "0"], "semi-axes must be positive"),
+    (["coeffs", "--frame", "sphere", "--fd-step", "1", "--point", SPHERE_PT,
+      "--mu", "0.5", "--omega", "0"], "fd_step must lie in"),
+    (["sweep", "--frame", "ellipsoid", "--b", "0"],
+     "semi-axes must be positive"),
+    (["verify", "--fd-step", "0"], "fd_step must lie in"),
+])
+def test_out_of_range_flag_exits_2(capsys, argv, message):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_verify_unknown_check_exits_2(capsys):
+    rc, out, err = run(capsys, ["verify", "--check", "nosuch"])
+    assert rc == 2 and out == ""
+    assert "unknown check 'nosuch'" in err
+
+
 def test_bad_point_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["coeffs", "--frame", "sphere", "--point", "1,2",

@@ -13,6 +13,7 @@ from framestream import (Constant, CylindricalI, CylindricalII,
                          normal_curvature, parallel_transport_holonomy,
                          shape_operator, winding_term)
 from framestream import dual as dm
+from framestream.cli import main
 from framestream.verification import default_frames, random_states
 
 
@@ -220,6 +221,128 @@ def test_holonomy_second_order_convergence():
         for steps in (500, 1000, 2000)]
     assert errs[1] < errs[0] / 3.0
     assert errs[2] < errs[1] / 3.0
+
+
+# Angles of the per-step loop implementation, recorded before the step
+# rotations were composed by a prefix scan: (theta, steps, direction,
+# angle), direction -1 running the latitude loop backwards.
+PINNED_HOLONOMY = [
+    (0.5235987755982988, 500, 1, 0.8417693130300827),
+    (0.5235987755982988, 500, -1, -0.8417693130300823),
+    (0.5235987755982988, 2000, 1, 0.8417860956344364),
+    (0.5235987755982988, 2000, -1, -0.8417860956344342),
+    (0.5235987755982988, 10000, 1, 0.841787169723242),
+    (0.5235987755982988, 10000, -1, -0.8417871697232417),
+    (1.0471975511965976, 500, 1, 3.141561647007091),
+    (1.0471975511965976, 500, -1, -3.141561647007091),
+    (1.0471975511965976, 2000, 1, 3.141590715696307),
+    (1.0471975511965976, 2000, -1, -3.141590715696307),
+    (1.0471975511965976, 10000, 1, 3.141592576074098),
+    (1.0471975511965976, 10000, -1, -3.1415925760740966),
+    (1.5707963267948966, 500, 1, 6.283185307179586),
+    (1.5707963267948966, 500, -1, 6.283185307179586),
+    (1.5707963267948966, 2000, 1, 6.283185307179586),
+    (1.5707963267948966, 2000, -1, 6.283185307179586),
+    (1.5707963267948966, 10000, 1, 6.283185307179586),
+    (1.5707963267948966, 10000, -1, 6.283185307179586),
+    (2.0, 500, 1, -3.668429168178409),
+    (2.0, 500, -1, 3.6684291681784087),
+    (2.0, 2000, 1, -3.668455840053118),
+    (2.0, 2000, -1, 3.66845584005312),
+    (2.0, 10000, 1, -3.668457547033188),
+    (2.0, 10000, -1, 3.6684575470331877),
+    (2.8, 500, 1, -0.36301899784043673),
+    (2.8, 500, -1, 0.3630189978404368),
+    (2.8, 2000, 1, -0.3630271937941426),
+    (2.8, 2000, -1, 0.3630271937941421),
+    (2.8, 10000, 1, -0.36302771833793035),
+    (2.8, 10000, -1, 0.3630277183379306),
+]
+
+
+def latitude_v0(theta):
+    return np.array([math.cos(theta), 0.0, -math.sin(theta)])
+
+
+@pytest.mark.parametrize("theta, steps, direction, want", PINNED_HOLONOMY)
+def test_holonomy_matches_pinned_loop_angles(theta, steps, direction, want):
+    loop = latitude_loop(theta, steps)[::direction].copy()
+    got = parallel_transport_holonomy(builtin_frame(Sphere()), loop,
+                                      latitude_v0(theta))
+    assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [math.pi / 6, 1.2, 2.0, 2.8])
+def test_holonomy_independent_of_v0_direction(theta):
+    sphere = builtin_frame(Sphere())
+    loop = latitude_loop(theta, 1000)
+    v0 = latitude_v0(theta)
+    w0 = np.cross(sphere.raw(*loop[0].tolist())[0], v0)
+    want = parallel_transport_holonomy(sphere, loop, v0)
+    rng = np.random.default_rng(17)
+    for beta in rng.uniform(0.0, 2.0 * math.pi, 6):
+        rotated = math.cos(beta) * v0 + math.sin(beta) * w0
+        got = parallel_transport_holonomy(sphere, loop, rotated)
+        assert abs(got - want) < 1e-12
+
+
+def small_circle(axis, alpha, steps):
+    """Circle at angular radius alpha about the unit ``axis`` on the unit
+    sphere, counterclockwise seen from outside, and its start tangent
+    toward the axis' antipode."""
+    e1 = np.cross(axis, [1.0, 0.0, 0.0] if abs(axis[0]) < 0.9
+                  else [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    phi = np.linspace(0.0, 2.0 * np.pi, steps + 1)[:, None]
+    loop = (math.cos(alpha) * axis
+            + math.sin(alpha) * (np.cos(phi) * e1 + np.sin(phi) * e2))
+    return loop, -math.sin(alpha) * axis + math.cos(alpha) * e1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_holonomy_of_rotated_small_circles(seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        alpha = rng.uniform(0.2, 1.2)
+        # keep the circle 0.2 rad clear of the sphere frame's poles
+        if math.acos(abs(axis[2])) > alpha + 0.2:
+            break
+    sphere = builtin_frame(Sphere())
+    want = 2.0 * math.pi * (1.0 - math.cos(alpha))
+    for direction in (1, -1):
+        errs = []
+        for steps in (400, 800, 1600):
+            loop, v0 = small_circle(axis, alpha, steps)
+            got = parallel_transport_holonomy(
+                sphere, loop[::direction].copy(), v0)
+            errs.append(abs(got - direction * want))
+        assert errs[0] < 1e-3
+        assert errs[1] < errs[0] / 3.0 and errs[2] < errs[1] / 3.0
+
+
+@pytest.mark.parametrize("moved, first", [
+    ((1, 300), 0), ((137, 301), 136), ((250, 251), 249), ((499,), 0)])
+def test_not_on_leaf_names_first_offending_vertex(moved, first):
+    # Lifting vertex j off the sphere tilts the central-difference
+    # tangents of its neighbours j - 1 and j + 1 (cyclic, 500 vertices).
+    theta = math.pi / 3
+    loop = latitude_loop(theta, 500)
+    for j in moved:
+        loop[j] *= 1.0001
+    with pytest.raises(NotOnLeaf, match=f"at index {first}$"):
+        parallel_transport_holonomy(builtin_frame(Sphere()), loop,
+                                    latitude_v0(theta))
+
+
+def test_cli_holonomy_at_pole_exits_3_with_plain_floats(capsys):
+    rc = main(["holonomy", "--theta", "0", "--steps", "100"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert "frame undefined at loop point (0.0, 0.0, 1.0)" in err
+    assert "np.float64" not in err
 
 
 # --- the aggregate report

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from framestream import (CheckResult, ConservationReport, CylindricalI,
-                         CylindricalII, Ellipsoid, OutOfRange, Paraboloid,
+                         CylindricalII, Ellipsoid, FramestreamError,
+                         InconsistentReport, OutOfRange, Paraboloid,
                          RayOracleResult, Sphere, builtin_frame,
                          conservation_check, catalog_entry, frame_jet,
                          kb_transform_residual, ray_oracle, run_checks,
@@ -57,6 +58,19 @@ def test_ray_oracle_result_validates_estimate():
     with pytest.raises(ValueError):
         RayOracleResult(dmu_ds=0.0, domega_ds=0.0, step=1e-3,
                         richardson_error_estimate=-1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RayOracleResult(dmu_ds=0.0, domega_ds=0.0, step=1e-3,
+                            richardson_error_estimate=-1.0),
+    lambda: ConservationReport(True, "Feasible", None, None, 8),
+    lambda: ConservationReport(True, "KappaNNonzero", abs, abs, 8),
+])
+def test_result_invariants_raise_typed_error(make):
+    with pytest.raises(InconsistentReport) as exc:
+        make()
+    assert isinstance(exc.value, FramestreamError)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_conservation_trichotomy():
@@ -175,6 +189,11 @@ def test_run_checks_filter_by_name():
     assert len(results) == 1
     assert results[0].name == "holonomy-convergence"
     assert results[0].status == "pass"
+
+
+def test_run_checks_rejects_unknown_check():
+    with pytest.raises(OutOfRange, match="unknown check 'nosuch'"):
+        run_checks(check_filter="nosuch")
 
 
 def test_run_checks_rejects_unknown_frame():
