@@ -95,6 +95,32 @@ def _norm_chain(w, dw):
     return v, [(d - float(d @ v) * v) / nw for d in dw]
 
 
+def _gram_schmidt_chain(t, dt, btil, dbtil):
+    """b = btil - (btil . t) t normalized, and its chart partials."""
+    overlap = float(btil @ t)
+    g = btil - overlap * t
+    dg = [dbtil[k] - (float(dbtil[k] @ t) + float(btil @ dt[k])) * t
+          - overlap * dt[k] for k in range(2)]
+    return _norm_chain(g, dg)
+
+
+def _chart_aux(n, t, b, dn, dt, db, rates):
+    """The nine auxiliary scalars from the frame's partials along two
+    chart coordinates; rates[i, k] is the rate of coordinate i along
+    t, b, n for k = 0, 1, 2."""
+    def grad(dfield, k):
+        return dfield[0] * rates[0, k] + dfield[1] * rates[1, k]
+
+    dn_t, dn_b, dn_n = (grad(dn, 0), grad(dn, 1), grad(dn, 2))
+    dt_t = grad(dt, 0)
+    db_b, db_n = grad(db, 1), grad(db, 2)
+    return {"s_tt": float(t @ dn_t), "s_tb": float(t @ dn_b),
+            "s_bt": float(b @ dn_t), "s_bb": float(b @ dn_b),
+            "kn_t": -float(t @ dn_n), "kn_b": -float(b @ dn_n),
+            "kt_b": -float(b @ dt_t), "kb_t": -float(t @ db_b),
+            "winding": float(t @ db_n)}
+
+
 def _make_aux_ellipsoid(a: float, bb: float, cc: float):
     def aux_fn(r):
         x, y, z = (float(r[0]), float(r[1]), float(r[2]))
@@ -121,37 +147,21 @@ def _make_aux_ellipsoid(a: float, bb: float, cc: float):
         w_b = np.array([-a * sp, bb * cp, 0.0])
         w_b_ph = np.array([-a * cp, -bb * sp, 0.0])
         btil, dbtil = _norm_chain(w_b, (np.zeros(3), w_b_ph))
-        overlap = float(btil @ t)
-        g = btil - overlap * t
-        dg = [dbtil[k] - (float(dbtil[k] @ t) + float(btil @ dt[k])) * t
-              - overlap * dt[k] for k in range(2)]
-        b, db = _norm_chain(g, dg)
+        b, db = _gram_schmidt_chain(t, dt, btil, dbtil)
 
         # Chart rates (d rho, d theta, d phi) along each frame vector.
         m = np.column_stack([chart, lam * x_th, lam * x_ph])
         rates = np.linalg.solve(m, np.column_stack([t, b, n]))
-
-        def grad(dfield, direction_idx):
-            return (dfield[0] * rates[1, direction_idx]
-                    + dfield[1] * rates[2, direction_idx])
-
-        dn_t, dn_b, dn_n = (grad(dn, 0), grad(dn, 1), grad(dn, 2))
-        dt_t = grad(dt, 0)
-        db_b, db_n = grad(db, 1), grad(db, 2)
-        return {"s_tt": float(t @ dn_t), "s_tb": float(t @ dn_b),
-                "s_bt": float(b @ dn_t), "s_bb": float(b @ dn_b),
-                "kn_t": -float(t @ dn_n), "kn_b": -float(b @ dn_n),
-                "kt_b": -float(b @ dt_t), "kb_t": -float(t @ db_b),
-                "winding": float(t @ db_n)}
+        return _chart_aux(n, t, b, dn, dt, db, rates[1:])
     return aux_fn
 
 
-def _make_aux_graph(f_x, f_y, f_xx, f_xy, f_yy):
+def _make_aux_graph(graph: Graph):
     def aux_fn(r):
         x, y = float(r[0]), float(r[1])
-        fx, fy = float(f_x(x, y)), float(f_y(x, y))
-        fxx, fxy, fyy = (float(f_xx(x, y)), float(f_xy(x, y)),
-                         float(f_yy(x, y)))
+        fx, fy = float(graph.f_x(x, y)), float(graph.f_y(x, y))
+        fxx, fxy, fyy = (float(graph.f_xx(x, y)), float(graph.f_xy(x, y)),
+                         float(graph.f_yy(x, y)))
         w_n = np.array([-fx, -fy, 1.0])
         dw_n = (np.array([-fxx, -fxy, 0.0]), np.array([-fxy, -fyy, 0.0]))
         w_t = np.array([1.0, 0.0, fx])
@@ -161,23 +171,11 @@ def _make_aux_graph(f_x, f_y, f_xx, f_xy, f_yy):
         n, dn = _norm_chain(w_n, dw_n)
         t, dt = _norm_chain(w_t, dw_t)
         btil, dbtil = _norm_chain(w_b, dw_b)
-        overlap = float(btil @ t)
-        g = btil - overlap * t
-        dg = [dbtil[k] - (float(dbtil[k] @ t) + float(btil @ dt[k])) * t
-              - overlap * dt[k] for k in range(2)]
-        b, db = _norm_chain(g, dg)
-
-        def grad(dfield, direction):
-            return dfield[0] * direction[0] + dfield[1] * direction[1]
-
-        dn_t, dn_b, dn_n = (grad(dn, t), grad(dn, b), grad(dn, n))
-        dt_t = grad(dt, t)
-        db_b, db_n = grad(db, b), grad(db, n)
-        return {"s_tt": float(t @ dn_t), "s_tb": float(t @ dn_b),
-                "s_bt": float(b @ dn_t), "s_bb": float(b @ dn_b),
-                "kn_t": -float(t @ dn_n), "kn_b": -float(b @ dn_n),
-                "kt_b": -float(b @ dt_t), "kb_t": -float(t @ db_b),
-                "winding": float(t @ db_n)}
+        b, db = _gram_schmidt_chain(t, dt, btil, dbtil)
+        # The chart is (x, y): its rates along a vector are the vector's
+        # x and y components.
+        return _chart_aux(n, t, b, dn, dt, db,
+                          np.column_stack([t, b, n])[:2])
     return aux_fn
 
 
@@ -203,37 +201,36 @@ _GRAPH_NOTE = ("quoted shape-operator entries carry a non-unit normal in "
                "this entry assembles from exact chart derivatives")
 
 
+# Id type -> (id -> aux function of r, errata, quoted variants kept for
+# inspection).  The registry in frames.py holds everything else about a
+# frame; this table stays here so the catalog remains independent.
+_ENTRIES = {
+    Constant: (lambda fid: _aux_constant, (), {}),
+    CylindricalI: (lambda fid: _aux_cyl1, (), {}),
+    CylindricalII: (lambda fid: _aux_cyl2, (_CYL2_NOTE,),
+                    {"a_mu_printed": printed_cyl2_grad_mu}),
+    Sphere: (lambda fid: _aux_sphere, (), {}),
+    Ellipsoid: (lambda fid: _make_aux_ellipsoid(fid.a, fid.b, fid.c),
+                (_ELL_NOTE,), {}),
+    Paraboloid: (lambda fid: _make_aux_graph(fid.as_graph()),
+                 (_GRAPH_NOTE,), {}),
+    Graph: (_make_aux_graph, (_GRAPH_NOTE,), {}),
+}
+
+
 def catalog_entry(fid) -> CatalogEntry:
     """Catalog entry for a closed-form frame identifier."""
-    if isinstance(fid, Constant):
-        aux_fn, errata = _aux_constant, ()
-    elif isinstance(fid, CylindricalI):
-        aux_fn, errata = _aux_cyl1, ()
-    elif isinstance(fid, CylindricalII):
-        aux_fn, errata = _aux_cyl2, (_CYL2_NOTE,)
-    elif isinstance(fid, Sphere):
-        aux_fn, errata = _aux_sphere, ()
-    elif isinstance(fid, Ellipsoid):
-        aux_fn, errata = _make_aux_ellipsoid(fid.a, fid.b, fid.c), (_ELL_NOTE,)
-    elif isinstance(fid, Paraboloid):
-        a, b = fid.a, fid.b
-        aux_fn = _make_aux_graph(
-            lambda x, y: 2.0 * a * x, lambda x, y: 2.0 * b * y,
-            lambda x, y: 2.0 * a, lambda x, y: 0.0, lambda x, y: 2.0 * b)
-        errata = (_GRAPH_NOTE,)
-    elif isinstance(fid, Graph):
-        aux_fn = _make_aux_graph(fid.f_x, fid.f_y, fid.f_xx, fid.f_xy,
-                                 fid.f_yy)
-        errata = (_GRAPH_NOTE,)
-    else:
+    row = _ENTRIES.get(type(fid))
+    if row is None:
         raise OutsideValidRegion(f"no catalog entry for {fid!r}")
+    make_aux, errata, printed = row
+    aux_fn = make_aux(fid)
 
     def coeff(r, mu, omega):
         return _assemble(aux_fn(r), float(mu), float(omega))
 
     auxiliary = {key: (lambda r, k=key: aux_fn(r)[k]) for key in _AUX_KEYS}
-    if isinstance(fid, CylindricalII):
-        auxiliary["a_mu_printed"] = printed_cyl2_grad_mu
+    auxiliary.update(printed)
     return CatalogEntry(id=fid, coeff_formulas=coeff, auxiliary=auxiliary,
                         errata=errata)
 

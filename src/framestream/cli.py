@@ -3,6 +3,7 @@ verification suite, conservation feasibility, and holonomy loops."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -13,15 +14,16 @@ import numpy as np
 from .curvature import parallel_transport_holonomy
 from .derivatives import DiffConfig, frame_jet
 from .errors import FramestreamError, OutOfRange
-from .frames import (Constant, CylindricalI, CylindricalII, Ellipsoid,
-                     FramePoint, Paraboloid, Sphere, builtin_frame)
+from .frames import (BUILTIN_FRAMES, Constant, FramePoint, Sphere,
+                     builtin_frame)
 from .streaming import (angle_arrays, check_breakdown, check_mu,
                         coefficient_terms)
-from .verification import (conservation_check, default_graph_id,
-                           random_states, run_checks, selected_checks)
+from .verification import (_angle_grid, _circle_loop, _latitude_loop,
+                           conservation_check, random_states, run_checks,
+                           selected_checks)
 
-FRAME_NAMES = ("constant", "cylindrical-i", "cylindrical-ii", "sphere",
-               "ellipsoid", "paraboloid", "graph")
+FRAME_NAMES = tuple(BUILTIN_FRAMES)
+_MIN_HOLONOMY_STEPS = 7
 TABLE_COLUMNS = ("x", "y", "z", "mu", "omega", "a_mu", "a_omega",
                  "mu_surface", "mu_curve_n", "omega_curve", "omega_wind",
                  "omega_tilt")
@@ -90,23 +92,12 @@ def _cfg(args) -> DiffConfig:
 
 
 def _fid(args):
-    name = args.frame
-    if name == "constant":
-        return Constant()
-    if name == "cylindrical-i":
-        return CylindricalI()
-    if name == "cylindrical-ii":
-        return CylindricalII()
-    if name == "sphere":
-        return Sphere()
-    if name == "ellipsoid":
-        return Ellipsoid(args.a if args.a is not None else 2.0,
-                         args.b if args.b is not None else 1.0,
-                         args.c if args.c is not None else 1.0)
-    if name == "paraboloid":
-        return Paraboloid(args.a if args.a is not None else 1.0,
-                          args.b if args.b is not None else 2.0)
-    return default_graph_id()
+    """The frame's default id, with --a/--b/--c on fields so named."""
+    fid = BUILTIN_FRAMES[args.frame].default
+    names = {f.name for f in dataclasses.fields(fid)}
+    return dataclasses.replace(fid, **{
+        k: getattr(args, k) for k in ("a", "b", "c")
+        if k in names and getattr(args, k) is not None})
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -179,8 +170,7 @@ def _emit_states(field, points, mus, omegas, args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    fid = _fid(args)
-    field = builtin_frame(fid)
+    field = builtin_frame(_fid(args))
     if args.point:
         points = args.point
     elif args.rho is not None:
@@ -200,8 +190,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    fid = _fid(args)
-    field = builtin_frame(fid)
+    field = builtin_frame(_fid(args))
     if args.mu_count < 1 or args.omega_count < 1:
         print("error: angular counts must be >= 1", file=sys.stderr)
         return 2
@@ -243,10 +232,9 @@ def _cmd_conservation(args) -> int:
     field = builtin_frame(fid)
     rng = np.random.default_rng(args.seed)
     points = [r for r, _, _ in random_states(fid, 64, rng)]
-    angles = [(rng.uniform(-0.9, 0.9), rng.uniform(0.0, 2.0 * math.pi))
-              for _ in range(16)]
     try:
-        report = conservation_check(field, points, angles, _cfg(args))
+        report = conservation_check(field, points, _angle_grid(16, rng),
+                                    _cfg(args))
     except FramestreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -268,22 +256,16 @@ def _cmd_conservation(args) -> int:
 
 def _cmd_holonomy(args) -> int:
     steps = args.steps
+    if steps < _MIN_HOLONOMY_STEPS:
+        print(f"error: --steps must be at least {_MIN_HOLONOMY_STEPS}",
+              file=sys.stderr)
+        return 2
     if args.frame == "constant":
-        phi = np.linspace(0.0, 2.0 * math.pi, steps + 1)
-        loop = np.column_stack([args.radius * np.cos(phi),
-                                args.radius * np.sin(phi),
-                                np.zeros_like(phi)])
-        v0 = np.array([1.0, 0.0, 0.0])
-        expected = 0.0
+        loop, v0, expected = _circle_loop(args.radius, steps)
         field = builtin_frame(Constant())
     else:
-        theta = args.theta
-        phi = np.linspace(0.0, 2.0 * math.pi, steps + 1)
-        loop = args.radius * np.column_stack([
-            np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
-            np.cos(theta) * np.ones_like(phi)])
-        v0 = np.array([math.cos(theta), 0.0, -math.sin(theta)])
-        expected = 2.0 * math.pi * (1.0 - math.cos(theta))
+        loop, v0, expected = _latitude_loop(args.theta, steps)
+        loop = args.radius * loop
         field = builtin_frame(Sphere())
     try:
         angle = parallel_transport_holonomy(field, loop, v0)

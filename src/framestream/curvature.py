@@ -7,8 +7,9 @@ import math
 
 import numpy as np
 
-from .derivatives import (DEFAULT_CFG, DiffConfig, curl,
-                          directional_derivative, frame_jet, jacobian)
+from .derivatives import (DEFAULT_CFG, DiffConfig, axial_vector, curl,
+                          directional_derivative, frame_jet, frame_scalars,
+                          jacobian)
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
                      NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
 
@@ -117,7 +118,7 @@ def foliation_defect(field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
 def winding_term(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
     """t . grad_n b, the rotation rate of (t, b) about n along its curve."""
     jet = frame_jet(frame_field, r, cfg)
-    w = float(jet.t @ (jet.jb @ jet.n))
+    w = frame_scalars(jet).winding
     w_anti = float(jet.b @ (jet.jt @ jet.n))
     if not abs(w + w_anti) <= 1e-8:
         raise NotOrthonormal(
@@ -211,6 +212,11 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
     pts = np.asarray(loop, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 8:
         raise OutOfRange("loop must be an (N,3) array with N >= 8")
+    not_finite = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if not_finite.size:
+        i = not_finite[0]
+        raise LeftDomain(f"loop vertex {i} is not finite: "
+                         f"{tuple(pts[i].tolist())}")
     if float(np.linalg.norm(pts[0] - pts[-1])) > 1e-9:
         pts = np.vstack([pts, pts[0]])
     m = pts.shape[0] - 1  # closed: pts[m] == pts[0]
@@ -285,15 +291,12 @@ def curvature_report(frame_field, r,
         if abs(float(vec @ kap)) > 1e-8:
             raise EvaluationFailure(
                 f"kappa_{label} not orthogonal to {label}")
-    m = np.array([[jet.t @ (jet.jn @ jet.t), jet.t @ (jet.jn @ jet.b)],
-                  [jet.b @ (jet.jn @ jet.t), jet.b @ (jet.jn @ jet.b)]])
-    shape_n = ShapeOperator2x2(matrix=m, basis1=jet.t, basis2=jet.b,
-                               normal=jet.n)
-    winding = float(jet.t @ (jet.jb @ jet.n))
-    defect = float(jet.n @ np.array([jet.jn[2, 1] - jet.jn[1, 2],
-                                     jet.jn[0, 2] - jet.jn[2, 0],
-                                     jet.jn[1, 0] - jet.jn[0, 1]]))
+    k = frame_scalars(jet)
+    shape_n = ShapeOperator2x2(matrix=np.array([[k.s_tt, k.s_tb],
+                                                [k.s_bt, k.s_bb]]),
+                               basis1=jet.t, basis2=jet.b, normal=jet.n)
+    defect = float(jet.n @ axial_vector(jet.jn))
     return CurvatureReport(kappa_n=kappa_n, kappa_t=kappa_t,
                            kappa_b=kappa_b, shape_n=shape_n,
-                           winding=winding, foliation_defect_n=defect,
+                           winding=k.winding, foliation_defect_n=defect,
                            point=r)

@@ -8,6 +8,7 @@ of scalars; the dual engine feeds them Dual scalars.
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,22 +77,28 @@ def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
 
 
 def jacobian(field, r, cfg: DiffConfig = DEFAULT_CFG):
-    """3x3 matrix with column j = d(field)/d(coordinate j) at r."""
+    """Column j = d(field)/d(coordinate j) at r, on a last axis (the fd
+    engine also takes fields of stacked vectors)."""
     r = np.asarray(r, dtype=float)
     if cfg.engine == DUAL:
         out = _probe(field, dm.seed_gradient(r))
         return np.array([_tangent_row(c, 3) for c in out], dtype=float)
     cols = [directional_derivative(field, r, e, cfg)
             for e in np.eye(3)]
-    return np.column_stack(cols)
+    return np.stack(cols, axis=-1)
+
+
+def axial_vector(j):
+    """Axial vector of the antisymmetric part of a 3x3 matrix; for a
+    Jacobian it is the curl of the field."""
+    return np.array([j[2, 1] - j[1, 2],
+                     j[0, 2] - j[2, 0],
+                     j[1, 0] - j[0, 1]])
 
 
 def curl(field, r, cfg: DiffConfig = DEFAULT_CFG):
     """Standard curl assembled from the Jacobian's antisymmetric part."""
-    j = jacobian(field, r, cfg)
-    return np.array([j[2, 1] - j[1, 2],
-                     j[0, 2] - j[2, 0],
-                     j[1, 0] - j[0, 1]])
+    return axial_vector(jacobian(field, r, cfg))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,6 +115,40 @@ class FrameJet:
     jn: np.ndarray
     jt: np.ndarray
     jb: np.ndarray
+
+
+class FrameScalars(NamedTuple):
+    """The nine curvature scalars of a frame at one point, named as the
+    catalog's: s_ab = a . grad_b n; kn_t, kn_b = t, b . kappa^n;
+    kt_b = b . kappa^t; kb_t = t . kappa^b; winding = t . grad_n b."""
+
+    s_tt: float
+    s_tb: float
+    s_bt: float
+    s_bb: float
+    kn_t: float
+    kn_b: float
+    kt_b: float
+    kb_t: float
+    winding: float
+
+    def normal_curvature(self, c, sn):
+        """The shape operator's quadratic form at the unit tangent
+        c t + sn b: the normal curvature of the n-leaf along it."""
+        return (c * c * self.s_tt + sn * c * (self.s_tb + self.s_bt)
+                + sn * sn * self.s_bb)
+
+
+def frame_scalars(jet: FrameJet) -> FrameScalars:
+    """The nine scalars of a frame jet."""
+    n, t, b = jet.n, jet.t, jet.b
+    jn_t, jn_b, jn_n = jet.jn @ t, jet.jn @ b, jet.jn @ n
+    return FrameScalars(
+        s_tt=float(t @ jn_t), s_tb=float(t @ jn_b),
+        s_bt=float(b @ jn_t), s_bb=float(b @ jn_b),
+        kn_t=-float(t @ jn_n), kn_b=-float(b @ jn_n),
+        kt_b=-float(b @ (jet.jt @ t)), kb_t=-float(t @ (jet.jb @ b)),
+        winding=float(t @ (jet.jb @ n)))
 
 
 def frame_jet(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> FrameJet:
@@ -130,34 +171,11 @@ def frame_jet(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> FrameJet:
         return FrameJet(vecs[0], vecs[1], vecs[2],
                         jacs[0], jacs[1], jacs[2])
 
-    def raw_at(p):
-        try:
-            return frame_field.raw(p[0], p[1], p[2])
-        except EvaluationFailure:
-            raise
-        except Exception as exc:
-            raise EvaluationFailure(
-                f"frame raised at probe {tuple(p)}") from exc
+    # The raw field is looked up at each call, so a wrapped instance
+    # attribute sees every probe.
+    def triple(p):
+        return frame_field.raw(p[0], p[1], p[2])
 
-    n0, t0, b0 = raw_at(r)
-    center = tuple(np.asarray(v, dtype=float) for v in (n0, t0, b0))
-
-    def columns(step):
-        cols = {0: [], 1: [], 2: []}
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = step
-            plus = raw_at(r + e)
-            minus = raw_at(r - e)
-            for k in range(3):
-                dp = np.asarray(plus[k], dtype=float)
-                dmn = np.asarray(minus[k], dtype=float)
-                cols[k].append((dp - dmn) / (2.0 * step))
-        return [np.column_stack(cols[k]) for k in range(3)]
-
-    jacs = columns(cfg.fd_step)
-    if cfg.richardson:
-        jacs_half = columns(cfg.fd_step / 2.0)
-        jacs = [(4.0 * jh - j) / 3.0 for j, jh in zip(jacs, jacs_half)]
-    return FrameJet(center[0], center[1], center[2],
-                    jacs[0], jacs[1], jacs[2])
+    n, t, b = np.asarray(_probe(triple, tuple(r)), dtype=float)
+    jn, jt, jb = jacobian(triple, r, cfg)
+    return FrameJet(n, t, b, jn, jt, jb)

@@ -157,12 +157,6 @@ def dot3(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def cross3(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def norm3(u):
     return sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
 
@@ -170,18 +164,6 @@ def norm3(u):
 def normalize3(u):
     inv = 1.0 / norm3(u)
     return (u[0] * inv, u[1] * inv, u[2] * inv)
-
-
-def scale3(s, u):
-    return (s * u[0], s * u[1], s * u[2])
-
-
-def sub3(u, v):
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
-def add3(u, v):
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
 
 
 def seed_direction(r, h):

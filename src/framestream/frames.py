@@ -87,12 +87,10 @@ class FrameField:
     3-tuples (n, t, b).  ``eval`` validates and wraps into FramePoint.
     """
 
-    def __init__(self, raw: Callable, name: str, homothetic: bool = False,
-                 diff_order: int = 2):
+    def __init__(self, raw: Callable, name: str, homothetic: bool = False):
         self.raw = raw
         self.name = name
         self.homothetic = homothetic
-        self.diff_order = diff_order
         self.n_field = lambda p: raw(p[0], p[1], p[2])[0]
         self.t_field = lambda p: raw(p[0], p[1], p[2])[1]
         self.b_field = lambda p: raw(p[0], p[1], p[2])[2]
@@ -140,8 +138,20 @@ class Ellipsoid:
 
 @dataclasses.dataclass(frozen=True)
 class Paraboloid:
+    """Graph surface z = a x^2 + b y^2."""
+
     a: float
     b: float
+
+    def as_graph(self) -> "Graph":
+        """The same surface as a Graph id."""
+        a, b = self.a, self.b
+        return Graph(f=lambda x, y: a * x * x + b * y * y,
+                     f_x=lambda x, y: 2.0 * a * x,
+                     f_y=lambda x, y: 2.0 * b * y,
+                     f_xx=lambda x, y: 2.0 * a,
+                     f_xy=lambda x, y: 0.0,
+                     f_yy=lambda x, y: 2.0 * b)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,6 +177,16 @@ class Constant:
     """Canonical constant frame n = e_z, t = e_x, b = e_y."""
 
 
+def default_graph_id() -> Graph:
+    """The reference graph surface f = sin(x) + y^2/2."""
+    return Graph(f=lambda x, y: math.sin(x) + 0.5 * y * y,
+                 f_x=lambda x, y: math.cos(x),
+                 f_y=lambda x, y: y,
+                 f_xx=lambda x, y: -math.sin(x),
+                 f_xy=lambda x, y: 0.0,
+                 f_yy=lambda x, y: 1.0)
+
+
 ClosedFormId = object  # union of the dataclasses above
 
 
@@ -188,13 +208,8 @@ def _raw_cyl1(x, y, z):
 
 
 def _raw_cyl2(x, y, z):
-    rho2 = x * x + y * y
-    if value(rho2) < 1e-20:
-        raise DegeneratePoint("cylindrical frame undefined on the z-axis")
-    inv = 1.0 / dm.sqrt(rho2)
-    return ((x * inv, y * inv, 0.0),
-            (-y * inv, x * inv, 0.0),
-            (0.0, 0.0, 1.0))
+    e_z, radial, azimuthal = _raw_cyl1(x, y, z)
+    return radial, azimuthal, e_z
 
 
 def _raw_sphere(x, y, z):
@@ -259,7 +274,10 @@ def _lift_scalar(fn, d_dx, d_dy):
     return lifted
 
 
-def _make_raw_graph(gx, gy):
+def _raw_graph(g: Graph):
+    gx = _lift_scalar(g.f_x, g.f_xx, g.f_xy)
+    gy = _lift_scalar(g.f_y, g.f_xy, g.f_yy)
+
     def raw(x, y, z):
         fx = gx(x, y)
         fy = gy(x, y)
@@ -270,35 +288,96 @@ def _make_raw_graph(gx, gy):
     return raw
 
 
-def builtin_frame(fid: ClosedFormId) -> FrameField:
-    """Frame field for a closed-form identifier."""
-    if isinstance(fid, Constant):
-        field = FrameField(_raw_constant, "constant", homothetic=False)
-    elif isinstance(fid, CylindricalI):
-        field = FrameField(_raw_cyl1, "cylindrical-i", homothetic=True)
-    elif isinstance(fid, CylindricalII):
-        field = FrameField(_raw_cyl2, "cylindrical-ii", homothetic=True)
-    elif isinstance(fid, Sphere):
-        field = FrameField(_raw_sphere, "sphere", homothetic=True)
-    elif isinstance(fid, Ellipsoid):
-        raw = _make_raw_ellipsoid(fid.a, fid.b, fid.c)
-        field = FrameField(raw, f"ellipsoid({fid.a},{fid.b},{fid.c})",
-                           homothetic=True)
-    elif isinstance(fid, Paraboloid):
-        a, b = fid.a, fid.b
-        gx = _lift_scalar(lambda x, y: 2.0 * a * x,
-                          lambda x, y: 2.0 * a, lambda x, y: 0.0)
-        gy = _lift_scalar(lambda x, y: 2.0 * b * y,
-                          lambda x, y: 0.0, lambda x, y: 2.0 * b)
-        field = FrameField(_make_raw_graph(gx, gy),
-                           f"paraboloid({a},{b})", homothetic=False)
-    elif isinstance(fid, Graph):
-        gx = _lift_scalar(fid.f_x, fid.f_xx, fid.f_xy)
-        gy = _lift_scalar(fid.f_y, fid.f_xy, fid.f_yy)
-        field = FrameField(_make_raw_graph(gx, gy), "graph",
-                           homothetic=False)
-    else:
+# ---------------------------------------------------------------------------
+# Samplers of a point in a frame's comfort zone.  The order of their
+# draws from ``rng`` fixes the states that a seed gives.
+
+def _sample_cylinder(fid, rng):
+    rho = rng.uniform(0.5, 3.0)
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    return np.array([rho * math.cos(phi), rho * math.sin(phi),
+                     rng.uniform(-2.0, 2.0)])
+
+
+def _sample_shell(rng, top, a=1.0, b=1.0, c=1.0):
+    """A point scale * (a sin(theta) cos(phi), b sin(theta) sin(phi),
+    c cos(theta)), 0.3 rad clear of the poles."""
+    scale = rng.uniform(0.5, top)
+    theta = rng.uniform(0.3, math.pi - 0.3)
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    return scale * np.array([a * math.sin(theta) * math.cos(phi),
+                             b * math.sin(theta) * math.sin(phi),
+                             c * math.cos(theta)])
+
+
+def _sample_graph(g: Graph, rng):
+    x = rng.uniform(-1.5, 1.5)
+    y = rng.uniform(-1.5, 1.5)
+    return np.array([x, y, float(g.f(x, y))])
+
+
+# ---------------------------------------------------------------------------
+# Frame registry.
+
+@dataclasses.dataclass(frozen=True)
+class FrameSpec:
+    """One built-in frame.  A new frame is one row of ``BUILTIN_FRAMES``
+    plus its hand-derived auxiliary scalars in the catalog's table,
+    which is kept in catalog.py so that this module never imports the
+    truth source."""
+
+    name: str            # the CLI --frame value
+    default: object      # the id verify uses; the CLI's --a/--b/--c
+                         # replace its fields of those names
+    raw: Callable        # id -> raw(x, y, z)
+    homothetic: bool     # coefficients scale as 1/|r| under r -> k r
+    sample: Callable     # (id, rng) -> a point in the comfort zone
+    conservation: tuple  # (feasible, reason) expected for the default
+
+
+BUILTIN_FRAMES = {spec.name: spec for spec in (
+    FrameSpec("constant", Constant(), lambda fid: _raw_constant, False,
+              lambda fid, rng: rng.uniform(-2.0, 2.0, size=3),
+              (True, "Feasible")),
+    FrameSpec("cylindrical-i", CylindricalI(), lambda fid: _raw_cyl1,
+              True, _sample_cylinder, (True, "Feasible")),
+    FrameSpec("cylindrical-ii", CylindricalII(), lambda fid: _raw_cyl2,
+              True, _sample_cylinder, (False, "CDependsOnOmega")),
+    FrameSpec("sphere", Sphere(), lambda fid: _raw_sphere,
+              True, lambda fid, rng: _sample_shell(rng, 3.0),
+              (True, "Feasible")),
+    FrameSpec("ellipsoid", Ellipsoid(2.0, 1.0, 1.0),
+              lambda fid: _make_raw_ellipsoid(fid.a, fid.b, fid.c),
+              True,
+              lambda fid, rng: _sample_shell(rng, 2.0, fid.a, fid.b, fid.c),
+              (False, "KappaNNonzero")),
+    FrameSpec("paraboloid", Paraboloid(1.0, 2.0),
+              lambda fid: _raw_graph(fid.as_graph()), False,
+              lambda fid, rng: _sample_graph(fid.as_graph(), rng),
+              (False, "KappaNNonzero")),
+    FrameSpec("graph", default_graph_id(), _raw_graph,
+              False, _sample_graph, (False, "KappaNNonzero")),
+)}
+_SPEC_BY_TYPE = {type(spec.default): spec for spec in BUILTIN_FRAMES.values()}
+
+
+def frame_spec(fid: ClosedFormId) -> FrameSpec:
+    """Registry row of a closed-form identifier."""
+    spec = _SPEC_BY_TYPE.get(type(fid))
+    if spec is None:
         raise OutOfRange(f"unknown frame id {fid!r}")
+    return spec
+
+
+def builtin_frame(fid: ClosedFormId) -> FrameField:
+    """Frame field for a closed-form identifier, named after its row and
+    its numeric parameters, if any."""
+    spec = frame_spec(fid)
+    params = [getattr(fid, f.name) for f in dataclasses.fields(fid)]
+    name = spec.name
+    if params and not any(callable(v) for v in params):
+        name += "(" + ",".join(str(v) for v in params) + ")"
+    field = FrameField(spec.raw(fid), name, homothetic=spec.homothetic)
     field.fid = fid
     return field
 

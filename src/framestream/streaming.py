@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from .derivatives import DEFAULT_CFG, DiffConfig, FrameJet, frame_jet
+from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
+                          axial_vector, frame_jet, frame_scalars)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
 from .frames import FramePoint
@@ -77,11 +78,13 @@ def _any(flags) -> bool:
     return flags if isinstance(flags, bool) else bool(flags.any())
 
 
-def _foliation_defect_from(jet_vec, jet_jac) -> float:
-    rot = np.array([jet_jac[2, 1] - jet_jac[1, 2],
-                    jet_jac[0, 2] - jet_jac[2, 0],
-                    jet_jac[1, 0] - jet_jac[0, 1]])
-    return float(jet_vec @ rot)
+def _require_foliation(label: str, vec, jac) -> None:
+    """Raise FoliationMissing unless the planes normal to ``vec`` are
+    integrable: vec . curl vec within _FOLIATION_TOL."""
+    defect = float(vec @ axial_vector(jac))
+    if abs(defect) > _FOLIATION_TOL:
+        raise FoliationMissing(f"{label}-foliation defect {defect:.3e} "
+                               f"exceeds {_FOLIATION_TOL}")
 
 
 def _angles(mu: float, omega: float):
@@ -109,6 +112,20 @@ def check_mu(mu) -> None:
         raise PolarDirection("omega undefined for mu at +-1")
 
 
+def _mu_terms(k: FrameScalars, mu, s, c, sn):
+    """(mu_surface, mu_curve_n): a_mu from the shape operator of n and
+    from kappa^n.  Each kn is negated on its own, not their sum, so a
+    zero sum keeps the sign that t . grad_n n and b . grad_n n give."""
+    return ((1.0 - mu * mu) * k.normal_curvature(c, sn),
+            mu * s * (c * -k.kn_t + sn * -k.kn_b))
+
+
+def _omega_terms(k: FrameScalars, mu, s, c, sn):
+    """(omega_curve, omega_wind): a_omega from kappa^t, kappa^b and the
+    winding of (t, b) about n."""
+    return s * (c * k.kt_b - sn * k.kb_t), mu * k.winding
+
+
 def grad_mu(frame_field, r, mu, omega, form: MuForm = MuForm.CURVE_CURVATURE,
             cfg: DiffConfig = DEFAULT_CFG) -> float:
     """Rate of change of mu = Omega . n along a straight ray."""
@@ -118,20 +135,17 @@ def grad_mu(frame_field, r, mu, omega, form: MuForm = MuForm.CURVE_CURVATURE,
     s, c, sn = _angles(mu, omega)
     n, t, b = jet.n, jet.t, jet.b
     if form is MuForm.SURFACE_CURVATURE:
-        defect = _foliation_defect_from(n, jet.jn)
-        if abs(defect) > _FOLIATION_TOL:
-            raise FoliationMissing(
-                f"n-foliation defect {defect:.3e} exceeds {_FOLIATION_TOL}")
-        quad = (c * c * float(t @ (jet.jn @ t))
-                + sn * c * float(t @ (jet.jn @ b) + b @ (jet.jn @ t))
-                + sn * sn * float(b @ (jet.jn @ b)))
-    elif form is MuForm.CURVE_CURVATURE:
-        n_kt = -float(n @ (jet.jt @ t))
-        n_kb = -float(n @ (jet.jb @ b))
-        cross = float(n @ (jet.jt @ b) + n @ (jet.jb @ t))
-        quad = c * c * n_kt + sn * sn * n_kb - sn * c * cross
-    else:
+        _require_foliation("n", n, jet.jn)
+        surface, curve_n = _mu_terms(frame_scalars(jet), mu, s, c, sn)
+        return surface + curve_n
+    if form is not MuForm.CURVE_CURVATURE:
         raise OutOfRange(f"unknown mu form {form!r}")
+    # The route that form-equivalence compares against the shape
+    # operator: the n-components of kappa^t and kappa^b.
+    n_kt = -float(n @ (jet.jt @ t))
+    n_kb = -float(n @ (jet.jb @ b))
+    cross = float(n @ (jet.jt @ b) + n @ (jet.jb @ t))
+    quad = c * c * n_kt + sn * sn * n_kb - sn * c * cross
     along_n = c * float(t @ (jet.jn @ n)) + sn * float(b @ (jet.jn @ n))
     return (1.0 - mu * mu) * quad + mu * s * along_n
 
@@ -142,7 +156,9 @@ def grad_omega(frame_field, r, mu, omega,
     """Rate of change of the azimuth's defining projection, t . grad_Omega b.
 
     All forms evaluate the same quantity through different derivative
-    routes; the surface routes additionally require their foliation."""
+    routes; the surface routes additionally require their foliation.
+    Only CURVE_CURVATURE goes through frame_scalars, which the others
+    therefore check."""
     check_mu(mu)
     jet = frame_jet(frame_field, np.asarray(r, dtype=float), cfg)
     s, c, sn = _angles(mu, omega)
@@ -153,23 +169,15 @@ def grad_omega(frame_field, r, mu, omega,
     if form is OmegaForm.DIRECT_BT:
         return -float(b @ (jet.jt @ omega_vec))
     if form is OmegaForm.CURVE_CURVATURE:
-        b_kt = -float(b @ (jet.jt @ t))
-        t_kb = -float(t @ (jet.jb @ b))
-        wind = float(t @ (jet.jb @ n))
-        return s * (c * b_kt - sn * t_kb) + mu * wind
+        curve, wind = _omega_terms(frame_scalars(jet), mu, s, c, sn)
+        return curve + wind
     if form is OmegaForm.SURFACE_B:
-        defect = _foliation_defect_from(b, jet.jb)
-        if abs(defect) > _FOLIATION_TOL:
-            raise FoliationMissing(
-                f"b-foliation defect {defect:.3e} exceeds {_FOLIATION_TOL}")
+        _require_foliation("b", b, jet.jb)
         return (s * c * float(t @ (jet.jb @ t))
                 + mu * float(t @ (jet.jb @ n))
                 + s * sn * float(t @ (jet.jb @ b)))
     if form is OmegaForm.SURFACE_T:
-        defect = _foliation_defect_from(t, jet.jt)
-        if abs(defect) > _FOLIATION_TOL:
-            raise FoliationMissing(
-                f"t-foliation defect {defect:.3e} exceeds {_FOLIATION_TOL}")
+        _require_foliation("t", t, jet.jt)
         return (-s * c * float(b @ (jet.jt @ t))
                 - mu * float(b @ (jet.jt @ n))
                 - s * sn * float(b @ (jet.jt @ b)))
@@ -212,21 +220,12 @@ def coefficient_terms(jet: FrameJet, mu, s, c, sn):
     catalog assembles the same quantities from its own hand-derived
     scalars, and the ray oracle checks both without any jet.
     """
-    n, t, b = jet.n, jet.t, jet.b
-    quad = (c * c * float(t @ (jet.jn @ t))
-            + sn * c * float(t @ (jet.jn @ b) + b @ (jet.jn @ t))
-            + sn * sn * float(b @ (jet.jn @ b)))
-    mu_surface = (1.0 - mu * mu) * quad
-    dn_n = jet.jn @ n
-    mu_curve_n = mu * s * (c * float(t @ dn_n) + sn * float(b @ dn_n))
-
-    b_kt = -float(b @ (jet.jt @ t))
-    t_kb = -float(t @ (jet.jb @ b))
-    omega_curve = s * (c * b_kt - sn * t_kb)
-    omega_wind = mu * float(t @ (jet.jb @ n))
+    k = frame_scalars(jet)
+    mu_surface, mu_curve_n = _mu_terms(k, mu, s, c, sn)
+    omega_curve, omega_wind = _omega_terms(k, mu, s, c, sn)
     dn_along = _matvec(jet.jn, _direction(jet, mu, s, c, sn))
-    omega_tilt = -mu * (-sn * _dot(t, dn_along)
-                        + c * _dot(b, dn_along)) / s
+    omega_tilt = -mu * (-sn * _dot(jet.t, dn_along)
+                        + c * _dot(jet.b, dn_along)) / s
     return (mu_surface + mu_curve_n, omega_curve + omega_wind + omega_tilt,
             mu_surface, mu_curve_n, omega_curve, omega_wind, omega_tilt)
 

@@ -12,12 +12,13 @@ from . import dual as dm
 from .catalog import catalog_coefficients
 from .curvature import ShapeOperator2x2, parallel_transport_holonomy
 from .derivatives import (DEFAULT_CFG, DiffConfig, directional_derivative,
-                          frame_jet)
+                          frame_jet, frame_scalars)
 from .errors import (DegenerateMetric, DomainExit, FoliationMissing,
                      InconsistentReport, OutOfRange, PolarDirection,
                      UnwrapFailure)
-from .frames import (Constant, CylindricalI, CylindricalII, Ellipsoid,
-                     Graph, Paraboloid, Sphere, builtin_frame)
+from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere,
+                     builtin_frame, frame_spec)
+from .frames import default_graph_id  # noqa: F401  (re-exported)
 from .streaming import (MuForm, OmegaForm, coefficients_from_jet, grad_mu,
                         grad_omega, streaming_coefficients)
 
@@ -142,18 +143,10 @@ def conservation_check(frame_field, sample_points, sample_angles,
     max_spread = 0.0
     max_c = -math.inf
     for p in points:
-        jet = frame_jet(frame_field, p, cfg)
-        kn = -(jet.jn @ jet.n)
-        max_kn = max(max_kn, float(np.max(np.abs(kn))))
-        s_tt = float(jet.t @ (jet.jn @ jet.t))
-        s_tb = float(jet.t @ (jet.jn @ jet.b))
-        s_bt = float(jet.b @ (jet.jn @ jet.t))
-        s_bb = float(jet.b @ (jet.jn @ jet.b))
-        cs = []
-        for _, om in angles:
-            c, sn = math.cos(om), math.sin(om)
-            cs.append(c * c * s_tt + sn * c * (s_tb + s_bt)
-                      + sn * sn * s_bb)
+        k = frame_scalars(frame_jet(frame_field, p, cfg))
+        max_kn = max(max_kn, abs(k.kn_t), abs(k.kn_b))
+        cs = [k.normal_curvature(math.cos(om), math.sin(om))
+              for _, om in angles]
         max_spread = max(max_spread, max(cs) - min(cs))
         max_c = max(max_c, max(abs(v) for v in cs))
 
@@ -255,63 +248,17 @@ def kb_transform_residual(frame_field, r,
 # ---------------------------------------------------------------------------
 # Aggregated check suite.
 
-def default_graph_id() -> Graph:
-    """The reference graph surface f = sin(x) + y^2/2."""
-    return Graph(f=lambda x, y: math.sin(x) + 0.5 * y * y,
-                 f_x=lambda x, y: math.cos(x),
-                 f_y=lambda x, y: y,
-                 f_xx=lambda x, y: -math.sin(x),
-                 f_xy=lambda x, y: 0.0,
-                 f_yy=lambda x, y: 1.0)
-
-
 def default_frames() -> dict:
     """Name -> ClosedFormId for the canonical verification set."""
-    return {
-        "constant": Constant(),
-        "cylindrical-i": CylindricalI(),
-        "cylindrical-ii": CylindricalII(),
-        "sphere": Sphere(),
-        "ellipsoid": Ellipsoid(2.0, 1.0, 1.0),
-        "paraboloid": Paraboloid(1.0, 2.0),
-        "graph": default_graph_id(),
-    }
+    return {name: spec.default for name, spec in BUILTIN_FRAMES.items()}
 
 
 def random_states(fid, count: int, rng) -> list:
     """Non-degenerate (r, mu, omega) samples in a frame's comfort zone."""
+    sample = frame_spec(fid).sample
     out = []
     for _ in range(count):
-        if isinstance(fid, (CylindricalI, CylindricalII)):
-            rho = rng.uniform(0.5, 3.0)
-            phi = rng.uniform(0.0, TWO_PI)
-            r = np.array([rho * math.cos(phi), rho * math.sin(phi),
-                          rng.uniform(-2.0, 2.0)])
-        elif isinstance(fid, Sphere):
-            rho = rng.uniform(0.5, 3.0)
-            theta = rng.uniform(0.3, math.pi - 0.3)
-            phi = rng.uniform(0.0, TWO_PI)
-            r = rho * np.array([math.sin(theta) * math.cos(phi),
-                                math.sin(theta) * math.sin(phi),
-                                math.cos(theta)])
-        elif isinstance(fid, Ellipsoid):
-            lam = rng.uniform(0.5, 2.0)
-            theta = rng.uniform(0.3, math.pi - 0.3)
-            phi = rng.uniform(0.0, TWO_PI)
-            r = lam * np.array([
-                fid.a * math.sin(theta) * math.cos(phi),
-                fid.b * math.sin(theta) * math.sin(phi),
-                fid.c * math.cos(theta)])
-        elif isinstance(fid, (Paraboloid, Graph)):
-            x = rng.uniform(-1.5, 1.5)
-            y = rng.uniform(-1.5, 1.5)
-            if isinstance(fid, Paraboloid):
-                z = fid.a * x * x + fid.b * y * y
-            else:
-                z = float(fid.f(x, y))
-            r = np.array([x, y, z])
-        else:
-            r = rng.uniform(-2.0, 2.0, size=3)
+        r = sample(fid, rng)
         mu = rng.uniform(-0.9, 0.9)
         omega = rng.uniform(0.0, TWO_PI)
         out.append((r, float(mu), float(omega)))
@@ -323,114 +270,102 @@ def _angle_grid(count: int, rng) -> list:
             for _ in range(count)]
 
 
+def _frame_states(frames, count, rng):
+    """(fid, field, r, mu, omega) for ``count`` random states of each
+    frame; all of a frame's states are drawn before the first is used."""
+    for fid in frames.values():
+        field = builtin_frame(fid)
+        for r, mu, omega in random_states(fid, count, rng):
+            yield fid, field, r, mu, omega
+
+
 def _check_catalog(frames, rng, cfg):
     worst = 0.0
     samples = 0
-    for name, fid in frames.items():
-        field = builtin_frame(fid)
-        for r, mu, omega in random_states(fid, 60, rng):
-            coeffs = streaming_coefficients(field, r, mu, omega, cfg)
-            cat_mu, cat_om = catalog_coefficients(fid, r, mu, omega)
-            worst = max(worst, abs(coeffs.a_mu - cat_mu),
-                        abs(coeffs.a_omega - cat_om))
-            samples += 1
+    for fid, field, r, mu, omega in _frame_states(frames, 60, rng):
+        coeffs = streaming_coefficients(field, r, mu, omega, cfg)
+        cat_mu, cat_om = catalog_coefficients(fid, r, mu, omega)
+        worst = max(worst, abs(coeffs.a_mu - cat_mu),
+                    abs(coeffs.a_omega - cat_om))
+        samples += 1
     return worst, samples
 
 
 def _check_oracle(frames, rng, cfg):
     worst = 0.0
     samples = 0
-    for name, fid in frames.items():
-        field = builtin_frame(fid)
-        for r, mu, omega in random_states(fid, 40, rng):
-            jet = frame_jet(field, r, cfg)
-            coeffs = coefficients_from_jet(jet, mu, omega, at_point=r)
-            direction = (mu * jet.n
-                         + math.sqrt(1.0 - mu * mu)
-                         * (math.cos(omega) * jet.t
-                            + math.sin(omega) * jet.b))
-            oracle = ray_oracle(field, r, direction, 1e-3, cfg)
-            worst = max(worst, abs(coeffs.a_mu - oracle.dmu_ds),
-                        abs(coeffs.a_omega - oracle.domega_ds))
-            samples += 1
+    for _, field, r, mu, omega in _frame_states(frames, 40, rng):
+        jet = frame_jet(field, r, cfg)
+        coeffs = coefficients_from_jet(jet, mu, omega, at_point=r)
+        direction = (mu * jet.n
+                     + math.sqrt(1.0 - mu * mu)
+                     * (math.cos(omega) * jet.t + math.sin(omega) * jet.b))
+        oracle = ray_oracle(field, r, direction, 1e-3, cfg)
+        worst = max(worst, abs(coeffs.a_mu - oracle.dmu_ds),
+                    abs(coeffs.a_omega - oracle.domega_ds))
+        samples += 1
     return worst, samples
 
 
 def _check_forms(frames, rng, cfg):
     worst = 0.0
     samples = 0
-    for name, fid in frames.items():
-        field = builtin_frame(fid)
-        for r, mu, omega in random_states(fid, 40, rng):
-            mu_vals = [grad_mu(field, r, mu, omega, MuForm.CURVE_CURVATURE,
-                               cfg)]
+    for _, field, r, mu, omega in _frame_states(frames, 40, rng):
+        mu_vals = [grad_mu(field, r, mu, omega, MuForm.CURVE_CURVATURE, cfg)]
+        try:
+            mu_vals.append(grad_mu(field, r, mu, omega,
+                                   MuForm.SURFACE_CURVATURE, cfg))
+        except FoliationMissing:
+            pass
+        om_vals = []
+        for form in OmegaForm:
             try:
-                mu_vals.append(grad_mu(field, r, mu, omega,
-                                       MuForm.SURFACE_CURVATURE, cfg))
+                om_vals.append(grad_omega(field, r, mu, omega, form, cfg))
             except FoliationMissing:
-                pass
-            om_vals = []
-            for form in OmegaForm:
-                try:
-                    om_vals.append(grad_omega(field, r, mu, omega, form,
-                                              cfg))
-                except FoliationMissing:
-                    continue
-            worst = max(worst, max(mu_vals) - min(mu_vals),
-                        max(om_vals) - min(om_vals))
-            samples += 1
+                continue
+        worst = max(worst, max(mu_vals) - min(mu_vals),
+                    max(om_vals) - min(om_vals))
+        samples += 1
     return worst, samples
 
 
 def _check_identities(frames, rng, cfg):
     worst = 0.0
     samples = 0
-    for name, fid in frames.items():
-        field = builtin_frame(fid)
-        for r, _, _ in random_states(fid, 40, rng):
-            jet = frame_jet(field, r, cfg)
-            h = rng.normal(size=3)
-            h /= np.linalg.norm(h)
-            vecs = (jet.n, jet.t, jet.b)
-            jacs = (jet.jn, jet.jt, jet.jb)
-            for i in range(3):
-                worst = max(worst, abs(float(vecs[i] @ (jacs[i] @ h))))
-                for j in range(i + 1, 3):
-                    cross = (float(vecs[i] @ (jacs[j] @ h))
-                             + float(vecs[j] @ (jacs[i] @ h)))
-                    worst = max(worst, abs(cross))
-            samples += 1
+    for _, field, r, _, _ in _frame_states(frames, 40, rng):
+        jet = frame_jet(field, r, cfg)
+        h = rng.normal(size=3)
+        h /= np.linalg.norm(h)
+        vecs = (jet.n, jet.t, jet.b)
+        jacs = (jet.jn, jet.jt, jet.jb)
+        for i in range(3):
+            worst = max(worst, abs(float(vecs[i] @ (jacs[i] @ h))))
+            for j in range(i + 1, 3):
+                cross = (float(vecs[i] @ (jacs[j] @ h))
+                         + float(vecs[j] @ (jacs[i] @ h)))
+                worst = max(worst, abs(cross))
+        samples += 1
     return worst, samples
 
 
 def _check_homothety(frames, rng, cfg):
     worst = 0.0
     samples = 0
-    for name, fid in frames.items():
-        field = builtin_frame(fid)
-        if not field.homothetic:
-            continue
-        for r, mu, omega in random_states(fid, 20, rng):
-            base = streaming_coefficients(field, r, mu, omega, cfg)
-            for scale in (0.5, 2.0, 10.0):
-                scaled = streaming_coefficients(field, scale * r, mu,
-                                                omega, cfg)
-                for lead, trail in ((base.a_mu, scaled.a_mu),
-                                    (base.a_omega, scaled.a_omega)):
-                    ref = max(abs(lead), 1e-12)
-                    worst = max(worst, abs(scale * trail - lead) / ref)
-                samples += 1
+    homothetic = {name: fid for name, fid in frames.items()
+                  if frame_spec(fid).homothetic}
+    for _, field, r, mu, omega in _frame_states(homothetic, 20, rng):
+        base = streaming_coefficients(field, r, mu, omega, cfg)
+        for scale in (0.5, 2.0, 10.0):
+            scaled = streaming_coefficients(field, scale * r, mu, omega, cfg)
+            for lead, trail in ((base.a_mu, scaled.a_mu),
+                                (base.a_omega, scaled.a_omega)):
+                ref = max(abs(lead), 1e-12)
+                worst = max(worst, abs(scale * trail - lead) / ref)
+            samples += 1
     return worst, samples
 
 
 def _check_conservation(frames, rng, cfg):
-    expected = {"constant": (True, "Feasible"),
-                "cylindrical-i": (True, "Feasible"),
-                "cylindrical-ii": (False, "CDependsOnOmega"),
-                "sphere": (True, "Feasible"),
-                "ellipsoid": (False, "KappaNNonzero"),
-                "paraboloid": (False, "KappaNNonzero"),
-                "graph": (False, "KappaNNonzero")}
     bad = 0
     samples = 0
     for name, fid in frames.items():
@@ -439,37 +374,41 @@ def _check_conservation(frames, rng, cfg):
         angles = _angle_grid(16, rng)
         report = conservation_check(field, points, angles, cfg)
         samples += report.samples_checked
-        want = expected.get(name)
-        if want is not None and (report.feasible, report.reason) != want:
+        if ((report.feasible, report.reason)
+                != BUILTIN_FRAMES[name].conservation):
             bad += 1
     return float(bad), samples
 
 
-def _latitude_loop(theta: float, steps: int) -> np.ndarray:
+def _latitude_loop(theta: float, steps: int):
+    """The unit-sphere latitude loop at polar angle theta, a start
+    vector tangent to it, and its holonomy 2 pi (1 - cos theta)."""
     phi = np.linspace(0.0, TWO_PI, steps + 1)
-    return np.column_stack([np.sin(theta) * np.cos(phi),
+    loop = np.column_stack([np.sin(theta) * np.cos(phi),
                             np.sin(theta) * np.sin(phi),
                             np.cos(theta) * np.ones_like(phi)])
+    v0 = np.array([math.cos(theta), 0.0, -math.sin(theta)])
+    return loop, v0, TWO_PI * (1.0 - math.cos(theta))
 
 
-def _circle_loop(radius: float, steps: int) -> np.ndarray:
+def _circle_loop(radius: float, steps: int):
+    """A circle in the plane z = 0, a start vector, and its holonomy 0."""
     phi = np.linspace(0.0, TWO_PI, steps + 1)
-    return np.column_stack([radius * np.cos(phi), radius * np.sin(phi),
+    loop = np.column_stack([radius * np.cos(phi), radius * np.sin(phi),
                             np.zeros_like(phi)])
+    return loop, np.array([1.0, 0.0, 0.0]), 0.0
 
 
 def _check_holonomy(theta: float):
     sphere = builtin_frame(Sphere())
-    expected = TWO_PI * (1.0 - math.cos(theta))
     errs = []
     for steps in (1000, 2000):
-        v0 = np.array([math.cos(theta), 0.0, -math.sin(theta)])
-        angle = parallel_transport_holonomy(sphere,
-                                            _latitude_loop(theta, steps), v0)
-        errs.append(abs(angle - expected))
-    plane = builtin_frame(Constant())
-    plane_angle = parallel_transport_holonomy(plane, _circle_loop(1.0, 2000),
-                                              np.array([1.0, 0.0, 0.0]))
+        loop, v0, expected = _latitude_loop(theta, steps)
+        errs.append(abs(parallel_transport_holonomy(sphere, loop, v0)
+                        - expected))
+    loop, v0, _ = _circle_loop(1.0, 2000)
+    plane_angle = parallel_transport_holonomy(builtin_frame(Constant()),
+                                              loop, v0)
     converges = errs[1] <= errs[0] / 2.0 + 1e-12
     residual = max(errs[1], abs(plane_angle))
     return (residual if converges else max(residual, 1.0)), 3

@@ -1,0 +1,54 @@
+"""What the benchmark's tracer (bench/tracing.py) needs from the package.
+
+The tracer looks up functions by name, patches ``builtin_frame`` at
+every module that binds it, and wraps each frame field's ``raw``
+instance attribute.  A refactor that breaks one of these would only
+show when the benchmark runs with ``--trace 1``; this test runs one
+traced pass instead.  It imports the tracer and changes nothing under
+``bench/``.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from framestream import cli, frames
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return module
+
+
+def test_every_traced_function_resolves(tracing):
+    for (home, name), span in tracing._SPANS.items():
+        assert callable(getattr(home, name, None)), span
+
+
+def test_traced_verify_pass_counts_raw_calls(tracing, tmp_path, capsys):
+    builtin = frames.builtin_frame
+    tracer = tracing.Tracer()
+    out = tmp_path / "verify.json"
+    with tracer.traced_pass():
+        rc = cli.main(["verify", "--frame", "sphere", "--check", "catalog",
+                       "--no-timestamp", "--out", str(out)])
+    assert rc == 0 and out.stat().st_size > 0
+    metrics = tracer.layer_metrics(out.stat().st_size, 0.0)
+    assert metrics["frames.raw.dual.calls"] > 0
+    assert metrics["derivatives.frame_jet.dual.calls"] > 0
+    assert metrics["catalog.catalog_coefficients.calls"] > 0
+    # The wrappers are gone again after the pass.
+    assert frames.builtin_frame is builtin
+    assert "raw" in vars(frames.builtin_frame(frames.Sphere()))
+    capsys.readouterr()

@@ -253,3 +253,46 @@ def test_sweep_csv_roundtrip(capsys):
     header = lines[0].split(",")
     row = dict(zip(header, (float(v) for v in lines[1].split(","))))
     assert row["x"] == 1.0 and row["y"] == 0.5
+
+
+@pytest.mark.parametrize("steps", ["6", "5", "0", "-2"])
+def test_holonomy_steps_below_minimum_exit_2(capsys, steps):
+    rc, out, err = run(capsys, ["holonomy", "--steps", steps,
+                                "--no-timestamp"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "at least 7" in err
+
+
+def test_holonomy_minimum_steps_runs(capsys):
+    rc, out, _ = run(capsys, ["holonomy", "--steps", "7", "--no-timestamp"])
+    assert rc == 0
+    assert json.loads(out)["holonomy"]["steps"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["holonomy", "--theta", "nan"],
+    ["holonomy", "--radius", "nan"],
+    ["holonomy", "--frame", "constant", "--radius", "nan"],
+    ["verify", "--check", "holonomy", "--theta", "nan"],
+])
+def test_non_finite_loop_exits_3(capsys, argv):
+    rc, out, err = run(capsys, argv + ["--no-timestamp"])
+    assert rc == 3 and out == ""
+    assert "error: loop vertex 0 is not finite" in err
+
+
+def test_frame_choices_and_overrides_read_the_registry(capsys):
+    from framestream.cli import FRAME_NAMES
+    from framestream.frames import BUILTIN_FRAMES
+    assert FRAME_NAMES == tuple(BUILTIN_FRAMES)
+    # --a/--b/--c replace the default id's fields of those names and are
+    # ignored by frames without them.
+    argv = ["coeffs", "--point", "1.1,0.4,0.7", "--mu", "0.3", "--omega",
+            "1.2", "--no-timestamp"]
+    default = run(capsys, argv + ["--frame", "ellipsoid"])[1]
+    explicit = run(capsys, argv + ["--frame", "ellipsoid", "--a", "2",
+                                   "--b", "1", "--c", "1"])[1]
+    changed = run(capsys, argv + ["--frame", "ellipsoid", "--c", "3"])[1]
+    assert default == explicit != changed
+    sphere = run(capsys, argv + ["--frame", "sphere"])[1]
+    assert run(capsys, argv + ["--frame", "sphere", "--a", "5"])[1] == sphere

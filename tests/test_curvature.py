@@ -370,3 +370,14 @@ def test_curvature_report_scales_homothetically():
     assert np.allclose(2.0 * rep2.shape_n.matrix, rep1.shape_n.matrix,
                        atol=1e-10)
     assert abs(2.0 * rep2.winding - rep1.winding) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [0, 3, 499])
+def test_holonomy_names_first_non_finite_vertex(bad):
+    theta = math.pi / 3
+    loop = latitude_loop(theta, 500)
+    loop[bad, 1] = np.nan
+    loop[bad + 1:, 2] = np.inf
+    with pytest.raises(LeftDomain, match=f"loop vertex {bad} is not finite"):
+        parallel_transport_holonomy(builtin_frame(Sphere()), loop,
+                                    latitude_v0(theta))
