@@ -217,10 +217,25 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
         i = not_finite[0]
         raise LeftDomain(f"loop vertex {i} is not finite: "
                          f"{tuple(pts[i].tolist())}")
-    if float(np.linalg.norm(pts[0] - pts[-1])) > 1e-9:
+    span = float(np.abs(pts).max())
+    # hypot, unlike a norm through squares, does not overflow.
+    if math.hypot(*(pts[0] - pts[-1]).tolist()) > 1e-9 * max(1.0, span):
         pts = np.vstack([pts, pts[0]])
     m = pts.shape[0] - 1  # closed: pts[m] == pts[0]
     normals = _loop_normals(frame_field, pts[:m])
+    not_unit = np.flatnonzero(~(np.abs(_dot(normals, normals) - 1.0)
+                                <= 1e-8))  # nan fails the test too
+    if not_unit.size:
+        i = not_unit[0]
+        raise LeftDomain(f"frame normal at loop vertex {i} is not a finite "
+                         f"unit vector: {tuple(pts[i].tolist())}")
+
+    # Edges and tangents enter only through their directions, so they
+    # come from the loop scaled by a power of two to a largest coordinate
+    # near 1: exact, so ordinary loops keep their bits, while the squares
+    # and cross products of far or tiny loops neither overflow nor
+    # underflow.
+    pts = np.ldexp(pts, -math.frexp(span)[1])
 
     # Central-difference tangents, vertex i from pts[i-1] to pts[i+1]
     # (cyclic); they serve the tangency precondition and adapted angles.

@@ -52,6 +52,30 @@ def _tangent_row(component, width):
     return (0.0,) * width
 
 
+def _fd_stencil(field, r, dirs, cfg):
+    """Central differences of ``field`` at r along each row of ``dirs``,
+    Richardson-extrapolated over {h, h/2} when cfg.richardson.
+
+    Every probe point comes from one array expression, in the order
+    dir by dir, steps (h, -h, h/2, -h/2); the field sees each as a
+    tuple of Python floats.  The outputs become one array, and the
+    differences run over it in the per-direction operation order, so
+    the result is bit-identical to differencing one direction at a
+    time.  Row k of the result is the derivative along dirs[k].
+    """
+    h = cfg.fd_step
+    steps = [h, -h, h / 2.0, -h / 2.0] if cfg.richardson else [h, -h]
+    probes = r + dirs[:, None, :] * np.array(steps)[:, None]
+    f = np.array([_probe(field, tuple(p))
+                  for p in probes.reshape(-1, 3).tolist()], dtype=float)
+    f = f.reshape(dirs.shape[0], len(steps), *f.shape[1:])
+    d = (f[:, 0] - f[:, 1]) / (2.0 * h)
+    if cfg.richardson:
+        d_half = (f[:, 2] - f[:, 3]) / (2.0 * (h / 2.0))
+        d = (4.0 * d_half - d) / 3.0
+    return d
+
+
 def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
     """(h . grad) field at r."""
     r = np.asarray(r, dtype=float)
@@ -62,18 +86,7 @@ def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
     scale = float(np.linalg.norm(h))
     if scale == 0.0:
         return np.zeros(3)
-    u = h / scale
-
-    def central(step):
-        fp = np.asarray(_probe(field, tuple(r + step * u)), dtype=float)
-        fm = np.asarray(_probe(field, tuple(r - step * u)), dtype=float)
-        return (fp - fm) / (2.0 * step)
-
-    d = central(cfg.fd_step)
-    if cfg.richardson:
-        d_half = central(cfg.fd_step / 2.0)
-        d = (4.0 * d_half - d) / 3.0
-    return scale * d
+    return scale * _fd_stencil(field, r, (h / scale)[None, :], cfg)[0]
 
 
 def jacobian(field, r, cfg: DiffConfig = DEFAULT_CFG):
@@ -83,9 +96,10 @@ def jacobian(field, r, cfg: DiffConfig = DEFAULT_CFG):
     if cfg.engine == DUAL:
         out = _probe(field, dm.seed_gradient(r))
         return np.array([_tangent_row(c, 3) for c in out], dtype=float)
-    cols = [directional_derivative(field, r, e, cfg)
-            for e in np.eye(3)]
-    return np.stack(cols, axis=-1)
+    # C order, as np.stack gave: a transposed layout would send later
+    # matvecs through another BLAS kernel, which rounds differently.
+    return np.ascontiguousarray(
+        np.moveaxis(_fd_stencil(field, r, np.eye(3), cfg), 0, -1))
 
 
 def axial_vector(j):
@@ -140,15 +154,24 @@ class FrameScalars(NamedTuple):
 
 
 def frame_scalars(jet: FrameJet) -> FrameScalars:
-    """The nine scalars of a frame jet."""
-    n, t, b = jet.n, jet.t, jet.b
-    jn_t, jn_b, jn_n = jet.jn @ t, jet.jn @ b, jet.jn @ n
+    """The nine scalars of a frame jet.
+
+    One stacked matvec gives every J @ V and one stacked dot every
+    W . (J @ V), for J in (jn, jt, jb) and V, W in (n, t, b).  Each item
+    goes through the BLAS kernel that ``jn @ t`` and ``t @ x`` use on
+    their own, so the scalars keep those bits (``einsum`` does not).
+    """
+    v = np.array([jet.n, jet.t, jet.b])
+    jv = np.matmul(np.array([jet.jn, jet.jt, jet.jb])[:, None],
+                   v[None, :, :, None])
+    # sn[V][W] = W . (jn @ V), likewise st for jt and sb for jb.
+    sn, st, sb = np.matmul(v[None, None, :, None, :],
+                           jv[:, :, None]).reshape(3, 3, 3).tolist()
+    n, t, b = 0, 1, 2
     return FrameScalars(
-        s_tt=float(t @ jn_t), s_tb=float(t @ jn_b),
-        s_bt=float(b @ jn_t), s_bb=float(b @ jn_b),
-        kn_t=-float(t @ jn_n), kn_b=-float(b @ jn_n),
-        kt_b=-float(b @ (jet.jt @ t)), kb_t=-float(t @ (jet.jb @ b)),
-        winding=float(t @ (jet.jb @ n)))
+        s_tt=sn[t][t], s_tb=sn[b][t], s_bt=sn[t][b], s_bb=sn[b][b],
+        kn_t=-sn[n][t], kn_b=-sn[n][b], kt_b=-st[t][b], kb_t=-sb[b][t],
+        winding=sb[n][t])
 
 
 def frame_jet(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> FrameJet:
@@ -163,19 +186,19 @@ def frame_jet(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> FrameJet:
         except Exception as exc:
             raise EvaluationFailure(
                 f"frame raised at {tuple(r)}") from exc
-        vecs = []
-        jacs = []
-        for vec in (n, t, b):
-            vecs.append(np.array([dm.value(c) for c in vec]))
-            jacs.append(np.array([_tangent_row(c, 3) for c in vec]))
-        return FrameJet(vecs[0], vecs[1], vecs[2],
-                        jacs[0], jacs[1], jacs[2])
+        # Flat lists convert faster than nested ones.
+        comps = (*n, *t, *b)
+        vals = np.array([dm.value(c) for c in comps],
+                        dtype=float).reshape(3, 3)
+        jacs = np.array([e for c in comps for e in _tangent_row(c, 3)],
+                        dtype=float).reshape(3, 3, 3)
+        return FrameJet(vals[0], vals[1], vals[2], jacs[0], jacs[1], jacs[2])
 
     # The raw field is looked up at each call, so a wrapped instance
     # attribute sees every probe.
     def triple(p):
         return frame_field.raw(p[0], p[1], p[2])
 
-    n, t, b = np.asarray(_probe(triple, tuple(r)), dtype=float)
+    n, t, b = np.asarray(_probe(triple, tuple(r.tolist())), dtype=float)
     jn, jt, jb = jacobian(triple, r, cfg)
     return FrameJet(n, t, b, jn, jt, jb)

@@ -193,13 +193,20 @@ ClosedFormId = object  # union of the dataclasses above
 # ---------------------------------------------------------------------------
 # Raw frame implementations (scalar level, Dual-compatible).
 
+# Squared distances below this tiny normal float count as the singular
+# locus itself: a point is rejected only when its coordinates are within
+# about 1e-140 of it, and the relative pole tests (1e-20 * r^2) stay
+# normal floats.
+_SINGULAR_R2 = 1e-280
+
+
 def _raw_constant(x, y, z):
     return (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
 
 
 def _raw_cyl1(x, y, z):
     rho2 = x * x + y * y
-    if value(rho2) < 1e-20:
+    if value(rho2) < _SINGULAR_R2:
         raise DegeneratePoint("cylindrical frame undefined on the z-axis")
     inv = 1.0 / dm.sqrt(rho2)
     return ((0.0, 0.0, 1.0),
@@ -214,7 +221,7 @@ def _raw_cyl2(x, y, z):
 
 def _raw_sphere(x, y, z):
     r2 = x * x + y * y + z * z
-    if value(r2) < 1e-20:
+    if value(r2) < _SINGULAR_R2:
         raise DegeneratePoint("sphere frame undefined at the origin")
     rxy2 = x * x + y * y
     if value(rxy2) < 1e-20 * value(r2):
@@ -239,7 +246,7 @@ def _make_raw_ellipsoid(a: float, b: float, c: float):
     def raw(x, y, z):
         px, py, pz = x / a, y / b, z / c
         rho2 = px * px + py * py + pz * pz
-        if value(rho2) < 1e-20:
+        if value(rho2) < _SINGULAR_R2:
             raise DegeneratePoint("ellipsoid frame undefined at the origin")
         rho = dm.sqrt(rho2)
         st2 = (px * px + py * py) / rho2

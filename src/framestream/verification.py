@@ -71,46 +71,55 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3,
     Central differences of mu(s) = Omega . n(r + s Omega) and of the
     branch-unwrapped azimuth, Richardson-extrapolated over {step,
     step/2}.  This never consults the differential engines, so it is
-    an independent oracle for the streaming coefficients.
+    an independent oracle for the streaming coefficients.  The s = 0
+    probe serves both the polar test and the stencil: five raw calls.
     """
     r = np.asarray(r, dtype=float)
     d = np.asarray(omega_dir, dtype=float)
     if abs(float(d @ d) - 1.0) > 1e-10:
         raise OutOfRange("ray direction must be unit")
 
-    def angles_at(s):
-        p = r + s * d
+    # The probes run in the order the checks need them: s = 0 first, then
+    # the stencil from -step up, stopping at the first that fails; its
+    # DomainExit is raised only after the checks on the probes before it.
+    ss = [-step, -step / 2.0, 0.0, step / 2.0, step]
+    rows = (r + np.multiply.outer(np.array(ss), d)).tolist()
+    order = (2, 0, 1, 3, 4)
+    outs = []
+    failure = None
+    for k in order:
         try:
-            n, t, b = frame_field.raw(p[0], p[1], p[2])
+            outs.append(frame_field.raw(*rows[k]))
         except Exception as exc:
-            raise DomainExit(f"ray probe left the domain at s={s}") from exc
-        n = np.asarray(n, dtype=float)
-        t = np.asarray(t, dtype=float)
-        b = np.asarray(b, dtype=float)
-        mu = float(d @ n)
-        return mu, math.atan2(float(d @ b), float(d @ t))
-
-    mu0, _ = angles_at(0.0)
-    if 1.0 - mu0 * mu0 <= 1e-10:
+            if k == 2:
+                raise DomainExit(
+                    f"ray probe left the domain at s={ss[k]}") from exc
+            failure = k, exc
+            break
+    # Omega . (n, t, b) of each probe as a row-by-row dot, which rounds
+    # as d @ n does (a stacked matvec does not).
+    f = np.array(outs, dtype=float)
+    proj = np.matmul(f[:, :, None, :], d)[:, :, 0].tolist()
+    if 1.0 - proj[0][0] * proj[0][0] <= 1e-10:
         raise PolarDirection("ray parallel to n at the base point")
 
-    ss = [-step, -step / 2.0, 0.0, step / 2.0, step]
-    mus = []
-    oms = []
-    prev = None
-    for s in ss:
-        mu, om = angles_at(s)
-        if prev is not None:
-            jump = om - prev
-            jump -= TWO_PI * round(jump / TWO_PI)
-            if abs(jump) > math.pi / 2.0:
-                raise UnwrapFailure(
-                    f"azimuth jump {jump:.3f} between probes; "
-                    "reduce the step or move off the polar direction")
-            om = prev + jump
-        prev = om
-        mus.append(mu)
-        oms.append(om)
+    mus = [0.0] * 5
+    oms = [0.0] * 5
+    for k, (mu, dt, db) in zip(order, proj):
+        mus[k] = mu
+        oms[k] = math.atan2(db, dt)
+    last = 5 if failure is None else failure[0]
+    for k in range(1, last):
+        jump = oms[k] - oms[k - 1]
+        jump -= TWO_PI * round(jump / TWO_PI)
+        if abs(jump) > math.pi / 2.0:
+            raise UnwrapFailure(
+                f"azimuth jump {jump:.3f} between probes; "
+                "reduce the step or move off the polar direction")
+        oms[k] = oms[k - 1] + jump
+    if failure is not None:
+        k, exc = failure
+        raise DomainExit(f"ray probe left the domain at s={ss[k]}") from exc
 
     def derivs(width_idx, h):
         lo, hi = 2 - width_idx, 2 + width_idx

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -380,4 +381,64 @@ def test_holonomy_names_first_non_finite_vertex(bad):
     loop[bad + 1:, 2] = np.inf
     with pytest.raises(LeftDomain, match=f"loop vertex {bad} is not finite"):
         parallel_transport_holonomy(builtin_frame(Sphere()), loop,
+                                    latitude_v0(theta))
+
+
+# --- holonomy of far and tiny loops
+
+def _cli_holonomy(capsys, *flags):
+    rc = main(["holonomy", "--steps", "1000", "--no-timestamp", *flags])
+    out, err = capsys.readouterr()
+    return rc, (json.loads(out)["holonomy"] if out else None), err
+
+
+@pytest.mark.parametrize("radius", ["1e-12", "1e-100", "1e-139", "1e150"])
+def test_cli_holonomy_far_and_tiny_latitude_loops(radius, capsys):
+    # The loop scales by the radius; its holonomy does not.
+    _, unit, _ = _cli_holonomy(capsys)
+    rc, got, err = _cli_holonomy(capsys, "--radius", radius)
+    assert rc == 0 and err == ""
+    assert abs(got["angle"] - unit["angle"]) < 1e-13
+    assert got["error"] < 1e-5
+
+
+@pytest.mark.parametrize("radius", ["1e160", "1e300"])
+def test_cli_holonomy_overflowing_normals_exit_3(radius, capsys):
+    rc, got, err = _cli_holonomy(capsys, "--radius", radius)
+    assert rc == 3 and got is None
+    assert err.startswith("error: frame normal at loop vertex 0 is not a "
+                          "finite unit vector: (8.66")
+    assert "np.float64" not in err
+
+
+@pytest.mark.parametrize("radius", ["1e-150", "1e-300"])
+def test_cli_holonomy_at_the_origin_exits_3_typed(radius, capsys):
+    rc, got, err = _cli_holonomy(capsys, "--radius", radius)
+    assert rc == 3 and got is None
+    assert err.startswith("error: frame undefined at loop point (8.66")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("radius", ["1e-200", "1e160", "1e300"])
+def test_cli_holonomy_far_and_tiny_planar_loops_are_zero(radius, capsys):
+    rc, got, _ = _cli_holonomy(capsys, "--frame", "constant",
+                               "--radius", radius)
+    assert rc == 0 and got["angle"] == 0.0
+
+
+@pytest.mark.parametrize("bad", [0, 5, 99])
+def test_holonomy_names_first_vertex_with_a_bad_normal(bad):
+    sphere = builtin_frame(Sphere())
+
+    def raw(x, y, z):
+        n, t, b = sphere.raw(x, y, z)
+        if abs(x - loop[bad][0]) < 1e-15 and abs(y - loop[bad][1]) < 1e-15:
+            n = (0.0, 0.0, 0.0)
+        return n, t, b
+
+    theta = math.pi / 3
+    loop = latitude_loop(theta, 100)
+    with pytest.raises(LeftDomain, match=f"loop vertex {bad} is not a "
+                                         "finite unit vector"):
+        parallel_transport_holonomy(FrameField(raw, "holed"), loop,
                                     latitude_v0(theta))

@@ -9,6 +9,7 @@ from framestream import (Constant, CylindricalI, CylindricalII, DegeneratePoint,
                          Paraboloid, PolarDirection, Sphere,
                          angles_from_direction, builtin_frame,
                          direction_from_angles, orthonormalize)
+from framestream.frames import BUILTIN_FRAMES
 from framestream.verification import default_frames, random_states
 
 
@@ -176,3 +177,35 @@ def test_frame_point_raises_typed_error(n, t, b):
 def test_frame_point_names_non_finite_vector():
     with pytest.raises(NotOrthonormal, match="t must be a finite 3-vector"):
         FramePoint((0, 0, 1), (math.nan, 0, 0), (0, 1, 0))
+
+
+# --- singular-locus guards at tiny distances
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_FRAMES))
+def test_raw_near_the_singular_locus_is_unit_or_degenerate(name):
+    # Points 1e-12 to 1e-320 from the origin (and the z-axis): the frame
+    # is either a finite orthonormal triple or DegeneratePoint, never a
+    # raw ZeroDivisionError.
+    raw = builtin_frame(BUILTIN_FRAMES[name].default).raw
+    base = np.array([0.6, -0.48, 0.64])
+    for k in range(12, 330, 4):
+        x, y, z = (base * 10.0 ** -k).tolist()
+        try:
+            n, t, b = raw(x, y, z)
+        except DegeneratePoint:
+            assert k > 130
+            continue
+        FramePoint(n, t, b)
+
+
+@pytest.mark.parametrize("fid, r", [
+    (Sphere(), [6e-13, -4.8e-13, 6.4e-13]),
+    (Sphere(), [6e-101, -4.8e-101, 6.4e-101]),
+    (CylindricalI(), [6e-13, -8e-13, 3.0]),
+    (CylindricalII(), [6e-101, -8e-101, -1.0]),
+    (Ellipsoid(2.0, 1.0, 1.0), [6e-101, -4.8e-101, 6.4e-101])])
+def test_frames_defined_close_to_the_singular_locus(fid, r):
+    frame = builtin_frame(fid).eval(r)
+    radial = np.array(r) / np.linalg.norm(r)
+    if isinstance(fid, Sphere):
+        assert np.allclose(frame.n, radial, atol=1e-15)
