@@ -64,6 +64,8 @@ def _emit_json(obj, indent: int = 0) -> str:
             return "[]"
         rows = [f"{inner}{_emit_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return json.dumps(obj)  # NaN, Infinity: what json.loads reads
     return _fmt(obj)
 
 

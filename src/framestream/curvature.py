@@ -218,8 +218,11 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
         raise LeftDomain(f"loop vertex {i} is not finite: "
                          f"{tuple(pts[i].tolist())}")
     span = float(np.abs(pts).max())
-    # hypot, unlike a norm through squares, does not overflow.
-    if math.hypot(*(pts[0] - pts[-1]).tolist()) > 1e-9 * max(1.0, span):
+    # The loop is open when its ends are farther apart than 1e-9 of its
+    # extent, the largest side of its bounding box.  hypot, unlike a
+    # norm through squares, does not overflow.
+    extent = float(np.ptp(pts, axis=0).max())
+    if math.hypot(*(pts[0] - pts[-1]).tolist()) > 1e-9 * extent:
         pts = np.vstack([pts, pts[0]])
     m = pts.shape[0] - 1  # closed: pts[m] == pts[0]
     normals = _loop_normals(frame_field, pts[:m])

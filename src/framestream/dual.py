@@ -63,28 +63,6 @@ class Dual:
     def __neg__(self):
         return Dual(-self.val, tuple(-a for a in self.eps))
 
-    def __pow__(self, p):
-        f = p * self.val ** (p - 1)
-        return Dual(self.val ** p, tuple(f * a for a in self.eps))
-
-    # Comparisons act on the value part so ordinary branch logic works.
-    def __lt__(self, other):
-        return self.val < value(other)
-
-    def __le__(self, other):
-        return self.val <= value(other)
-
-    def __gt__(self, other):
-        return self.val > value(other)
-
-    def __ge__(self, other):
-        return self.val >= value(other)
-
-    def __abs__(self):
-        if self.val < 0:
-            return -self
-        return self
-
 
 def value(x):
     """Value part of a float or Dual."""
@@ -111,43 +89,6 @@ def sqrt(x):
         f = 0.5 / root
         return Dual(root, tuple(f * a for a in x.eps))
     return math.sqrt(x)
-
-
-def exp(x):
-    if isinstance(x, Dual):
-        e = math.exp(x.val)
-        return Dual(e, tuple(e * a for a in x.eps))
-    return math.exp(x)
-
-
-def log(x):
-    if isinstance(x, Dual):
-        f = 1.0 / x.val
-        return Dual(math.log(x.val), tuple(f * a for a in x.eps))
-    return math.log(x)
-
-
-def atan2(y, x):
-    yv, xv = value(y), value(x)
-    base = math.atan2(yv, xv)
-    if not isinstance(y, Dual) and not isinstance(x, Dual):
-        return base
-    width = len(y.eps) if isinstance(y, Dual) else len(x.eps)
-    ye = y.eps if isinstance(y, Dual) else (0.0,) * width
-    xe = x.eps if isinstance(x, Dual) else (0.0,) * width
-    f = 1.0 / (xv * xv + yv * yv)
-    return Dual(base, tuple((xv * a - yv * b) * f for a, b in zip(ye, xe)))
-
-
-def acos(x):
-    if isinstance(x, Dual):
-        f = -1.0 / math.sqrt(1.0 - x.val * x.val)
-        return Dual(math.acos(x.val), tuple(f * a for a in x.eps))
-    return math.acos(x)
-
-
-def hypot(x, y):
-    return sqrt(x * x + y * y)
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,12 @@ def grad_mu(frame_field, r, mu, omega, form: MuForm = MuForm.CURVE_CURVATURE,
     if not -1.0 <= mu <= 1.0:
         raise OutOfRange(f"mu = {mu} outside [-1, 1]")
     jet = frame_jet(frame_field, np.asarray(r, dtype=float), cfg)
-    s, c, sn = _angles(mu, omega)
+    return grad_mu_from_jet(jet, mu, *_angles(mu, omega), form)
+
+
+def grad_mu_from_jet(jet: FrameJet, mu, s, c, sn, form: MuForm) -> float:
+    """grad_mu from a precomputed frame jet and the angles that
+    coefficient_terms takes."""
     n, t, b = jet.n, jet.t, jet.b
     if form is MuForm.SURFACE_CURVATURE:
         _require_foliation("n", n, jet.jn)
@@ -161,9 +166,15 @@ def grad_omega(frame_field, r, mu, omega,
     therefore check."""
     check_mu(mu)
     jet = frame_jet(frame_field, np.asarray(r, dtype=float), cfg)
-    s, c, sn = _angles(mu, omega)
+    return grad_omega_from_jet(jet, mu, *_angles(mu, omega), form)
+
+
+def grad_omega_from_jet(jet: FrameJet, mu, s, c, sn,
+                        form: OmegaForm) -> float:
+    """grad_omega from a precomputed frame jet and the angles that
+    coefficient_terms takes."""
     n, t, b = jet.n, jet.t, jet.b
-    omega_vec = mu * n + s * (c * t + sn * b)
+    omega_vec = _direction(jet, mu, s, c, sn)
     if form is OmegaForm.DIRECT_TB:
         return float(t @ (jet.jb @ omega_vec))
     if form is OmegaForm.DIRECT_BT:

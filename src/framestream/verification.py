@@ -19,8 +19,9 @@ from .errors import (DegenerateMetric, DomainExit, FoliationMissing,
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere,
                      builtin_frame, frame_spec)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
-from .streaming import (MuForm, OmegaForm, coefficients_from_jet, grad_mu,
-                        grad_omega, streaming_coefficients)
+from .streaming import (MuForm, OmegaForm, _angles, _direction,
+                        coefficients_from_jet, grad_mu_from_jet,
+                        grad_omega_from_jet, streaming_coefficients)
 
 TWO_PI = 2.0 * math.pi
 
@@ -288,90 +289,85 @@ def _frame_states(frames, count, rng):
             yield fid, field, r, mu, omega
 
 
-def _check_catalog(frames, rng, cfg):
-    worst = 0.0
-    samples = 0
-    for fid, field, r, mu, omega in _frame_states(frames, 60, rng):
-        coeffs = streaming_coefficients(field, r, mu, omega, cfg)
-        cat_mu, cat_om = catalog_coefficients(fid, r, mu, omega)
-        worst = max(worst, abs(coeffs.a_mu - cat_mu),
-                    abs(coeffs.a_omega - cat_om))
-        samples += 1
-    return worst, samples
+def _sampled_check(rng, cfg, frames, count, per_state, residuals):
+    """Worst residual and sample count over ``count`` random states of
+    each frame, ``per_state`` samples each.  A state's frame jet is
+    evaluated once and passed to ``residuals(fid, field, r, mu, omega,
+    jet, rng, cfg)``, which returns that state's residuals.  The worst
+    is NaN when any residual is, so the check fails."""
+    found = []
+    states = 0
+    for fid, field, r, mu, omega in _frame_states(frames, count, rng):
+        found.extend(residuals(fid, field, r, mu, omega,
+                               frame_jet(field, r, cfg), rng, cfg))
+        states += 1
+    return _worst(found), per_state * states
 
 
-def _check_oracle(frames, rng, cfg):
-    worst = 0.0
-    samples = 0
-    for _, field, r, mu, omega in _frame_states(frames, 40, rng):
-        jet = frame_jet(field, r, cfg)
-        coeffs = coefficients_from_jet(jet, mu, omega, at_point=r)
-        direction = (mu * jet.n
-                     + math.sqrt(1.0 - mu * mu)
-                     * (math.cos(omega) * jet.t + math.sin(omega) * jet.b))
-        oracle = ray_oracle(field, r, direction, 1e-3, cfg)
-        worst = max(worst, abs(coeffs.a_mu - oracle.dmu_ds),
-                    abs(coeffs.a_omega - oracle.domega_ds))
-        samples += 1
-    return worst, samples
+def _worst(residuals) -> float:
+    """The largest residual, 0.0 for none, NaN if any is NaN (Python's
+    max drops a NaN that is not its first argument)."""
+    return float(np.max(residuals, initial=0.0))
 
 
-def _check_forms(frames, rng, cfg):
-    worst = 0.0
-    samples = 0
-    for _, field, r, mu, omega in _frame_states(frames, 40, rng):
-        mu_vals = [grad_mu(field, r, mu, omega, MuForm.CURVE_CURVATURE, cfg)]
-        try:
-            mu_vals.append(grad_mu(field, r, mu, omega,
-                                   MuForm.SURFACE_CURVATURE, cfg))
-        except FoliationMissing:
-            pass
-        om_vals = []
-        for form in OmegaForm:
+def _catalog_residuals(fid, field, r, mu, omega, jet, rng, cfg):
+    coeffs = coefficients_from_jet(jet, mu, omega, at_point=r)
+    cat_mu, cat_om = catalog_coefficients(fid, r, mu, omega)
+    return abs(coeffs.a_mu - cat_mu), abs(coeffs.a_omega - cat_om)
+
+
+def _oracle_residuals(fid, field, r, mu, omega, jet, rng, cfg):
+    coeffs = coefficients_from_jet(jet, mu, omega, at_point=r)
+    direction = _direction(jet, mu, *_angles(mu, omega))
+    oracle = ray_oracle(field, r, direction, 1e-3, cfg)
+    return (abs(coeffs.a_mu - oracle.dmu_ds),
+            abs(coeffs.a_omega - oracle.domega_ds))
+
+
+def _form_residuals(fid, field, r, mu, omega, jet, rng, cfg):
+    """The spread of each coefficient over its derivative routes, all
+    from the one jet; a route whose foliation is missing is skipped."""
+    angles = (mu, *_angles(mu, omega))
+    spreads = []
+    for grad, forms in ((grad_mu_from_jet, MuForm),
+                        (grad_omega_from_jet, OmegaForm)):
+        vals = []
+        for form in forms:
             try:
-                om_vals.append(grad_omega(field, r, mu, omega, form, cfg))
+                vals.append(grad(jet, *angles, form))
             except FoliationMissing:
                 continue
-        worst = max(worst, max(mu_vals) - min(mu_vals),
-                    max(om_vals) - min(om_vals))
-        samples += 1
-    return worst, samples
+        spreads.append(np.ptp(vals))  # NaN if any route gives NaN
+    return spreads
 
 
-def _check_identities(frames, rng, cfg):
-    worst = 0.0
-    samples = 0
-    for _, field, r, _, _ in _frame_states(frames, 40, rng):
-        jet = frame_jet(field, r, cfg)
-        h = rng.normal(size=3)
-        h /= np.linalg.norm(h)
-        vecs = (jet.n, jet.t, jet.b)
-        jacs = (jet.jn, jet.jt, jet.jb)
-        for i in range(3):
-            worst = max(worst, abs(float(vecs[i] @ (jacs[i] @ h))))
-            for j in range(i + 1, 3):
-                cross = (float(vecs[i] @ (jacs[j] @ h))
-                         + float(vecs[j] @ (jacs[i] @ h)))
-                worst = max(worst, abs(cross))
-        samples += 1
-    return worst, samples
+def _identity_residuals(fid, field, r, mu, omega, jet, rng, cfg):
+    """|u . grad_h u| and |u . grad_h v + v . grad_h u| for the frame
+    vectors u, v along a random unit h."""
+    h = rng.normal(size=3)
+    h /= np.linalg.norm(h)
+    vecs = (jet.n, jet.t, jet.b)
+    rates = [jac @ h for jac in (jet.jn, jet.jt, jet.jb)]
+    out = []
+    for i in range(3):
+        out.append(abs(float(vecs[i] @ rates[i])))
+        for j in range(i + 1, 3):
+            out.append(abs(float(vecs[i] @ rates[j])
+                           + float(vecs[j] @ rates[i])))
+    return out
 
 
-def _check_homothety(frames, rng, cfg):
-    worst = 0.0
-    samples = 0
-    homothetic = {name: fid for name, fid in frames.items()
-                  if frame_spec(fid).homothetic}
-    for _, field, r, mu, omega in _frame_states(homothetic, 20, rng):
-        base = streaming_coefficients(field, r, mu, omega, cfg)
-        for scale in (0.5, 2.0, 10.0):
-            scaled = streaming_coefficients(field, scale * r, mu, omega, cfg)
-            for lead, trail in ((base.a_mu, scaled.a_mu),
-                                (base.a_omega, scaled.a_omega)):
-                ref = max(abs(lead), 1e-12)
-                worst = max(worst, abs(scale * trail - lead) / ref)
-            samples += 1
-    return worst, samples
+def _homothety_residuals(fid, field, r, mu, omega, jet, rng, cfg):
+    """Relative misfit of a(scale r) = a(r) / scale at three scales;
+    each scaled point has its own jet."""
+    base = coefficients_from_jet(jet, mu, omega, at_point=r)
+    out = []
+    for scale in (0.5, 2.0, 10.0):
+        scaled = streaming_coefficients(field, scale * r, mu, omega, cfg)
+        for lead, trail in ((base.a_mu, scaled.a_mu),
+                            (base.a_omega, scaled.a_omega)):
+            out.append(abs(scale * trail - lead) / max(abs(lead), 1e-12))
+    return out
 
 
 def _check_conservation(frames, rng, cfg):
@@ -419,7 +415,7 @@ def _check_holonomy(theta: float):
     plane_angle = parallel_transport_holonomy(builtin_frame(Constant()),
                                               loop, v0)
     converges = errs[1] <= errs[0] / 2.0 + 1e-12
-    residual = max(errs[1], abs(plane_angle))
+    residual = _worst([errs[1], abs(plane_angle)])
     return (residual if converges else max(residual, 1.0)), 3
 
 
@@ -479,22 +475,23 @@ def run_checks(frame_filter: str = None, check_filter: str = None,
                                    max_residual=float(worst),
                                    tolerance=tol, samples=samples))
 
-    if "catalog-agreement" in wanted:
-        add("catalog-agreement", *_check_catalog(frames, rng, cfg))
-    if "oracle-agreement" in wanted:
-        add("oracle-agreement", *_check_oracle(frames, rng, cfg))
-    if "form-equivalence" in wanted:
-        add("form-equivalence", *_check_forms(frames, rng, cfg))
-    if "frame-identities" in wanted:
-        add("frame-identities", *_check_identities(frames, rng, cfg))
-    if "homothety" in wanted:
-        add("homothety", *_check_homothety(frames, rng, cfg))
-    if "conservation-trichotomy" in wanted:
-        add("conservation-trichotomy",
-            *_check_conservation(frames, rng, cfg))
-    if "holonomy-convergence" in wanted:
-        add("holonomy-convergence", *_check_holonomy(holonomy_theta))
-    if "kb-transform-residual" in wanted:
-        add("kb-transform-residual", *_check_kb_transform(cfg),
-            report_only=True)
+    homothetic = {name: fid for name, fid in frames.items()
+                  if frame_spec(fid).homothetic}
+    # name -> (frames, states per frame, samples per state, residuals)
+    sampled = {
+        "catalog-agreement": (frames, 60, 1, _catalog_residuals),
+        "oracle-agreement": (frames, 40, 1, _oracle_residuals),
+        "form-equivalence": (frames, 40, 1, _form_residuals),
+        "frame-identities": (frames, 40, 1, _identity_residuals),
+        "homothety": (homothetic, 20, 3, _homothety_residuals),
+    }
+    for name in wanted:
+        if name in sampled:
+            add(name, *_sampled_check(rng, cfg, *sampled[name]))
+        elif name == "conservation-trichotomy":
+            add(name, *_check_conservation(frames, rng, cfg))
+        elif name == "holonomy-convergence":
+            add(name, *_check_holonomy(holonomy_theta))
+        else:
+            add(name, *_check_kb_transform(cfg), report_only=True)
     return results

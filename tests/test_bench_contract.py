@@ -52,3 +52,17 @@ def test_traced_verify_pass_counts_raw_calls(tracing, tmp_path, capsys):
     assert frames.builtin_frame is builtin
     assert "raw" in vars(frames.builtin_frame(frames.Sphere()))
     capsys.readouterr()
+
+
+def test_traced_form_equivalence_evaluates_one_jet_per_state(tracing,
+                                                             capsys):
+    # Every form route of a state shares the state's one frame jet.
+    tracer = tracing.Tracer()
+    with tracer.traced_pass():
+        rc = cli.main(["verify", "--frame", "sphere", "--check",
+                       "form-equivalence", "--no-timestamp"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    metrics = tracer.layer_metrics(len(out.encode()), 0.0)
+    assert metrics["derivatives.frame_jet.dual.calls"] == 40
+    assert metrics["derivatives.jet_reuse"] == 1.0

@@ -442,3 +442,18 @@ def test_holonomy_names_first_vertex_with_a_bad_normal(bad):
                                          "finite unit vector"):
         parallel_transport_holonomy(FrameField(raw, "holed"), loop,
                                     latitude_v0(theta))
+
+
+@pytest.mark.parametrize("radius", [1e-8, 1e-100])
+def test_small_open_loop_closes_like_the_closed_loop(radius):
+    # The closure gap is measured against the loop's own extent, so an
+    # open loop (last vertex not repeating the first) is closed even
+    # when the whole loop is far smaller than 1.
+    theta = math.pi / 3
+    closed = latitude_loop(theta, 1000, radius)
+    sphere = builtin_frame(Sphere())
+    v0 = latitude_v0(theta)
+    want = parallel_transport_holonomy(sphere, closed, v0)
+    got = parallel_transport_holonomy(sphere, closed[:-1].copy(), v0)
+    assert abs(got - want) < 1e-12
+    assert abs(want - math.pi) < 1e-4

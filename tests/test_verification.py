@@ -264,3 +264,51 @@ def test_sampler_draws_are_pinned():
                                   np.random.default_rng(7))[0]
         assert np.allclose(r, r_want, rtol=1e-12, atol=0.0), name
         assert (mu, om) == (mu_want, om_want), name
+
+
+# --- a NaN residual fails its check.  The NaN enters at the first state
+# only, so a fold that lets a later residual replace it would pass.
+
+def test_nan_catalog_value_fails_verify_with_a_parseable_report(
+        monkeypatch, capsys):
+    import json
+
+    from framestream import catalog
+    from framestream.cli import main
+    make_aux, errata, printed = catalog._ENTRIES[Sphere]
+    calls = []
+
+    def aux_fn(r):
+        aux = make_aux(Sphere())(r)
+        calls.append(r)
+        if len(calls) == 1:
+            aux["s_tt"] = math.nan
+        return aux
+
+    monkeypatch.setitem(catalog._ENTRIES, Sphere,
+                        (lambda fid: aux_fn, errata, printed))
+    rc = main(["verify", "--frame", "sphere", "--check", "catalog",
+               "--no-timestamp"])
+    out, err = capsys.readouterr()
+    (check,) = json.loads(out)["checks"]
+    assert len(calls) == 60
+    assert rc == 1 and err == "FAIL: catalog-agreement\n"
+    assert check["status"] == "fail" and math.isnan(check["max_residual"])
+    assert '"max_residual": NaN,' in out
+
+
+def test_nan_omega_route_fails_form_equivalence(monkeypatch):
+    from framestream import streaming
+    omega_terms = streaming._omega_terms
+    calls = []
+
+    def nan_first(*args):
+        calls.append(args)
+        curve, wind = omega_terms(*args)
+        return (math.nan if len(calls) == 1 else curve), wind
+
+    monkeypatch.setattr(streaming, "_omega_terms", nan_first)
+    (check,) = run_checks(frame_filter="sphere",
+                          check_filter="form-equivalence", seed=7)
+    assert len(calls) == 40  # the curve-curvature omega route, per state
+    assert check.status == "fail" and math.isnan(check.max_residual)
