@@ -13,7 +13,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dual as dm
-from .dual import Dual
 from .errors import EvaluationFailure, OutOfRange
 
 DUAL = "dual"
@@ -42,14 +41,9 @@ def _probe(field, p):
     except EvaluationFailure:
         raise
     except Exception as exc:
-        raise EvaluationFailure(f"field raised at probe {tuple(p)}") from exc
+        raise EvaluationFailure(
+            f"field raised at probe {tuple(map(dm.value, p))}") from exc
     return out
-
-
-def _tangent_row(component, width):
-    if isinstance(component, Dual):
-        return component.eps
-    return (0.0,) * width
 
 
 def _fd_stencil(field, r, dirs, cfg):
@@ -82,7 +76,7 @@ def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
     h = np.asarray(h, dtype=float)
     if cfg.engine == DUAL:
         out = _probe(field, dm.seed_direction(r, h))
-        return np.array([_tangent_row(c, 1)[0] for c in out])
+        return np.array([dm.tangent(c)[0] for c in out])
     scale = float(np.linalg.norm(h))
     if scale == 0.0:
         return np.zeros(3)
@@ -95,7 +89,7 @@ def jacobian(field, r, cfg: DiffConfig = DEFAULT_CFG):
     r = np.asarray(r, dtype=float)
     if cfg.engine == DUAL:
         out = _probe(field, dm.seed_gradient(r))
-        return np.array([_tangent_row(c, 3) for c in out], dtype=float)
+        return np.array([dm.tangent(c) for c in out], dtype=float)
     # C order, as np.stack gave: a transposed layout would send later
     # matvecs through another BLAS kernel, which rounds differently.
     return np.ascontiguousarray(
@@ -176,28 +170,22 @@ def frame_scalars(jet: FrameJet) -> FrameScalars:
 
 def frame_jet(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> FrameJet:
     """Evaluate a frame field and its three Jacobians in one pass."""
+    # The raw field is looked up at each call, so a wrapped instance
+    # attribute sees every probe; a raw without a triple fails in it.
+    def triple(p):
+        n, t, b = frame_field.raw(p[0], p[1], p[2])
+        return n, t, b
+
     r = np.asarray(r, dtype=float)
     if cfg.engine == DUAL:
-        seeds = dm.seed_gradient(r)
-        try:
-            n, t, b = frame_field.raw(*seeds)
-        except EvaluationFailure:
-            raise
-        except Exception as exc:
-            raise EvaluationFailure(
-                f"frame raised at {tuple(r)}") from exc
+        n, t, b = _probe(triple, dm.seed_gradient(r))
         # Flat lists convert faster than nested ones.
         comps = (*n, *t, *b)
         vals = np.array([dm.value(c) for c in comps],
                         dtype=float).reshape(3, 3)
-        jacs = np.array([e for c in comps for e in _tangent_row(c, 3)],
+        jacs = np.array([e for c in comps for e in dm.tangent(c)],
                         dtype=float).reshape(3, 3, 3)
         return FrameJet(vals[0], vals[1], vals[2], jacs[0], jacs[1], jacs[2])
-
-    # The raw field is looked up at each call, so a wrapped instance
-    # attribute sees every probe.
-    def triple(p):
-        return frame_field.raw(p[0], p[1], p[2])
 
     n, t, b = np.asarray(_probe(triple, tuple(r.tolist())), dtype=float)
     jn, jt, jb = jacobian(triple, r, cfg)

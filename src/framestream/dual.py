@@ -1,9 +1,10 @@
-"""Forward-mode scalar dual numbers with a fixed-width tangent tuple.
+"""Forward-mode scalar dual numbers with a three-component tangent.
 
-A ``Dual`` carries a value and a tuple of tangent components.  Width 1
-gives a single directional derivative, width 3 a full gradient in one
-pass.  Math helpers below dispatch on ``float | Dual`` so the same
-frame code serves both plain evaluation and differentiation.
+A ``Dual`` carries a value and three tangent components ``e0, e1, e2``.
+Seeding the coordinates with the identity gives a full gradient in one
+pass; a seed of (h, 0, 0) carries the single direction h in ``e0``.
+Math helpers below dispatch on ``float | Dual`` so the same frame code
+serves both plain evaluation and differentiation.
 """
 from __future__ import annotations
 
@@ -11,57 +12,63 @@ import math
 
 
 class Dual:
-    __slots__ = ("val", "eps")
+    __slots__ = ("val", "e0", "e1", "e2")
 
-    def __init__(self, val: float, eps: tuple):
-        self.val = val
-        self.eps = eps
+    def __init__(self, val: float, e0: float, e1: float, e2: float):
+        self.val, self.e0, self.e1, self.e2 = val, e0, e1, e2
+
+    @property
+    def eps(self) -> tuple:
+        """The tangent as a tuple (e0, e1, e2)."""
+        return (self.e0, self.e1, self.e2)
 
     def __repr__(self):
-        return f"Dual({self.val!r}, {self.eps!r})"
+        return f"Dual({self.val!r}, {self.e0!r}, {self.e1!r}, {self.e2!r})"
 
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val + other.val,
-                        tuple(a + b for a, b in zip(self.eps, other.eps)))
-        return Dual(self.val + other, self.eps)
+    def __add__(self, o):
+        if isinstance(o, Dual):
+            return Dual(self.val + o.val, self.e0 + o.e0, self.e1 + o.e1,
+                        self.e2 + o.e2)
+        return Dual(self.val + o, self.e0, self.e1, self.e2)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val - other.val,
-                        tuple(a - b for a, b in zip(self.eps, other.eps)))
-        return Dual(self.val - other, self.eps)
+    def __sub__(self, o):
+        if isinstance(o, Dual):
+            return Dual(self.val - o.val, self.e0 - o.e0, self.e1 - o.e1,
+                        self.e2 - o.e2)
+        return Dual(self.val - o, self.e0, self.e1, self.e2)
 
-    def __rsub__(self, other):
-        return Dual(other - self.val, tuple(-a for a in self.eps))
+    def __rsub__(self, o):
+        return Dual(o - self.val, -self.e0, -self.e1, -self.e2)
 
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val * other.val,
-                        tuple(a * other.val + self.val * b
-                              for a, b in zip(self.eps, other.eps)))
-        return Dual(self.val * other, tuple(a * other for a in self.eps))
+    def __mul__(self, o):
+        if isinstance(o, Dual):
+            return Dual(self.val * o.val,
+                        self.e0 * o.val + self.val * o.e0,
+                        self.e1 * o.val + self.val * o.e1,
+                        self.e2 * o.val + self.val * o.e2)
+        return Dual(self.val * o, self.e0 * o, self.e1 * o, self.e2 * o)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            inv = 1.0 / other.val
+    def __truediv__(self, o):
+        if isinstance(o, Dual):
+            inv = 1.0 / o.val
             q = self.val * inv
-            return Dual(q, tuple((a - q * b) * inv
-                                 for a, b in zip(self.eps, other.eps)))
-        inv = 1.0 / other
-        return Dual(self.val * inv, tuple(a * inv for a in self.eps))
+            return Dual(q, (self.e0 - q * o.e0) * inv,
+                        (self.e1 - q * o.e1) * inv,
+                        (self.e2 - q * o.e2) * inv)
+        return self * (1.0 / o)
 
-    def __rtruediv__(self, other):
+    def __rtruediv__(self, o):
         inv = 1.0 / self.val
-        q = other * inv
-        return Dual(q, tuple(-q * inv * a for a in self.eps))
+        q = o * inv
+        f = -q * inv
+        return Dual(q, f * self.e0, f * self.e1, f * self.e2)
 
     def __neg__(self):
-        return Dual(-self.val, tuple(-a for a in self.eps))
+        return Dual(-self.val, -self.e0, -self.e1, -self.e2)
 
 
 def value(x):
@@ -69,17 +76,22 @@ def value(x):
     return x.val if isinstance(x, Dual) else x
 
 
+def tangent(x) -> tuple:
+    """Tangent (e0, e1, e2) of a Dual; zeros for a float."""
+    return (x.e0, x.e1, x.e2) if isinstance(x, Dual) else (0.0, 0.0, 0.0)
+
+
 def sin(x):
     if isinstance(x, Dual):
         c = math.cos(x.val)
-        return Dual(math.sin(x.val), tuple(c * a for a in x.eps))
+        return Dual(math.sin(x.val), c * x.e0, c * x.e1, c * x.e2)
     return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         s = -math.sin(x.val)
-        return Dual(math.cos(x.val), tuple(s * a for a in x.eps))
+        return Dual(math.cos(x.val), s * x.e0, s * x.e1, s * x.e2)
     return math.cos(x)
 
 
@@ -87,7 +99,7 @@ def sqrt(x):
     if isinstance(x, Dual):
         root = math.sqrt(x.val)
         f = 0.5 / root
-        return Dual(root, tuple(f * a for a in x.eps))
+        return Dual(root, f * x.e0, f * x.e1, f * x.e2)
     return math.sqrt(x)
 
 
@@ -108,14 +120,15 @@ def normalize3(u):
 
 
 def seed_direction(r, h):
-    """Dual triple for one directional derivative along h."""
-    return (Dual(float(r[0]), (float(h[0]),)),
-            Dual(float(r[1]), (float(h[1]),)),
-            Dual(float(r[2]), (float(h[2]),)))
+    """Dual triple for one directional derivative along h, carried in
+    the first tangent component."""
+    return (Dual(float(r[0]), float(h[0]), 0.0, 0.0),
+            Dual(float(r[1]), float(h[1]), 0.0, 0.0),
+            Dual(float(r[2]), float(h[2]), 0.0, 0.0))
 
 
 def seed_gradient(r):
-    """Dual triple whose tangent components span the identity (width 3)."""
-    return (Dual(float(r[0]), (1.0, 0.0, 0.0)),
-            Dual(float(r[1]), (0.0, 1.0, 0.0)),
-            Dual(float(r[2]), (0.0, 0.0, 1.0)))
+    """Dual triple whose tangent components span the identity."""
+    return (Dual(float(r[0]), 1.0, 0.0, 0.0),
+            Dual(float(r[1]), 0.0, 1.0, 0.0),
+            Dual(float(r[2]), 0.0, 0.0, 1.0))

@@ -272,12 +272,12 @@ def _lift_scalar(fn, d_dx, d_dy):
         v = float(fn(xv, yv))
         if not isinstance(x, dm.Dual) and not isinstance(y, dm.Dual):
             return v
-        width = len(x.eps) if isinstance(x, dm.Dual) else len(y.eps)
-        xe = x.eps if isinstance(x, dm.Dual) else (0.0,) * width
-        ye = y.eps if isinstance(y, dm.Dual) else (0.0,) * width
+        x0, x1, x2 = dm.tangent(x)
+        y0, y1, y2 = dm.tangent(y)
         px = float(d_dx(xv, yv))
         py = float(d_dy(xv, yv))
-        return dm.Dual(v, tuple(px * ex + py * ey for ex, ey in zip(xe, ye)))
+        return dm.Dual(v, px * x0 + py * y0, px * x1 + py * y1,
+                       px * x2 + py * y2)
     return lifted
 
 

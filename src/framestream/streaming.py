@@ -13,7 +13,7 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
                           axial_vector, frame_jet, frame_scalars)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
-from .frames import FramePoint
+from .frames import FramePoint, direction_from_angles
 
 _POLAR_TOL = 1e-14
 _BREAKDOWN_RTOL = 1e-10
@@ -275,9 +275,7 @@ def apply_streaming(coeffs: StreamingCoefficients, omega_dir,
     omega_dir must reconstruct from (mu, omega, frame) within 1e-10."""
     d = np.asarray(omega_dir, dtype=float)
     _, mu, omega = coeffs.at
-    s, c, sn = _angles(mu, omega)
-    rebuilt = (mu * coeffs.frame.n + s * c * coeffs.frame.t
-               + s * sn * coeffs.frame.b)
+    rebuilt = direction_from_angles(coeffs.frame, mu, omega)
     if float(np.max(np.abs(d - rebuilt))) > 1e-10:
         raise InconsistentDirection(
             "direction does not match the coefficient state")

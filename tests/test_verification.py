@@ -312,3 +312,44 @@ def test_nan_omega_route_fails_form_equivalence(monkeypatch):
                           check_filter="form-equivalence", seed=7)
     assert len(calls) == 40  # the curve-curvature omega route, per state
     assert check.status == "fail" and math.isnan(check.max_residual)
+
+
+# --- a NaN curvature scalar makes conservation infeasible, wherever it
+# enters among the 64 points.
+
+def _nan_scalar_at(monkeypatch, index, name):
+    from framestream import verification
+    scalars = verification.frame_scalars
+    calls = []
+
+    def stub(jet):
+        k = scalars(jet)
+        calls.append(jet)
+        return k._replace(**{name: math.nan}) if len(calls) == index + 1 else k
+
+    monkeypatch.setattr(verification, "frame_scalars", stub)
+    return calls
+
+
+@pytest.mark.parametrize("index", [0, 37])
+@pytest.mark.parametrize("name, reason", [("kn_t", "KappaNNonzero"),
+                                          ("s_tt", "CDependsOnOmega")])
+def test_conservation_nan_scalar_is_infeasible(monkeypatch, index, name,
+                                               reason):
+    from framestream import Constant
+    calls = _nan_scalar_at(monkeypatch, index, name)
+    rng = np.random.default_rng(3)
+    points = [r for r, _, _ in random_states(Constant(), 64, rng)]
+    report = conservation_check(builtin_frame(Constant()), points,
+                                _angle_grid(16, rng))
+    assert len(calls) == 64
+    assert (report.feasible, report.reason) == (False, reason)
+
+
+def test_nan_kappa_n_fails_verify_conservation(monkeypatch, capsys):
+    from framestream.cli import main
+    _nan_scalar_at(monkeypatch, 0, "kn_t")
+    rc = main(["verify", "--frame", "constant", "--check", "conservation",
+               "--no-timestamp"])
+    _, err = capsys.readouterr()
+    assert rc == 1 and err == "FAIL: conservation-trichotomy\n"
