@@ -14,10 +14,8 @@ import numpy as np
 from .curvature import parallel_transport_holonomy
 from .derivatives import DiffConfig, frame_jet
 from .errors import FramestreamError, OutOfRange
-from .frames import (BUILTIN_FRAMES, Constant, FramePoint, Sphere,
-                     builtin_frame)
-from .streaming import (angle_arrays, check_breakdown, check_mu,
-                        coefficient_terms)
+from .frames import BUILTIN_FRAMES, Constant, Sphere, builtin_frame
+from .streaming import angle_arrays, check_mu, checked_terms
 from .verification import (_angle_grid, _circle_loop, _latitude_loop,
                            conservation_check, random_states, run_checks,
                            selected_checks)
@@ -153,10 +151,7 @@ def _emit_states(field, points, mus, omegas, args) -> int:
     table = np.empty((len(points) * k, len(TABLE_COLUMNS)))
     for i, r in enumerate(points):
         try:
-            jet = frame_jet(field, r, cfg)
-            FramePoint.loose(jet.n, jet.t, jet.b)
-            terms = coefficient_terms(jet, mu, s, c, sn)
-            check_breakdown(*terms)
+            terms = checked_terms(frame_jet(field, r, cfg), mu, s, c, sn)
         except FramestreamError as exc:
             print(f"error: frame evaluation failed at point "
                   f"({r[0]:g},{r[1]:g},{r[2]:g}): {exc}", file=sys.stderr)

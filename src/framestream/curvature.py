@@ -7,9 +7,9 @@ import math
 
 import numpy as np
 
-from .derivatives import (DEFAULT_CFG, DiffConfig, axial_vector, curl,
-                          directional_derivative, frame_jet, frame_scalars,
-                          jacobian)
+from .derivatives import (DEFAULT_CFG, DiffConfig, array_attempt,
+                          axial_vector, curl, directional_derivative,
+                          frame_jet, frame_scalars, jacobian)
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
                      NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
 
@@ -154,7 +154,23 @@ def integrate_curve(field, r0, tau_span, steps: int):
 
 
 def _loop_normals(frame_field, pts):
+    """The frame normal at each row of pts, from one raw call on the
+    coordinate columns.  A raw that cannot take arrays, or that raises
+    in the array_attempt, is called row by row, which names the first
+    point that fails."""
     normals = np.empty_like(pts)
+    try:
+        with array_attempt():
+            n = frame_field.raw(*np.ascontiguousarray(pts.T))[0]
+            if len(n) != 3:
+                raise ValueError("normal is not a 3-vector")
+            for j, c in enumerate(n):
+                if np.shape(c) not in ((), pts.shape[:1]):
+                    raise ValueError("normal component of another length")
+                normals[:, j] = c
+        return normals
+    except Exception:  # replayed below, point by point
+        pass
     for i, p in enumerate(pts.tolist()):
         try:
             normals[i] = frame_field.raw(*p)[0]
@@ -207,7 +223,8 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
     positive orientation is assumed.
 
     The step rotations are composed by a prefix scan, so the cost is
-    O(m) numpy work plus one ``raw`` frame call per loop vertex.
+    O(m) numpy work plus one ``raw`` frame call on the loop's
+    coordinate arrays (one per vertex for a raw that rejects arrays).
     """
     pts = np.asarray(loop, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 8:

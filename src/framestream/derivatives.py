@@ -7,7 +7,10 @@ of scalars; the dual engine feeds them Dual scalars.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -111,7 +114,8 @@ def curl(field, r, cfg: DiffConfig = DEFAULT_CFG):
 
 @dataclasses.dataclass(frozen=True)
 class FrameJet:
-    """Frame vectors and all three Jacobians at one point.
+    """Frame vectors and all three Jacobians at one point, or stacked
+    over N points: (N, 3) vectors and (N, 3, 3) Jacobians.
 
     Column j of each Jacobian is the derivative along coordinate j;
     a directional derivative of, say, n along h is ``jn @ h``.
@@ -124,11 +128,17 @@ class FrameJet:
     jt: np.ndarray
     jb: np.ndarray
 
+    def row(self, i: int) -> "FrameJet":
+        """The jet at point i of a stacked jet, as views."""
+        return FrameJet(self.n[i], self.t[i], self.b[i], self.jn[i],
+                        self.jt[i], self.jb[i])
+
 
 class FrameScalars(NamedTuple):
-    """The nine curvature scalars of a frame at one point, named as the
-    catalog's: s_ab = a . grad_b n; kn_t, kn_b = t, b . kappa^n;
-    kt_b = b . kappa^t; kb_t = t . kappa^b; winding = t . grad_n b."""
+    """The nine curvature scalars of a frame at one point (floats), or
+    at each point of a stacked jet (arrays), named as the catalog's:
+    s_ab = a . grad_b n; kn_t, kn_b = t, b . kappa^n; kt_b = b . kappa^t;
+    kb_t = t . kappa^b; winding = t . grad_n b."""
 
     s_tt: float
     s_tb: float
@@ -148,7 +158,7 @@ class FrameScalars(NamedTuple):
 
 
 def frame_scalars(jet: FrameJet) -> FrameScalars:
-    """The nine scalars of a frame jet.
+    """The nine scalars of a frame jet, one point or stacked.
 
     One stacked matvec gives every J @ V and one stacked dot every
     W . (J @ V), for J in (jn, jt, jb) and V, W in (n, t, b).  Each item
@@ -157,10 +167,10 @@ def frame_scalars(jet: FrameJet) -> FrameScalars:
     """
     v = np.array([jet.n, jet.t, jet.b])
     jv = np.matmul(np.array([jet.jn, jet.jt, jet.jb])[:, None],
-                   v[None, :, :, None])
+                   v[None, ..., None])
     # sn[V][W] = W . (jn @ V), likewise st for jt and sb for jb.
-    sn, st, sb = np.matmul(v[None, None, :, None, :],
-                           jv[:, :, None]).reshape(3, 3, 3).tolist()
+    dots = np.matmul(v[None, None, ..., None, :], jv[:, :, None])[..., 0, 0]
+    sn, st, sb = dots.tolist() if dots.ndim == 3 else dots
     n, t, b = 0, 1, 2
     return FrameScalars(
         s_tt=sn[t][t], s_tb=sn[b][t], s_bt=sn[t][b], s_bb=sn[b][b],
@@ -168,25 +178,102 @@ def frame_scalars(jet: FrameJet) -> FrameScalars:
         winding=sb[n][t])
 
 
-def frame_jet(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> FrameJet:
-    """Evaluate a frame field and its three Jacobians in one pass."""
+def _components(frame_field, p):
+    """The nine components of the frame's raw at probe p, flat in the
+    order n, t, b: flat sequences convert to arrays faster than nested
+    ones."""
     # The raw field is looked up at each call, so a wrapped instance
-    # attribute sees every probe; a raw without a triple fails in it.
-    def triple(p):
-        n, t, b = frame_field.raw(p[0], p[1], p[2])
-        return n, t, b
+    # attribute sees every probe; a raw without a triple fails here.
+    n, t, b = frame_field.raw(p[0], p[1], p[2])
+    if len(n) != 3 or len(t) != 3 or len(b) != 3:
+        raise EvaluationFailure(
+            f"field returned vectors of lengths ({len(n)}, {len(t)}, "
+            f"{len(b)}), not 3, at probe {tuple(map(dm.value, p))}")
+    return (*n, *t, *b)
 
-    r = np.asarray(r, dtype=float)
+
+def _point_jet(frame_field, r, cfg: DiffConfig) -> FrameJet:
+    """The jet at one point r, an ndarray of shape (3,)."""
+    comps = functools.partial(_components, frame_field)
     if cfg.engine == DUAL:
-        n, t, b = _probe(triple, dm.seed_gradient(r))
-        # Flat lists convert faster than nested ones.
-        comps = (*n, *t, *b)
-        vals = np.array([dm.value(c) for c in comps],
-                        dtype=float).reshape(3, 3)
-        jacs = np.array([e for c in comps for e in dm.tangent(c)],
-                        dtype=float).reshape(3, 3, 3)
-        return FrameJet(vals[0], vals[1], vals[2], jacs[0], jacs[1], jacs[2])
+        flat = _probe(comps, dm.seed_gradient(r))
+        vals = np.array([dm.value(c) for c in flat], dtype=float)
+        jacs = np.array([e for c in flat for e in dm.tangent(c)],
+                        dtype=float)
+    else:
+        vals = np.array(_probe(comps, tuple(r.tolist())), dtype=float)
+        jacs = jacobian(comps, r, cfg)
+    vals = vals.reshape(3, 3)
+    jacs = jacs.reshape(3, 3, 3)
+    return FrameJet(vals[0], vals[1], vals[2], jacs[0], jacs[1], jacs[2])
 
-    n, t, b = np.asarray(_probe(triple, tuple(r.tolist())), dtype=float)
-    jn, jt, jb = jacobian(triple, r, cfg)
-    return FrameJet(n, t, b, jn, jt, jb)
+
+@contextlib.contextmanager
+def array_attempt():
+    """Context of a call on arrays that is replayed point by point when
+    it raises: every floating-point overflow, division by zero, invalid
+    operation and warning in it raises, where float arithmetic might
+    have raised or might not."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+def _dual_jets(frame_field, pts) -> FrameJet:
+    """The stacked jet at the rows of pts from one raw call on array
+    Duals.  Raises as array_attempt does, and on output that is not
+    three vectors of three components, each a float or an array of one
+    entry per point."""
+    count = len(pts)
+    vals = np.empty((count, 9))
+    jacs = np.empty((count, 9, 3))
+    with array_attempt():
+        for k, c in enumerate(_components(frame_field,
+                                          dm.seed_gradient(pts))):
+            parts = ((c.val, c.e0, c.e1, c.e2) if isinstance(c, dm.Dual)
+                     else (c, 0.0, 0.0, 0.0))
+            if any(np.shape(part) not in ((), (count,)) for part in parts):
+                raise ValueError("component of another length")
+            vals[:, k] = parts[0]
+            for j in range(3):
+                jacs[:, k, j] = parts[j + 1]
+    return _stacked(vals.reshape(count, 3, 3),
+                    jacs.reshape(count, 3, 3, 3))
+
+
+def _stacked(vals, jacs) -> FrameJet:
+    """The stacked jet of (N, 3, 3) vectors and (N, 3, 3, 3) Jacobians,
+    in the order n, t, b on axis 1."""
+    return FrameJet(vals[:, 0], vals[:, 1], vals[:, 2], jacs[:, 0],
+                    jacs[:, 1], jacs[:, 2])
+
+
+def frame_jet(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> FrameJet:
+    """Evaluate a frame field and its three Jacobians in one pass.
+
+    r is one point, or an (N, 3) array of points for a stacked jet.  On
+    the dual engine a stack is one raw call on array Duals.  When that
+    call raises (the raw rejects arrays, say) or returns malformed
+    output, when array_attempt trips, or when a point is not finite,
+    the points go one by one through the single-point path, which
+    raises what it would raise for the first failing point.  Every
+    entry of a stacked jet has the bits of the single-point jet.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.ndim == 1:
+        return _point_jet(frame_field, r, cfg)
+    # Non-finite points go one by one: array arithmetic on them raises
+    # no flag where the float operations of the single path might.
+    if cfg.engine == DUAL and len(r) and np.isfinite(r).all():
+        try:
+            return _dual_jets(frame_field, r)
+        except Exception:  # replayed below, point by point
+            pass
+    vals = np.empty((len(r), 3, 3))
+    jacs = np.empty((len(r), 3, 3, 3))
+    for i, p in enumerate(r):
+        jet = _point_jet(frame_field, p, cfg)
+        vals[i] = jet.n, jet.t, jet.b
+        jacs[i] = jet.jn, jet.jt, jet.jb
+    return _stacked(vals, jacs)

@@ -1,18 +1,26 @@
-"""Forward-mode scalar dual numbers with a three-component tangent.
+"""Forward-mode dual numbers with a three-component tangent.
 
-A ``Dual`` carries a value and three tangent components ``e0, e1, e2``.
-Seeding the coordinates with the identity gives a full gradient in one
-pass; a seed of (h, 0, 0) carries the single direction h in ``e0``.
-Math helpers below dispatch on ``float | Dual`` so the same frame code
-serves both plain evaluation and differentiation.
+A ``Dual`` carries a value and three tangent components ``e0, e1, e2``,
+each a Python float or an ndarray of one common length: an array Dual
+is N points differentiated in one pass, element by element with the
+float operations.  Seeding the coordinates with the identity gives a
+full gradient in one pass; a seed of (h, 0, 0) carries the single
+direction h in ``e0``.  Math helpers below dispatch on ``float | array
+| Dual`` so the same frame code serves both plain evaluation and
+differentiation.
 """
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 class Dual:
     __slots__ = ("val", "e0", "e1", "e2")
+    # An ndarray operand defers to the Dual's reflected operators instead
+    # of building an object array of Duals.
+    __array_ufunc__ = None
 
     def __init__(self, val: float, e0: float, e1: float, e2: float):
         self.val, self.e0, self.e1, self.e2 = val, e0, e1, e2
@@ -81,30 +89,58 @@ def tangent(x) -> tuple:
     return (x.e0, x.e1, x.e2) if isinstance(x, Dual) else (0.0, 0.0, 0.0)
 
 
+def below(x, bound) -> bool:
+    """True if the value of a float or Dual x is below bound, or, for
+    array values, if any entry is: the guard of the frame raws."""
+    flags = (x.val if x.__class__ is Dual else x) < bound
+    return flags if flags.__class__ is bool else bool(flags.any())
+
+
+# math on floats, numpy on arrays: a math function raises TypeError on
+# an array, and trying math first keeps the float path as fast as before.
+
 def sin(x):
     if isinstance(x, Dual):
-        c = math.cos(x.val)
-        return Dual(math.sin(x.val), c * x.e0, c * x.e1, c * x.e2)
-    return math.sin(x)
+        try:
+            c, v = math.cos(x.val), math.sin(x.val)
+        except TypeError:
+            c, v = np.cos(x.val), np.sin(x.val)
+        return Dual(v, c * x.e0, c * x.e1, c * x.e2)
+    try:
+        return math.sin(x)
+    except TypeError:
+        return np.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
-        s = -math.sin(x.val)
-        return Dual(math.cos(x.val), s * x.e0, s * x.e1, s * x.e2)
-    return math.cos(x)
+        try:
+            s, v = -math.sin(x.val), math.cos(x.val)
+        except TypeError:
+            s, v = -np.sin(x.val), np.cos(x.val)
+        return Dual(v, s * x.e0, s * x.e1, s * x.e2)
+    try:
+        return math.cos(x)
+    except TypeError:
+        return np.cos(x)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
-        root = math.sqrt(x.val)
+        try:
+            root = math.sqrt(x.val)
+        except TypeError:
+            root = np.sqrt(x.val)
         f = 0.5 / root
         return Dual(root, f * x.e0, f * x.e1, f * x.e2)
-    return math.sqrt(x)
+    try:
+        return math.sqrt(x)
+    except TypeError:
+        return np.sqrt(x)
 
 
 # ---------------------------------------------------------------------------
-# Tuple-vector helpers, generic over float | Dual components.
+# Tuple-vector helpers, generic over float | array | Dual components.
 
 def dot3(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
@@ -128,7 +164,12 @@ def seed_direction(r, h):
 
 
 def seed_gradient(r):
-    """Dual triple whose tangent components span the identity."""
-    return (Dual(float(r[0]), 1.0, 0.0, 0.0),
-            Dual(float(r[1]), 0.0, 1.0, 0.0),
-            Dual(float(r[2]), 0.0, 0.0, 1.0))
+    """Dual triple whose tangent components span the identity, at one
+    point (float values) or at each row of an (N, 3) array (array
+    values, float tangents)."""
+    if np.ndim(r) == 2:
+        x, y, z = np.ascontiguousarray(np.transpose(r))
+    else:
+        x, y, z = float(r[0]), float(r[1]), float(r[2])
+    return (Dual(x, 1.0, 0.0, 0.0), Dual(y, 0.0, 1.0, 0.0),
+            Dual(z, 0.0, 0.0, 1.0))

@@ -2,7 +2,9 @@
 
 Positions are Cartesian.  Frame fields are pure callables on scalar
 triples so the dual-number engine can push tangents straight through
-them; the ``eval`` wrapper validates and returns numpy vectors.
+them; the built-in ones also take equal-length arrays (or array Duals)
+for many points at once.  The ``eval`` wrapper validates and returns
+numpy vectors.
 """
 from __future__ import annotations
 
@@ -70,6 +72,25 @@ class FramePoint:
         return f"FramePoint(n={self.n}, t={self.t}, b={self.b})"
 
 
+def loose_frames_ok(n, t, b) -> bool:
+    """True if FramePoint.loose accepts (n[i], t[i], b[i]) for every
+    row i of the (N, 3) stacks: its tests in its float operations, on
+    all rows at once.  A non-finite entry fails, as it does there."""
+    tol = _LOOSE_TOL
+    (n0, n1, n2), (t0, t1, t2), (b0, b1, b2) = n.T, t.T, b.T
+    # Python floats overflow to inf and make nan without a flag.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tests = [abs(x * x + y * y + z * z - 1.0) <= 2.0 * tol
+                 for x, y, z in (n.T, t.T, b.T)]
+        tests += [abs(n0 * t0 + n1 * t1 + n2 * t2) <= tol,
+                  abs(n0 * b0 + n1 * b1 + n2 * b2) <= tol,
+                  abs(t0 * b0 + t1 * b1 + t2 * b2) <= tol,
+                  abs(n1 * t2 - n2 * t1 - b0) <= tol,
+                  abs(n2 * t0 - n0 * t2 - b1) <= tol,
+                  abs(n0 * t1 - n1 * t0 - b2) <= tol]
+    return all(test.all() for test in tests)
+
+
 @dataclasses.dataclass(frozen=True)
 class AngularPoint:
     """Direction coordinates relative to a frame: mu = Omega.n, omega
@@ -84,7 +105,10 @@ class FrameField:
     """A frame field: raw scalar-level callable plus metadata.
 
     ``raw(x, y, z)`` takes float or Dual scalars and returns three
-    3-tuples (n, t, b).  ``eval`` validates and wraps into FramePoint.
+    3-tuples (n, t, b).  Batched callers may pass equal-length arrays
+    (or array Duals) instead; a raw that cannot take them raises, and
+    the caller then evaluates it point by point.  ``eval`` validates
+    and wraps into FramePoint.
     """
 
     def __init__(self, raw: Callable, name: str, homothetic: bool = False):
@@ -191,7 +215,8 @@ ClosedFormId = object  # union of the dataclasses above
 
 
 # ---------------------------------------------------------------------------
-# Raw frame implementations (scalar level, Dual-compatible).
+# Raw frame implementations (scalar level, Dual-compatible; every guard
+# also tests each entry of array arguments).
 
 # Squared distances below this tiny normal float count as the singular
 # locus itself: a point is rejected only when its coordinates are within
@@ -206,7 +231,7 @@ def _raw_constant(x, y, z):
 
 def _raw_cyl1(x, y, z):
     rho2 = x * x + y * y
-    if value(rho2) < _SINGULAR_R2:
+    if dm.below(rho2, _SINGULAR_R2):
         raise DegeneratePoint("cylindrical frame undefined on the z-axis")
     inv = 1.0 / dm.sqrt(rho2)
     return ((0.0, 0.0, 1.0),
@@ -221,10 +246,10 @@ def _raw_cyl2(x, y, z):
 
 def _raw_sphere(x, y, z):
     r2 = x * x + y * y + z * z
-    if value(r2) < _SINGULAR_R2:
+    if dm.below(r2, _SINGULAR_R2):
         raise DegeneratePoint("sphere frame undefined at the origin")
     rxy2 = x * x + y * y
-    if value(rxy2) < 1e-20 * value(r2):
+    if dm.below(rxy2, 1e-20 * value(r2)):
         raise DegeneratePoint("sphere frame undefined at the poles")
     rho = dm.sqrt(r2)
     rxy = dm.sqrt(rxy2)
@@ -246,11 +271,11 @@ def _make_raw_ellipsoid(a: float, b: float, c: float):
     def raw(x, y, z):
         px, py, pz = x / a, y / b, z / c
         rho2 = px * px + py * py + pz * pz
-        if value(rho2) < _SINGULAR_R2:
+        if dm.below(rho2, _SINGULAR_R2):
             raise DegeneratePoint("ellipsoid frame undefined at the origin")
         rho = dm.sqrt(rho2)
         st2 = (px * px + py * py) / rho2
-        if value(st2) < 1e-24:
+        if dm.below(st2, 1e-24):
             raise DegeneratePoint("ellipsoid frame undefined at the poles")
         st = dm.sqrt(st2)
         ct = pz / rho
@@ -264,18 +289,36 @@ def _make_raw_ellipsoid(a: float, b: float, c: float):
     return raw
 
 
+def _on_arrays(fn, xv, yv):
+    """fn, a callable of plain floats, at equal-length arrays: one call
+    on the arrays when fn takes them and returns a scalar or a matching
+    array, else one float call per element."""
+    xv, yv = np.broadcast_arrays(xv, yv)
+    try:
+        out = np.asarray(fn(xv, yv), dtype=float)
+    except Exception:  # a math function, say, rejects arrays
+        out = None
+    if out is not None and out.shape in ((), xv.shape):
+        return float(out) if out.shape == () else out
+    return np.array([float(fn(a, b))
+                     for a, b in zip(xv.tolist(), yv.tolist())])
+
+
 def _lift_scalar(fn, d_dx, d_dy):
-    """Lift a plain-float callable of (x, y) to floats or Duals using
-    its supplied first partials for the chain rule."""
+    """Lift a plain-float callable of (x, y) to floats, arrays or Duals
+    using its supplied first partials for the chain rule."""
     def lifted(x, y):
         xv, yv = value(x), value(y)
-        v = float(fn(xv, yv))
+        arrays = isinstance(xv, np.ndarray) or isinstance(yv, np.ndarray)
+        v = _on_arrays(fn, xv, yv) if arrays else float(fn(xv, yv))
         if not isinstance(x, dm.Dual) and not isinstance(y, dm.Dual):
             return v
         x0, x1, x2 = dm.tangent(x)
         y0, y1, y2 = dm.tangent(y)
-        px = float(d_dx(xv, yv))
-        py = float(d_dy(xv, yv))
+        if arrays:
+            px, py = _on_arrays(d_dx, xv, yv), _on_arrays(d_dy, xv, yv)
+        else:
+            px, py = float(d_dx(xv, yv)), float(d_dy(xv, yv))
         return dm.Dual(v, px * x0 + py * y0, px * x1 + py * y1,
                        px * x2 + py * y2)
     return lifted

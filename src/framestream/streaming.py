@@ -13,7 +13,7 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
                           axial_vector, frame_jet, frame_scalars)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
-from .frames import FramePoint, direction_from_angles
+from .frames import FramePoint, direction_from_angles, loose_frames_ok
 
 _POLAR_TOL = 1e-14
 _BREAKDOWN_RTOL = 1e-10
@@ -203,10 +203,11 @@ def _direction(jet: FrameJet, mu, s, c, sn):
 
 
 def _matvec(m, v):
-    """m @ v for one 3-vector or each row of a (K, 3) stack.  The stack
-    goes through np.matmul on (K, 3, 1), which makes the same BLAS gemv
-    call per row as the 3-vector; ``v @ m.T`` is one gemm and rounds
-    differently in the last bit."""
+    """m @ v for one 3-vector or each row of a (K, 3) stack, with one
+    matrix m or a (K, 3, 3) stack of them.  The stack goes through
+    np.matmul on (K, 3, 1), which makes the same BLAS gemv call per row
+    as the 3-vector; ``v @ m.T`` is one gemm and rounds differently in
+    the last bit."""
     if v.ndim == 1:
         return m @ v
     return np.matmul(m, v[:, :, None])[:, :, 0]
@@ -214,10 +215,11 @@ def _matvec(m, v):
 
 def _dot(u, v):
     """u . v for one 3-vector v, or u . row for each row of a (K, 3)
-    stack, through the same BLAS dot call either way."""
+    stack, with one vector u or a (K, 3) stack of them, through the same
+    BLAS dot call either way."""
     if v.ndim == 1:
         return float(u @ v)
-    return np.matmul(v[:, None, :], u)[:, 0]
+    return np.matmul(v[:, None, :], u[..., None])[:, 0, 0]
 
 
 def coefficient_terms(jet: FrameJet, mu, s, c, sn):
@@ -239,6 +241,35 @@ def coefficient_terms(jet: FrameJet, mu, s, c, sn):
                         + c * _dot(jet.b, dn_along)) / s
     return (mu_surface + mu_curve_n, omega_curve + omega_wind + omega_tilt,
             mu_surface, mu_curve_n, omega_curve, omega_wind, omega_tilt)
+
+
+def checked_terms(jet: FrameJet, mu, s, c, sn):
+    """coefficient_terms with the checks that coefficients_from_jet
+    makes: the frame passes FramePoint.loose, then each coefficient
+    equals the sum of its parts.
+
+    The jet is one point, with any number of directions, or a stack
+    with one state per point.  A stack runs each check on all states at
+    once, the frame check first; when one fails, its states are replayed
+    one by one, which raises the single-state error of the first
+    failing state.
+    """
+    if jet.n.ndim == 1:
+        FramePoint.loose(jet.n, jet.t, jet.b)
+        terms = coefficient_terms(jet, mu, s, c, sn)
+        check_breakdown(*terms)
+        return terms
+    if not loose_frames_ok(jet.n, jet.t, jet.b):
+        for i in range(len(jet.n)):
+            FramePoint.loose(jet.n[i], jet.t[i], jet.b[i])
+    terms = coefficient_terms(jet, mu, s, c, sn)
+    try:
+        check_breakdown(*terms)
+    except InconsistentBreakdown:
+        for i in range(len(jet.n)):
+            check_breakdown(*(term[i] for term in terms))
+        raise
+    return terms
 
 
 def coefficients_from_jet(jet: FrameJet, mu: float, omega: float,

@@ -20,8 +20,8 @@ from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere,
                      builtin_frame, frame_spec)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
 from .streaming import (MuForm, OmegaForm, _angles, _direction,
-                        coefficients_from_jet, grad_mu_from_jet,
-                        grad_omega_from_jet, streaming_coefficients)
+                        angle_arrays, check_mu, checked_terms,
+                        grad_mu_from_jet, grad_omega_from_jet)
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,7 +99,9 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3,
             break
     # Omega . (n, t, b) of each probe as a row-by-row dot, which rounds
     # as d @ n does (a stacked matvec does not).
-    f = np.array(outs, dtype=float)
+    # A flat list converts faster than a nested one.
+    f = np.array([(*n, *t, *b) for n, t, b in outs],
+                 dtype=float).reshape(-1, 3, 3)
     proj = np.matmul(f[:, :, None, :], d)[:, :, 0].tolist()
     if 1.0 - proj[0][0] * proj[0][0] <= 1e-10:
         raise PolarDirection("ray parallel to n at the base point")
@@ -112,7 +114,8 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3,
     last = 5 if failure is None else failure[0]
     for k in range(1, last):
         jump = oms[k] - oms[k - 1]
-        jump -= TWO_PI * round(jump / TWO_PI)
+        if not math.isnan(jump):  # a NaN azimuth flows into domega_ds
+            jump -= TWO_PI * round(jump / TWO_PI)
         if abs(jump) > math.pi / 2.0:
             raise UnwrapFailure(
                 f"azimuth jump {jump:.3f} between probes; "
@@ -131,7 +134,9 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3,
     dmu_h2, dom_h2 = derivs(1, step / 2.0)
     dmu = (4.0 * dmu_h2 - dmu_h) / 3.0
     dom = (4.0 * dom_h2 - dom_h) / 3.0
-    est = max(abs(dmu_h2 - dmu_h), abs(dom_h2 - dom_h)) / 3.0
+    errs = (abs(dmu_h2 - dmu_h), abs(dom_h2 - dom_h))
+    # NaN-keeping: Python's max drops a NaN that is not its first argument.
+    est = (math.nan if math.isnan(errs[0] + errs[1]) else max(errs)) / 3.0
     return RayOracleResult(dmu_ds=dmu, domega_ds=dom, step=step,
                            richardson_error_estimate=est)
 
@@ -149,9 +154,11 @@ def conservation_check(frame_field, sample_points, sample_angles,
         raise OutOfRange("need at least 8 spatial and 8 angular samples")
     samples = len(points) * len(angles)
 
+    # One stacked jet; the scalars are taken point by point on its rows.
+    jet = frame_jet(frame_field, np.array(points), cfg)
     kn, cs = [], []
-    for p in points:
-        k = frame_scalars(frame_jet(frame_field, p, cfg))
+    for i in range(len(points)):
+        k = frame_scalars(jet.row(i))
         kn.append((k.kn_t, k.kn_b))
         cs.append([k.normal_curvature(math.cos(om), math.sin(om))
                    for _, om in angles])
@@ -281,28 +288,22 @@ def _angle_grid(count: int, rng) -> list:
             for _ in range(count)]
 
 
-def _frame_states(frames, count, rng):
-    """(fid, field, r, mu, omega) for ``count`` random states of each
-    frame; all of a frame's states are drawn before the first is used."""
-    for fid in frames.values():
-        field = builtin_frame(fid)
-        for r, mu, omega in random_states(fid, count, rng):
-            yield fid, field, r, mu, omega
-
-
 def _sampled_check(rng, cfg, frames, count, per_state, residuals):
     """Worst residual and sample count over ``count`` random states of
-    each frame, ``per_state`` samples each.  A state's frame jet is
-    evaluated once and passed to ``residuals(fid, field, r, mu, omega,
-    jet, rng, cfg)``, which returns that state's residuals.  The worst
-    is NaN when any residual is, so the check fails."""
-    found = []
+    each frame, ``per_state`` samples each.  All of a frame's states are
+    drawn first; then one stacked frame jet at their points is passed to
+    ``residuals(fid, field, states, jet, rng, cfg)``, which returns an
+    array of the residuals of those states.  The worst is NaN when any
+    residual is, so the check fails."""
+    found = [np.zeros(0)]
     states = 0
-    for fid, field, r, mu, omega in _frame_states(frames, count, rng):
-        found.extend(residuals(fid, field, r, mu, omega,
-                               frame_jet(field, r, cfg), rng, cfg))
-        states += 1
-    return _worst(found), per_state * states
+    for fid in frames.values():
+        field = builtin_frame(fid)
+        drawn = random_states(fid, count, rng)
+        jet = frame_jet(field, np.array([r for r, _, _ in drawn]), cfg)
+        found.append(residuals(fid, field, drawn, jet, rng, cfg))
+        states += len(drawn)
+    return _worst(np.concatenate(found)), per_state * states
 
 
 def _worst(residuals) -> float:
@@ -311,64 +312,89 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def _catalog_residuals(fid, field, r, mu, omega, jet, rng, cfg):
-    coeffs = coefficients_from_jet(jet, mu, omega, at_point=r)
-    cat_mu, cat_om = catalog_coefficients(fid, r, mu, omega)
-    return abs(coeffs.a_mu - cat_mu), abs(coeffs.a_omega - cat_om)
+def _coefficients(jet, states):
+    """a_mu and a_omega arrays at the states of a stacked jet, checked
+    as coefficients_from_jet checks each state, and the angle arrays
+    (mu, s, c, sn) of the states."""
+    angles = angle_arrays([mu for _, mu, _ in states],
+                          [omega for _, _, omega in states])
+    check_mu(angles[0])
+    a_mu, a_omega = checked_terms(jet, *angles)[:2]
+    return a_mu, a_omega, angles
 
 
-def _oracle_residuals(fid, field, r, mu, omega, jet, rng, cfg):
-    coeffs = coefficients_from_jet(jet, mu, omega, at_point=r)
-    direction = _direction(jet, mu, *_angles(mu, omega))
-    oracle = ray_oracle(field, r, direction, 1e-3, cfg)
-    return (abs(coeffs.a_mu - oracle.dmu_ds),
-            abs(coeffs.a_omega - oracle.domega_ds))
+def _catalog_residuals(fid, field, states, jet, rng, cfg):
+    a_mu, a_omega, _ = _coefficients(jet, states)
+    cat_mu, cat_om = np.array([catalog_coefficients(fid, r, mu, omega)
+                               for r, mu, omega in states]).T
+    return np.abs(np.concatenate([a_mu - cat_mu, a_omega - cat_om]))
 
 
-def _form_residuals(fid, field, r, mu, omega, jet, rng, cfg):
+def _oracle_residuals(fid, field, states, jet, rng, cfg):
+    a_mu, a_omega, angles = _coefficients(jet, states)
+    oracle = [ray_oracle(field, r, direction, 1e-3, cfg)
+              for (r, _, _), direction in zip(states,
+                                              _direction(jet, *angles))]
+    return np.abs(np.concatenate([
+        a_mu - [o.dmu_ds for o in oracle],
+        a_omega - [o.domega_ds for o in oracle]]))
+
+
+def _form_residuals(fid, field, states, jet, rng, cfg):
     """The spread of each coefficient over its derivative routes, all
-    from the one jet; a route whose foliation is missing is skipped."""
-    angles = (mu, *_angles(mu, omega))
+    from the state's row of the jet; a route whose foliation is missing
+    is skipped."""
     spreads = []
-    for grad, forms in ((grad_mu_from_jet, MuForm),
-                        (grad_omega_from_jet, OmegaForm)):
-        vals = []
-        for form in forms:
-            try:
-                vals.append(grad(jet, *angles, form))
-            except FoliationMissing:
-                continue
-        spreads.append(np.ptp(vals))  # NaN if any route gives NaN
-    return spreads
+    for i, (_, mu, omega) in enumerate(states):
+        row = jet.row(i)
+        angles = (mu, *_angles(mu, omega))
+        for grad, forms in ((grad_mu_from_jet, MuForm),
+                            (grad_omega_from_jet, OmegaForm)):
+            vals = []
+            for form in forms:
+                try:
+                    vals.append(grad(row, *angles, form))
+                except FoliationMissing:
+                    continue
+            spreads.append(np.ptp(vals))  # NaN if any route gives NaN
+    return np.array(spreads)
 
 
-def _identity_residuals(fid, field, r, mu, omega, jet, rng, cfg):
+def _identity_residuals(fid, field, states, jet, rng, cfg):
     """|u . grad_h u| and |u . grad_h v + v . grad_h u| for the frame
-    vectors u, v along a random unit h."""
-    h = rng.normal(size=3)
-    h /= np.linalg.norm(h)
-    vecs = (jet.n, jet.t, jet.b)
-    rates = [jac @ h for jac in (jet.jn, jet.jt, jet.jb)]
+    vectors u, v along a random unit h, one h per state."""
     out = []
-    for i in range(3):
-        out.append(abs(float(vecs[i] @ rates[i])))
-        for j in range(i + 1, 3):
-            out.append(abs(float(vecs[i] @ rates[j])
-                           + float(vecs[j] @ rates[i])))
-    return out
+    for i in range(len(states)):
+        row = jet.row(i)
+        h = rng.normal(size=3)
+        h /= np.linalg.norm(h)
+        vecs = (row.n, row.t, row.b)
+        rates = [jac @ h for jac in (row.jn, row.jt, row.jb)]
+        for a in range(3):
+            out.append(abs(float(vecs[a] @ rates[a])))
+            for b in range(a + 1, 3):
+                out.append(abs(float(vecs[a] @ rates[b])
+                               + float(vecs[b] @ rates[a])))
+    return np.array(out)
 
 
-def _homothety_residuals(fid, field, r, mu, omega, jet, rng, cfg):
-    """Relative misfit of a(scale r) = a(r) / scale at three scales;
-    each scaled point has its own jet."""
-    base = coefficients_from_jet(jet, mu, omega, at_point=r)
-    out = []
-    for scale in (0.5, 2.0, 10.0):
-        scaled = streaming_coefficients(field, scale * r, mu, omega, cfg)
-        for lead, trail in ((base.a_mu, scaled.a_mu),
-                            (base.a_omega, scaled.a_omega)):
-            out.append(abs(scale * trail - lead) / max(abs(lead), 1e-12))
-    return out
+_SCALES = (0.5, 2.0, 10.0)
+
+
+def _homothety_residuals(fid, field, states, jet, rng, cfg):
+    """Relative misfit of a(scale r) = a(r) / scale at three scales; the
+    scaled points of all states share one stacked jet."""
+    a_mu, a_omega, _ = _coefficients(jet, states)
+    scaled_states = [(scale * r, mu, omega) for r, mu, omega in states
+                     for scale in _SCALES]
+    scaled_jet = frame_jet(field, np.array([r for r, _, _ in scaled_states]),
+                           cfg)
+    s_mu, s_omega, _ = _coefficients(scaled_jet, scaled_states)
+    lead = np.repeat([a_mu, a_omega], len(_SCALES), axis=1)
+    trail = np.array([s_mu, s_omega])
+    scales = np.tile(_SCALES, len(states))
+    return (np.abs(scales * trail - lead)
+            / np.maximum(np.abs(lead), 1e-12)).ravel()
 
 
 def _check_conservation(frames, rng, cfg):

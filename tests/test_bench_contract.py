@@ -54,9 +54,10 @@ def test_traced_verify_pass_counts_raw_calls(tracing, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_traced_form_equivalence_evaluates_one_jet_per_state(tracing,
-                                                             capsys):
-    # Every form route of a state shares the state's one frame jet.
+def test_traced_form_equivalence_evaluates_one_stacked_jet(tracing, capsys):
+    # The 40 sphere states share one stacked frame jet, one raw call on
+    # array Duals (a replay point by point would make 41), and every
+    # form route of a state reads the state's row of it.
     tracer = tracing.Tracer()
     with tracer.traced_pass():
         rc = cli.main(["verify", "--frame", "sphere", "--check",
@@ -64,5 +65,6 @@ def test_traced_form_equivalence_evaluates_one_jet_per_state(tracing,
     out = capsys.readouterr().out
     assert rc == 0
     metrics = tracer.layer_metrics(len(out.encode()), 0.0)
-    assert metrics["derivatives.frame_jet.dual.calls"] == 40
+    assert metrics["derivatives.frame_jet.dual.calls"] == 1
+    assert metrics["frames.raw.dual.calls"] == 1
     assert metrics["derivatives.jet_reuse"] == 1.0

@@ -1,0 +1,260 @@
+"""Stacked frame jets: an (N, 3) array of points gives the bits of N
+single-point jets, from one raw call on array Duals where the raw takes
+arrays and point by point where it does not, with the single-point
+errors."""
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from framestream import (DiffConfig, EvaluationFailure, FrameField,
+                         NotOrthonormal, builtin_frame, frame_jet, ray_oracle)
+from framestream import dual as dm
+from framestream.cli import main
+from framestream.curvature import parallel_transport_holonomy
+from framestream.derivatives import FrameJet, frame_scalars
+from framestream.frames import BUILTIN_FRAMES, FramePoint, loose_frames_ok
+from framestream.streaming import (_direction, angle_arrays, checked_terms,
+                                   coefficient_terms)
+from framestream.verification import _latitude_loop, random_states
+
+ENGINES = [DiffConfig(), DiffConfig(engine="fd")]
+JET_FIELDS = ("n", "t", "b", "jn", "jt", "jb")
+
+
+class _Counted:
+    """A frame field whose raw counts its calls."""
+
+    def __init__(self, raw):
+        self.inner = raw
+        self.calls = 0
+
+    def raw(self, x, y, z):
+        self.calls += 1
+        return self.inner(x, y, z)
+
+
+def _error(fn, *args):
+    """Type and message of what fn raises, and of its cause."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    cause = info.value.__cause__
+    return (type(info.value), str(info.value), type(cause), str(cause))
+
+
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("name", sorted(BUILTIN_FRAMES))
+def test_stacked_jet_scalars_and_terms_are_bit_equal(name, seed, cfg):
+    spec = BUILTIN_FRAMES[name]
+    field = builtin_frame(spec.default)
+    states = random_states(spec.default, 25, np.random.default_rng(seed))
+    counted = _Counted(field.raw)
+    jet = frame_jet(counted, np.array([r for r, _, _ in states]), cfg)
+    if cfg.engine == "dual":
+        assert counted.calls == 1  # no point-by-point replay
+    mu, s, c, sn = angle_arrays([m for _, m, _ in states],
+                                [o for _, _, o in states])
+    scalars = frame_scalars(jet)
+    terms = coefficient_terms(jet, mu, s, c, sn)
+    for i, (r, _, _) in enumerate(states):
+        one = frame_jet(field, r, cfg)
+        for f in JET_FIELDS:
+            assert getattr(one, f).tobytes() == getattr(jet, f)[i].tobytes()
+        assert (np.array(frame_scalars(one)).tobytes()
+                == np.array([k[i] for k in scalars]).tobytes())
+        want = coefficient_terms(one, mu[i], s[i], c[i], sn[i])
+        assert (np.array(want).tobytes()
+                == np.array([t[i] for t in terms]).tobytes())
+
+
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+@pytest.mark.parametrize("name, bad", [
+    ("sphere", [0.0, 0.0, 1.5]),           # a pole
+    ("sphere", [0.0, 0.0, 0.0]),           # the origin
+    ("cylindrical-i", [0.0, 0.0, 0.7]),    # the axis
+    ("ellipsoid", [0.0, 0.0, -0.5]),       # a pole
+])
+def test_batch_with_a_degenerate_point_raises_the_point_error(name, bad,
+                                                              cfg):
+    field = builtin_frame(BUILTIN_FRAMES[name].default)
+    points = np.array([[1.0, 0.5, 0.25], [0.3, -0.8, 0.4], bad,
+                       [0.0, 0.0, 2.0]])
+    want = _error(frame_jet, field, np.array(bad), cfg)
+    assert _error(frame_jet, field, points, cfg) == want
+    assert want[2].__name__ == "DegeneratePoint"
+
+
+def test_raw_that_rejects_arrays_is_replayed_point_by_point():
+    sphere = builtin_frame(BUILTIN_FRAMES["sphere"].default)
+
+    def scalar_only(x, y, z):
+        if abs(dm.value(x) - 99.0) < 1e-15:  # ambiguous on arrays
+            raise ValueError("no frame here")
+        return sphere.raw(x, y, z)
+
+    states = random_states(BUILTIN_FRAMES["sphere"].default, 12,
+                           np.random.default_rng(3))
+    points = np.array([r for r, _, _ in states])
+    counted = _Counted(scalar_only)
+    jet = frame_jet(counted, points)
+    assert counted.calls == 1 + len(points)  # the array attempt, then each
+    want = frame_jet(sphere, points)
+    for f in JET_FIELDS:
+        assert getattr(jet, f).tobytes() == getattr(want, f).tobytes()
+
+    loop, v0, _ = _latitude_loop(math.pi / 3, 400)
+    counted = _Counted(scalar_only)
+    angle = parallel_transport_holonomy(counted, loop, v0)
+    assert counted.calls == 1 + 400
+    assert angle == parallel_transport_holonomy(sphere, loop, v0)
+
+
+def test_holonomy_makes_one_raw_call_per_loop():
+    sphere = builtin_frame(BUILTIN_FRAMES["sphere"].default)
+    counted = _Counted(sphere.raw)
+    loop, v0, _ = _latitude_loop(math.pi / 3, 1000)
+    parallel_transport_holonomy(counted, loop, v0)
+    assert counted.calls == 1
+
+
+# --- a raw whose vectors are not 3 long -----------------------------------
+
+def _short_t(x, y, z):
+    return (0.0, 0.0, 1.0), (1.0, 0.0), (0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+def test_short_vector_is_an_evaluation_failure(cfg):
+    field = FrameField(_short_t, "short-t")
+    with pytest.raises(EvaluationFailure) as info:
+        frame_jet(field, [1.0, 0.5, 0.25], cfg)
+    assert str(info.value) == ("field returned vectors of lengths (3, 2, 3),"
+                               " not 3, at probe (1.0, 0.5, 0.25)")
+
+
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+def test_short_vector_in_a_stack_names_the_first_point(cfg):
+    field = FrameField(_short_t, "short-t")
+    with pytest.raises(EvaluationFailure) as info:
+        frame_jet(field, [[2.0, 0.5, 0.25], [1.0, 0.5, 0.25]], cfg)
+    assert str(info.value) == ("field returned vectors of lengths (3, 2, 3),"
+                               " not 3, at probe (2.0, 0.5, 0.25)")
+
+
+# --- vectorized checks with a per-state replay ----------------------------
+
+def test_loose_frames_ok_agrees_with_frame_point_row_by_row():
+    rng = np.random.default_rng(5)
+    jet = frame_jet(builtin_frame(BUILTIN_FRAMES["ellipsoid"].default),
+                    np.array([r for r, _, _ in random_states(
+                        BUILTIN_FRAMES["ellipsoid"].default, 200, rng)]))
+    # Perturbations from well inside to well outside the 1e-8 tolerance.
+    noise = [10.0 ** rng.uniform(-10.0, -6.0, size=(200, 1))
+             * rng.normal(size=(200, 3)) for _ in range(3)]
+    n, t, b = jet.n + noise[0], jet.t + noise[1], jet.b + noise[2]
+    accepted = []
+    for i in range(200):
+        try:
+            FramePoint.loose(n[i], t[i], b[i])
+            accepted.append(True)
+        except NotOrthonormal:
+            accepted.append(False)
+        assert loose_frames_ok(n[i:i + 1], t[i:i + 1],
+                               b[i:i + 1]) == accepted[-1]
+    assert 10 < sum(accepted) < 190
+    assert loose_frames_ok(n, t, b) == all(accepted)
+
+
+def test_checked_terms_raise_the_first_failing_state_error():
+    field = builtin_frame(BUILTIN_FRAMES["sphere"].default)
+    states = random_states(BUILTIN_FRAMES["sphere"].default, 6,
+                           np.random.default_rng(2))
+    jet = frame_jet(field, np.array([r for r, _, _ in states]))
+    angles = angle_arrays([m for _, m, _ in states],
+                          [o for _, _, o in states])
+    t = jet.t.copy()
+    t[4] *= 1.001                               # not unit
+    t[2] = t[2] + 1e-6 * jet.n[2]               # not orthogonal
+    broken = FrameJet(jet.n, t, jet.b, jet.jn, jet.jt, jet.jb)
+    with pytest.raises(NotOrthonormal) as info:
+        checked_terms(broken, *angles)
+    assert str(info.value) == "frame not orthogonal within 1e-08"
+
+
+def test_checked_terms_replay_names_the_first_breakdown(monkeypatch):
+    from framestream import InconsistentBreakdown, streaming
+    terms_of = streaming.coefficient_terms
+
+    def skewed(*args):
+        terms = [np.array(term) for term in terms_of(*args)]
+        terms[1][1] += 1.0    # state 1: a_omega off its parts
+        terms[0][3] += 1.0    # state 3: a_mu off its parts
+        return tuple(terms)
+
+    field = builtin_frame(BUILTIN_FRAMES["sphere"].default)
+    states = random_states(BUILTIN_FRAMES["sphere"].default, 5,
+                           np.random.default_rng(4))
+    jet = frame_jet(field, np.array([r for r, _, _ in states]))
+    angles = angle_arrays([m for _, m, _ in states],
+                          [o for _, _, o in states])
+    monkeypatch.setattr(streaming, "coefficient_terms", skewed)
+    # All states at once, a_mu is tested first; state by state, state 1
+    # fails on a_omega before state 3 fails on a_mu.
+    with pytest.raises(InconsistentBreakdown,
+                       match="a_omega breakdown inconsistent"):
+        checked_terms(jet, *angles)
+
+
+# --- the ray oracle keeps a NaN azimuth or mu -----------------------------
+
+@pytest.mark.parametrize("vector", [0, 1], ids=["n", "t"])
+def test_ray_oracle_nan_probe_flows_into_the_result(vector):
+    sphere = builtin_frame(BUILTIN_FRAMES["sphere"].default)
+
+    def raw(x, y, z):
+        out = list(sphere.raw(x, y, z))
+        if x > 1.0 + 5e-4:  # only the s = +step probe
+            out[vector] = (math.nan, math.nan, math.nan)
+        return tuple(out)
+
+    field = FrameField(raw, "nan-beyond")
+    r = np.array([1.0, 0.4, 0.3])
+    jet = frame_jet(sphere, r)
+    angles = angle_arrays([0.8], [0.9])
+    d = _direction(jet, *(a[0] for a in angles))
+    assert d[0] > 0.5
+    res = ray_oracle(field, r, d)
+    assert math.isnan(res.richardson_error_estimate)
+    assert math.isnan(res.dmu_ds if vector == 0 else res.domega_ds)
+    assert math.isfinite(res.domega_ds if vector == 0 else res.dmu_ds)
+
+
+# --- verify stdout, byte for byte -----------------------------------------
+
+# sha256 and max_residual texts of `framestream verify --seed S
+# --no-timestamp` stdout (1418 bytes each), as the per-state jets gave.
+VERIFY_STDOUT = {
+    7: ("9781a012b69f52dd5bd42d067b16b79629aeda86bb64f48126205d27ce43c8e9",
+        ["1.5543122344752192e-15", "7.2737371681341756e-12",
+         "8.8817841970012523e-16", "8.4073162882840642e-16",
+         "2.3867246870666572e-15", "0", "1.9378934874580978e-06",
+         "0.50226597644221083"]),
+    11: ("88adbbae9bf4ad555963ae3ec0d4ee3e448c79099f544fa03d2a4ce96bb4ea9c",
+         ["1.3322676295501878e-15", "8.957723451885613e-12",
+          "9.4368957093138306e-16", "1.4866580189121237e-15",
+          "2.8601749979700381e-14", "0", "1.9378934874580978e-06",
+          "0.50226597644221083"]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_STDOUT))
+def test_verify_stdout_is_pinned_byte_for_byte(seed, capsys):
+    assert main(["verify", "--seed", str(seed), "--no-timestamp"]) == 0
+    out = capsys.readouterr().out.encode()
+    digest, residuals = VERIFY_STDOUT[seed]
+    got = [line.split(b": ")[1].rstrip(b",").decode()
+           for line in out.splitlines() if b'"max_residual"' in line]
+    assert got == residuals
+    assert len(out) == 1418 and hashlib.sha256(out).hexdigest() == digest
