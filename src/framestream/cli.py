@@ -16,9 +16,8 @@ from .derivatives import DiffConfig, frame_jet
 from .errors import FramestreamError, OutOfRange
 from .frames import BUILTIN_FRAMES, Constant, Sphere, builtin_frame
 from .streaming import angle_arrays, check_mu, checked_terms
-from .verification import (_angle_grid, _circle_loop, _latitude_loop,
-                           conservation_check, random_states, run_checks,
-                           selected_checks)
+from .verification import (_circle_loop, _latitude_loop, run_checks,
+                           sampled_conservation, selected_checks)
 
 FRAME_NAMES = tuple(BUILTIN_FRAMES)
 _MIN_HOLONOMY_STEPS = 7
@@ -226,12 +225,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_conservation(args) -> int:
     fid = _fid(args)
-    field = builtin_frame(fid)
-    rng = np.random.default_rng(args.seed)
-    points = [r for r, _, _ in random_states(fid, 64, rng)]
+    # Bad flag values raise OutOfRange here, outside the try: exit 2.
+    cfg = _cfg(args)
     try:
-        report = conservation_check(field, points, _angle_grid(16, rng),
-                                    _cfg(args))
+        report = sampled_conservation(fid, np.random.default_rng(args.seed),
+                                      cfg)
     except FramestreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

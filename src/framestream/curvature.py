@@ -234,6 +234,9 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
         i = not_finite[0]
         raise LeftDomain(f"loop vertex {i} is not finite: "
                          f"{tuple(pts[i].tolist())}")
+    v = np.asarray(v0, dtype=float)
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise OutOfRange("v0 must be a finite 3-vector")
     span = float(np.abs(pts).max())
     # The loop is open when its ends are farther apart than 1e-9 of its
     # extent, the largest side of its bounding box.  hypot, unlike a
@@ -269,7 +272,6 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
             f"loop tangent leaves the leaf at index {off_leaf[0]}")
 
     n0 = normals[0]
-    v = np.asarray(v0, dtype=float)
     v = v - float(v @ n0) * n0
     nv = float(np.linalg.norm(v))
     if nv < 1e-12:

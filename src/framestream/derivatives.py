@@ -100,11 +100,11 @@ def jacobian(field, r, cfg: DiffConfig = DEFAULT_CFG):
 
 
 def axial_vector(j):
-    """Axial vector of the antisymmetric part of a 3x3 matrix; for a
-    Jacobian it is the curl of the field."""
-    return np.array([j[2, 1] - j[1, 2],
-                     j[0, 2] - j[2, 0],
-                     j[1, 0] - j[0, 1]])
+    """Axial vector of the antisymmetric part of a 3x3 matrix, or of
+    each of a stack; for a Jacobian it is the curl of the field."""
+    return np.stack([j[..., 2, 1] - j[..., 1, 2],
+                     j[..., 0, 2] - j[..., 2, 0],
+                     j[..., 1, 0] - j[..., 0, 1]], axis=-1)
 
 
 def curl(field, r, cfg: DiffConfig = DEFAULT_CFG):
@@ -127,11 +127,6 @@ class FrameJet:
     jn: np.ndarray
     jt: np.ndarray
     jb: np.ndarray
-
-    def row(self, i: int) -> "FrameJet":
-        """The jet at point i of a stacked jet, as views."""
-        return FrameJet(self.n[i], self.t[i], self.b[i], self.jn[i],
-                        self.jt[i], self.jb[i])
 
 
 class FrameScalars(NamedTuple):
@@ -261,6 +256,9 @@ def frame_jet(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> FrameJet:
     entry of a stacked jet has the bits of the single-point jet.
     """
     r = np.asarray(r, dtype=float)
+    if r.ndim > 2 or r.shape[-1:] != (3,):
+        raise OutOfRange(f"point must be a 3-vector or an (N, 3) array, "
+                         f"not of shape {r.shape}")
     if r.ndim == 1:
         return _point_jet(frame_field, r, cfg)
     # Non-finite points go one by one: array arithmetic on them raises

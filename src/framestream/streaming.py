@@ -78,15 +78,6 @@ def _any(flags) -> bool:
     return flags if isinstance(flags, bool) else bool(flags.any())
 
 
-def _require_foliation(label: str, vec, jac) -> None:
-    """Raise FoliationMissing unless the planes normal to ``vec`` are
-    integrable: vec . curl vec within _FOLIATION_TOL."""
-    defect = float(vec @ axial_vector(jac))
-    if abs(defect) > _FOLIATION_TOL:
-        raise FoliationMissing(f"{label}-foliation defect {defect:.3e} "
-                               f"exceeds {_FOLIATION_TOL}")
-
-
 def _angles(mu: float, omega: float):
     s = math.sqrt(max(0.0, 1.0 - mu * mu))
     return s, math.cos(omega), math.sin(omega)
@@ -126,32 +117,63 @@ def _omega_terms(k: FrameScalars, mu, s, c, sn):
     return s * (c * k.kt_b - sn * k.kb_t), mu * k.winding
 
 
+# The frame vector whose leaves each shape-operator route reads; the
+# route assumes that the planes normal to that vector integrate.
+_LEAF = {MuForm.SURFACE_CURVATURE: "n", OmegaForm.SURFACE_B: "b",
+         OmegaForm.SURFACE_T: "t"}
+
+
+def leaf_defect(jet: FrameJet, form):
+    """V . curl V for the frame vector V whose leaves ``form`` reads, one
+    point or stacked; zero for a form that reads no leaf."""
+    if form not in _LEAF:
+        return np.zeros(jet.n.shape[:-1])
+    leaf = _LEAF[form]
+    return _dot(getattr(jet, leaf), axial_vector(getattr(jet, "j" + leaf)))
+
+
+def has_leaf(jet: FrameJet, form):
+    """Whether ``form``'s leaf exists: a defect within _FOLIATION_TOL, or
+    NaN, so that the route's NaN is not dropped."""
+    return ~(np.abs(leaf_defect(jet, form)) > _FOLIATION_TOL)
+
+
+def _on_leaf(jet: FrameJet, form, value):
+    """value where ``form``'s leaf exists; else FoliationMissing."""
+    if not has_leaf(jet, form):
+        raise FoliationMissing(f"{_LEAF[form]}-foliation defect "
+                               f"{leaf_defect(jet, form):.3e} exceeds "
+                               f"{_FOLIATION_TOL}")
+    return value
+
+
 def grad_mu(frame_field, r, mu, omega, form: MuForm = MuForm.CURVE_CURVATURE,
             cfg: DiffConfig = DEFAULT_CFG) -> float:
     """Rate of change of mu = Omega . n along a straight ray."""
     if not -1.0 <= mu <= 1.0:
         raise OutOfRange(f"mu = {mu} outside [-1, 1]")
     jet = frame_jet(frame_field, np.asarray(r, dtype=float), cfg)
-    return grad_mu_from_jet(jet, mu, *_angles(mu, omega), form)
+    return _on_leaf(jet, form,
+                    grad_mu_from_jet(jet, mu, *_angles(mu, omega), form))
 
 
-def grad_mu_from_jet(jet: FrameJet, mu, s, c, sn, form: MuForm) -> float:
-    """grad_mu from a precomputed frame jet and the angles that
-    coefficient_terms takes."""
+def grad_mu_from_jet(jet: FrameJet, mu, s, c, sn, form: MuForm):
+    """grad_mu from a precomputed frame jet, one point or stacked, and
+    the angles that coefficient_terms takes; no leaf test."""
     n, t, b = jet.n, jet.t, jet.b
     if form is MuForm.SURFACE_CURVATURE:
-        _require_foliation("n", n, jet.jn)
         surface, curve_n = _mu_terms(frame_scalars(jet), mu, s, c, sn)
         return surface + curve_n
     if form is not MuForm.CURVE_CURVATURE:
         raise OutOfRange(f"unknown mu form {form!r}")
     # The route that form-equivalence compares against the shape
     # operator: the n-components of kappa^t and kappa^b.
-    n_kt = -float(n @ (jet.jt @ t))
-    n_kb = -float(n @ (jet.jb @ b))
-    cross = float(n @ (jet.jt @ b) + n @ (jet.jb @ t))
+    n_kt = -_dot(n, _matvec(jet.jt, t))
+    n_kb = -_dot(n, _matvec(jet.jb, b))
+    cross = _dot(n, _matvec(jet.jt, b)) + _dot(n, _matvec(jet.jb, t))
     quad = c * c * n_kt + sn * sn * n_kb - sn * c * cross
-    along_n = c * float(t @ (jet.jn @ n)) + sn * float(b @ (jet.jn @ n))
+    dn_n = _matvec(jet.jn, n)
+    along_n = c * _dot(t, dn_n) + sn * _dot(b, dn_n)
     return (1.0 - mu * mu) * quad + mu * s * along_n
 
 
@@ -161,37 +183,34 @@ def grad_omega(frame_field, r, mu, omega,
     """Rate of change of the azimuth's defining projection, t . grad_Omega b.
 
     All forms evaluate the same quantity through different derivative
-    routes; the surface routes additionally require their foliation.
-    Only CURVE_CURVATURE goes through frame_scalars, which the others
-    therefore check."""
+    routes; the surface routes raise FoliationMissing where their leaf
+    is missing.  Only CURVE_CURVATURE goes through frame_scalars, which
+    the others therefore check."""
     check_mu(mu)
     jet = frame_jet(frame_field, np.asarray(r, dtype=float), cfg)
-    return grad_omega_from_jet(jet, mu, *_angles(mu, omega), form)
+    return _on_leaf(jet, form,
+                    grad_omega_from_jet(jet, mu, *_angles(mu, omega), form))
 
 
-def grad_omega_from_jet(jet: FrameJet, mu, s, c, sn,
-                        form: OmegaForm) -> float:
-    """grad_omega from a precomputed frame jet and the angles that
-    coefficient_terms takes."""
+def grad_omega_from_jet(jet: FrameJet, mu, s, c, sn, form: OmegaForm):
+    """grad_omega from a precomputed frame jet, one point or stacked, and
+    the angles that coefficient_terms takes; no leaf test."""
     n, t, b = jet.n, jet.t, jet.b
-    omega_vec = _direction(jet, mu, s, c, sn)
     if form is OmegaForm.DIRECT_TB:
-        return float(t @ (jet.jb @ omega_vec))
+        return _dot(t, _matvec(jet.jb, _direction(jet, mu, s, c, sn)))
     if form is OmegaForm.DIRECT_BT:
-        return -float(b @ (jet.jt @ omega_vec))
+        return -_dot(b, _matvec(jet.jt, _direction(jet, mu, s, c, sn)))
     if form is OmegaForm.CURVE_CURVATURE:
         curve, wind = _omega_terms(frame_scalars(jet), mu, s, c, sn)
         return curve + wind
     if form is OmegaForm.SURFACE_B:
-        _require_foliation("b", b, jet.jb)
-        return (s * c * float(t @ (jet.jb @ t))
-                + mu * float(t @ (jet.jb @ n))
-                + s * sn * float(t @ (jet.jb @ b)))
+        return (s * c * _dot(t, _matvec(jet.jb, t))
+                + mu * _dot(t, _matvec(jet.jb, n))
+                + s * sn * _dot(t, _matvec(jet.jb, b)))
     if form is OmegaForm.SURFACE_T:
-        _require_foliation("t", t, jet.jt)
-        return (-s * c * float(b @ (jet.jt @ t))
-                - mu * float(b @ (jet.jt @ n))
-                - s * sn * float(b @ (jet.jt @ b)))
+        return (-s * c * _dot(b, _matvec(jet.jt, t))
+                - mu * _dot(b, _matvec(jet.jt, n))
+                - s * sn * _dot(b, _matvec(jet.jt, b)))
     raise OutOfRange(f"unknown omega form {form!r}")
 
 

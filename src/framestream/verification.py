@@ -13,15 +13,14 @@ from .catalog import catalog_coefficients
 from .curvature import ShapeOperator2x2, parallel_transport_holonomy
 from .derivatives import (DEFAULT_CFG, DiffConfig, directional_derivative,
                           frame_jet, frame_scalars)
-from .errors import (DegenerateMetric, DomainExit, FoliationMissing,
-                     InconsistentReport, OutOfRange, PolarDirection,
-                     UnwrapFailure)
+from .errors import (DegenerateMetric, DomainExit, InconsistentReport,
+                     OutOfRange, PolarDirection, UnwrapFailure)
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere,
                      builtin_frame, frame_spec)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
-from .streaming import (MuForm, OmegaForm, _angles, _direction,
+from .streaming import (MuForm, OmegaForm, _direction, _dot, _matvec,
                         angle_arrays, check_mu, checked_terms,
-                        grad_mu_from_jet, grad_omega_from_jet)
+                        grad_mu_from_jet, grad_omega_from_jet, has_leaf)
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,6 +76,10 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3,
     """
     r = np.asarray(r, dtype=float)
     d = np.asarray(omega_dir, dtype=float)
+    if r.shape != (3,) or d.shape != (3,):
+        raise OutOfRange("ray point and direction must be 3-vectors")
+    if not 0.0 < step < math.inf:
+        raise OutOfRange(f"ray step must be positive and finite, not {step}")
     if abs(float(d @ d) - 1.0) > 1e-10:
         raise OutOfRange("ray direction must be unit")
 
@@ -148,24 +151,19 @@ def conservation_check(frame_field, sample_points, sample_angles,
     Feasible only when kappa^n vanishes and the leaf normal curvature
     C(r, omega) is azimuth-independent at every sample; the two known
     factor pairs are emitted for flat and spherical leaves."""
-    points = [np.asarray(p, dtype=float) for p in sample_points]
+    points = np.asarray(sample_points, dtype=float)
     angles = [(float(mu), float(om)) for mu, om in sample_angles]
     if len(points) < 8 or len(angles) < 8:
         raise OutOfRange("need at least 8 spatial and 8 angular samples")
     samples = len(points) * len(angles)
 
-    # One stacked jet; the scalars are taken point by point on its rows.
-    jet = frame_jet(frame_field, np.array(points), cfg)
-    kn, cs = [], []
-    for i in range(len(points)):
-        k = frame_scalars(jet.row(i))
-        kn.append((k.kn_t, k.kn_b))
-        cs.append([k.normal_curvature(math.cos(om), math.sin(om))
-                   for _, om in angles])
+    k = frame_scalars(frame_jet(frame_field, points, cfg))
+    # C at each angle (rows) and point (columns).
+    cs = k.normal_curvature(np.array([[math.cos(om)] for _, om in angles]),
+                            np.array([[math.sin(om)] for _, om in angles]))
     # NaN-keeping folds, and NaN lands on the infeasible side.
-    cs = np.array(cs)
-    max_kn = _worst(np.abs(kn))
-    max_spread = _worst(np.ptp(cs, axis=1))
+    max_kn = _worst(np.abs([k.kn_t, k.kn_b]))
+    max_spread = _worst(np.ptp(cs, axis=0))
     max_c = _worst(np.abs(cs))
 
     if not max_kn < 1e-8:
@@ -341,41 +339,33 @@ def _oracle_residuals(fid, field, states, jet, rng, cfg):
 
 
 def _form_residuals(fid, field, states, jet, rng, cfg):
-    """The spread of each coefficient over its derivative routes, all
-    from the state's row of the jet; a route whose foliation is missing
-    is skipped."""
+    """The spread of each coefficient over its routes at each state,
+    less the routes whose leaf is missing there; NaN if a kept one is."""
+    angles = angle_arrays([mu for _, mu, _ in states],
+                          [omega for _, _, omega in states])
     spreads = []
-    for i, (_, mu, omega) in enumerate(states):
-        row = jet.row(i)
-        angles = (mu, *_angles(mu, omega))
-        for grad, forms in ((grad_mu_from_jet, MuForm),
-                            (grad_omega_from_jet, OmegaForm)):
-            vals = []
-            for form in forms:
-                try:
-                    vals.append(grad(row, *angles, form))
-                except FoliationMissing:
-                    continue
-            spreads.append(np.ptp(vals))  # NaN if any route gives NaN
-    return np.array(spreads)
+    for grad, forms in ((grad_mu_from_jet, MuForm),
+                        (grad_omega_from_jet, OmegaForm)):
+        vals = np.array([grad(jet, *angles, form) for form in forms])
+        kept = np.array([has_leaf(jet, form) for form in forms])
+        spreads.append(np.max(vals, axis=0, where=kept, initial=-np.inf)
+                       - np.min(vals, axis=0, where=kept, initial=np.inf))
+    return np.concatenate(spreads)
 
 
 def _identity_residuals(fid, field, states, jet, rng, cfg):
     """|u . grad_h u| and |u . grad_h v + v . grad_h u| for the frame
     vectors u, v along a random unit h, one h per state."""
+    h = rng.normal(size=(len(states), 3))
+    h /= np.sqrt(_dot(h, h))[:, None]
+    vecs = (jet.n, jet.t, jet.b)
+    rates = [_matvec(jac, h) for jac in (jet.jn, jet.jt, jet.jb)]
     out = []
-    for i in range(len(states)):
-        row = jet.row(i)
-        h = rng.normal(size=3)
-        h /= np.linalg.norm(h)
-        vecs = (row.n, row.t, row.b)
-        rates = [jac @ h for jac in (row.jn, row.jt, row.jb)]
-        for a in range(3):
-            out.append(abs(float(vecs[a] @ rates[a])))
-            for b in range(a + 1, 3):
-                out.append(abs(float(vecs[a] @ rates[b])
-                               + float(vecs[b] @ rates[a])))
-    return np.array(out)
+    for a in range(3):
+        out.append(_dot(vecs[a], rates[a]))
+        for b in range(a + 1, 3):
+            out.append(_dot(vecs[a], rates[b]) + _dot(vecs[b], rates[a]))
+    return np.abs(np.concatenate(out))
 
 
 _SCALES = (0.5, 2.0, 10.0)
@@ -383,7 +373,12 @@ _SCALES = (0.5, 2.0, 10.0)
 
 def _homothety_residuals(fid, field, states, jet, rng, cfg):
     """Relative misfit of a(scale r) = a(r) / scale at three scales; the
-    scaled points of all states share one stacked jet."""
+    scaled points of all states share one stacked jet.
+
+    The misfit is relative to |a(r)|, floored at the coefficient scale
+    1/|r| that homothety fixes: where a(r) nearly vanishes, a fixed
+    floor would read the fd engine's absolute error as a large relative
+    one."""
     a_mu, a_omega, _ = _coefficients(jet, states)
     scaled_states = [(scale * r, mu, omega) for r, mu, omega in states
                      for scale in _SCALES]
@@ -393,18 +388,26 @@ def _homothety_residuals(fid, field, states, jet, rng, cfg):
     lead = np.repeat([a_mu, a_omega], len(_SCALES), axis=1)
     trail = np.array([s_mu, s_omega])
     scales = np.tile(_SCALES, len(states))
+    radii = np.linalg.norm([r for r, _, _ in states], axis=1)
+    floor = np.repeat(1.0 / radii, len(_SCALES))
     return (np.abs(scales * trail - lead)
-            / np.maximum(np.abs(lead), 1e-12)).ravel()
+            / np.maximum(np.abs(lead), floor)).ravel()
+
+
+def sampled_conservation(fid, rng,
+                         cfg: DiffConfig = DEFAULT_CFG) -> ConservationReport:
+    """conservation_check of the frame ``fid`` names at 64 of its random
+    points and 16 random angles, drawn from rng in that order."""
+    points = [r for r, _, _ in random_states(fid, 64, rng)]
+    return conservation_check(builtin_frame(fid), points,
+                              _angle_grid(16, rng), cfg)
 
 
 def _check_conservation(frames, rng, cfg):
     bad = 0
     samples = 0
     for name, fid in frames.items():
-        field = builtin_frame(fid)
-        points = [r for r, _, _ in random_states(fid, 64, rng)]
-        angles = _angle_grid(16, rng)
-        report = conservation_check(field, points, angles, cfg)
+        report = sampled_conservation(fid, rng, cfg)
         samples += report.samples_checked
         if ((report.feasible, report.reason)
                 != BUILTIN_FRAMES[name].conservation):

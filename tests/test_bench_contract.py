@@ -57,7 +57,7 @@ def test_traced_verify_pass_counts_raw_calls(tracing, tmp_path, capsys):
 def test_traced_form_equivalence_evaluates_one_stacked_jet(tracing, capsys):
     # The 40 sphere states share one stacked frame jet, one raw call on
     # array Duals (a replay point by point would make 41), and every
-    # form route of a state reads the state's row of it.
+    # form route reads the whole stack.
     tracer = tracing.Tracer()
     with tracer.traced_pass():
         rc = cli.main(["verify", "--frame", "sphere", "--check",
@@ -68,3 +68,28 @@ def test_traced_form_equivalence_evaluates_one_stacked_jet(tracing, capsys):
     assert metrics["derivatives.frame_jet.dual.calls"] == 1
     assert metrics["frames.raw.dual.calls"] == 1
     assert metrics["derivatives.jet_reuse"] == 1.0
+
+
+# Per-layer counts of one traced `verify --seed 7`.  Dual jets, one raw
+# call each: a stacked jet per frame for catalog, oracle, forms,
+# identities and conservation (35), two per homothetic frame (8) and the
+# kb-transform point.  Float raw calls: five per ray oracle state (1400)
+# and one per holonomy loop (3).
+VERIFY_SEED_7_COUNTS = {
+    "derivatives.frame_jet.dual.calls": 44,
+    "frames.raw.dual.calls": 44,
+    "frames.raw.float.calls": 1403,
+    "catalog.catalog_coefficients.calls": 420,
+    "verification.ray_oracle.calls": 280,
+}
+
+
+def test_traced_verify_seed_7_counts_are_pinned(tracing, capsys):
+    tracer = tracing.Tracer()
+    with tracer.traced_pass():
+        rc = cli.main(["verify", "--seed", "7", "--no-timestamp"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    metrics = tracer.layer_metrics(len(out.encode()), 0.0)
+    assert {name: metrics[name]
+            for name in VERIFY_SEED_7_COUNTS} == VERIFY_SEED_7_COUNTS

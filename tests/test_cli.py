@@ -110,6 +110,8 @@ def test_bad_frame_exits_2(capsys):
     (["sweep", "--frame", "ellipsoid", "--b", "0"],
      "semi-axes must be positive"),
     (["verify", "--fd-step", "0"], "fd_step must lie in"),
+    (["conservation", "--frame", "sphere", "--fd-step", "1"],
+     "fd_step must lie in"),
 ])
 def test_out_of_range_flag_exits_2(capsys, argv, message):
     rc, out, err = run(capsys, argv)

@@ -8,19 +8,26 @@ import math
 import numpy as np
 import pytest
 
-from framestream import (DiffConfig, EvaluationFailure, FrameField,
-                         NotOrthonormal, builtin_frame, frame_jet, ray_oracle)
+from framestream import (DiffConfig, EvaluationFailure, FoliationMissing,
+                         FrameField, MuForm, NotOrthonormal, OmegaForm,
+                         OutOfRange, builtin_frame, frame_jet, grad_mu,
+                         grad_omega, ray_oracle)
 from framestream import dual as dm
 from framestream.cli import main
 from framestream.curvature import parallel_transport_holonomy
 from framestream.derivatives import FrameJet, frame_scalars
 from framestream.frames import BUILTIN_FRAMES, FramePoint, loose_frames_ok
 from framestream.streaming import (_direction, angle_arrays, checked_terms,
-                                   coefficient_terms)
-from framestream.verification import _latitude_loop, random_states
+                                   coefficient_terms, grad_mu_from_jet,
+                                   grad_omega_from_jet, has_leaf,
+                                   leaf_defect)
+from framestream.verification import (_form_residuals, _latitude_loop,
+                                      random_states)
 
 ENGINES = [DiffConfig(), DiffConfig(engine="fd")]
 JET_FIELDS = ("n", "t", "b", "jn", "jt", "jb")
+ROUTES = ([(grad_mu_from_jet, form) for form in MuForm]
+          + [(grad_omega_from_jet, form) for form in OmegaForm])
 
 
 class _Counted:
@@ -58,6 +65,8 @@ def test_stacked_jet_scalars_and_terms_are_bit_equal(name, seed, cfg):
                                 [o for _, _, o in states])
     scalars = frame_scalars(jet)
     terms = coefficient_terms(jet, mu, s, c, sn)
+    routes = [grad(jet, mu, s, c, sn, form) for grad, form in ROUTES]
+    defects = [leaf_defect(jet, form) for _, form in ROUTES]
     for i, (r, _, _) in enumerate(states):
         one = frame_jet(field, r, cfg)
         for f in JET_FIELDS:
@@ -67,6 +76,15 @@ def test_stacked_jet_scalars_and_terms_are_bit_equal(name, seed, cfg):
         want = coefficient_terms(one, mu[i], s[i], c[i], sn[i])
         assert (np.array(want).tobytes()
                 == np.array([t[i] for t in terms]).tobytes())
+        # Each route and leaf defect as a single state computes it, on
+        # the Python floats that _angles gives.
+        angles = (float(mu[i]), float(s[i]), float(c[i]), float(sn[i]))
+        assert (np.array([grad(one, *angles, form)
+                          for grad, form in ROUTES]).tobytes()
+                == np.array([v[i] for v in routes]).tobytes())
+        assert (np.array([leaf_defect(one, form)
+                          for _, form in ROUTES]).tobytes()
+                == np.array([d[i] for d in defects]).tobytes())
 
 
 @pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
@@ -117,6 +135,86 @@ def test_holonomy_makes_one_raw_call_per_loop():
     loop, v0, _ = _latitude_loop(math.pi / 3, 1000)
     parallel_transport_holonomy(counted, loop, v0)
     assert counted.calls == 1
+
+
+# --- form-equivalence masks the routes whose leaf is missing -------------
+
+def _form_states(name, count, seed):
+    fid = BUILTIN_FRAMES[name].default
+    field = builtin_frame(fid)
+    states = random_states(fid, count, np.random.default_rng(seed))
+    return fid, field, states, frame_jet(field, np.array(
+        [r for r, _, _ in states]))
+
+
+def test_form_residuals_match_a_per_state_loop_with_mixed_leaves():
+    fid, field, states, jet = _form_states("ellipsoid", 200, 7)
+    # b-leaves at 2 of the 200 states, t-leaves at none.
+    assert int(has_leaf(jet, OmegaForm.SURFACE_B).sum()) == 2
+    assert not has_leaf(jet, OmegaForm.SURFACE_T).any()
+    got = _form_residuals(fid, field, states, jet, None, DiffConfig())
+    want = {grad_mu: [], grad_omega: []}
+    for r, mu, omega in states:
+        for grad, forms in ((grad_mu, MuForm), (grad_omega, OmegaForm)):
+            vals = []
+            for form in forms:
+                try:
+                    vals.append(grad(field, r, mu, omega, form))
+                except FoliationMissing:
+                    continue
+            want[grad].append(np.ptp(vals))
+    assert got.tobytes() == np.concatenate(list(want.values())).tobytes()
+
+
+def test_a_nan_leaf_defect_keeps_its_route(monkeypatch):
+    from framestream import streaming, verification
+    fid, field, states, jet = _form_states("ellipsoid", 6, 7)
+    axial = streaming.axial_vector
+
+    def nan_defect_at_3(j):
+        out = axial(j)
+        out[3] = math.nan
+        return out
+
+    def nan_surface_b_at_0_and_3(jet, mu, s, c, sn, form):
+        value = grad_omega_from_jet(jet, mu, s, c, sn, form)
+        if form is OmegaForm.SURFACE_B:
+            value[[0, 3]] = math.nan
+        return value
+
+    monkeypatch.setattr(streaming, "axial_vector", nan_defect_at_3)
+    monkeypatch.setattr(verification, "grad_omega_from_jet",
+                        nan_surface_b_at_0_and_3)
+    assert has_leaf(jet, OmegaForm.SURFACE_B).tolist() == [
+        False, False, False, True, False, False]
+    spreads = _form_residuals(fid, field, states, jet, None, DiffConfig())
+    # State 0 has no b-leaf, so its NaN route is left out; the b-leaf
+    # defect of state 3 is NaN, so its route is kept, and the NaN with it.
+    omega = spreads[len(states):]
+    assert math.isnan(omega[3])
+    assert np.isfinite(np.delete(omega, 3)).all()
+    assert np.isfinite(spreads[:len(states)]).all()
+
+
+def _twisted(x, y, z):
+    # n = (cos z, sin z, 0) has n . curl n = -1: no n-leaf anywhere.
+    c, s = dm.cos(z), dm.sin(z)
+    return (c, s, 0.0), (0.0, 0.0, 1.0), (s, -c, 0.0)
+
+
+def test_a_form_of_the_other_coefficient_is_unknown_before_any_leaf():
+    twisted = FrameField(_twisted, "twisted")
+    ellipsoid = builtin_frame(BUILTIN_FRAMES["ellipsoid"].default)
+    r = [1.2, 0.6, 0.5]
+    with pytest.raises(FoliationMissing, match=r"^n-foliation defect "
+                       r"-1\.000e\+00 exceeds 1e-06$"):
+        grad_mu(twisted, r, 0.3, 1.0, MuForm.SURFACE_CURVATURE)
+    with pytest.raises(OutOfRange, match="^unknown omega form"):
+        grad_omega(twisted, r, 0.3, 1.0, MuForm.SURFACE_CURVATURE)
+    with pytest.raises(FoliationMissing, match=r"^b-foliation defect "):
+        grad_omega(ellipsoid, r, 0.3, 1.0, OmegaForm.SURFACE_B)
+    with pytest.raises(OutOfRange, match="^unknown mu form"):
+        grad_mu(ellipsoid, r, 0.3, 1.0, OmegaForm.SURFACE_B)
 
 
 # --- a raw whose vectors are not 3 long -----------------------------------
@@ -234,17 +332,18 @@ def test_ray_oracle_nan_probe_flows_into_the_result(vector):
 # --- verify stdout, byte for byte -----------------------------------------
 
 # sha256 and max_residual texts of `framestream verify --seed S
-# --no-timestamp` stdout (1418 bytes each), as the per-state jets gave.
+# --no-timestamp` stdout (1418 bytes each), as the per-state jets gave;
+# the homothety residuals are relative to max(|a(r)|, 1/|r|).
 VERIFY_STDOUT = {
-    7: ("9781a012b69f52dd5bd42d067b16b79629aeda86bb64f48126205d27ce43c8e9",
+    7: ("a6badc08b2cec35de0e7e34982e4bca86af8c7ed33e87d84e1977510a75ff63a",
         ["1.5543122344752192e-15", "7.2737371681341756e-12",
          "8.8817841970012523e-16", "8.4073162882840642e-16",
-         "2.3867246870666572e-15", "0", "1.9378934874580978e-06",
+         "5.8651439880473732e-16", "0", "1.9378934874580978e-06",
          "0.50226597644221083"]),
-    11: ("88adbbae9bf4ad555963ae3ec0d4ee3e448c79099f544fa03d2a4ce96bb4ea9c",
+    11: ("9c363532db39224164fbc0ca3b37d3adc089166098205d2b66c4c2f9c832b581",
          ["1.3322676295501878e-15", "8.957723451885613e-12",
           "9.4368957093138306e-16", "1.4866580189121237e-15",
-          "2.8601749979700381e-14", "0", "1.9378934874580978e-06",
+          "1.4748043775073984e-15", "0", "1.9378934874580978e-06",
           "0.50226597644221083"]),
 }
 

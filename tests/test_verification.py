@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from framestream import (CheckResult, ConservationReport, CylindricalI,
-                         CylindricalII, Ellipsoid, FramestreamError,
-                         InconsistentReport, OutOfRange, Paraboloid,
-                         RayOracleResult, Sphere, builtin_frame,
-                         conservation_check, catalog_entry, frame_jet,
-                         kb_transform_residual, ray_oracle, run_checks,
+                         CylindricalII, DiffConfig, Ellipsoid,
+                         FramestreamError, InconsistentReport, OutOfRange,
+                         Paraboloid, RayOracleResult, Sphere, builtin_frame,
+                         conservation_check, catalog_entry,
+                         curvature_report, frame_jet, kb_transform_residual,
+                         parallel_transport_holonomy, ray_oracle, run_checks,
                          shape_operator_via_fundamental_forms,
-                         streaming_coefficients)
+                         streaming_coefficients, winding_term)
 from framestream.verification import (_angle_grid, default_graph_id,
                                       random_states)
 
@@ -210,7 +211,7 @@ VERIFY_SEED_7 = [
     ("oracle-agreement", "pass", 7.2737371681341756e-12, 1e-06, 280),
     ("form-equivalence", "pass", 8.8817841970012523e-16, 1e-08, 280),
     ("frame-identities", "pass", 8.4073162882840642e-16, 1e-08, 280),
-    ("homothety", "pass", 2.3867246870666572e-15, 1e-08, 240),
+    ("homothety", "pass", 5.8651439880473732e-16, 1e-08, 240),
     ("conservation-trichotomy", "pass", 0.0, 0.0, 7168),
     ("holonomy-convergence", "pass", 1.9378934874580978e-06, 0.001, 3),
     ("kb-transform-residual", "report-only", 0.50226597644221083, 0.0, 1),
@@ -229,6 +230,29 @@ def test_verify_seed_7_report_is_pinned(capsys):
                                  in VERIFY_SEED_7]
     for check, (name, _, want, _, _) in zip(checks, VERIFY_SEED_7):
         assert abs(check["max_residual"] - want) <= 1e-6 * abs(want), name
+
+
+def test_homothety_floor_keeps_a_non_homothetic_misfit_large():
+    # Paraboloid coefficients do not scale as 1/|r|: the floor 1/|r| on
+    # the divisor must not hide that.
+    from framestream.verification import _homothety_residuals
+    fid = Paraboloid(1.0, 2.0)
+    field = builtin_frame(fid)
+    states = random_states(fid, 20, np.random.default_rng(7))
+    jet = frame_jet(field, np.array([r for r, _, _ in states]))
+    residuals = _homothety_residuals(fid, field, states, jet, None,
+                                     DiffConfig())
+    assert residuals.shape == (120,)
+    assert np.median(residuals) > 1e-2
+
+
+def test_fd_verify_seed_11_passes(capsys):
+    # The fd engine's absolute error near a zero of a(r) once read as a
+    # homothety misfit of up to 1.7e-6 against the 1e-8 tolerance.
+    from framestream.cli import main
+    assert main(["verify", "--engine", "fd", "--seed", "11",
+                 "--no-timestamp"]) == 0
+    capsys.readouterr()
 
 
 # The first state each frame's sampler draws from default_rng(7).  A
@@ -266,8 +290,8 @@ def test_sampler_draws_are_pinned():
         assert (mu, om) == (mu_want, om_want), name
 
 
-# --- a NaN residual fails its check.  The NaN enters at the first state
-# only, so a fold that lets a later residual replace it would pass.
+# --- a NaN residual fails its check.  The NaN enters at one state only,
+# so a fold that lets another residual replace it would pass.
 
 def test_nan_catalog_value_fails_verify_with_a_parseable_report(
         monkeypatch, capsys):
@@ -300,24 +324,30 @@ def test_nan_catalog_value_fails_verify_with_a_parseable_report(
 def test_nan_omega_route_fails_form_equivalence(monkeypatch):
     from framestream import streaming
     omega_terms = streaming._omega_terms
-    calls = []
+    for row in (0, 37):
+        calls = []
 
-    def nan_first(*args):
-        calls.append(args)
-        curve, wind = omega_terms(*args)
-        return (math.nan if len(calls) == 1 else curve), wind
+        def nan_at_row(*args):
+            calls.append(args)
+            curve, wind = omega_terms(*args)
+            curve = np.array(curve)
+            curve[row] = math.nan
+            return curve, wind
 
-    monkeypatch.setattr(streaming, "_omega_terms", nan_first)
-    (check,) = run_checks(frame_filter="sphere",
-                          check_filter="form-equivalence", seed=7)
-    assert len(calls) == 40  # the curve-curvature omega route, per state
-    assert check.status == "fail" and math.isnan(check.max_residual)
+        monkeypatch.setattr(streaming, "_omega_terms", nan_at_row)
+        (check,) = run_checks(frame_filter="sphere",
+                              check_filter="form-equivalence", seed=7)
+        # the curve-curvature omega route, once for the 40 stacked states
+        assert len(calls) == 1
+        assert check.status == "fail" and math.isnan(check.max_residual)
 
 
 # --- a NaN curvature scalar makes conservation infeasible, wherever it
 # enters among the 64 points.
 
 def _nan_scalar_at(monkeypatch, index, name):
+    """Make the scalar ``name`` NaN at point ``index`` of each stacked
+    frame_scalars result in verification."""
     from framestream import verification
     scalars = verification.frame_scalars
     calls = []
@@ -325,7 +355,9 @@ def _nan_scalar_at(monkeypatch, index, name):
     def stub(jet):
         k = scalars(jet)
         calls.append(jet)
-        return k._replace(**{name: math.nan}) if len(calls) == index + 1 else k
+        value = np.array(getattr(k, name))
+        value[index] = math.nan
+        return k._replace(**{name: value})
 
     monkeypatch.setattr(verification, "frame_scalars", stub)
     return calls
@@ -342,14 +374,62 @@ def test_conservation_nan_scalar_is_infeasible(monkeypatch, index, name,
     points = [r for r, _, _ in random_states(Constant(), 64, rng)]
     report = conservation_check(builtin_frame(Constant()), points,
                                 _angle_grid(16, rng))
-    assert len(calls) == 64
+    assert len(calls) == 1  # one stacked call for the 64 points
     assert (report.feasible, report.reason) == (False, reason)
 
 
 def test_nan_kappa_n_fails_verify_conservation(monkeypatch, capsys):
     from framestream.cli import main
-    _nan_scalar_at(monkeypatch, 0, "kn_t")
+    calls = _nan_scalar_at(monkeypatch, 0, "kn_t")
     rc = main(["verify", "--frame", "constant", "--check", "conservation",
                "--no-timestamp"])
     _, err = capsys.readouterr()
+    assert len(calls) == 1
     assert rc == 1 and err == "FAIL: conservation-trichotomy\n"
+
+
+# --- malformed points, steps and vectors are OutOfRange, not a raw
+# IndexError, ValueError or ZeroDivisionError (or a silent NaN).
+
+def _sphere():
+    return builtin_frame(Sphere())
+
+
+def _loop():
+    from framestream.verification import _latitude_loop
+    return _latitude_loop(math.pi / 3.0, 64)[0]
+
+
+UNIT_X = np.array([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: streaming_coefficients(_sphere(), [1.0, 0.2], 0.3, 1.0),
+     "point must be a 3-vector or an (N, 3) array, not of shape (2,)"),
+    (lambda: curvature_report(_sphere(), [1.0, 0.2]), "point must be"),
+    (lambda: winding_term(_sphere(), [1.0, 0.2]), "point must be"),
+    (lambda: kb_transform_residual(builtin_frame(Ellipsoid(2.0, 1.0, 1.0)),
+                                   [1.0, 0.2]), "point must be"),
+    (lambda: frame_jet(_sphere(), np.ones((2, 3, 3))),
+     "not of shape (2, 3, 3)"),
+    (lambda: conservation_check(_sphere(), [[1.0, 0.2]] * 8,
+                                [(0.3, 1.0)] * 8),
+     "not of shape (8, 2)"),
+    (lambda: ray_oracle(_sphere(), [1.0, 0.2, 0.4], UNIT_X, 0.0),
+     "ray step must be positive and finite, not 0.0"),
+    (lambda: ray_oracle(_sphere(), [1.0, 0.2, 0.4], UNIT_X, math.nan),
+     "ray step must be positive and finite, not nan"),
+    (lambda: ray_oracle(_sphere(), [1.0, 0.2, 0.4], [1.0, 0.0, 0.0, 0.0]),
+     "ray point and direction must be 3-vectors"),
+    (lambda: parallel_transport_holonomy(_sphere(), _loop(),
+                                         [math.nan, 0.0, 0.0]),
+     "v0 must be a finite 3-vector"),
+    (lambda: parallel_transport_holonomy(_sphere(), _loop(), [1.0, 0.0]),
+     "v0 must be a finite 3-vector"),
+], ids=["coefficients", "curvature-report", "winding", "kb-transform",
+        "jet-rank-3", "conservation", "oracle-step-0", "oracle-step-nan",
+        "oracle-direction", "holonomy-v0-nan", "holonomy-v0-short"])
+def test_malformed_input_is_out_of_range(call, message):
+    with pytest.raises(OutOfRange) as info:
+        call()
+    assert message in str(info.value)
