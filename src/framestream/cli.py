@@ -116,52 +116,67 @@ def _parse_axis(text: str):
     return np.linspace(lo, hi, count)
 
 
-def _table_chunks(table, args):
-    """The table as the JSON report or CSV text, a chunk of rows at a
-    time, byte for byte as _emit_json renders one dict per row."""
+def _table_chunks(points, mus, omegas, terms, args):
+    """The report of the (N, 3) points by the K directions (mus, omegas),
+    point-major, as JSON or CSV text a chunk of rows at a time, byte for
+    byte as _emit_json renders one dict per row; terms are the (N, K)
+    computed columns in the order of TABLE_COLUMNS.  The record format
+    is cut at its column separator, so the text of each point and of
+    each direction is rendered once, and a chunk is one format string
+    filled by one % with the chunk's computed values."""
     if args.format == "csv":
         yield ",".join(CSV_COLUMNS) + "\n"
-        for lo in range(0, len(table), _CHUNK_ROWS):
-            rows = table[lo:lo + _CHUNK_ROWS, :len(CSV_COLUMNS)].tolist()
-            yield "".join(_CSV_ROW % tuple(row) + "\n" for row in rows)
-        return
-    yield '{\n  "version": 1,\n  "records": [\n'
-    for lo in range(0, len(table), _CHUNK_ROWS):
-        rows = table[lo:lo + _CHUNK_ROWS].tolist()
-        yield (",\n" if lo else "") + ",\n".join(
-            _JSON_RECORD % tuple(row) for row in rows)
-    yield '\n  ],\n  "meta": ' + _emit_json(_meta(args), 1) + "\n}\n"
+        record, sep, row_sep = _CSV_ROW + "\n", ",", ""
+    else:
+        yield '{\n  "version": 1,\n  "records": [\n'
+        record, sep, row_sep = _JSON_RECORD, ",\n", ",\n"
+    pieces = record.split(sep)  # x, y, z; mu, omega; the computed columns
+    head, mid, tail = (sep.join(pieces[:3]) + sep,
+                       sep.join(pieces[3:5]) + sep, sep.join(pieces[5:]))
+    heads = [head % tuple(p) for p in points.tolist()]
+    mids = [mid % d + tail for d in zip(mus, omegas)]
+    k = len(mids)
+    values = np.stack([term.ravel() for term in terms[:len(pieces) - 5]],
+                      axis=1)
+    for lo in range(0, len(values), _CHUNK_ROWS):
+        chunk = values[lo:lo + _CHUNK_ROWS]
+        fmt = row_sep.join([heads[i // k] + mids[i % k]
+                            for i in range(lo, lo + len(chunk))])
+        yield (row_sep if lo else "") + fmt % tuple(chunk.ravel().tolist())
+    if args.format == "json":
+        yield '\n  ],\n  "meta": ' + _emit_json(_meta(args), 1) + "\n}\n"
 
 
 def _emit_states(field, points, mus, omegas, args) -> int:
-    """Evaluate every (point, mu, omega) state, point-major with the
-    columns TABLE_COLUMNS, then write the report; returns the exit code.
-    Each point gets one frame jet and one frame validation, and its
-    directions are assembled in one numpy pass.  Nothing is written
-    when a state fails."""
+    """Evaluate every (point, mu, omega) state, point-major, then write
+    the report; returns the exit code.  The points share one stacked
+    frame jet, and the directions broadcast against each point's
+    scalars in one numpy pass.  When that pass fails, the points are
+    replayed one by one, so that the error is that of the first failing
+    point.  Nothing is written when a state fails."""
     cfg = _cfg(args)
-    mu, s, c, sn = angle_arrays(mus, omegas)
+    angles = angle_arrays(mus, omegas)
     try:
-        check_mu(mu)
+        check_mu(angles[0])
     except FramestreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    k = len(mu)
-    table = np.empty((len(points) * k, len(TABLE_COLUMNS)))
-    for i, r in enumerate(points):
-        try:
-            terms = checked_terms(frame_jet(field, r, cfg), mu, s, c, sn)
-        except FramestreamError as exc:
-            print(f"error: frame evaluation failed at point "
-                  f"({r[0]:g},{r[1]:g},{r[2]:g}): {exc}", file=sys.stderr)
-            return 3
-        block = table[i * k:(i + 1) * k]
-        block[:, 0:3] = r
-        block[:, 3] = mu
-        block[:, 4] = omegas
-        for j, column in enumerate(terms, start=5):
-            block[:, j] = column
-    _write_out(_table_chunks(table, args), args)
+    grid = np.array(points)
+    try:
+        terms = checked_terms(frame_jet(field, grid, cfg),
+                              *(a[None] for a in angles))
+    except FramestreamError as grid_exc:
+        for r in points:
+            try:
+                checked_terms(frame_jet(field, r, cfg), *angles)
+            except FramestreamError as exc:
+                print(f"error: frame evaluation failed at point "
+                      f"({r[0]:g},{r[1]:g},{r[2]:g}): {exc}",
+                      file=sys.stderr)
+                return 3
+        print(f"error: frame evaluation failed: {grid_exc}", file=sys.stderr)
+        return 3
+    _write_out(_table_chunks(grid, mus, omegas, terms, args), args)
     return 0
 
 

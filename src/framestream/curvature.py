@@ -9,7 +9,7 @@ import numpy as np
 
 from .derivatives import (DEFAULT_CFG, DiffConfig, array_attempt,
                           axial_vector, curl, directional_derivative,
-                          frame_jet, frame_scalars, jacobian)
+                          float_array, frame_jet, frame_scalars, jacobian)
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
                      NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
 
@@ -60,7 +60,7 @@ class CurvatureReport:
 
 def integral_curve_curvature(field, r, cfg: DiffConfig = DEFAULT_CFG):
     """Curvature vector -grad_u u of the integral curve of unit field u."""
-    r = np.asarray(r, dtype=float)
+    r = float_array(r, "point")
     u0 = np.asarray(field(tuple(r)), dtype=float)
     if abs(float(u0 @ u0) - 1.0) > 2e-6:
         raise NotUnitField(f"|u| = {math.sqrt(u0 @ u0):.8f} at {tuple(r)}")
@@ -75,8 +75,8 @@ def curvature_from_parametrization(gamma_prime, gamma_double_prime):
     orthogonal to g' (arc-length or circular parametrizations) this is
     exactly -g''/|g''|.
     """
-    gp = np.asarray(gamma_prime, dtype=float)
-    gpp = np.asarray(gamma_double_prime, dtype=float)
+    gp = float_array(gamma_prime, "gamma_prime")
+    gpp = float_array(gamma_double_prime, "gamma_double_prime")
     speed2 = float(gp @ gp)
     if speed2 <= 1e-24:
         raise DegenerateTangent("curve velocity below 1e-12")
@@ -89,7 +89,7 @@ def curvature_from_parametrization(gamma_prime, gamma_double_prime):
 def shape_operator(normal_field, basis1_field, basis2_field, r,
                    cfg: DiffConfig = DEFAULT_CFG) -> ShapeOperator2x2:
     """Weingarten form of ``normal_field`` in the given tangent basis."""
-    r = np.asarray(r, dtype=float)
+    r = float_array(r, "point")
     p = tuple(r)
     normal = np.asarray(normal_field(p), dtype=float)
     b1 = np.asarray(basis1_field(p), dtype=float)
@@ -108,7 +108,7 @@ def normal_curvature(shape: ShapeOperator2x2, omega: float) -> float:
 
 def foliation_defect(field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
     """V . rot V; zero certifies local integrability of the V-planes."""
-    r = np.asarray(r, dtype=float)
+    r = float_array(r, "point")
     v = np.asarray(field(tuple(r)), dtype=float)
     if abs(float(v @ v) - 1.0) > 2e-6:
         raise NotUnitField(f"|V| = {math.sqrt(v @ v):.8f} at {tuple(r)}")
@@ -134,7 +134,7 @@ def integrate_curve(field, r0, tau_span, steps: int):
     t0, t1 = float(tau_span[0]), float(tau_span[1])
     h = (t1 - t0) / steps
     out = np.empty((steps + 1, 3))
-    r = np.asarray(r0, dtype=float).copy()
+    r = float_array(r0, "start point").copy()
     out[0] = r
 
     def f(p):
@@ -226,7 +226,7 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
     O(m) numpy work plus one ``raw`` frame call on the loop's
     coordinate arrays (one per vertex for a raw that rejects arrays).
     """
-    pts = np.asarray(loop, dtype=float)
+    pts = float_array(loop, "loop")
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 8:
         raise OutOfRange("loop must be an (N,3) array with N >= 8")
     not_finite = np.flatnonzero(~np.isfinite(pts).all(axis=1))
@@ -234,7 +234,7 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
         i = not_finite[0]
         raise LeftDomain(f"loop vertex {i} is not finite: "
                          f"{tuple(pts[i].tolist())}")
-    v = np.asarray(v0, dtype=float)
+    v = float_array(v0, "v0")
     if v.shape != (3,) or not np.isfinite(v).all():
         raise OutOfRange("v0 must be a finite 3-vector")
     span = float(np.abs(pts).max())
@@ -318,7 +318,7 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
 def curvature_report(frame_field, r,
                      cfg: DiffConfig = DEFAULT_CFG) -> CurvatureReport:
     """All curvature quantities of a frame field at one point."""
-    r = np.asarray(r, dtype=float)
+    r = float_array(r, "point")
     jet = frame_jet(frame_field, r, cfg)
     kappa_n = -(jet.jn @ jet.n)
     kappa_t = -(jet.jt @ jet.t)

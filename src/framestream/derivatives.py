@@ -38,6 +38,15 @@ class DiffConfig:
 DEFAULT_CFG = DiffConfig()
 
 
+def float_array(x, what: str) -> np.ndarray:
+    """x as a float ndarray, or OutOfRange naming ``what`` where numpy
+    cannot convert it (a string entry, rows of unequal length)."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise OutOfRange(f"{what} must be an array of numbers: {exc}") from exc
+
+
 def _probe(field, p):
     try:
         out = field(p)
@@ -75,8 +84,8 @@ def _fd_stencil(field, r, dirs, cfg):
 
 def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
     """(h . grad) field at r."""
-    r = np.asarray(r, dtype=float)
-    h = np.asarray(h, dtype=float)
+    r = float_array(r, "point")
+    h = float_array(h, "direction")
     if cfg.engine == DUAL:
         out = _probe(field, dm.seed_direction(r, h))
         return np.array([dm.tangent(c)[0] for c in out])
@@ -89,7 +98,7 @@ def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
 def jacobian(field, r, cfg: DiffConfig = DEFAULT_CFG):
     """Column j = d(field)/d(coordinate j) at r, on a last axis (the fd
     engine also takes fields of stacked vectors)."""
-    r = np.asarray(r, dtype=float)
+    r = float_array(r, "point")
     if cfg.engine == DUAL:
         out = _probe(field, dm.seed_gradient(r))
         return np.array([dm.tangent(c) for c in out], dtype=float)
@@ -255,7 +264,7 @@ def frame_jet(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> FrameJet:
     raises what it would raise for the first failing point.  Every
     entry of a stacked jet has the bits of the single-point jet.
     """
-    r = np.asarray(r, dtype=float)
+    r = float_array(r, "point")
     if r.ndim > 2 or r.shape[-1:] != (3,):
         raise OutOfRange(f"point must be a 3-vector or an (N, 3) array, "
                          f"not of shape {r.shape}")

@@ -10,7 +10,8 @@ import math
 import numpy as np
 
 from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
-                          axial_vector, frame_jet, frame_scalars)
+                          axial_vector, float_array, frame_jet,
+                          frame_scalars)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
 from .frames import FramePoint, direction_from_angles, loose_frames_ok
@@ -152,7 +153,7 @@ def grad_mu(frame_field, r, mu, omega, form: MuForm = MuForm.CURVE_CURVATURE,
     """Rate of change of mu = Omega . n along a straight ray."""
     if not -1.0 <= mu <= 1.0:
         raise OutOfRange(f"mu = {mu} outside [-1, 1]")
-    jet = frame_jet(frame_field, np.asarray(r, dtype=float), cfg)
+    jet = frame_jet(frame_field, r, cfg)
     return _on_leaf(jet, form,
                     grad_mu_from_jet(jet, mu, *_angles(mu, omega), form))
 
@@ -187,7 +188,7 @@ def grad_omega(frame_field, r, mu, omega,
     is missing.  Only CURVE_CURVATURE goes through frame_scalars, which
     the others therefore check."""
     check_mu(mu)
-    jet = frame_jet(frame_field, np.asarray(r, dtype=float), cfg)
+    jet = frame_jet(frame_field, r, cfg)
     return _on_leaf(jet, form,
                     grad_omega_from_jet(jet, mu, *_angles(mu, omega), form))
 
@@ -215,30 +216,32 @@ def grad_omega_from_jet(jet: FrameJet, mu, s, c, sn, form: OmegaForm):
 
 
 def _direction(jet: FrameJet, mu, s, c, sn):
-    """Omega = mu n + s (c t + sn b): one 3-vector, or (K, 3) rows."""
+    """Omega = mu n + s (c t + sn b): one 3-vector, or rows of 3 with
+    the angle arrays' shape."""
     if isinstance(mu, np.ndarray):
-        mu, s, c, sn = mu[:, None], s[:, None], c[:, None], sn[:, None]
+        mu, s, c, sn = (a[..., None] for a in (mu, s, c, sn))
     return mu * jet.n + s * (c * jet.t + sn * jet.b)
 
 
 def _matvec(m, v):
-    """m @ v for one 3-vector or each row of a (K, 3) stack, with one
-    matrix m or a (K, 3, 3) stack of them.  The stack goes through
-    np.matmul on (K, 3, 1), which makes the same BLAS gemv call per row
-    as the 3-vector; ``v @ m.T`` is one gemm and rounds differently in
-    the last bit."""
+    """m @ v for one 3-vector or each row of a stack of them, (K, 3) or
+    (N, K, 3), with one matrix m or a stack that broadcasts against the
+    rows.  The stack goes through np.matmul on (..., 3, 1), which makes
+    the same BLAS gemv call per row as the 3-vector; ``v @ m.T`` is one
+    gemm and rounds differently in the last bit."""
     if v.ndim == 1:
         return m @ v
-    return np.matmul(m, v[:, :, None])[:, :, 0]
+    return np.matmul(m, v[..., None])[..., 0]
 
 
 def _dot(u, v):
-    """u . v for one 3-vector v, or u . row for each row of a (K, 3)
-    stack, with one vector u or a (K, 3) stack of them, through the same
-    BLAS dot call either way."""
+    """u . v for one 3-vector v, or u . row for each row of a stack of
+    them, (K, 3) or (N, K, 3), with one vector u or a stack that
+    broadcasts against the rows, through the same BLAS dot call either
+    way."""
     if v.ndim == 1:
         return float(u @ v)
-    return np.matmul(v[:, None, :], u[..., None])[:, 0, 0]
+    return np.matmul(v[..., None, :], u[..., None])[..., 0, 0]
 
 
 def coefficient_terms(jet: FrameJet, mu, s, c, sn):
@@ -248,11 +251,21 @@ def coefficient_terms(jet: FrameJet, mu, s, c, sn):
 
     mu, s = sqrt(1 - mu^2), c = cos(omega) and sn = sin(omega) are
     Python floats, or equal-length arrays holding many directions at
-    the jet's point; each state gets the same bits either way.  The
-    catalog assembles the same quantities from its own hand-derived
-    scalars, and the ray oracle checks both without any jet.
+    the jet's point.  With a stacked jet of N points they are (N,)
+    arrays, one state per point, or a grid of (N, K) or (1, K) arrays,
+    K directions at each point: the scalars are computed once per point
+    and broadcast over its directions, and the terms are (N, K).  Each
+    state gets the same bits either way.  The catalog assembles the
+    same quantities from its own hand-derived scalars, and the ray
+    oracle checks both without any jet.
     """
     k = frame_scalars(jet)
+    if isinstance(mu, np.ndarray) and mu.ndim == 2:
+        # An axis for the directions on the jet and the scalars: views
+        # of (N, 1, ...) that repeat nothing per direction.
+        jet = FrameJet(*(getattr(jet, f.name)[:, None]
+                         for f in dataclasses.fields(jet)))
+        k = FrameScalars(*(x[:, None] for x in k))
     mu_surface, mu_curve_n = _mu_terms(k, mu, s, c, sn)
     omega_curve, omega_wind = _omega_terms(k, mu, s, c, sn)
     dn_along = _matvec(jet.jn, _direction(jet, mu, s, c, sn))
@@ -268,10 +281,11 @@ def checked_terms(jet: FrameJet, mu, s, c, sn):
     equals the sum of its parts.
 
     The jet is one point, with any number of directions, or a stack
-    with one state per point.  A stack runs each check on all states at
-    once, the frame check first; when one fails, its states are replayed
-    one by one, which raises the single-state error of the first
-    failing state.
+    with one state per point or a grid of directions per point, as
+    coefficient_terms takes them.  A stack runs each check on all states
+    at once, the frame check first; when one fails, its points are
+    replayed one by one, which raises the error of the first failing
+    point.
     """
     if jet.n.ndim == 1:
         FramePoint.loose(jet.n, jet.t, jet.b)
@@ -296,7 +310,7 @@ def coefficients_from_jet(jet: FrameJet, mu: float, omega: float,
     """Assemble both coefficients from a precomputed frame jet."""
     check_mu(mu)
     at_point = (np.zeros(3) if at_point is None
-                else np.asarray(at_point, dtype=float).copy())
+                else float_array(at_point, "point").copy())
     (a_mu, a_omega, mu_surface, mu_curve_n, omega_curve, omega_wind,
      omega_tilt) = coefficient_terms(jet, mu, *_angles(mu, omega))
     breakdown = {"mu_surface": mu_surface, "mu_curve_n": mu_curve_n,
@@ -312,7 +326,7 @@ def streaming_coefficients(frame_field, r, mu, omega,
                            cfg: DiffConfig = DEFAULT_CFG
                            ) -> StreamingCoefficients:
     """Both streaming coefficients and their breakdown at one state."""
-    r = np.asarray(r, dtype=float)
+    r = float_array(r, "point")
     jet = frame_jet(frame_field, r, cfg)
     return coefficients_from_jet(jet, float(mu), float(omega), at_point=r)
 
@@ -323,12 +337,12 @@ def apply_streaming(coeffs: StreamingCoefficients, omega_dir,
     """Assembled Omega . grad Psi from precomputed pieces.
 
     omega_dir must reconstruct from (mu, omega, frame) within 1e-10."""
-    d = np.asarray(omega_dir, dtype=float)
+    d = float_array(omega_dir, "direction")
     _, mu, omega = coeffs.at
     rebuilt = direction_from_angles(coeffs.frame, mu, omega)
     if float(np.max(np.abs(d - rebuilt))) > 1e-10:
         raise InconsistentDirection(
             "direction does not match the coefficient state")
-    grad = np.asarray(spatial_grad_psi, dtype=float)
+    grad = float_array(spatial_grad_psi, "spatial gradient")
     return float(d @ grad + coeffs.a_mu * dpsi_dmu
                  + coeffs.a_omega * dpsi_domega)

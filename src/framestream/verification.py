@@ -12,7 +12,7 @@ from . import dual as dm
 from .catalog import catalog_coefficients
 from .curvature import ShapeOperator2x2, parallel_transport_holonomy
 from .derivatives import (DEFAULT_CFG, DiffConfig, directional_derivative,
-                          frame_jet, frame_scalars)
+                          float_array, frame_jet, frame_scalars)
 from .errors import (DegenerateMetric, DomainExit, InconsistentReport,
                      OutOfRange, PolarDirection, UnwrapFailure)
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere,
@@ -74,8 +74,8 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3,
     an independent oracle for the streaming coefficients.  The s = 0
     probe serves both the polar test and the stencil: five raw calls.
     """
-    r = np.asarray(r, dtype=float)
-    d = np.asarray(omega_dir, dtype=float)
+    r = float_array(r, "ray point")
+    d = float_array(omega_dir, "ray direction")
     if r.shape != (3,) or d.shape != (3,):
         raise OutOfRange("ray point and direction must be 3-vectors")
     if not 0.0 < step < math.inf:
@@ -151,7 +151,7 @@ def conservation_check(frame_field, sample_points, sample_angles,
     Feasible only when kappa^n vanishes and the leaf normal curvature
     C(r, omega) is azimuth-independent at every sample; the two known
     factor pairs are emitted for flat and spherical leaves."""
-    points = np.asarray(sample_points, dtype=float)
+    points = float_array(sample_points, "sample points")
     angles = [(float(mu), float(om)) for mu, om in sample_angles]
     if len(points) < 8 or len(angles) < 8:
         raise OutOfRange("need at least 8 spatial and 8 angular samples")
@@ -244,7 +244,7 @@ def kb_transform_residual(frame_field, r,
     if not isinstance(fid, Ellipsoid):
         raise OutOfRange("kb transform defined for ellipsoid frames")
     a, bb, cc = fid.a, fid.b, fid.c
-    r = np.asarray(r, dtype=float)
+    r = float_array(r, "point")
 
     def btil_field(p):
         x, y = p[0], p[1]

@@ -70,6 +70,26 @@ def test_traced_form_equivalence_evaluates_one_stacked_jet(tracing, capsys):
     assert metrics["derivatives.jet_reuse"] == 1.0
 
 
+def test_traced_sweep_is_one_grid_pass(tracing, tmp_path, capsys):
+    # The 100 grid points share one stacked frame jet, one raw call on
+    # array Duals (a replay point by point would make 101), with the
+    # frame check vectorized and no per-state assembly.
+    tracer = tracing.Tracer()
+    out = tmp_path / "sweep.json"
+    with tracer.traced_pass():
+        rc = cli.main(["sweep", "--frame", "sphere", "--x=0.5:2.1:5",
+                       "--y=0.7:2.3:5", "--z=-1.2:0:4", "--mu-count", "2",
+                       "--omega-count", "4", "--no-timestamp",
+                       "--out", str(out)])
+    assert rc == 0
+    metrics = tracer.layer_metrics(out.stat().st_size, 0.0)
+    assert metrics["derivatives.frame_jet.dual.calls"] == 1
+    assert metrics["frames.raw.dual.calls"] == 1
+    assert metrics["frames.FramePoint.loose.calls"] == 0
+    assert metrics["streaming.coefficients_from_jet.calls"] == 0
+    capsys.readouterr()
+
+
 # Per-layer counts of one traced `verify --seed 7`.  Dual jets, one raw
 # call each: a stacked jet per frame for catalog, oracle, forms,
 # identities and conservation (35), two per homothetic frame (8) and the

@@ -265,6 +265,34 @@ def test_loose_frames_ok_agrees_with_frame_point_row_by_row():
     assert loose_frames_ok(n, t, b) == all(accepted)
 
 
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_FRAMES))
+def test_grid_terms_are_bit_equal_to_per_point_terms(name, cfg):
+    # N points by K directions: angles of shape (1, K), shared by every
+    # point, or (N, K), against the stacked jet, give each point's
+    # per-point terms over its K directions.
+    spec = BUILTIN_FRAMES[name]
+    field = builtin_frame(spec.default)
+    rng = np.random.default_rng(13)
+    points = np.array([r for r, _, _ in random_states(spec.default, 6,
+                                                      rng)])
+    mus = rng.uniform(-0.99, 0.99, size=(6, 9))
+    omegas = rng.uniform(0.0, 2.0 * math.pi, size=(6, 9))
+    jet = frame_jet(field, points, cfg)
+    shared = angle_arrays(mus[0], omegas[0])
+    own = [angle_arrays(m, o) for m, o in zip(mus, omegas)]
+    by_row = tuple(np.array(column) for column in zip(*own))
+    for angles, per_point in ((tuple(a[None] for a in shared),
+                               [shared] * len(points)),
+                              (by_row, own)):
+        terms = checked_terms(jet, *angles)
+        assert all(term.shape == (6, 9) for term in terms)
+        for i, r in enumerate(points):
+            want = coefficient_terms(frame_jet(field, r, cfg), *per_point[i])
+            assert (np.array(want).tobytes()
+                    == np.array([term[i] for term in terms]).tobytes())
+
+
 def test_checked_terms_raise_the_first_failing_state_error():
     field = builtin_frame(BUILTIN_FRAMES["sphere"].default)
     states = random_states(BUILTIN_FRAMES["sphere"].default, 6,

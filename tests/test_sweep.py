@@ -2,8 +2,10 @@
 
 The reference evaluates every state through ``streaming_coefficients``
 and renders one record dict per state in the report layout, so the
-one-jet-per-point table path must reproduce it byte for byte.
+one-pass grid path, one stacked jet for all points, must reproduce it
+byte for byte.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -111,6 +113,51 @@ def test_failing_state_writes_no_file(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# The grid pass fails as a whole; its points are replayed one by one, so
+# the error names the first failing point as evaluating the points in
+# turn names it.
+@pytest.mark.parametrize("argv, err", [
+    (["sweep", "--frame", "sphere", "--x=-1:1:3", "--y=0:0:1",
+      "--z=1:1:1"],
+     "error: frame evaluation failed at point (0,0,1): field raised at "
+     "probe (0.0, 0.0, 1.0)\n"),
+    (["coeffs", "--frame", "sphere", "--point", "nan,0,1", "--mu", "0.2",
+      "--omega", "1"],
+     "error: frame evaluation failed at point (nan,0,1): n must be a "
+     "finite 3-vector\n"),
+    (["coeffs", "--frame", "sphere", "--point", "1,0,1", "--point", "0,0,1",
+      "--mu", "0.2", "--omega", "1"],
+     "error: frame evaluation failed at point (0,0,1): field raised at "
+     "probe (0.0, 0.0, 1.0)\n"),
+], ids=["sweep-middle-pole", "coeffs-nan", "coeffs-second-pole"])
+def test_grid_failure_names_the_first_failing_point(argv, err, tmp_path,
+                                                    capsys):
+    out = tmp_path / "report.out"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr() == ("", err)
+
+
+def test_grid_failure_that_no_point_repeats_is_reported(monkeypatch, tmp_path,
+                                                  capsys):
+    # A grid pass that fails where no point fails on its own still exits
+    # 3 with the grid's error and writes nothing.
+    from framestream import InconsistentBreakdown
+    checked = cli.checked_terms
+
+    def grid_fails(jet, mu, *angles):
+        if mu.ndim == 2:
+            raise InconsistentBreakdown("a_mu breakdown inconsistent")
+        return checked(jet, mu, *angles)
+
+    monkeypatch.setattr(cli, "checked_terms", grid_fails)
+    out = tmp_path / "report.out"
+    assert main(["sweep", "--frame", "sphere", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr() == (
+        "", "error: frame evaluation failed: a_mu breakdown inconsistent\n")
+
+
 def test_failing_point_is_named(capsys):
     rc = main(["sweep", "--frame", "sphere", "--x=1:0:2", "--y=0:0:1",
                "--z=1:1:1", "--no-timestamp"])
@@ -154,3 +201,38 @@ def test_row_format_matches_fmt_on_special_values():
     row = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, 5e-324,
            1.0 / 3.0, -2.5e-300, 123456789012345678.0, 1.0)
     assert cli._CSV_ROW % row == ",".join(_fmt(v) for v in row)
+
+
+# sha256 and length of the benchmark's sweep report (sphere frame, a
+# 5 x 5 x 4 grid whose origin the seed draws, 8 x 16 directions, no
+# timestamp), as the per-point jets rendered it row by row.
+SWEEP_STDOUT = {
+    (7, "json"): (5924055, "9f9709a93cc8d70bfc7ac9dccc6a0e79"
+                           "a9afbb6007c6236e504eb977404b5d97"),
+    (7, "csv"): (2896680, "20961c8666eaa16434f1c6ed35d8b20b"
+                          "a30cf89846713e8dcef684ce45d8afdb"),
+    (11, "json"): (5939102, "fda99e2b6fa0b686346f1b8b04b7f132"
+                            "94c7b9b78a90e37494aaaee548a5b40a"),
+    (11, "csv"): (2911461, "6c354597c5c94737d709cd67a205b96e"
+                           "718d969215ecf5e280128e58ee5d7f26"),
+}
+
+
+def _bench_sweep_argv(seed):
+    rng = np.random.default_rng(seed)
+    x0, y0 = (float(v) for v in rng.uniform(0.5, 1.5, size=2))
+    z0 = float(rng.uniform(-1.5, 0.5))
+    axes = ((x0, x0 + 1.6), (y0, y0 + 1.6), (z0, z0 + 1.2))
+    argv = ["sweep", "--frame", "sphere"]
+    for flag, (lo, hi), count in zip("xyz", axes, (5, 5, 4)):
+        argv.append(f"--{flag}={lo!r}:{hi!r}:{count}")
+    return argv + ["--mu-count", "8", "--omega-count", "16",
+                   "--no-timestamp"]
+
+
+@pytest.mark.parametrize("seed, fmt", sorted(SWEEP_STDOUT))
+def test_bench_sweep_stdout_is_pinned_byte_for_byte(seed, fmt, capsys):
+    assert main(_bench_sweep_argv(seed) + ["--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == \
+        SWEEP_STDOUT[seed, fmt]

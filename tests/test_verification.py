@@ -426,9 +426,26 @@ UNIT_X = np.array([1.0, 0.0, 0.0])
      "v0 must be a finite 3-vector"),
     (lambda: parallel_transport_holonomy(_sphere(), _loop(), [1.0, 0.0]),
      "v0 must be a finite 3-vector"),
+    # Coordinates numpy cannot convert to floats.
+    (lambda: frame_jet(_sphere(), ["a", 1, 2]),
+     "point must be an array of numbers: could not convert string to "
+     "float: 'a'"),
+    (lambda: streaming_coefficients(_sphere(), ["a", 1, 2], 0.3, 1.0),
+     "point must be an array of numbers: could not convert string"),
+    (lambda: ray_oracle(_sphere(), ["a", 1, 2], UNIT_X),
+     "ray point must be an array of numbers: could not convert string"),
+    (lambda: conservation_check(_sphere(), [[1.0, 0.2, 0.3]] * 7
+                                + [[1.0, 0.2]], [(0.1, 0.2)] * 8),
+     "sample points must be an array of numbers: setting an array "
+     "element with a sequence"),
+    (lambda: parallel_transport_holonomy(_sphere(), [["a", 0.0, 1.0]] * 8,
+                                         UNIT_X),
+     "loop must be an array of numbers: could not convert string"),
 ], ids=["coefficients", "curvature-report", "winding", "kb-transform",
         "jet-rank-3", "conservation", "oracle-step-0", "oracle-step-nan",
-        "oracle-direction", "holonomy-v0-nan", "holonomy-v0-short"])
+        "oracle-direction", "holonomy-v0-nan", "holonomy-v0-short",
+        "jet-string", "coefficients-string", "oracle-string",
+        "conservation-ragged", "holonomy-loop-string"])
 def test_malformed_input_is_out_of_range(call, message):
     with pytest.raises(OutOfRange) as info:
         call()
