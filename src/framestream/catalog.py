@@ -3,17 +3,25 @@
 Every entry evaluates a_mu and a_omega from hand-differentiated chart
 expressions, with no calls into the dual-number or finite-difference
 engines, so the catalog is an independent cross-check of both.
+
+The formulas are written once over the coordinates x, y, z, each a
+Python float for one state or an array of one entry per state for a
+stack.  Vectors are 3-tuples of such components.  Arithmetic rounds the
+same on floats and on array entries; math.hypot, math.cos and math.sin
+run per entry, since numpy's own may round otherwise.  So every entry of
+a stacked result has the bits of the single-state call.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from .errors import OutsideValidRegion
+from .errors import OutOfRange, OutsideValidRegion
 from .frames import (Constant, CylindricalI, CylindricalII, Ellipsoid,
-                     Graph, Paraboloid, Sphere)
+                     Graph, Paraboloid, Sphere, _on_arrays, array_attempt)
 
 _AUX_KEYS = ("s_tt", "s_tb", "s_bt", "s_bb", "kn_t", "kn_b",
              "kt_b", "kb_t", "winding")
@@ -27,163 +35,209 @@ class CatalogEntry:
     errata: tuple
 
 
-def _assemble(aux: dict, mu: float, omega: float):
-    """a_mu, a_omega from the nine auxiliary scalars.
+def _each(fn, *args):
+    """fn of floats at floats, or at each entry of equal-length arrays."""
+    if not isinstance(args[0], np.ndarray):
+        return fn(*args)
+    return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
+
+
+def _sqrt(v):
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+
+
+def _below(v, bound) -> bool:
+    """v < bound for a float, or for any entry of an array."""
+    flags = v < bound
+    return flags if isinstance(flags, bool) else bool(flags.any())
+
+
+def _polar_sine(mu: float) -> float:
+    return math.sqrt(max(0.0, 1.0 - mu * mu))
+
+
+def _assemble(aux, mu, omega):
+    """a_mu, a_omega from the nine auxiliary scalars, in _AUX_KEYS order.
 
     Aux convention: s_ab = a . grad_b n; kn_t/kn_b are the t and b
     components of kappa^n = -grad_n n; kt_b = b . kappa^t;
     kb_t = t . kappa^b; winding = t . grad_n b.
     """
-    s = math.sqrt(max(0.0, 1.0 - mu * mu))
-    c, sn = math.cos(omega), math.sin(omega)
-    quad = (c * c * aux["s_tt"] + sn * c * (aux["s_tb"] + aux["s_bt"])
-            + sn * sn * aux["s_bb"])
-    a_mu = ((1.0 - mu * mu) * quad
-            - mu * s * (c * aux["kn_t"] + sn * aux["kn_b"]))
-    t_dn = s * c * aux["s_tt"] + s * sn * aux["s_tb"] - mu * aux["kn_t"]
-    b_dn = s * c * aux["s_bt"] + s * sn * aux["s_bb"] - mu * aux["kn_b"]
-    tilt = 0.0 if s == 0.0 else -mu * (-sn * t_dn + c * b_dn) / s
-    a_omega = (s * (c * aux["kt_b"] - sn * aux["kb_t"])
-               + mu * aux["winding"] + tilt)
+    s_tt, s_tb, s_bt, s_bb, kn_t, kn_b, kt_b, kb_t, winding = aux
+    s = _each(_polar_sine, mu)
+    c, sn = _each(math.cos, omega), _each(math.sin, omega)
+    quad = c * c * s_tt + sn * c * (s_tb + s_bt) + sn * sn * s_bb
+    a_mu = (1.0 - mu * mu) * quad - mu * s * (c * kn_t + sn * kn_b)
+    t_dn = s * c * s_tt + s * sn * s_tb - mu * kn_t
+    b_dn = s * c * s_bt + s * sn * s_bb - mu * kn_b
+    tilt = -mu * (-sn * t_dn + c * b_dn)
+    if isinstance(s, np.ndarray):
+        tilt = np.divide(tilt, s, out=np.zeros_like(s), where=s != 0.0)
+    else:
+        tilt = 0.0 if s == 0.0 else tilt / s
+    a_omega = s * (c * kt_b - sn * kb_t) + mu * winding + tilt
     return a_mu, a_omega
 
 
-def _zero_aux():
-    return {k: 0.0 for k in _AUX_KEYS}
+_ZERO_AUX = (0.0,) * 9
 
 
-def _aux_constant(r):
-    return _zero_aux()
+def _aux_constant(fid, x, y, z):
+    return _ZERO_AUX
 
 
-def _cyl_rho(r):
-    rho = math.hypot(float(r[0]), float(r[1]))
-    if rho < 1e-8:
+def _cyl_rho(x, y):
+    rho = _each(math.hypot, x, y)
+    if _below(rho, 1e-8):
         raise OutsideValidRegion("cylindrical formulas undefined on the axis")
     return rho
 
 
-def _aux_cyl1(r):
-    aux = _zero_aux()
-    aux["kb_t"] = 1.0 / _cyl_rho(r)
-    return aux
+def _aux_cyl1(fid, x, y, z):
+    return (0.0,) * 7 + (1.0 / _cyl_rho(x, y), 0.0)
 
 
-def _aux_cyl2(r):
-    aux = _zero_aux()
-    aux["s_tt"] = 1.0 / _cyl_rho(r)
-    return aux
+def _aux_cyl2(fid, x, y, z):
+    return (1.0 / _cyl_rho(x, y),) + (0.0,) * 8
 
 
-def _aux_sphere(r):
-    x, y, z = (float(r[0]), float(r[1]), float(r[2]))
-    rho = math.sqrt(x * x + y * y + z * z)
-    rxy = math.hypot(x, y)
-    if rho < 1e-8 or rxy < 1e-8 * rho:
+def _aux_sphere(fid, x, y, z):
+    rho = _sqrt(x * x + y * y + z * z)
+    rxy = _each(math.hypot, x, y)
+    if _below(rho, 1e-8) or _below(rxy, 1e-8 * rho):
         raise OutsideValidRegion("sphere formulas undefined on the z-axis")
-    aux = _zero_aux()
-    aux["s_tt"] = 1.0 / rho
-    aux["s_bb"] = 1.0 / rho
-    aux["kb_t"] = z / (rho * rxy)  # cot(theta)/rho
-    return aux
+    inv = 1.0 / rho
+    # kb_t = cot(theta) / rho
+    return (inv, 0.0, 0.0, inv, 0.0, 0.0, 0.0, z / (rho * rxy), 0.0)
+
+
+# 3-vectors as tuples of components.
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
 
 
 def _norm_chain(w, dw):
     """Value and chart partials of w/|w| given w and its partials."""
-    nw = np.linalg.norm(w)
-    v = w / nw
-    return v, [(d - float(d @ v) * v) / nw for d in dw]
+    nw = _sqrt(_dot(w, w))
+    v = (w[0] / nw, w[1] / nw, w[2] / nw)
+    dv = []
+    for d in dw:
+        dv_coef = _dot(d, v)
+        dv.append(tuple((d[i] - dv_coef * v[i]) / nw for i in range(3)))
+    return v, dv
 
 
 def _gram_schmidt_chain(t, dt, btil, dbtil):
     """b = btil - (btil . t) t normalized, and its chart partials."""
-    overlap = float(btil @ t)
-    g = btil - overlap * t
-    dg = [dbtil[k] - (float(dbtil[k] @ t) + float(btil @ dt[k])) * t
-          - overlap * dt[k] for k in range(2)]
+    overlap = _dot(btil, t)
+    g = tuple(btil[i] - overlap * t[i] for i in range(3))
+    dg = []
+    for k in range(2):
+        coef = _dot(dbtil[k], t) + _dot(btil, dt[k])
+        dg.append(tuple(dbtil[k][i] - coef * t[i] - overlap * dt[k][i]
+                        for i in range(3)))
     return _norm_chain(g, dg)
+
+
+def _along(dfield, ru, rv):
+    """The derivative of a field along a vector, from its partials along
+    the two chart coordinates and their rates ru, rv along the vector."""
+    d0, d1 = dfield
+    return tuple(d0[i] * ru + d1[i] * rv for i in range(3))
 
 
 def _chart_aux(n, t, b, dn, dt, db, rates):
     """The nine auxiliary scalars from the frame's partials along two
-    chart coordinates; rates[i, k] is the rate of coordinate i along
+    chart coordinates; rates[i][k] is the rate of coordinate i along
     t, b, n for k = 0, 1, 2."""
-    def grad(dfield, k):
-        return dfield[0] * rates[0, k] + dfield[1] * rates[1, k]
-
-    dn_t, dn_b, dn_n = (grad(dn, 0), grad(dn, 1), grad(dn, 2))
-    dt_t = grad(dt, 0)
-    db_b, db_n = grad(db, 1), grad(db, 2)
-    return {"s_tt": float(t @ dn_t), "s_tb": float(t @ dn_b),
-            "s_bt": float(b @ dn_t), "s_bb": float(b @ dn_b),
-            "kn_t": -float(t @ dn_n), "kn_b": -float(b @ dn_n),
-            "kt_b": -float(b @ dt_t), "kb_t": -float(t @ db_b),
-            "winding": float(t @ db_n)}
+    (u_t, u_b, u_n), (v_t, v_b, v_n) = rates
+    dn_t, dn_b, dn_n = (_along(dn, u_t, v_t), _along(dn, u_b, v_b),
+                        _along(dn, u_n, v_n))
+    dt_t = _along(dt, u_t, v_t)
+    db_b, db_n = _along(db, u_b, v_b), _along(db, u_n, v_n)
+    return (_dot(t, dn_t), _dot(t, dn_b), _dot(b, dn_t), _dot(b, dn_b),
+            -_dot(t, dn_n), -_dot(b, dn_n), -_dot(b, dt_t), -_dot(t, db_b),
+            _dot(t, db_n))
 
 
-def _make_aux_ellipsoid(a: float, bb: float, cc: float):
-    def aux_fn(r):
-        x, y, z = (float(r[0]), float(r[1]), float(r[2]))
-        px, py, pz = x / a, y / bb, z / cc
-        lam = math.sqrt(px * px + py * py + pz * pz)
-        if lam < 1e-8:
-            raise OutsideValidRegion("ellipsoid chart undefined at origin")
-        sxy = math.hypot(px, py)
-        if sxy < 1e-8 * lam:
-            raise OutsideValidRegion("ellipsoid chart undefined at poles")
-        st, ct = sxy / lam, pz / lam
-        cp, sp = px / sxy, py / sxy
+def _aux_ellipsoid(fid, x, y, z):
+    a, bb, cc = fid.a, fid.b, fid.c
+    px, py, pz = x / a, y / bb, z / cc
+    lam = _sqrt(px * px + py * py + pz * pz)
+    if _below(lam, 1e-8):
+        raise OutsideValidRegion("ellipsoid chart undefined at origin")
+    sxy = _each(math.hypot, px, py)
+    if _below(sxy, 1e-8 * lam):
+        raise OutsideValidRegion("ellipsoid chart undefined at poles")
+    st, ct = sxy / lam, pz / lam
+    cp, sp = px / sxy, py / sxy
 
-        chart = np.array([a * st * cp, bb * st * sp, cc * ct])
-        x_th = np.array([a * ct * cp, bb * ct * sp, -cc * st])
-        x_ph = np.array([-a * st * sp, bb * st * cp, 0.0])
-        x_thph = np.array([-a * ct * sp, bb * ct * cp, 0.0])
+    chart = (a * st * cp, bb * st * sp, cc * ct)
+    x_th = (a * ct * cp, bb * ct * sp, -cc * st)
+    x_ph = (-a * st * sp, bb * st * cp, 0.0)
+    x_thph = (-a * ct * sp, bb * ct * cp, 0.0)
 
-        w_n = np.array([st * cp / a, st * sp / bb, ct / cc])
-        w_n_th = np.array([ct * cp / a, ct * sp / bb, -st / cc])
-        w_n_ph = np.array([-st * sp / a, st * cp / bb, 0.0])
-        n, dn = _norm_chain(w_n, (w_n_th, w_n_ph))
-        t, dt = _norm_chain(x_th, (-chart, x_thph))
-        w_b = np.array([-a * sp, bb * cp, 0.0])
-        w_b_ph = np.array([-a * cp, -bb * sp, 0.0])
-        btil, dbtil = _norm_chain(w_b, (np.zeros(3), w_b_ph))
-        b, db = _gram_schmidt_chain(t, dt, btil, dbtil)
+    w_n = (st * cp / a, st * sp / bb, ct / cc)
+    w_n_th = (ct * cp / a, ct * sp / bb, -st / cc)
+    w_n_ph = (-st * sp / a, st * cp / bb, 0.0)
+    n, dn = _norm_chain(w_n, (w_n_th, w_n_ph))
+    t, dt = _norm_chain(x_th, ((-chart[0], -chart[1], -chart[2]), x_thph))
+    w_b = (-a * sp, bb * cp, 0.0)
+    w_b_ph = (-a * cp, -bb * sp, 0.0)
+    btil, dbtil = _norm_chain(w_b, ((0.0, 0.0, 0.0), w_b_ph))
+    b, db = _gram_schmidt_chain(t, dt, btil, dbtil)
 
-        # Chart rates (d rho, d theta, d phi) along each frame vector.
-        m = np.column_stack([chart, lam * x_th, lam * x_ph])
-        rates = np.linalg.solve(m, np.column_stack([t, b, n]))
-        return _chart_aux(n, t, b, dn, dt, db, rates[1:])
-    return aux_fn
+    # Chart rates (d theta, d phi) along each frame vector v, by Cramer's
+    # rule on the columns (d/d rho, d/d theta, d/d phi) = (chart,
+    # lam x_th, lam x_ph).
+    c2 = (lam * x_th[0], lam * x_th[1], lam * x_th[2])
+    c3 = (lam * x_ph[0], lam * x_ph[1], lam * x_ph[2])
+    det = _dot(chart, _cross(c2, c3))
+    rates = [tuple(_dot(row, v) / det for v in (t, b, n))
+             for row in (_cross(c3, chart), _cross(chart, c2))]
+    return _chart_aux(n, t, b, dn, dt, db, rates)
 
 
-def _make_aux_graph(graph: Graph):
-    def aux_fn(r):
-        x, y = float(r[0]), float(r[1])
-        fx, fy = float(graph.f_x(x, y)), float(graph.f_y(x, y))
-        fxx, fxy, fyy = (float(graph.f_xx(x, y)), float(graph.f_xy(x, y)),
-                         float(graph.f_yy(x, y)))
-        w_n = np.array([-fx, -fy, 1.0])
-        dw_n = (np.array([-fxx, -fxy, 0.0]), np.array([-fxy, -fyy, 0.0]))
-        w_t = np.array([1.0, 0.0, fx])
-        dw_t = (np.array([0.0, 0.0, fxx]), np.array([0.0, 0.0, fxy]))
-        w_b = np.array([0.0, 1.0, fy])
-        dw_b = (np.array([0.0, 0.0, fxy]), np.array([0.0, 0.0, fyy]))
-        n, dn = _norm_chain(w_n, dw_n)
-        t, dt = _norm_chain(w_t, dw_t)
-        btil, dbtil = _norm_chain(w_b, dw_b)
-        b, db = _gram_schmidt_chain(t, dt, btil, dbtil)
-        # The chart is (x, y): its rates along a vector are the vector's
-        # x and y components.
-        return _chart_aux(n, t, b, dn, dt, db,
-                          np.column_stack([t, b, n])[:2])
-    return aux_fn
+def _graph_aux(fx, fy, fxx, fxy, fyy):
+    """The nine scalars of the frame of z = f(x, y) from f's first and
+    second partials."""
+    n, dn = _norm_chain((-fx, -fy, 1.0),
+                        ((-fxx, -fxy, 0.0), (-fxy, -fyy, 0.0)))
+    t, dt = _norm_chain((1.0, 0.0, fx), ((0.0, 0.0, fxx), (0.0, 0.0, fxy)))
+    btil, dbtil = _norm_chain((0.0, 1.0, fy),
+                              ((0.0, 0.0, fxy), (0.0, 0.0, fyy)))
+    b, db = _gram_schmidt_chain(t, dt, btil, dbtil)
+    # The chart is (x, y): its rates along a vector are the vector's
+    # x and y components.
+    return _chart_aux(n, t, b, dn, dt, db,
+                      ((t[0], b[0], n[0]), (t[1], b[1], n[1])))
+
+
+def _aux_graph(g: Graph, x, y, z):
+    fns = (g.f_x, g.f_y, g.f_xx, g.f_xy, g.f_yy)
+    if isinstance(x, np.ndarray):
+        return _graph_aux(*(_on_arrays(fn, x, y) for fn in fns))
+    return _graph_aux(*(float(fn(x, y)) for fn in fns))
+
+
+def _aux_paraboloid(fid, x, y, z):
+    """z = a x^2 + b y^2, its partials written here rather than read
+    from as_graph(), which builds six closures per call."""
+    a, b = fid.a, fid.b
+    return _graph_aux(2.0 * a * x, 2.0 * b * y, 2.0 * a, 0.0, 2.0 * b)
 
 
 def printed_cyl2_grad_mu(r, mu: float, omega: float) -> float:
     """Quoted variant of the cylinder-II mu-coefficient with a
     sqrt(1-mu^2) prefactor; agrees with the derived coefficient only
     at mu = 0.  Kept for inspection, never used in comparisons."""
-    inv = 1.0 / _cyl_rho(r)  # shared rounding with the catalog entry
+    inv = 1.0 / _cyl_rho(float(r[0]), float(r[1]))  # the entry's rounding
     c = math.cos(omega)
     return math.sqrt(max(0.0, 1.0 - mu * mu)) * (c * c * inv)
 
@@ -201,40 +255,77 @@ _GRAPH_NOTE = ("quoted shape-operator entries carry a non-unit normal in "
                "this entry assembles from exact chart derivatives")
 
 
-# Id type -> (id -> aux function of r, errata, quoted variants kept for
+# Id type -> (aux(fid, x, y, z), errata, quoted variants kept for
 # inspection).  The registry in frames.py holds everything else about a
 # frame; this table stays here so the catalog remains independent.
 _ENTRIES = {
-    Constant: (lambda fid: _aux_constant, (), {}),
-    CylindricalI: (lambda fid: _aux_cyl1, (), {}),
-    CylindricalII: (lambda fid: _aux_cyl2, (_CYL2_NOTE,),
+    Constant: (_aux_constant, (), {}),
+    CylindricalI: (_aux_cyl1, (), {}),
+    CylindricalII: (_aux_cyl2, (_CYL2_NOTE,),
                     {"a_mu_printed": printed_cyl2_grad_mu}),
-    Sphere: (lambda fid: _aux_sphere, (), {}),
-    Ellipsoid: (lambda fid: _make_aux_ellipsoid(fid.a, fid.b, fid.c),
-                (_ELL_NOTE,), {}),
-    Paraboloid: (lambda fid: _make_aux_graph(fid.as_graph()),
-                 (_GRAPH_NOTE,), {}),
-    Graph: (_make_aux_graph, (_GRAPH_NOTE,), {}),
+    Sphere: (_aux_sphere, (), {}),
+    Ellipsoid: (_aux_ellipsoid, (_ELL_NOTE,), {}),
+    Paraboloid: (_aux_paraboloid, (_GRAPH_NOTE,), {}),
+    Graph: (_aux_graph, (_GRAPH_NOTE,), {}),
 }
+
+
+def _row(fid):
+    row = _ENTRIES.get(type(fid))
+    if row is None:
+        raise OutsideValidRegion(f"no catalog entry for {fid!r}")
+    return row
+
+
+def _aux_at(fid, r):
+    """The nine auxiliary scalars at one point r."""
+    x, y, z = (float(r[0]), float(r[1]), float(r[2]))
+    return _row(fid)[0](fid, x, y, z)
 
 
 def catalog_entry(fid) -> CatalogEntry:
     """Catalog entry for a closed-form frame identifier."""
-    row = _ENTRIES.get(type(fid))
-    if row is None:
-        raise OutsideValidRegion(f"no catalog entry for {fid!r}")
-    make_aux, errata, printed = row
-    aux_fn = make_aux(fid)
-
-    def coeff(r, mu, omega):
-        return _assemble(aux_fn(r), float(mu), float(omega))
-
-    auxiliary = {key: (lambda r, k=key: aux_fn(r)[k]) for key in _AUX_KEYS}
+    _, errata, printed = _row(fid)
+    auxiliary = {key: (lambda r, i=i: _aux_at(fid, r)[i])
+                 for i, key in enumerate(_AUX_KEYS)}
     auxiliary.update(printed)
-    return CatalogEntry(id=fid, coeff_formulas=coeff, auxiliary=auxiliary,
-                        errata=errata)
+    return CatalogEntry(id=fid,
+                        coeff_formulas=functools.partial(catalog_coefficients,
+                                                         fid),
+                        auxiliary=auxiliary, errata=errata)
 
 
 def catalog_coefficients(fid, r, mu, omega):
-    """Closed-form (a_mu, a_omega) for a builtin frame identifier."""
-    return catalog_entry(fid).coeff_formulas(r, mu, omega)
+    """Closed-form (a_mu, a_omega) for a builtin frame identifier.
+
+    r is one point, with float mu and omega; or an (N, 3) array of
+    points, with arrays of N mu and N omega values, and the result is
+    two arrays of N values.  A stack is one pass of array arithmetic
+    inside array_attempt.  Where that raises (a state on a singular
+    locus, say), or where a point is not finite, the states go one by
+    one, which raises the first failing state's error.  Every entry of
+    a stacked result has the bits of the single-state call.
+    """
+    aux = _row(fid)[0]
+    pts = np.asarray(r, dtype=float)
+    if pts.shape == (3,):
+        x, y, z = pts.tolist()
+        return _assemble(aux(fid, x, y, z), float(mu), float(omega))
+    mus = np.asarray(mu, dtype=float)
+    omegas = np.asarray(omega, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3 \
+            or mus.shape != pts.shape[:1] or omegas.shape != mus.shape:
+        raise OutOfRange("catalog point must be a 3-vector, or an (N, 3) "
+                         "array with N mu and N omega values")
+    # Non-finite points go one by one: array arithmetic on them raises
+    # no flag where the float operations might.
+    if np.isfinite(pts).all():
+        try:
+            with array_attempt():
+                return _assemble(aux(fid, *pts.T), mus, omegas)
+        except Exception:  # replayed below, state by state
+            pass
+    pairs = [catalog_coefficients(fid, p, m, o)
+             for p, m, o in zip(pts, mus.tolist(), omegas.tolist())]
+    return tuple(np.array([pair[k] for pair in pairs], dtype=float)
+                 for k in range(2))

@@ -7,11 +7,12 @@ import math
 
 import numpy as np
 
-from .derivatives import (DEFAULT_CFG, DiffConfig, array_attempt,
-                          axial_vector, curl, directional_derivative,
-                          float_array, frame_jet, frame_scalars, jacobian)
+from .derivatives import (DEFAULT_CFG, DiffConfig, FrameScalars,
+                          directional_derivative, float_array, frame_jet,
+                          frame_scalars, jacobian, twist)
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
                      NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
+from .frames import raw_frames
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,9 +102,11 @@ def shape_operator(normal_field, basis1_field, basis2_field, r,
 
 
 def normal_curvature(shape: ShapeOperator2x2, omega: float) -> float:
-    """Quadratic form of the shape operator in the azimuth direction."""
-    d = np.array([math.cos(omega), math.sin(omega)])
-    return float(d @ (shape.matrix @ d))
+    """Quadratic form of the shape operator in the azimuth direction:
+    FrameScalars.normal_curvature of its entries."""
+    (s_tt, s_tb), (s_bt, s_bb) = shape.matrix.tolist()
+    leaf = FrameScalars(s_tt, s_tb, s_bt, s_bb, *[0.0] * 5)
+    return leaf.normal_curvature(math.cos(omega), math.sin(omega))
 
 
 def foliation_defect(field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
@@ -112,7 +115,7 @@ def foliation_defect(field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
     v = np.asarray(field(tuple(r)), dtype=float)
     if abs(float(v @ v) - 1.0) > 2e-6:
         raise NotUnitField(f"|V| = {math.sqrt(v @ v):.8f} at {tuple(r)}")
-    return float(v @ curl(field, r, cfg))
+    return twist(v, jacobian(field, r, cfg))
 
 
 def winding_term(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
@@ -154,30 +157,11 @@ def integrate_curve(field, r0, tau_span, steps: int):
 
 
 def _loop_normals(frame_field, pts):
-    """The frame normal at each row of pts, from one raw call on the
-    coordinate columns.  A raw that cannot take arrays, or that raises
-    in the array_attempt, is called row by row, which names the first
-    point that fails."""
-    normals = np.empty_like(pts)
-    try:
-        with array_attempt():
-            n = frame_field.raw(*np.ascontiguousarray(pts.T))[0]
-            if len(n) != 3:
-                raise ValueError("normal is not a 3-vector")
-            for j, c in enumerate(n):
-                if np.shape(c) not in ((), pts.shape[:1]):
-                    raise ValueError("normal component of another length")
-                normals[:, j] = c
-        return normals
-    except Exception:  # replayed below, point by point
-        pass
-    for i, p in enumerate(pts.tolist()):
-        try:
-            normals[i] = frame_field.raw(*p)[0]
-        except Exception as exc:
-            raise LeftDomain(f"frame undefined at loop point {tuple(p)}") \
-                from exc
-    return normals
+    """The frame normal at each row of pts, from raw_frames; a point
+    where the frame is undefined raises LeftDomain naming it."""
+    frames = raw_frames(frame_field, pts, lambda p, exc: LeftDomain(
+        f"frame undefined at loop point {tuple(p)}"))
+    return np.ascontiguousarray(frames[:, 0])
 
 
 def _dot(a, b):
@@ -332,8 +316,8 @@ def curvature_report(frame_field, r,
     shape_n = ShapeOperator2x2(matrix=np.array([[k.s_tt, k.s_tb],
                                                 [k.s_bt, k.s_bb]]),
                                basis1=jet.t, basis2=jet.b, normal=jet.n)
-    defect = float(jet.n @ axial_vector(jet.jn))
     return CurvatureReport(kappa_n=kappa_n, kappa_t=kappa_t,
                            kappa_b=kappa_b, shape_n=shape_n,
-                           winding=k.winding, foliation_defect_n=defect,
+                           winding=k.winding,
+                           foliation_defect_n=twist(jet.n, jet.jn),
                            point=r)

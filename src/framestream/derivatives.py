@@ -7,16 +7,16 @@ of scalars; the dual engine feeds them Dual scalars.
 """
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
-import warnings
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import dual as dm
 from .errors import EvaluationFailure, OutOfRange
+from .frames import array_attempt
 
 DUAL = "dual"
 FD = "fd"
@@ -45,6 +45,18 @@ def float_array(x, what: str) -> np.ndarray:
         return np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise OutOfRange(f"{what} must be an array of numbers: {exc}") from exc
+
+
+def float_angles(mu, omega) -> tuple:
+    """(mu, omega) as Python floats, or OutOfRange where one is not a
+    number, or where omega is infinite and so has no cosine."""
+    try:
+        mu, omega = float(mu), float(omega)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise OutOfRange(f"mu and omega must be numbers: {exc}") from exc
+    if math.isinf(omega):
+        raise OutOfRange(f"omega = {omega} is not finite")
+    return mu, omega
 
 
 def _probe(field, p):
@@ -119,6 +131,16 @@ def axial_vector(j):
 def curl(field, r, cfg: DiffConfig = DEFAULT_CFG):
     """Standard curl assembled from the Jacobian's antisymmetric part."""
     return axial_vector(jacobian(field, r, cfg))
+
+
+def twist(v, jv):
+    """V . curl V from a field V and its Jacobian jv, at one point (a
+    float) or at each row of a stack (an array); zero certifies that
+    the planes normal to V integrate locally."""
+    curl_v = axial_vector(jv)
+    if v.ndim == 1:
+        return float(v @ curl_v)
+    return np.matmul(curl_v[..., None, :], v[..., None])[..., 0, 0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,18 +232,6 @@ def _point_jet(frame_field, r, cfg: DiffConfig) -> FrameJet:
     vals = vals.reshape(3, 3)
     jacs = jacs.reshape(3, 3, 3)
     return FrameJet(vals[0], vals[1], vals[2], jacs[0], jacs[1], jacs[2])
-
-
-@contextlib.contextmanager
-def array_attempt():
-    """Context of a call on arrays that is replayed point by point when
-    it raises: every floating-point overflow, division by zero, invalid
-    operation and warning in it raises, where float arithmetic might
-    have raised or might not."""
-    with np.errstate(over="raise", divide="raise", invalid="raise"), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error")
-        yield
 
 
 def _dual_jets(frame_field, pts) -> FrameJet:

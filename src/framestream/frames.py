@@ -8,8 +8,10 @@ numpy vectors.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -129,6 +131,57 @@ class FrameField:
 
     def __repr__(self):
         return f"FrameField({self.name!r}, homothetic={self.homothetic})"
+
+
+@contextlib.contextmanager
+def array_attempt():
+    """Context of a call on arrays that is replayed point by point when
+    it raises: every floating-point overflow, division by zero, invalid
+    operation and warning in it raises, where float arithmetic might
+    have raised or might not."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+def raw_frames(frame_field, pts, fail=None) -> np.ndarray:
+    """The frames at the rows of an (M, 3) float array: an (M, 3, 3)
+    array of the vectors n, t, b at each row.
+
+    One raw call on the columns of pts, inside array_attempt.  Where
+    that raises, or returns other than three vectors of three
+    components, each a float or an array of M entries, or where a point
+    is not finite, the raw is called row by row on Python floats.  A row
+    whose call raises raises ``fail(row, exc)`` from it, or the raw's
+    own exception when fail is None.
+    """
+    count = len(pts)
+    out = np.empty((count, 3, 3))
+    # Non-finite points go one by one: array arithmetic on them raises
+    # no flag where the float operations of a raw might.
+    if np.isfinite(pts).all():
+        try:
+            with array_attempt():
+                vecs = frame_field.raw(*np.ascontiguousarray(pts.T))
+                if len(vecs) != 3 or any(len(v) != 3 for v in vecs):
+                    raise ValueError("raw output is not three 3-vectors")
+                for i, vec in enumerate(vecs):
+                    for j, c in enumerate(vec):
+                        if np.shape(c) not in ((), (count,)):
+                            raise ValueError("component of another length")
+                        out[:, i, j] = c
+            return out
+        except Exception:  # replayed below, row by row
+            pass
+    for i, p in enumerate(pts.tolist()):
+        try:
+            out[i] = frame_field.raw(*p)
+        except Exception as exc:
+            if fail is None:
+                raise
+            raise fail(p, exc) from exc
+    return out
 
 
 # ---------------------------------------------------------------------------

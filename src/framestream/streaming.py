@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
-                          axial_vector, float_array, frame_jet,
-                          frame_scalars)
+                          float_angles, float_array, frame_jet,
+                          frame_scalars, twist)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
 from .frames import FramePoint, direction_from_angles, loose_frames_ok
@@ -79,17 +79,19 @@ def _any(flags) -> bool:
     return flags if isinstance(flags, bool) else bool(flags.any())
 
 
-def _angles(mu: float, omega: float):
+def _angles(mu, omega):
+    """(mu, s, c, sn) of one direction, as coefficient_terms takes them;
+    OutOfRange, from float_angles, for a non-number or infinite omega."""
+    mu, omega = float_angles(mu, omega)
     s = math.sqrt(max(0.0, 1.0 - mu * mu))
-    return s, math.cos(omega), math.sin(omega)
+    return mu, s, math.cos(omega), math.sin(omega)
 
 
 def angle_arrays(mus, omegas):
     """Arrays (mu, s, c, sn) for paired lists of mu and omega, each entry
     computed by the same math calls as a single state."""
-    trig = [_angles(mu, omega) for mu, omega in zip(mus, omegas)]
-    return (np.array(mus, dtype=float),
-            *(np.array(column) for column in zip(*trig)))
+    rows = [_angles(mu, omega) for mu, omega in zip(mus, omegas)]
+    return tuple(np.array(column, dtype=float) for column in zip(*rows))
 
 
 def check_mu(mu) -> None:
@@ -130,7 +132,7 @@ def leaf_defect(jet: FrameJet, form):
     if form not in _LEAF:
         return np.zeros(jet.n.shape[:-1])
     leaf = _LEAF[form]
-    return _dot(getattr(jet, leaf), axial_vector(getattr(jet, "j" + leaf)))
+    return twist(getattr(jet, leaf), getattr(jet, "j" + leaf))
 
 
 def has_leaf(jet: FrameJet, form):
@@ -151,11 +153,11 @@ def _on_leaf(jet: FrameJet, form, value):
 def grad_mu(frame_field, r, mu, omega, form: MuForm = MuForm.CURVE_CURVATURE,
             cfg: DiffConfig = DEFAULT_CFG) -> float:
     """Rate of change of mu = Omega . n along a straight ray."""
-    if not -1.0 <= mu <= 1.0:
-        raise OutOfRange(f"mu = {mu} outside [-1, 1]")
+    angles = _angles(mu, omega)
+    if not -1.0 <= angles[0] <= 1.0:
+        raise OutOfRange(f"mu = {angles[0]} outside [-1, 1]")
     jet = frame_jet(frame_field, r, cfg)
-    return _on_leaf(jet, form,
-                    grad_mu_from_jet(jet, mu, *_angles(mu, omega), form))
+    return _on_leaf(jet, form, grad_mu_from_jet(jet, *angles, form))
 
 
 def grad_mu_from_jet(jet: FrameJet, mu, s, c, sn, form: MuForm):
@@ -187,10 +189,10 @@ def grad_omega(frame_field, r, mu, omega,
     routes; the surface routes raise FoliationMissing where their leaf
     is missing.  Only CURVE_CURVATURE goes through frame_scalars, which
     the others therefore check."""
-    check_mu(mu)
+    angles = _angles(mu, omega)
+    check_mu(angles[0])
     jet = frame_jet(frame_field, r, cfg)
-    return _on_leaf(jet, form,
-                    grad_omega_from_jet(jet, mu, *_angles(mu, omega), form))
+    return _on_leaf(jet, form, grad_omega_from_jet(jet, *angles, form))
 
 
 def grad_omega_from_jet(jet: FrameJet, mu, s, c, sn, form: OmegaForm):
@@ -308,17 +310,18 @@ def checked_terms(jet: FrameJet, mu, s, c, sn):
 def coefficients_from_jet(jet: FrameJet, mu: float, omega: float,
                           at_point=None) -> StreamingCoefficients:
     """Assemble both coefficients from a precomputed frame jet."""
+    mu, s, c, sn = _angles(mu, omega)
     check_mu(mu)
     at_point = (np.zeros(3) if at_point is None
                 else float_array(at_point, "point").copy())
     (a_mu, a_omega, mu_surface, mu_curve_n, omega_curve, omega_wind,
-     omega_tilt) = coefficient_terms(jet, mu, *_angles(mu, omega))
+     omega_tilt) = coefficient_terms(jet, mu, s, c, sn)
     breakdown = {"mu_surface": mu_surface, "mu_curve_n": mu_curve_n,
                  "omega_curve": omega_curve, "omega_wind": omega_wind,
                  "omega_tilt": omega_tilt}
     return StreamingCoefficients(
         a_mu=a_mu, a_omega=a_omega, breakdown=breakdown,
-        at=(at_point, mu, omega),
+        at=(at_point, mu, float(omega)),
         frame=FramePoint.loose(jet.n, jet.t, jet.b))
 
 
@@ -328,7 +331,7 @@ def streaming_coefficients(frame_field, r, mu, omega,
     """Both streaming coefficients and their breakdown at one state."""
     r = float_array(r, "point")
     jet = frame_jet(frame_field, r, cfg)
-    return coefficients_from_jet(jet, float(mu), float(omega), at_point=r)
+    return coefficients_from_jet(jet, mu, omega, at_point=r)
 
 
 def apply_streaming(coeffs: StreamingCoefficients, omega_dir,

@@ -12,11 +12,11 @@ from . import dual as dm
 from .catalog import catalog_coefficients
 from .curvature import ShapeOperator2x2, parallel_transport_holonomy
 from .derivatives import (DEFAULT_CFG, DiffConfig, directional_derivative,
-                          float_array, frame_jet, frame_scalars)
+                          float_angles, float_array, frame_jet, frame_scalars)
 from .errors import (DegenerateMetric, DomainExit, InconsistentReport,
                      OutOfRange, PolarDirection, UnwrapFailure)
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere,
-                     builtin_frame, frame_spec)
+                     builtin_frame, frame_spec, raw_frames)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
 from .streaming import (MuForm, OmegaForm, _direction, _dot, _matvec,
                         angle_arrays, check_mu, checked_terms,
@@ -27,7 +27,8 @@ TWO_PI = 2.0 * math.pi
 
 @dataclasses.dataclass(frozen=True)
 class RayOracleResult:
-    """Finite-difference derivatives of (mu, omega) along a straight ray."""
+    """Finite-difference derivatives of (mu, omega) along a straight ray:
+    floats for one ray, arrays of one entry per ray for a stack."""
 
     dmu_ds: float
     domega_ds: float
@@ -35,7 +36,8 @@ class RayOracleResult:
     richardson_error_estimate: float
 
     def __post_init__(self):
-        if self.richardson_error_estimate < 0.0:
+        negative = self.richardson_error_estimate < 0.0
+        if negative if isinstance(negative, bool) else negative.any():
             raise InconsistentReport("error estimate must be nonnegative")
 
 
@@ -73,13 +75,32 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3,
     step/2}.  This never consults the differential engines, so it is
     an independent oracle for the streaming coefficients.  The s = 0
     probe serves both the polar test and the stencil: five raw calls.
+
+    r and omega_dir may also be (N, 3) arrays of N rays; the result then
+    holds arrays of N values, from one raw call on all 5N probes (see
+    _stacked_rays).  Each entry has the bits of the single-ray result,
+    and a stack with a failing ray raises what the first failing ray
+    raises on its own.
     """
     r = float_array(r, "ray point")
     d = float_array(omega_dir, "ray direction")
-    if r.shape != (3,) or d.shape != (3,):
-        raise OutOfRange("ray point and direction must be 3-vectors")
     if not 0.0 < step < math.inf:
         raise OutOfRange(f"ray step must be positive and finite, not {step}")
+    if r.ndim == 2 and r.shape[1:] == (3,) and d.shape == r.shape:
+        found = _stacked_rays(frame_field, r, d, step)
+        if found is None:  # replayed ray by ray
+            rays = [ray_oracle(frame_field, p, q, step, cfg)
+                    for p, q in zip(r, d)]
+            found = [np.array([getattr(ray, name) for ray in rays],
+                              dtype=float)
+                     for name in ("dmu_ds", "domega_ds",
+                                  "richardson_error_estimate")]
+        dmu, dom, est = found
+        return RayOracleResult(dmu_ds=dmu, domega_ds=dom, step=step,
+                               richardson_error_estimate=est)
+    if r.shape != (3,) or d.shape != (3,):
+        raise OutOfRange("ray point and direction must be 3-vectors, or "
+                         "(N, 3) arrays of one shape")
     if abs(float(d @ d) - 1.0) > 1e-10:
         raise OutOfRange("ray direction must be unit")
 
@@ -144,6 +165,52 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3,
                            richardson_error_estimate=est)
 
 
+def _stacked_rays(frame_field, r, d, step):
+    """(dmu_ds, domega_ds, richardson_error_estimate) arrays of the rays
+    along the rows of the (N, 3) arrays r and d, from one raw_frames
+    call on all 5N probes; None where a ray needs the single-ray path:
+    a direction that is not unit, a failing probe, a polar ray or an
+    azimuth jump.
+
+    The operations are those of the single-ray path, entry by entry:
+    each Omega . (n, t, b) is a row-by-row dot as ``d @ n`` takes it,
+    math.atan2 runs per entry, and no floating-point flag is raised, as
+    none is on Python floats.
+    """
+    if (np.abs(_dot(d, d) - 1.0) > 1e-10).any():
+        return None
+    ss = np.array([-step, -step / 2.0, 0.0, step / 2.0, step])
+    probes = r[:, None, :] + ss[:, None] * d[:, None, :]
+    try:
+        f = raw_frames(frame_field, probes.reshape(-1, 3))
+    except Exception:  # replayed ray by ray
+        return None
+    proj = _dot(d[:, None, None, :], f.reshape(-1, 5, 3, 3))
+    mus = proj[..., 0]
+    oms = np.array(list(map(math.atan2, proj[..., 2].ravel().tolist(),
+                            proj[..., 1].ravel().tolist()))).reshape(-1, 5)
+    with np.errstate(all="ignore"):
+        if (1.0 - mus[:, 2] * mus[:, 2] <= 1e-10).any():
+            return None
+        for k in range(1, 5):
+            jump = oms[:, k] - oms[:, k - 1]
+            # + 0.0: a turn count of -0.0 subtracts as Python's 0 does.
+            wrapped = jump - TWO_PI * (np.round(jump / TWO_PI) + 0.0)
+            jump = np.where(np.isnan(jump), jump, wrapped)
+            if (np.abs(jump) > math.pi / 2.0).any():
+                return None
+            oms[:, k] = oms[:, k - 1] + jump
+        dmu_h = (mus[:, 4] - mus[:, 0]) / (2.0 * step)
+        dom_h = (oms[:, 4] - oms[:, 0]) / (2.0 * step)
+        dmu_h2 = (mus[:, 3] - mus[:, 1]) / (2.0 * (step / 2.0))
+        dom_h2 = (oms[:, 3] - oms[:, 1]) / (2.0 * (step / 2.0))
+        errs = np.abs(dmu_h2 - dmu_h), np.abs(dom_h2 - dom_h)
+        est = np.where(np.isnan(errs[0] + errs[1]), np.nan,
+                       np.where(errs[1] > errs[0], errs[1], errs[0])) / 3.0
+        return ((4.0 * dmu_h2 - dmu_h) / 3.0, (4.0 * dom_h2 - dom_h) / 3.0,
+                est)
+
+
 def conservation_check(frame_field, sample_points, sample_angles,
                        cfg: DiffConfig = DEFAULT_CFG) -> ConservationReport:
     """Feasibility of a divergence rewriting of the streaming term.
@@ -152,7 +219,7 @@ def conservation_check(frame_field, sample_points, sample_angles,
     C(r, omega) is azimuth-independent at every sample; the two known
     factor pairs are emitted for flat and spherical leaves."""
     points = float_array(sample_points, "sample points")
-    angles = [(float(mu), float(om)) for mu, om in sample_angles]
+    angles = [float_angles(mu, om) for mu, om in sample_angles]
     if len(points) < 8 or len(angles) < 8:
         raise OutOfRange("need at least 8 spatial and 8 angular samples")
     samples = len(points) * len(angles)
@@ -286,6 +353,11 @@ def _angle_grid(count: int, rng) -> list:
             for _ in range(count)]
 
 
+def _points(states):
+    """The (N, 3) array of the points of (r, mu, omega) states."""
+    return np.array([r for r, _, _ in states])
+
+
 def _sampled_check(rng, cfg, frames, count, per_state, residuals):
     """Worst residual and sample count over ``count`` random states of
     each frame, ``per_state`` samples each.  All of a frame's states are
@@ -298,7 +370,7 @@ def _sampled_check(rng, cfg, frames, count, per_state, residuals):
     for fid in frames.values():
         field = builtin_frame(fid)
         drawn = random_states(fid, count, rng)
-        jet = frame_jet(field, np.array([r for r, _, _ in drawn]), cfg)
+        jet = frame_jet(field, _points(drawn), cfg)
         found.append(residuals(fid, field, drawn, jet, rng, cfg))
         states += len(drawn)
     return _worst(np.concatenate(found)), per_state * states
@@ -322,20 +394,19 @@ def _coefficients(jet, states):
 
 
 def _catalog_residuals(fid, field, states, jet, rng, cfg):
-    a_mu, a_omega, _ = _coefficients(jet, states)
-    cat_mu, cat_om = np.array([catalog_coefficients(fid, r, mu, omega)
-                               for r, mu, omega in states]).T
+    a_mu, a_omega, angles = _coefficients(jet, states)
+    cat_mu, cat_om = catalog_coefficients(
+        fid, _points(states), angles[0],
+        np.array([omega for _, _, omega in states]))
     return np.abs(np.concatenate([a_mu - cat_mu, a_omega - cat_om]))
 
 
 def _oracle_residuals(fid, field, states, jet, rng, cfg):
     a_mu, a_omega, angles = _coefficients(jet, states)
-    oracle = [ray_oracle(field, r, direction, 1e-3, cfg)
-              for (r, _, _), direction in zip(states,
-                                              _direction(jet, *angles))]
-    return np.abs(np.concatenate([
-        a_mu - [o.dmu_ds for o in oracle],
-        a_omega - [o.domega_ds for o in oracle]]))
+    oracle = ray_oracle(field, _points(states), _direction(jet, *angles),
+                        1e-3, cfg)
+    return np.abs(np.concatenate([a_mu - oracle.dmu_ds,
+                                  a_omega - oracle.domega_ds]))
 
 
 def _form_residuals(fid, field, states, jet, rng, cfg):
@@ -382,13 +453,12 @@ def _homothety_residuals(fid, field, states, jet, rng, cfg):
     a_mu, a_omega, _ = _coefficients(jet, states)
     scaled_states = [(scale * r, mu, omega) for r, mu, omega in states
                      for scale in _SCALES]
-    scaled_jet = frame_jet(field, np.array([r for r, _, _ in scaled_states]),
-                           cfg)
+    scaled_jet = frame_jet(field, _points(scaled_states), cfg)
     s_mu, s_omega, _ = _coefficients(scaled_jet, scaled_states)
     lead = np.repeat([a_mu, a_omega], len(_SCALES), axis=1)
     trail = np.array([s_mu, s_omega])
     scales = np.tile(_SCALES, len(states))
-    radii = np.linalg.norm([r for r, _, _ in states], axis=1)
+    radii = np.linalg.norm(_points(states), axis=1)
     floor = np.repeat(1.0 / radii, len(_SCALES))
     return (np.abs(scales * trail - lead)
             / np.maximum(np.abs(lead), floor)).ravel()

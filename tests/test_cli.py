@@ -112,6 +112,8 @@ def test_bad_frame_exits_2(capsys):
     (["verify", "--fd-step", "0"], "fd_step must lie in"),
     (["conservation", "--frame", "sphere", "--fd-step", "1"],
      "fd_step must lie in"),
+    (["coeffs", "--frame", "sphere", "--point", "1,0,1", "--mu", "0.3",
+      "--omega", "inf"], "omega = inf is not finite"),
 ])
 def test_out_of_range_flag_exits_2(capsys, argv, message):
     rc, out, err = run(capsys, argv)

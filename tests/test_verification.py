@@ -8,7 +8,8 @@ from framestream import (CheckResult, ConservationReport, CylindricalI,
                          FramestreamError, InconsistentReport, OutOfRange,
                          Paraboloid, RayOracleResult, Sphere, builtin_frame,
                          conservation_check, catalog_entry,
-                         curvature_report, frame_jet, kb_transform_residual,
+                         curvature_report, frame_jet, grad_mu, grad_omega,
+                         kb_transform_residual,
                          parallel_transport_holonomy, ray_oracle, run_checks,
                          shape_operator_via_fundamental_forms,
                          streaming_coefficients, winding_term)
@@ -207,7 +208,7 @@ def test_run_checks_rejects_unknown_frame():
 # relative.  A change to the frame order, the samplers' draws from the
 # generator or a check's sample count shows here.
 VERIFY_SEED_7 = [
-    ("catalog-agreement", "pass", 1.5543122344752192e-15, 1e-07, 420),
+    ("catalog-agreement", "pass", 1.7763568394002505e-15, 1e-07, 420),
     ("oracle-agreement", "pass", 7.2737371681341756e-12, 1e-06, 280),
     ("form-equivalence", "pass", 8.8817841970012523e-16, 1e-08, 280),
     ("frame-identities", "pass", 8.4073162882840642e-16, 1e-08, 280),
@@ -299,23 +300,23 @@ def test_nan_catalog_value_fails_verify_with_a_parseable_report(
 
     from framestream import catalog
     from framestream.cli import main
-    make_aux, errata, printed = catalog._ENTRIES[Sphere]
+    aux_fn, errata, printed = catalog._ENTRIES[Sphere]
     calls = []
 
-    def aux_fn(r):
-        aux = make_aux(Sphere())(r)
-        calls.append(r)
-        if len(calls) == 1:
-            aux["s_tt"] = math.nan
-        return aux
+    def nan_s_tt_at_0(fid, x, y, z):
+        aux = list(aux_fn(fid, x, y, z))
+        calls.append(len(x))
+        aux[0] = aux[0].copy()
+        aux[0][0] = math.nan
+        return tuple(aux)
 
     monkeypatch.setitem(catalog._ENTRIES, Sphere,
-                        (lambda fid: aux_fn, errata, printed))
+                        (nan_s_tt_at_0, errata, printed))
     rc = main(["verify", "--frame", "sphere", "--check", "catalog",
                "--no-timestamp"])
     out, err = capsys.readouterr()
     (check,) = json.loads(out)["checks"]
-    assert len(calls) == 60
+    assert calls == [60]  # one stacked call for the frame's 60 states
     assert rc == 1 and err == "FAIL: catalog-agreement\n"
     assert check["status"] == "fail" and math.isnan(check["max_residual"])
     assert '"max_residual": NaN,' in out
@@ -441,11 +442,28 @@ UNIT_X = np.array([1.0, 0.0, 0.0])
     (lambda: parallel_transport_holonomy(_sphere(), [["a", 0.0, 1.0]] * 8,
                                          UNIT_X),
      "loop must be an array of numbers: could not convert string"),
+    # Angles go through one converter: a number each, omega finite.
+    (lambda: streaming_coefficients(_sphere(), [1.0, 0.2, 0.3], 0.3,
+                                    math.inf),
+     "omega = inf is not finite"),
+    (lambda: streaming_coefficients(_sphere(), [1.0, 0.2, 0.3], "a", 1.0),
+     "mu and omega must be numbers: could not convert string to float: "
+     "'a'"),
+    (lambda: grad_mu(_sphere(), [1.0, 0.2, 0.3], 0.3, -math.inf),
+     "omega = -inf is not finite"),
+    (lambda: grad_omega(_sphere(), [1.0, 0.2, 0.3], None, 1.0),
+     "mu and omega must be numbers"),
+    (lambda: conservation_check(_sphere(), [[1.0, 0.2, 0.3]] * 8,
+                                [("a", 0.2)] * 8),
+     "mu and omega must be numbers: could not convert string"),
 ], ids=["coefficients", "curvature-report", "winding", "kb-transform",
         "jet-rank-3", "conservation", "oracle-step-0", "oracle-step-nan",
         "oracle-direction", "holonomy-v0-nan", "holonomy-v0-short",
         "jet-string", "coefficients-string", "oracle-string",
-        "conservation-ragged", "holonomy-loop-string"])
+        "conservation-ragged", "holonomy-loop-string",
+        "coefficients-omega-inf", "coefficients-mu-string",
+        "grad-mu-omega-inf", "grad-omega-mu-none",
+        "conservation-angle-string"])
 def test_malformed_input_is_out_of_range(call, message):
     with pytest.raises(OutOfRange) as info:
         call()
