@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import OutOfRange, OutsideValidRegion
 from .frames import (Constant, CylindricalI, CylindricalII, Ellipsoid,
-                     Graph, Paraboloid, Sphere, _on_arrays, array_attempt)
+                     Graph, Paraboloid, Sphere, _on_arrays, float_angles,
+                     float_array, on_stack)
 
 _AUX_KEYS = ("s_tt", "s_tb", "s_bt", "s_bb", "kn_t", "kn_b",
              "kt_b", "kb_t", "winding")
@@ -300,32 +301,28 @@ def catalog_coefficients(fid, r, mu, omega):
 
     r is one point, with float mu and omega; or an (N, 3) array of
     points, with arrays of N mu and N omega values, and the result is
-    two arrays of N values.  A stack is one pass of array arithmetic
-    inside array_attempt.  Where that raises (a state on a singular
-    locus, say), or where a point is not finite, the states go one by
-    one, which raises the first failing state's error.  Every entry of
-    a stacked result has the bits of the single-state call.
+    two arrays of N values.  A stack is one pass of array arithmetic,
+    through on_stack.  Where that raises (a state on a singular locus,
+    say), or where a point or omega is not finite, the states go one by
+    one, through float_angles, which raises the first failing state's
+    error.  Every entry of a stacked result has the single-state bits.
     """
     aux = _row(fid)[0]
-    pts = np.asarray(r, dtype=float)
+    pts = float_array(r, "catalog point")
     if pts.shape == (3,):
-        x, y, z = pts.tolist()
-        return _assemble(aux(fid, x, y, z), float(mu), float(omega))
-    mus = np.asarray(mu, dtype=float)
-    omegas = np.asarray(omega, dtype=float)
+        return _assemble(aux(fid, *pts.tolist()), *float_angles(mu, omega))
+    mus = float_array(mu, "mu")
+    omegas = float_array(omega, "omega")
     if pts.ndim != 2 or pts.shape[1] != 3 \
             or mus.shape != pts.shape[:1] or omegas.shape != mus.shape:
         raise OutOfRange("catalog point must be a 3-vector, or an (N, 3) "
                          "array with N mu and N omega values")
-    # Non-finite points go one by one: array arithmetic on them raises
-    # no flag where the float operations might.
-    if np.isfinite(pts).all():
-        try:
-            with array_attempt():
-                return _assemble(aux(fid, *pts.T), mus, omegas)
-        except Exception:  # replayed below, state by state
-            pass
-    pairs = [catalog_coefficients(fid, p, m, o)
-             for p, m, o in zip(pts, mus.tolist(), omegas.tolist())]
-    return tuple(np.array([pair[k] for pair in pairs], dtype=float)
-                 for k in range(2))
+
+    def by_state():
+        pairs = [catalog_coefficients(fid, p, m, o)
+                 for p, m, o in zip(pts, mus.tolist(), omegas.tolist())]
+        return tuple(np.array([pair[k] for pair in pairs], dtype=float)
+                     for k in range(2))
+
+    return on_stack(lambda: _assemble(aux(fid, *pts.T), mus, omegas),
+                    by_state, pts, omegas)

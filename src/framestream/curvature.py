@@ -8,11 +8,11 @@ import math
 import numpy as np
 
 from .derivatives import (DEFAULT_CFG, DiffConfig, FrameScalars,
-                          directional_derivative, float_array, frame_jet,
-                          frame_scalars, jacobian, twist)
+                          directional_derivative, frame_jet, frame_scalars,
+                          jacobian, twist)
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
                      NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
-from .frames import raw_frames
+from .frames import float_array, raw_frames
 
 
 @dataclasses.dataclass(frozen=True)

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import dual as dm
 from .errors import EvaluationFailure, OutOfRange
-from .frames import array_attempt
+from .frames import float_array, on_stack, raw_components, raw_parts
 
 DUAL = "dual"
 FD = "fd"
@@ -38,27 +37,6 @@ class DiffConfig:
 DEFAULT_CFG = DiffConfig()
 
 
-def float_array(x, what: str) -> np.ndarray:
-    """x as a float ndarray, or OutOfRange naming ``what`` where numpy
-    cannot convert it (a string entry, rows of unequal length)."""
-    try:
-        return np.asarray(x, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise OutOfRange(f"{what} must be an array of numbers: {exc}") from exc
-
-
-def float_angles(mu, omega) -> tuple:
-    """(mu, omega) as Python floats, or OutOfRange where one is not a
-    number, or where omega is infinite and so has no cosine."""
-    try:
-        mu, omega = float(mu), float(omega)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise OutOfRange(f"mu and omega must be numbers: {exc}") from exc
-    if math.isinf(omega):
-        raise OutOfRange(f"omega = {omega} is not finite")
-    return mu, omega
-
-
 def _probe(field, p):
     try:
         out = field(p)
@@ -70,28 +48,38 @@ def _probe(field, p):
     return out
 
 
-def _fd_stencil(field, r, dirs, cfg):
-    """Central differences of ``field`` at r along each row of ``dirs``,
-    Richardson-extrapolated over {h, h/2} when cfg.richardson.
-
-    Every probe point comes from one array expression, in the order
-    dir by dir, steps (h, -h, h/2, -h/2); the field sees each as a
-    tuple of Python floats.  The outputs become one array, and the
-    differences run over it in the per-direction operation order, so
-    the result is bit-identical to differencing one direction at a
-    time.  Row k of the result is the derivative along dirs[k].
-    """
+def _stencil(r, dirs, cfg):
+    """The central-difference probes at r, one point or each row of an
+    (N, 3) array, along each row of ``dirs``: on axes (dirs, steps,
+    points, 3), steps h, -h, h/2, -h/2 (h, -h without Richardson)."""
     h = cfg.fd_step
     steps = [h, -h, h / 2.0, -h / 2.0] if cfg.richardson else [h, -h]
-    probes = r + dirs[:, None, :] * np.array(steps)[:, None]
-    f = np.array([_probe(field, tuple(p))
-                  for p in probes.reshape(-1, 3).tolist()], dtype=float)
-    f = f.reshape(dirs.shape[0], len(steps), *f.shape[1:])
+    offsets = dirs[:, None, :] * np.array(steps)[:, None]
+    return r + (offsets[:, :, None] if r.ndim == 2 else offsets)
+
+
+def _differences(f, cfg):
+    """Derivatives from the outputs f at the probes of _stencil, on its
+    axes, Richardson-extrapolated over {h, h/2} when cfg.richardson, in
+    the operation order of one direction at a time, whose bits every
+    entry keeps.  Item k of the last axis is along dirs[k], in C order
+    as np.stack gave: a transposed layout would send later matvecs
+    through another BLAS kernel, which rounds differently."""
+    h = cfg.fd_step
     d = (f[:, 0] - f[:, 1]) / (2.0 * h)
     if cfg.richardson:
         d_half = (f[:, 2] - f[:, 3]) / (2.0 * (h / 2.0))
         d = (4.0 * d_half - d) / 3.0
-    return d
+    return np.ascontiguousarray(np.moveaxis(d, 0, -1))
+
+
+def _fd_stencil(field, r, dirs, cfg):
+    """The derivatives of ``field`` at one point r along each row of
+    ``dirs``; the field sees each probe as a tuple of Python floats."""
+    probes = _stencil(r, dirs, cfg)
+    f = np.array([_probe(field, tuple(p))
+                  for p in probes.reshape(-1, 3).tolist()], dtype=float)
+    return _differences(f.reshape(*probes.shape[:2], *f.shape[1:]), cfg)
 
 
 def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
@@ -104,7 +92,7 @@ def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
     scale = float(np.linalg.norm(h))
     if scale == 0.0:
         return np.zeros(3)
-    return scale * _fd_stencil(field, r, (h / scale)[None, :], cfg)[0]
+    return scale * _fd_stencil(field, r, (h / scale)[None, :], cfg)[..., 0]
 
 
 def jacobian(field, r, cfg: DiffConfig = DEFAULT_CFG):
@@ -114,10 +102,7 @@ def jacobian(field, r, cfg: DiffConfig = DEFAULT_CFG):
     if cfg.engine == DUAL:
         out = _probe(field, dm.seed_gradient(r))
         return np.array([dm.tangent(c) for c in out], dtype=float)
-    # C order, as np.stack gave: a transposed layout would send later
-    # matvecs through another BLAS kernel, which rounds differently.
-    return np.ascontiguousarray(
-        np.moveaxis(_fd_stencil(field, r, np.eye(3), cfg), 0, -1))
+    return _fd_stencil(field, r, np.eye(3), cfg)
 
 
 def axial_vector(j):
@@ -204,93 +189,56 @@ def frame_scalars(jet: FrameJet) -> FrameScalars:
         winding=sb[n][t])
 
 
-def _components(frame_field, p):
-    """The nine components of the frame's raw at probe p, flat in the
-    order n, t, b: flat sequences convert to arrays faster than nested
-    ones."""
-    # The raw field is looked up at each call, so a wrapped instance
-    # attribute sees every probe; a raw without a triple fails here.
-    n, t, b = frame_field.raw(p[0], p[1], p[2])
-    if len(n) != 3 or len(t) != 3 or len(b) != 3:
-        raise EvaluationFailure(
-            f"field returned vectors of lengths ({len(n)}, {len(t)}, "
-            f"{len(b)}), not 3, at probe {tuple(map(dm.value, p))}")
-    return (*n, *t, *b)
-
-
-def _point_jet(frame_field, r, cfg: DiffConfig) -> FrameJet:
-    """The jet at one point r, an ndarray of shape (3,)."""
-    comps = functools.partial(_components, frame_field)
+def _point_parts(frame_field, r, cfg: DiffConfig):
+    """The nine components at one point r, an ndarray of shape (3,),
+    and their (9, 3) Jacobian."""
+    comps = functools.partial(raw_components, frame_field)
     if cfg.engine == DUAL:
         flat = _probe(comps, dm.seed_gradient(r))
         vals = np.array([dm.value(c) for c in flat], dtype=float)
         jacs = np.array([e for c in flat for e in dm.tangent(c)],
-                        dtype=float)
+                        dtype=float).reshape(9, 3)
     else:
         vals = np.array(_probe(comps, tuple(r.tolist())), dtype=float)
         jacs = jacobian(comps, r, cfg)
-    vals = vals.reshape(3, 3)
-    jacs = jacs.reshape(3, 3, 3)
-    return FrameJet(vals[0], vals[1], vals[2], jacs[0], jacs[1], jacs[2])
+    return vals, jacs
 
 
-def _dual_jets(frame_field, pts) -> FrameJet:
-    """The stacked jet at the rows of pts from one raw call on array
-    Duals.  Raises as array_attempt does, and on output that is not
-    three vectors of three components, each a float or an array of one
-    entry per point."""
-    count = len(pts)
-    vals = np.empty((count, 9))
-    jacs = np.empty((count, 9, 3))
-    with array_attempt():
-        for k, c in enumerate(_components(frame_field,
-                                          dm.seed_gradient(pts))):
-            parts = ((c.val, c.e0, c.e1, c.e2) if isinstance(c, dm.Dual)
-                     else (c, 0.0, 0.0, 0.0))
-            if any(np.shape(part) not in ((), (count,)) for part in parts):
-                raise ValueError("component of another length")
-            vals[:, k] = parts[0]
-            for j in range(3):
-                jacs[:, k, j] = parts[j + 1]
-    return _stacked(vals.reshape(count, 3, 3),
-                    jacs.reshape(count, 3, 3, 3))
-
-
-def _stacked(vals, jacs) -> FrameJet:
-    """The stacked jet of (N, 3, 3) vectors and (N, 3, 3, 3) Jacobians,
-    in the order n, t, b on axis 1."""
-    return FrameJet(vals[:, 0], vals[:, 1], vals[:, 2], jacs[:, 0],
-                    jacs[:, 1], jacs[:, 2])
+def _stack_parts(frame_field, pts, cfg: DiffConfig):
+    """The nine components at the rows of pts, (N, 9), and their
+    (N, 9, 3) Jacobian, from one raw call: on array Duals for the dual
+    engine, on the points and their stencil probes for fd."""
+    if cfg.engine == DUAL:
+        return raw_parts(frame_field, pts, dual=True)
+    probes = _stencil(pts, np.eye(3), cfg)
+    f = raw_parts(frame_field, np.concatenate([pts, probes.reshape(-1, 3)]))[0]
+    return f[:len(pts)], _differences(
+        f[len(pts):].reshape(*probes.shape[:-1], 9), cfg)
 
 
 def frame_jet(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> FrameJet:
     """Evaluate a frame field and its three Jacobians in one pass.
 
-    r is one point, or an (N, 3) array of points for a stacked jet.  On
-    the dual engine a stack is one raw call on array Duals.  When that
-    call raises (the raw rejects arrays, say) or returns malformed
-    output, when array_attempt trips, or when a point is not finite,
-    the points go one by one through the single-point path, which
-    raises what it would raise for the first failing point.  Every
-    entry of a stacked jet has the bits of the single-point jet.
+    r is one point, or an (N, 3) array of points for a stacked jet: one
+    raw call (_stack_parts), through frames.on_stack.  Where that fails,
+    the points go one by one through the single-point path, which raises
+    what it would raise for the first failing point.  Every entry of a
+    stacked jet has the bits of the single-point jet.
     """
     r = float_array(r, "point")
     if r.ndim > 2 or r.shape[-1:] != (3,):
         raise OutOfRange(f"point must be a 3-vector or an (N, 3) array, "
                          f"not of shape {r.shape}")
     if r.ndim == 1:
-        return _point_jet(frame_field, r, cfg)
-    # Non-finite points go one by one: array arithmetic on them raises
-    # no flag where the float operations of the single path might.
-    if cfg.engine == DUAL and len(r) and np.isfinite(r).all():
-        try:
-            return _dual_jets(frame_field, r)
-        except Exception:  # replayed below, point by point
-            pass
-    vals = np.empty((len(r), 3, 3))
-    jacs = np.empty((len(r), 3, 3, 3))
-    for i, p in enumerate(r):
-        jet = _point_jet(frame_field, p, cfg)
-        vals[i] = jet.n, jet.t, jet.b
-        jacs[i] = jet.jn, jet.jt, jet.jb
-    return _stacked(vals, jacs)
+        vals, jacs = _point_parts(frame_field, r, cfg)
+    else:
+        def by_point():
+            vals, jacs = np.empty((len(r), 9)), np.empty((len(r), 9, 3))
+            for i, p in enumerate(r):
+                vals[i], jacs[i] = _point_parts(frame_field, p, cfg)
+            return vals, jacs
+
+        vals, jacs = on_stack(lambda: _stack_parts(frame_field, r, cfg),
+                              by_point, r)
+    return FrameJet(vals[..., 0:3], vals[..., 3:6], vals[..., 6:9],
+                    jacs[..., 0:3, :], jacs[..., 3:6, :], jacs[..., 6:9, :])

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import dual as dm
 from .dual import value
-from .errors import (DegeneratePoint, NotOrthonormal, OutOfRange,
-                     ParallelInput, PolarDirection)
+from .errors import (DegeneratePoint, EvaluationFailure, NotOrthonormal,
+                     OutOfRange, ParallelInput, PolarDirection)
 
 _STRICT_TOL = 1e-12
 _LOOSE_TOL = 1e-8
@@ -133,6 +133,27 @@ class FrameField:
         return f"FrameField({self.name!r}, homothetic={self.homothetic})"
 
 
+def float_array(x, what: str) -> np.ndarray:
+    """x as a float ndarray, or OutOfRange naming ``what`` where numpy
+    cannot convert it (a string entry, rows of unequal length)."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise OutOfRange(f"{what} must be an array of numbers: {exc}") from exc
+
+
+def float_angles(mu, omega) -> tuple:
+    """(mu, omega) as Python floats, or OutOfRange where one is not a
+    number, or where omega is infinite or NaN and so has no cosine."""
+    try:
+        mu, omega = float(mu), float(omega)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise OutOfRange(f"mu and omega must be numbers: {exc}") from exc
+    if not math.isfinite(omega):
+        raise OutOfRange(f"omega = {omega} is not finite")
+    return mu, omega
+
+
 @contextlib.contextmanager
 def array_attempt():
     """Context of a call on arrays that is replayed point by point when
@@ -145,43 +166,73 @@ def array_attempt():
         yield
 
 
-def raw_frames(frame_field, pts, fail=None) -> np.ndarray:
-    """The frames at the rows of an (M, 3) float array: an (M, 3, 3)
-    array of the vectors n, t, b at each row.
-
-    One raw call on the columns of pts, inside array_attempt.  Where
-    that raises, or returns other than three vectors of three
-    components, each a float or an array of M entries, or where a point
-    is not finite, the raw is called row by row on Python floats.  A row
-    whose call raises raises ``fail(row, exc)`` from it, or the raw's
-    own exception when fail is None.
-    """
-    count = len(pts)
-    out = np.empty((count, 3, 3))
-    # Non-finite points go one by one: array arithmetic on them raises
+def on_stack(array_call, replay, *inputs):
+    """array_call() inside array_attempt, or replay() where it raises or
+    where an entry of the input arrays is not finite: the one policy of
+    every stacked evaluation, whose replay goes point by point."""
+    # Non-finite inputs go one by one: array arithmetic on them raises
     # no flag where the float operations of a raw might.
-    if np.isfinite(pts).all():
+    if all(np.isfinite(a).all() for a in inputs):
         try:
             with array_attempt():
-                vecs = frame_field.raw(*np.ascontiguousarray(pts.T))
-                if len(vecs) != 3 or any(len(v) != 3 for v in vecs):
-                    raise ValueError("raw output is not three 3-vectors")
-                for i, vec in enumerate(vecs):
-                    for j, c in enumerate(vec):
-                        if np.shape(c) not in ((), (count,)):
-                            raise ValueError("component of another length")
-                        out[:, i, j] = c
-            return out
-        except Exception:  # replayed below, row by row
+                return array_call()
+        except Exception:  # replayed below, point by point
             pass
-    for i, p in enumerate(pts.tolist()):
-        try:
-            out[i] = frame_field.raw(*p)
-        except Exception as exc:
-            if fail is None:
-                raise
-            raise fail(p, exc) from exc
-    return out
+    return replay()
+
+
+def raw_components(frame_field, p) -> tuple:
+    """The nine components of the frame's raw at probe p, flat in the
+    order n, t, b: flat sequences convert to arrays faster than nested
+    ones."""
+    # The raw field is looked up at each call, so a wrapped instance
+    # attribute sees every probe; a raw without a triple fails here.
+    n, t, b = frame_field.raw(p[0], p[1], p[2])
+    if len(n) != 3 or len(t) != 3 or len(b) != 3:
+        raise EvaluationFailure(
+            f"field returned vectors of lengths ({len(n)}, {len(t)}, "
+            f"{len(b)}), not 3, at probe {tuple(map(value, p))}")
+    return (*n, *t, *b)
+
+
+def raw_parts(frame_field, pts, dual=False) -> tuple:
+    """The raw at the rows of an (N, 3) array pts, from one call on
+    their coordinate arrays (array Duals seeded with the identity when
+    dual): the (N, 9) values of the nine components and their (N, 9, 3)
+    tangents, zero for a float component.  Raises, for a replay, on a
+    component that is neither a float nor an array of N entries."""
+    count = len(pts)
+    cols = dm.seed_gradient(pts) if dual else np.ascontiguousarray(pts.T)
+    vals, tans = np.empty((count, 9)), np.zeros((count, 9, 3))
+    for k, c in enumerate(raw_components(frame_field, cols)):
+        parts = (c.val, c.e0, c.e1, c.e2) if isinstance(c, dm.Dual) else (c,)
+        if any(np.shape(part) not in ((), (count,)) for part in parts):
+            raise ValueError("component of another length")
+        vals[:, k] = parts[0]
+        for j, part in enumerate(parts[1:]):
+            tans[:, k, j] = part
+    return vals, tans
+
+
+def raw_frames(frame_field, pts, fail=None) -> np.ndarray:
+    """The frames at the rows of an (M, 3) float array: an (M, 3, 3)
+    array of the vectors n, t, b at each row, from one raw call through
+    on_stack, or row by row on Python floats.  A row whose call raises
+    raises ``fail(row, exc)`` from it, or the raw's own exception when
+    fail is None."""
+    def by_row():
+        out = np.empty((len(pts), 3, 3))
+        for i, p in enumerate(pts.tolist()):
+            try:
+                out[i] = frame_field.raw(*p)
+            except Exception as exc:
+                if fail is None:
+                    raise
+                raise fail(p, exc) from exc
+        return out
+
+    return on_stack(lambda: raw_parts(frame_field, pts)[0].reshape(-1, 3, 3),
+                    by_row, pts)
 
 
 # ---------------------------------------------------------------------------

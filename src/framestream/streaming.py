@@ -10,11 +10,11 @@ import math
 import numpy as np
 
 from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
-                          float_angles, float_array, frame_jet,
-                          frame_scalars, twist)
+                          frame_jet, frame_scalars, twist)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
-from .frames import FramePoint, direction_from_angles, loose_frames_ok
+from .frames import (FramePoint, direction_from_angles, float_angles,
+                     float_array, loose_frames_ok)
 
 _POLAR_TOL = 1e-14
 _BREAKDOWN_RTOL = 1e-10
@@ -81,7 +81,7 @@ def _any(flags) -> bool:
 
 def _angles(mu, omega):
     """(mu, s, c, sn) of one direction, as coefficient_terms takes them;
-    OutOfRange, from float_angles, for a non-number or infinite omega."""
+    OutOfRange, from float_angles, for a non-number or non-finite omega."""
     mu, omega = float_angles(mu, omega)
     s = math.sqrt(max(0.0, 1.0 - mu * mu))
     return mu, s, math.cos(omega), math.sin(omega)

@@ -12,11 +12,12 @@ from . import dual as dm
 from .catalog import catalog_coefficients
 from .curvature import ShapeOperator2x2, parallel_transport_holonomy
 from .derivatives import (DEFAULT_CFG, DiffConfig, directional_derivative,
-                          float_angles, float_array, frame_jet, frame_scalars)
+                          frame_jet, frame_scalars)
 from .errors import (DegenerateMetric, DomainExit, InconsistentReport,
                      OutOfRange, PolarDirection, UnwrapFailure)
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere,
-                     builtin_frame, frame_spec, raw_frames)
+                     builtin_frame, float_angles, float_array, frame_spec,
+                     raw_frames)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
 from .streaming import (MuForm, OmegaForm, _direction, _dot, _matvec,
                         angle_arrays, check_mu, checked_terms,

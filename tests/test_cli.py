@@ -75,6 +75,13 @@ def test_coeffs_matches_ellipsoid_engine(capsys):
     assert abs(rec["a_omega"] + 0.820993417881) < 1e-6
 
 
+def test_coeffs_exit_3_on_nan_mu(capsys):
+    # A NaN mu is left to the mu range check, an evaluation failure.
+    rc, out, err = run(capsys, ["coeffs", "--frame", "sphere", "--point",
+                                "1,0,1", "--mu", "nan", "--omega", "1"])
+    assert (rc, out, err) == (3, "", "error: mu = nan outside [-1, 1]\n")
+
+
 def test_coeffs_exit_3_on_singular_point(capsys):
     rc, _, err = run(capsys, ["coeffs", "--frame", "sphere",
                               "--point", "0,0,2", "--mu", "0.5",
@@ -114,6 +121,8 @@ def test_bad_frame_exits_2(capsys):
      "fd_step must lie in"),
     (["coeffs", "--frame", "sphere", "--point", "1,0,1", "--mu", "0.3",
       "--omega", "inf"], "omega = inf is not finite"),
+    (["coeffs", "--frame", "sphere", "--point", "1,0,1", "--mu", "0.3",
+      "--omega", "nan", "--format", "csv"], "omega = nan is not finite"),
 ])
 def test_out_of_range_flag_exits_2(capsys, argv, message):
     rc, out, err = run(capsys, argv)

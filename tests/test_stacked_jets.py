@@ -1,6 +1,7 @@
 """Stacked frame jets: an (N, 3) array of points gives the bits of N
-single-point jets, from one raw call on array Duals where the raw takes
-arrays and point by point where it does not, with the single-point
+single-point jets, from one raw call where the raw takes arrays (on
+array Duals for the dual engine, on the points and their stencil probes
+for fd) and point by point where it does not, with the single-point
 errors."""
 import hashlib
 import math
@@ -10,7 +11,8 @@ import pytest
 
 from framestream import (DiffConfig, EvaluationFailure, FoliationMissing,
                          FrameField, MuForm, NotOrthonormal, OmegaForm,
-                         OutOfRange, builtin_frame, frame_jet, grad_mu,
+                         OutOfRange, OutsideValidRegion, builtin_frame,
+                         catalog_coefficients, frame_jet, grad_mu,
                          grad_omega, ray_oracle)
 from framestream import dual as dm
 from framestream.cli import main
@@ -59,8 +61,7 @@ def test_stacked_jet_scalars_and_terms_are_bit_equal(name, seed, cfg):
     states = random_states(spec.default, 25, np.random.default_rng(seed))
     counted = _Counted(field.raw)
     jet = frame_jet(counted, np.array([r for r, _, _ in states]), cfg)
-    if cfg.engine == "dual":
-        assert counted.calls == 1  # no point-by-point replay
+    assert counted.calls == 1  # no point-by-point replay, on either engine
     mu, s, c, sn = angle_arrays([m for _, m, _ in states],
                                 [o for _, _, o in states])
     scalars = frame_scalars(jet)
@@ -115,12 +116,15 @@ def test_raw_that_rejects_arrays_is_replayed_point_by_point():
     states = random_states(BUILTIN_FRAMES["sphere"].default, 12,
                            np.random.default_rng(3))
     points = np.array([r for r, _, _ in states])
-    counted = _Counted(scalar_only)
-    jet = frame_jet(counted, points)
-    assert counted.calls == 1 + len(points)  # the array attempt, then each
-    want = frame_jet(sphere, points)
-    for f in JET_FIELDS:
-        assert getattr(jet, f).tobytes() == getattr(want, f).tobytes()
+    # The array attempt, then each point: one call on the dual engine;
+    # the point and its 12 stencil probes on fd.
+    for cfg, per_point in zip(ENGINES, (1, 13)):
+        counted = _Counted(scalar_only)
+        jet = frame_jet(counted, points, cfg)
+        assert counted.calls == 1 + per_point * len(points)
+        want = frame_jet(sphere, points, cfg)
+        for f in JET_FIELDS:
+            assert getattr(jet, f).tobytes() == getattr(want, f).tobytes()
 
     loop, v0, _ = _latitude_loop(math.pi / 3, 400)
     counted = _Counted(scalar_only)
@@ -135,6 +139,41 @@ def test_holonomy_makes_one_raw_call_per_loop():
     loop, v0, _ = _latitude_loop(math.pi / 3, 1000)
     parallel_transport_holonomy(counted, loop, v0)
     assert counted.calls == 1
+
+
+# --- a catalog stack with a non-finite state ------------------------------
+
+def _catalog_states(count, seed):
+    fid = BUILTIN_FRAMES["sphere"].default
+    states = random_states(fid, count, np.random.default_rng(seed))
+    return (fid, np.array([r for r, _, _ in states]),
+            np.array([m for _, m, _ in states]),
+            np.array([o for _, _, o in states]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_catalog_stack_with_a_non_finite_omega_raises_its_state_error(bad):
+    fid, pts, mus, omegas = _catalog_states(6, 5)
+    omegas[3] = bad
+    want = _error(catalog_coefficients, fid, pts[3], mus[3], omegas[3])
+    assert want[:2] == (OutOfRange, f"omega = {bad} is not finite")
+    assert _error(catalog_coefficients, fid, pts, mus, omegas) == want
+    # A singular state before it raises first, as the state loop does.
+    pts[1] = (0.0, 0.0, 2.0)
+    want = _error(catalog_coefficients, fid, pts[1], mus[1], omegas[1])
+    assert want[0] is OutsideValidRegion
+    assert _error(catalog_coefficients, fid, pts, mus, omegas) == want
+
+
+def test_catalog_stack_with_a_non_finite_point_has_the_state_bits():
+    fid, pts, mus, omegas = _catalog_states(6, 5)
+    pts[2] = (math.nan, 0.5, 0.5)
+    pts[4] = (math.inf, 0.5, 0.5)
+    got = catalog_coefficients(fid, pts, mus, omegas)
+    want = [catalog_coefficients(fid, p, m, o)
+            for p, m, o in zip(pts, mus.tolist(), omegas.tolist())]
+    assert (np.array(got).tobytes()
+            == np.array(want, dtype=float).T.copy().tobytes())
 
 
 # --- form-equivalence masks the routes whose leaf is missing -------------
@@ -379,12 +418,40 @@ VERIFY_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(VERIFY_STDOUT))
-def test_verify_stdout_is_pinned_byte_for_byte(seed, capsys):
-    assert main(["verify", "--seed", str(seed), "--no-timestamp"]) == 0
+def _check_verify_stdout(argv, size, pin, capsys):
+    assert main(argv + ["--no-timestamp"]) == 0
     out = capsys.readouterr().out.encode()
-    digest, residuals = VERIFY_STDOUT[seed]
+    digest, residuals = pin
     got = [line.split(b": ")[1].rstrip(b",").decode()
            for line in out.splitlines() if b'"max_residual"' in line]
     assert got == residuals
-    assert len(out) == 1418 and hashlib.sha256(out).hexdigest() == digest
+    assert len(out) == size and hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_STDOUT))
+def test_verify_stdout_is_pinned_byte_for_byte(seed, capsys):
+    _check_verify_stdout(["verify", "--seed", str(seed)], 1418,
+                         VERIFY_STDOUT[seed], capsys)
+
+
+# The same for `framestream verify --engine fd --seed S --no-timestamp`
+# (1416 bytes each), as the per-point fd jets gave before a stacked fd
+# jet was one raw call on all its stencil probes.
+VERIFY_FD_STDOUT = {
+    7: ("3502eaf2feb4a8ea7175f71f1b6983448758e67e83ae896520d73202f83049f8",
+        ["6.5997735054779127e-11", "5.3855586656936794e-11",
+         "9.3064972395140444e-11", "7.9619547066478447e-11",
+         "1.0262156670880971e-09", "0", "1.9378934874580978e-06",
+         "0.50226597643568838"]),
+    11: ("c7b6cf30911c03ed318460ba9c59adef719d352427f3cd02b5608dd02f603e70",
+         ["5.592964980039028e-11", "8.2604742490666183e-11",
+          "7.6886497168970891e-11", "6.9126135371355701e-11",
+          "4.6784143707297385e-10", "0", "1.9378934874580978e-06",
+          "0.50226597643568838"]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_FD_STDOUT))
+def test_verify_fd_stdout_is_pinned_byte_for_byte(seed, capsys):
+    _check_verify_stdout(["verify", "--engine", "fd", "--seed", str(seed)],
+                         1416, VERIFY_FD_STDOUT[seed], capsys)

@@ -236,3 +236,29 @@ def test_bench_sweep_stdout_is_pinned_byte_for_byte(seed, fmt, capsys):
     out = capsys.readouterr().out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == \
         SWEEP_STDOUT[seed, fmt]
+
+
+# sha256 and length of `sweep --engine fd` reports on a 3 x 2 x 3 grid
+# with 3 x 5 directions, as the per-point fd jets rendered them before a
+# stacked fd jet was one raw call on all its stencil probes.
+SWEEP_FD_STDOUT = {
+    ("ellipsoid", "json"): (113341, "beb0573e915e53b34b8eba946600b5d8"
+                                    "9e2289d37602e636462181efaee8084b"),
+    ("ellipsoid", "csv"): (51054, "d71095e099e5ed83b9b8eebb871e385c"
+                                  "a0b43c599fa2cdb67a89b7ed295506b6"),
+    ("graph", "json"): (114185, "0687b14c950c2e527116bad250ade8f5"
+                                "f35de3841eccff465dc82b554df2e62a"),
+    ("graph", "csv"): (51901, "7a79cf2f804a283234153c851b6d1ce3"
+                              "77a5d2a497378179282d41aee42034ac"),
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(SWEEP_FD_STDOUT))
+def test_fd_sweep_stdout_is_pinned_byte_for_byte(name, fmt, capsys):
+    assert main(["sweep", "--x=0.4:1.3:3", "--y=0.3:0.8:2",
+                 "--z=-0.5:0.7:3", "--mu-count", "3", "--omega-count", "5",
+                 "--frame", name, "--format", fmt, "--no-timestamp",
+                 "--engine", "fd"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == \
+        SWEEP_FD_STDOUT[name, fmt]

@@ -7,7 +7,8 @@ from framestream import (CheckResult, ConservationReport, CylindricalI,
                          CylindricalII, DiffConfig, Ellipsoid,
                          FramestreamError, InconsistentReport, OutOfRange,
                          Paraboloid, RayOracleResult, Sphere, builtin_frame,
-                         conservation_check, catalog_entry,
+                         catalog_coefficients, conservation_check,
+                         catalog_entry,
                          curvature_report, frame_jet, grad_mu, grad_omega,
                          kb_transform_residual,
                          parallel_transport_holonomy, ray_oracle, run_checks,
@@ -456,6 +457,28 @@ UNIT_X = np.array([1.0, 0.0, 0.0])
     (lambda: conservation_check(_sphere(), [[1.0, 0.2, 0.3]] * 8,
                                 [("a", 0.2)] * 8),
      "mu and omega must be numbers: could not convert string"),
+    # A NaN omega has no cosine either.
+    (lambda: streaming_coefficients(_sphere(), [1.0, 0.2, 0.3], 0.3,
+                                    math.nan),
+     "omega = nan is not finite"),
+    (lambda: grad_omega(_sphere(), [1.0, 0.2, 0.3], 0.3, math.nan),
+     "omega = nan is not finite"),
+    # The catalog's angles go through the same converter.
+    (lambda: catalog_coefficients(Sphere(), [1.0, 0.2, 0.3], "a", 1.0),
+     "mu and omega must be numbers: could not convert string to float: "
+     "'a'"),
+    (lambda: catalog_coefficients(Sphere(), [1.0, 0.2, 0.3], 0.3,
+                                  math.inf),
+     "omega = inf is not finite"),
+    (lambda: catalog_coefficients(Sphere(), [1.0, 0.2, 0.3], 0.3,
+                                  math.nan),
+     "omega = nan is not finite"),
+    (lambda: catalog_coefficients(Sphere(), [[1.0, 0.2, 0.3]] * 2,
+                                  ["a", 0.3], [1.0, 1.0]),
+     "mu must be an array of numbers: could not convert string"),
+    (lambda: catalog_coefficients(Sphere(), [[1.0, 0.2, 0.3]] * 2,
+                                  [0.3, 0.3], [1.0, math.inf]),
+     "omega = inf is not finite"),
 ], ids=["coefficients", "curvature-report", "winding", "kb-transform",
         "jet-rank-3", "conservation", "oracle-step-0", "oracle-step-nan",
         "oracle-direction", "holonomy-v0-nan", "holonomy-v0-short",
@@ -463,7 +486,10 @@ UNIT_X = np.array([1.0, 0.0, 0.0])
         "conservation-ragged", "holonomy-loop-string",
         "coefficients-omega-inf", "coefficients-mu-string",
         "grad-mu-omega-inf", "grad-omega-mu-none",
-        "conservation-angle-string"])
+        "conservation-angle-string", "coefficients-omega-nan",
+        "grad-omega-omega-nan", "catalog-mu-string", "catalog-omega-inf",
+        "catalog-omega-nan", "catalog-stack-mu-string",
+        "catalog-stack-omega-inf"])
 def test_malformed_input_is_out_of_range(call, message):
     with pytest.raises(OutOfRange) as info:
         call()
