@@ -443,31 +443,34 @@ def _raw_graph(g: Graph):
 
 
 # ---------------------------------------------------------------------------
-# Samplers of a point in a frame's comfort zone.  The order of their
-# draws from ``rng`` fixes the states that a seed gives.
+# Boxes of draws and placements of a sampled point in a frame's comfort
+# zone (see FrameSpec).  The order of the draws fixes the states that a
+# seed gives.
 
-def _sample_cylinder(fid, rng):
-    rho = rng.uniform(0.5, 3.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    return np.array([rho * math.cos(phi), rho * math.sin(phi),
-                     rng.uniform(-2.0, 2.0)])
-
-
-def _sample_shell(rng, top, a=1.0, b=1.0, c=1.0):
-    """A point scale * (a sin(theta) cos(phi), b sin(theta) sin(phi),
-    c cos(theta)), 0.3 rad clear of the poles."""
-    scale = rng.uniform(0.5, top)
-    theta = rng.uniform(0.3, math.pi - 0.3)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    return scale * np.array([a * math.sin(theta) * math.cos(phi),
-                             b * math.sin(theta) * math.sin(phi),
-                             c * math.cos(theta)])
+_CYLINDER_BOX = ((0.5, 3.0), (0.0, 2.0 * math.pi), (-2.0, 2.0))
+_SHELL_ANGLES = ((0.3, math.pi - 0.3), (0.0, 2.0 * math.pi))
+_GRAPH_BOX = ((-1.5, 1.5), (-1.5, 1.5))
 
 
-def _sample_graph(g: Graph, rng):
-    x = rng.uniform(-1.5, 1.5)
-    y = rng.uniform(-1.5, 1.5)
-    return np.array([x, y, float(g.f(x, y))])
+def _place_cylinder(rho, phi, z):
+    return rho * math.cos(phi), rho * math.sin(phi), z
+
+
+def _shell_placement(a=1.0, b=1.0, c=1.0):
+    """The point scale * (a sin(theta) cos(phi), b sin(theta) sin(phi),
+    c cos(theta)) of draws (scale, theta, phi); the box keeps theta
+    0.3 rad clear of the poles."""
+    def place(scale, theta, phi):
+        return (scale * (a * math.sin(theta) * math.cos(phi)),
+                scale * (b * math.sin(theta) * math.sin(phi)),
+                scale * (c * math.cos(theta)))
+    return place
+
+
+def _graph_placement(g: Graph):
+    """The point (x, y, f(x, y)) of draws (x, y), f called on floats."""
+    f = g.f
+    return lambda x, y: (x, y, float(f(x, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,39 +481,47 @@ class FrameSpec:
     """One built-in frame.  A new frame is one row of ``BUILTIN_FRAMES``
     plus its hand-derived auxiliary scalars in the catalog's table,
     which is kept in catalog.py so that this module never imports the
-    truth source."""
+    truth source.
+
+    A sample of the frame's comfort zone is one uniform draw in each
+    (low, high) range of ``box``, in that order, placed at a point by
+    ``place(id)``; the placement takes the draws of one sample as
+    Python floats, so its math calls give the bits of scalar code."""
 
     name: str            # the CLI --frame value
     default: object      # the id verify uses; the CLI's --a/--b/--c
                          # replace its fields of those names
     raw: Callable        # id -> raw(x, y, z)
     homothetic: bool     # coefficients scale as 1/|r| under r -> k r
-    sample: Callable     # (id, rng) -> a point in the comfort zone
+    box: tuple           # the (low, high) range of each draw of a sample
+    place: Callable      # id -> place(*draws) -> the point (x, y, z)
     conservation: tuple  # (feasible, reason) expected for the default
 
 
 BUILTIN_FRAMES = {spec.name: spec for spec in (
     FrameSpec("constant", Constant(), lambda fid: _raw_constant, False,
-              lambda fid, rng: rng.uniform(-2.0, 2.0, size=3),
+              ((-2.0, 2.0),) * 3, lambda fid: lambda x, y, z: (x, y, z),
               (True, "Feasible")),
     FrameSpec("cylindrical-i", CylindricalI(), lambda fid: _raw_cyl1,
-              True, _sample_cylinder, (True, "Feasible")),
-    FrameSpec("cylindrical-ii", CylindricalII(), lambda fid: _raw_cyl2,
-              True, _sample_cylinder, (False, "CDependsOnOmega")),
-    FrameSpec("sphere", Sphere(), lambda fid: _raw_sphere,
-              True, lambda fid, rng: _sample_shell(rng, 3.0),
+              True, _CYLINDER_BOX, lambda fid: _place_cylinder,
               (True, "Feasible")),
+    FrameSpec("cylindrical-ii", CylindricalII(), lambda fid: _raw_cyl2,
+              True, _CYLINDER_BOX, lambda fid: _place_cylinder,
+              (False, "CDependsOnOmega")),
+    FrameSpec("sphere", Sphere(), lambda fid: _raw_sphere, True,
+              ((0.5, 3.0),) + _SHELL_ANGLES,
+              lambda fid: _shell_placement(), (True, "Feasible")),
     FrameSpec("ellipsoid", Ellipsoid(2.0, 1.0, 1.0),
               lambda fid: _make_raw_ellipsoid(fid.a, fid.b, fid.c),
-              True,
-              lambda fid, rng: _sample_shell(rng, 2.0, fid.a, fid.b, fid.c),
+              True, ((0.5, 2.0),) + _SHELL_ANGLES,
+              lambda fid: _shell_placement(fid.a, fid.b, fid.c),
               (False, "KappaNNonzero")),
     FrameSpec("paraboloid", Paraboloid(1.0, 2.0),
-              lambda fid: _raw_graph(fid.as_graph()), False,
-              lambda fid, rng: _sample_graph(fid.as_graph(), rng),
+              lambda fid: _raw_graph(fid.as_graph()), False, _GRAPH_BOX,
+              lambda fid: _graph_placement(fid.as_graph()),
               (False, "KappaNNonzero")),
-    FrameSpec("graph", default_graph_id(), _raw_graph,
-              False, _sample_graph, (False, "KappaNNonzero")),
+    FrameSpec("graph", default_graph_id(), _raw_graph, False, _GRAPH_BOX,
+              _graph_placement, (False, "KappaNNonzero")),
 )}
 _SPEC_BY_TYPE = {type(spec.default): spec for spec in BUILTIN_FRAMES.values()}
 

@@ -89,9 +89,24 @@ def _angles(mu, omega):
 
 def angle_arrays(mus, omegas):
     """Arrays (mu, s, c, sn) for paired lists of mu and omega, each entry
-    computed by the same math calls as a single state."""
-    rows = [_angles(mu, omega) for mu, omega in zip(mus, omegas)]
-    return tuple(np.array(column, dtype=float) for column in zip(*rows))
+    with the bits of _angles at that state.  Columns of finite numbers
+    convert as arrays; any other input is replayed state by state, so
+    that the first bad entry raises its own OutOfRange."""
+    try:
+        mu, omega = float_array(mus, "mu"), float_array(omegas, "omega")
+        as_arrays = (mu.ndim == 1 and mu.shape == omega.shape
+                     and np.isfinite(mu).all() and np.isfinite(omega).all())
+    except OutOfRange:
+        as_arrays = False
+    if not as_arrays:
+        rows = [_angles(mu, omega) for mu, omega in zip(mus, omegas)]
+        return tuple(np.array(column, dtype=float) for column in zip(*rows))
+    # A huge mu overflows to inf without a flag, as a float does.
+    with np.errstate(over="ignore"):
+        s = np.sqrt(np.fmax(0.0, 1.0 - mu * mu))
+    omegas = omega.tolist()
+    return (mu.copy(), s, np.array(list(map(math.cos, omegas))),
+            np.array(list(map(math.sin, omegas))))
 
 
 def check_mu(mu) -> None:

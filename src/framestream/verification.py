@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .errors import (DegenerateMetric, DomainExit, InconsistentReport,
                      OutOfRange, PolarDirection, UnwrapFailure)
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere,
                      builtin_frame, float_angles, float_array, frame_spec,
-                     raw_frames)
+                     on_stack, raw_parts)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
 from .streaming import (MuForm, OmegaForm, _direction, _dot, _matvec,
                         angle_arrays, check_mu, checked_terms,
@@ -168,10 +169,11 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3,
 
 def _stacked_rays(frame_field, r, d, step):
     """(dmu_ds, domega_ds, richardson_error_estimate) arrays of the rays
-    along the rows of the (N, 3) arrays r and d, from one raw_frames
-    call on all 5N probes; None where a ray needs the single-ray path:
-    a direction that is not unit, a failing probe, a polar ray or an
-    azimuth jump.
+    along the rows of the (N, 3) arrays r and d, from one raw call on
+    all 5N probes through on_stack; None where a ray needs the
+    single-ray path: a direction that is not unit, a failing probe, a
+    polar ray or an azimuth jump.  The single-ray path is the only
+    replay, so a failing stack is replayed once, ray by ray.
 
     The operations are those of the single-ray path, entry by entry:
     each Omega . (n, t, b) is a row-by-row dot as ``d @ n`` takes it,
@@ -181,10 +183,10 @@ def _stacked_rays(frame_field, r, d, step):
     if (np.abs(_dot(d, d) - 1.0) > 1e-10).any():
         return None
     ss = np.array([-step, -step / 2.0, 0.0, step / 2.0, step])
-    probes = r[:, None, :] + ss[:, None] * d[:, None, :]
-    try:
-        f = raw_frames(frame_field, probes.reshape(-1, 3))
-    except Exception:  # replayed ray by ray
+    probes = (r[:, None, :] + ss[:, None] * d[:, None, :]).reshape(-1, 3)
+    f = on_stack(lambda: raw_parts(frame_field, probes)[0], lambda: None,
+                 probes)
+    if f is None:  # replayed ray by ray
         return None
     proj = _dot(d[:, None, None, :], f.reshape(-1, 5, 3, 3))
     mus = proj[..., 0]
@@ -337,21 +339,41 @@ def default_frames() -> dict:
     return {name: spec.default for name, spec in BUILTIN_FRAMES.items()}
 
 
+_ANGLE_BOX = ((-0.9, 0.9), (0.0, TWO_PI))
+
+
+def _uniform_rows(rng, count, box) -> list:
+    """``count`` rows of Python floats, one uniform draw in each (low,
+    high) range of ``box`` per row: one generator call whose doubles,
+    consumed in the same order, are those of a scalar
+    ``rng.uniform(low, high)`` call per entry, row by row.  Raises
+    OutOfRange for a count that is not a nonnegative integer."""
+    try:
+        rows = operator.index(count)
+    except TypeError:
+        rows = -1
+    if rows < 0:
+        raise OutOfRange(f"count must be a nonnegative integer, not "
+                         f"{count!r}")
+    low, high = np.array(box).T
+    return rng.uniform(low, high, size=(rows, len(box))).tolist()
+
+
 def random_states(fid, count: int, rng) -> list:
-    """Non-degenerate (r, mu, omega) samples in a frame's comfort zone."""
-    sample = frame_spec(fid).sample
-    out = []
-    for _ in range(count):
-        r = sample(fid, rng)
-        mu = rng.uniform(-0.9, 0.9)
-        omega = rng.uniform(0.0, TWO_PI)
-        out.append((r, float(mu), float(omega)))
-    return out
+    """Non-degenerate (r, mu, omega) samples in a frame's comfort zone:
+    the draws of each sample's point, placed by its registry row, then
+    mu in (-0.9, 0.9) and omega in (0, 2 pi)."""
+    spec = frame_spec(fid)
+    place = spec.place(fid)
+    k = len(spec.box)
+    rows = _uniform_rows(rng, count, spec.box + _ANGLE_BOX)
+    points = np.array([place(*row[:k]) for row in rows], dtype=float)
+    return [(r, row[k], row[k + 1]) for r, row in zip(points, rows)]
 
 
 def _angle_grid(count: int, rng) -> list:
-    return [(rng.uniform(-0.9, 0.9), rng.uniform(0.0, TWO_PI))
-            for _ in range(count)]
+    """``count`` (mu, omega) pairs drawn as random_states draws them."""
+    return list(map(tuple, _uniform_rows(rng, count, _ANGLE_BOX)))
 
 
 def _points(states):

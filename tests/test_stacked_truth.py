@@ -194,6 +194,24 @@ def test_stacked_ray_oracle_raises_as_the_ray_loop(bad, expected):
     assert _raised(lambda: ray_oracle(field, points, dirs)) == loop
 
 
+def test_failing_ray_stack_is_replayed_once():
+    # The last of 40 sphere rays starts on the pole axis: one array
+    # attempt, then the ray-by-ray loop alone (5 calls for each of the
+    # 39 good rays, 1 for the failing centre probe).
+    fid = BUILTIN_FRAMES["sphere"].default
+    field = _Counted(builtin_frame(fid))
+    states = random_states(fid, 40, np.random.default_rng(7))
+    points, dirs = _rays(field.inner, states)
+    points[-1] = (0.0, 0.0, 1.5)
+    loop = _raised(lambda: [ray_oracle(field, r, d)
+                            for r, d in zip(points, dirs)])
+    assert loop[0] is DomainExit
+    assert field.calls == 196
+    field.calls = 0
+    assert _raised(lambda: ray_oracle(field, points, dirs)) == loop
+    assert field.calls == 197
+
+
 # --- the array raw helper -------------------------------------------------
 
 def test_raw_frames_replays_a_raw_that_rejects_arrays():
