@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import OutOfRange, OutsideValidRegion
 from .frames import (Constant, CylindricalI, CylindricalII, Ellipsoid,
-                     Graph, Paraboloid, Sphere, _on_arrays, float_angles,
-                     float_array, on_stack)
+                     Graph, Paraboloid, Sphere, _on_arrays, any_true,
+                     float_angles, float_array, on_stack)
 
 _AUX_KEYS = ("s_tt", "s_tb", "s_bt", "s_bb", "kn_t", "kn_b",
              "kt_b", "kb_t", "winding")
@@ -45,12 +45,6 @@ def _each(fn, *args):
 
 def _sqrt(v):
     return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
-
-
-def _below(v, bound) -> bool:
-    """v < bound for a float, or for any entry of an array."""
-    flags = v < bound
-    return flags if isinstance(flags, bool) else bool(flags.any())
 
 
 def _polar_sine(mu: float) -> float:
@@ -89,7 +83,7 @@ def _aux_constant(fid, x, y, z):
 
 def _cyl_rho(x, y):
     rho = _each(math.hypot, x, y)
-    if _below(rho, 1e-8):
+    if any_true(rho < 1e-8):
         raise OutsideValidRegion("cylindrical formulas undefined on the axis")
     return rho
 
@@ -105,7 +99,7 @@ def _aux_cyl2(fid, x, y, z):
 def _aux_sphere(fid, x, y, z):
     rho = _sqrt(x * x + y * y + z * z)
     rxy = _each(math.hypot, x, y)
-    if _below(rho, 1e-8) or _below(rxy, 1e-8 * rho):
+    if any_true(rho < 1e-8) or any_true(rxy < 1e-8 * rho):
         raise OutsideValidRegion("sphere formulas undefined on the z-axis")
     inv = 1.0 / rho
     # kb_t = cot(theta) / rho
@@ -171,10 +165,10 @@ def _aux_ellipsoid(fid, x, y, z):
     a, bb, cc = fid.a, fid.b, fid.c
     px, py, pz = x / a, y / bb, z / cc
     lam = _sqrt(px * px + py * py + pz * pz)
-    if _below(lam, 1e-8):
+    if any_true(lam < 1e-8):
         raise OutsideValidRegion("ellipsoid chart undefined at origin")
     sxy = _each(math.hypot, px, py)
-    if _below(sxy, 1e-8 * lam):
+    if any_true(sxy < 1e-8 * lam):
         raise OutsideValidRegion("ellipsoid chart undefined at poles")
     st, ct = sxy / lam, pz / lam
     cp, sp = px / sxy, py / sxy

@@ -12,7 +12,7 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameScalars,
                           jacobian, twist)
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
                      NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
-from .frames import float_array, raw_frames
+from .frames import float_array, on_stack, raw_components, raw_parts
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,11 +157,21 @@ def integrate_curve(field, r0, tau_span, steps: int):
 
 
 def _loop_normals(frame_field, pts):
-    """The frame normal at each row of pts, from raw_frames; a point
-    where the frame is undefined raises LeftDomain naming it."""
-    frames = raw_frames(frame_field, pts, lambda p, exc: LeftDomain(
-        f"frame undefined at loop point {tuple(p)}"))
-    return np.ascontiguousarray(frames[:, 0])
+    """The frame normal at each row of pts, from one raw call through
+    on_stack, or row by row on Python floats; a point where the frame is
+    undefined raises LeftDomain naming it."""
+    def by_row():
+        normals = np.empty((len(pts), 3))
+        for i, p in enumerate(pts.tolist()):
+            try:
+                normals[i] = raw_components(frame_field, p)[:3]
+            except Exception as exc:
+                raise LeftDomain(
+                    f"frame undefined at loop point {tuple(p)}") from exc
+        return normals
+
+    return on_stack(lambda: np.ascontiguousarray(
+        raw_parts(frame_field, pts)[0][:, :3]), by_row, pts)
 
 
 def _dot(a, b):

@@ -122,10 +122,7 @@ def twist(v, jv):
     """V . curl V from a field V and its Jacobian jv, at one point (a
     float) or at each row of a stack (an array); zero certifies that
     the planes normal to V integrate locally."""
-    curl_v = axial_vector(jv)
-    if v.ndim == 1:
-        return float(v @ curl_v)
-    return np.matmul(curl_v[..., None, :], v[..., None])[..., 0, 0]
+    return _dot(v, axial_vector(jv))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,6 +163,33 @@ class FrameScalars(NamedTuple):
         c t + sn b: the normal curvature of the n-leaf along it."""
         return (c * c * self.s_tt + sn * c * (self.s_tb + self.s_bt)
                 + sn * sn * self.s_bb)
+
+
+def _direction(jet: FrameJet, mu, s, c, sn):
+    """Omega = mu n + s (c t + sn b): one 3-vector, or rows of 3 with
+    the angle arrays' shape."""
+    if isinstance(mu, np.ndarray):
+        mu, s, c, sn = (a[..., None] for a in (mu, s, c, sn))
+    return mu * jet.n + s * (c * jet.t + sn * jet.b)
+
+
+def _matvec(m, v):
+    """m @ v for one 3-vector or each row of a stack of them, (K, 3) or
+    (N, K, 3), with one matrix m or a stack that broadcasts against the
+    rows, in the BLAS kernel of the 3-vector (see frame_scalars);
+    ``v @ m.T`` is one gemm and rounds differently in the last bit."""
+    if v.ndim == 1:
+        return m @ v
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def _dot(u, v):
+    """u . v for one 3-vector v, or u . row for each row of a stack of
+    them, (K, 3) or (N, K, 3), with one vector u or a stack that
+    broadcasts against the rows, in the BLAS kernel of the 3-vector."""
+    if v.ndim == 1:
+        return float(u @ v)
+    return np.matmul(v[..., None, :], u[..., None])[..., 0, 0]
 
 
 def frame_scalars(jet: FrameJet) -> FrameScalars:

@@ -101,11 +101,8 @@ def below(x, bound) -> bool:
 
 def sin(x):
     if isinstance(x, Dual):
-        try:
-            c, v = math.cos(x.val), math.sin(x.val)
-        except TypeError:
-            c, v = np.cos(x.val), np.sin(x.val)
-        return Dual(v, c * x.e0, c * x.e1, c * x.e2)
+        c = cos(x.val)
+        return Dual(sin(x.val), c * x.e0, c * x.e1, c * x.e2)
     try:
         return math.sin(x)
     except TypeError:
@@ -114,11 +111,8 @@ def sin(x):
 
 def cos(x):
     if isinstance(x, Dual):
-        try:
-            s, v = -math.sin(x.val), math.cos(x.val)
-        except TypeError:
-            s, v = -np.sin(x.val), np.cos(x.val)
-        return Dual(v, s * x.e0, s * x.e1, s * x.e2)
+        s = -sin(x.val)
+        return Dual(cos(x.val), s * x.e0, s * x.e1, s * x.e2)
     try:
         return math.cos(x)
     except TypeError:
@@ -127,10 +121,7 @@ def cos(x):
 
 def sqrt(x):
     if isinstance(x, Dual):
-        try:
-            root = math.sqrt(x.val)
-        except TypeError:
-            root = np.sqrt(x.val)
+        root = sqrt(x.val)
         f = 0.5 / root
         return Dual(root, f * x.e0, f * x.e1, f * x.e2)
     try:

@@ -25,12 +25,42 @@ _STRICT_TOL = 1e-12
 _LOOSE_TOL = 1e-8
 
 
+def any_true(flags) -> bool:
+    """True if a comparison of floats holds, or, for an array of
+    comparisons, if any entry does."""
+    return flags if flags.__class__ is bool else bool(flags.any())
+
+
+def frame_defect(n, t, b, tol: float):
+    """The message of the first orthonormality test that the triple
+    fails, or None: each vector finite and unit within 2 tol, the three
+    orthogonal and b = n x t within tol.  n, t and b are 3-sequences of
+    Python floats (one frame) or of arrays (the columns of a stack of
+    frames, which fails a test where any of its frames does)."""
+    for (x, y, z), label in ((n, "n"), (t, "t"), (b, "b")):
+        # x - x is 0.0 for a finite x and NaN for an inf or a NaN.
+        if any_true((x - x) + (y - y) + (z - z) != 0.0):
+            return f"{label} must be a finite 3-vector"
+        if any_true(abs(x * x + y * y + z * z - 1.0) > 2.0 * tol):
+            return f"{label} is not unit within {tol}"
+    (n0, n1, n2), (t0, t1, t2), (b0, b1, b2) = n, t, b
+    if any_true((abs(n0 * t0 + n1 * t1 + n2 * t2) > tol)
+                | (abs(n0 * b0 + n1 * b1 + n2 * b2) > tol)
+                | (abs(t0 * b0 + t1 * b1 + t2 * b2) > tol)):
+        return f"frame not orthogonal within {tol}"
+    if any_true((abs(n1 * t2 - n2 * t1 - b0) > tol)
+                | (abs(n2 * t0 - n0 * t2 - b1) > tol)
+                | (abs(n0 * t1 - n1 * t0 - b2) > tol)):
+        return f"frame not right-handed within {tol}"
+    return None
+
+
 class FramePoint:
     """Right-handed orthonormal triple at one point.
 
-    Raises NotOrthonormal (a ValueError) when a vector is not a finite
-    3-vector, or the vectors miss unit norm, orthogonality, or
-    b = n x t beyond ``tol``.
+    Raises NotOrthonormal (a ValueError) with the message of
+    frame_defect when a vector is not a finite 3-vector, or the vectors
+    miss unit norm, orthogonality, or b = n x t beyond ``tol``.
     """
 
     __slots__ = ("n", "t", "b")
@@ -39,27 +69,15 @@ class FramePoint:
         n = np.asarray(n, dtype=float)
         t = np.asarray(t, dtype=float)
         b = np.asarray(b, dtype=float)
-        # The checks run on Python floats: for one 3-vector triple they
-        # cost a few microseconds, where numpy dot/cross calls cost ~70.
-        rows = []
-        for v, label in ((n, "n"), (t, "t"), (b, "b")):
-            if v.shape != (3,):
-                raise NotOrthonormal(f"{label} must be a finite 3-vector")
-            x, y, z = row = v.tolist()
-            if not (math.isfinite(x) and math.isfinite(y)
-                    and math.isfinite(z)):
-                raise NotOrthonormal(f"{label} must be a finite 3-vector")
-            if abs(x * x + y * y + z * z - 1.0) > 2.0 * tol:
-                raise NotOrthonormal(f"{label} is not unit within {tol}")
-            rows.append(row)
-        (n0, n1, n2), (t0, t1, t2), (b0, b1, b2) = rows
-        if (abs(n0 * t0 + n1 * t1 + n2 * t2) > tol
-                or abs(n0 * b0 + n1 * b1 + n2 * b2) > tol
-                or abs(t0 * b0 + t1 * b1 + t2 * b2) > tol):
-            raise NotOrthonormal(f"frame not orthogonal within {tol}")
-        if max(abs(n1 * t2 - n2 * t1 - b0), abs(n2 * t0 - n0 * t2 - b1),
-               abs(n0 * t1 - n1 * t0 - b2)) > tol:
-            raise NotOrthonormal(f"frame not right-handed within {tol}")
+        # The test runs on Python floats: for one 3-vector triple it
+        # costs a few microseconds, where numpy dot/cross calls cost ~70.
+        # A vector of another shape fails it as NaNs do, at its turn.
+        bad = (math.nan,) * 3
+        defect = frame_defect(n.tolist() if n.shape == (3,) else bad,
+                              t.tolist() if t.shape == (3,) else bad,
+                              b.tolist() if b.shape == (3,) else bad, tol)
+        if defect is not None:
+            raise NotOrthonormal(defect)
         self.n = n
         self.t = t
         self.b = b
@@ -76,21 +94,10 @@ class FramePoint:
 
 def loose_frames_ok(n, t, b) -> bool:
     """True if FramePoint.loose accepts (n[i], t[i], b[i]) for every
-    row i of the (N, 3) stacks: its tests in its float operations, on
-    all rows at once.  A non-finite entry fails, as it does there."""
-    tol = _LOOSE_TOL
-    (n0, n1, n2), (t0, t1, t2), (b0, b1, b2) = n.T, t.T, b.T
+    row i of the (N, 3) stacks: frame_defect on all rows at once."""
     # Python floats overflow to inf and make nan without a flag.
     with np.errstate(over="ignore", invalid="ignore"):
-        tests = [abs(x * x + y * y + z * z - 1.0) <= 2.0 * tol
-                 for x, y, z in (n.T, t.T, b.T)]
-        tests += [abs(n0 * t0 + n1 * t1 + n2 * t2) <= tol,
-                  abs(n0 * b0 + n1 * b1 + n2 * b2) <= tol,
-                  abs(t0 * b0 + t1 * b1 + t2 * b2) <= tol,
-                  abs(n1 * t2 - n2 * t1 - b0) <= tol,
-                  abs(n2 * t0 - n0 * t2 - b1) <= tol,
-                  abs(n0 * t1 - n1 * t0 - b2) <= tol]
-    return all(test.all() for test in tests)
+        return frame_defect(n.T, t.T, b.T, _LOOSE_TOL) is None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -212,27 +219,6 @@ def raw_parts(frame_field, pts, dual=False) -> tuple:
         for j, part in enumerate(parts[1:]):
             tans[:, k, j] = part
     return vals, tans
-
-
-def raw_frames(frame_field, pts, fail=None) -> np.ndarray:
-    """The frames at the rows of an (M, 3) float array: an (M, 3, 3)
-    array of the vectors n, t, b at each row, from one raw call through
-    on_stack, or row by row on Python floats.  A row whose call raises
-    raises ``fail(row, exc)`` from it, or the raw's own exception when
-    fail is None."""
-    def by_row():
-        out = np.empty((len(pts), 3, 3))
-        for i, p in enumerate(pts.tolist()):
-            try:
-                out[i] = frame_field.raw(*p)
-            except Exception as exc:
-                if fail is None:
-                    raise
-                raise fail(p, exc) from exc
-        return out
-
-    return on_stack(lambda: raw_parts(frame_field, pts)[0].reshape(-1, 3, 3),
-                    by_row, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +568,10 @@ def angles_from_direction(frame: FramePoint, omega_dir) -> AngularPoint:
 
 
 def direction_from_angles(frame: FramePoint, mu: float, omega: float):
-    """Unit direction mu*n + sqrt(1-mu^2)(cos(omega) t + sin(omega) b)."""
-    if abs(mu) > 1.0:
+    """Unit direction mu*n + sqrt(1-mu^2)(cos(omega) t + sin(omega) b);
+    OutOfRange for a NaN mu or one outside [-1, 1], or from float_angles."""
+    mu, omega = float_angles(mu, omega)
+    if not -1.0 <= mu <= 1.0:
         raise OutOfRange(f"mu = {mu} outside [-1, 1]")
     s = np.sqrt(max(0.0, 1.0 - mu * mu))
     return (mu * frame.n + s * np.cos(omega) * frame.t

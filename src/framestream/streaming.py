@@ -10,11 +10,12 @@ import math
 import numpy as np
 
 from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
-                          frame_jet, frame_scalars, twist)
+                          _direction, _dot, _matvec, frame_jet,
+                          frame_scalars, twist)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
-from .frames import (FramePoint, direction_from_angles, float_angles,
-                     float_array, loose_frames_ok)
+from .frames import (FramePoint, any_true, direction_from_angles,
+                     float_angles, float_array, loose_frames_ok)
 
 _POLAR_TOL = 1e-14
 _BREAKDOWN_RTOL = 1e-10
@@ -65,18 +66,13 @@ def check_breakdown(a_mu, a_omega, mu_surface, mu_curve_n, omega_curve,
     singular axis the parts reach 1e8, where rounding alone exceeds any
     fixed absolute bound."""
     mu_size = 1.0 + abs(mu_surface) + abs(mu_curve_n)
-    if _any(abs(a_mu - mu_surface - mu_curve_n) > _BREAKDOWN_RTOL * mu_size):
+    if any_true(abs(a_mu - mu_surface - mu_curve_n)
+                > _BREAKDOWN_RTOL * mu_size):
         raise InconsistentBreakdown("a_mu breakdown inconsistent")
     omega_size = 1.0 + abs(omega_curve) + abs(omega_wind) + abs(omega_tilt)
-    if _any(abs(a_omega - omega_curve - omega_wind - omega_tilt)
-            > _BREAKDOWN_RTOL * omega_size):
+    if any_true(abs(a_omega - omega_curve - omega_wind - omega_tilt)
+                > _BREAKDOWN_RTOL * omega_size):
         raise InconsistentBreakdown("a_omega breakdown inconsistent")
-
-
-def _any(flags) -> bool:
-    """True if a comparison of floats, or any entry of an array of
-    comparisons, holds."""
-    return flags if isinstance(flags, bool) else bool(flags.any())
 
 
 def _angles(mu, omega):
@@ -230,35 +226,6 @@ def grad_omega_from_jet(jet: FrameJet, mu, s, c, sn, form: OmegaForm):
                 - mu * _dot(b, _matvec(jet.jt, n))
                 - s * sn * _dot(b, _matvec(jet.jt, b)))
     raise OutOfRange(f"unknown omega form {form!r}")
-
-
-def _direction(jet: FrameJet, mu, s, c, sn):
-    """Omega = mu n + s (c t + sn b): one 3-vector, or rows of 3 with
-    the angle arrays' shape."""
-    if isinstance(mu, np.ndarray):
-        mu, s, c, sn = (a[..., None] for a in (mu, s, c, sn))
-    return mu * jet.n + s * (c * jet.t + sn * jet.b)
-
-
-def _matvec(m, v):
-    """m @ v for one 3-vector or each row of a stack of them, (K, 3) or
-    (N, K, 3), with one matrix m or a stack that broadcasts against the
-    rows.  The stack goes through np.matmul on (..., 3, 1), which makes
-    the same BLAS gemv call per row as the 3-vector; ``v @ m.T`` is one
-    gemm and rounds differently in the last bit."""
-    if v.ndim == 1:
-        return m @ v
-    return np.matmul(m, v[..., None])[..., 0]
-
-
-def _dot(u, v):
-    """u . v for one 3-vector v, or u . row for each row of a stack of
-    them, (K, 3) or (N, K, 3), with one vector u or a stack that
-    broadcasts against the rows, through the same BLAS dot call either
-    way."""
-    if v.ndim == 1:
-        return float(u @ v)
-    return np.matmul(v[..., None, :], u[..., None])[..., 0, 0]
 
 
 def coefficient_terms(jet: FrameJet, mu, s, c, sn):

@@ -12,17 +12,18 @@ import numpy as np
 from . import dual as dm
 from .catalog import catalog_coefficients
 from .curvature import ShapeOperator2x2, parallel_transport_holonomy
-from .derivatives import (DEFAULT_CFG, DiffConfig, directional_derivative,
-                          frame_jet, frame_scalars)
+from .derivatives import (DEFAULT_CFG, DiffConfig, _direction, _dot,
+                          _matvec, directional_derivative, frame_jet,
+                          frame_scalars)
 from .errors import (DegenerateMetric, DomainExit, InconsistentReport,
                      OutOfRange, PolarDirection, UnwrapFailure)
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere,
-                     builtin_frame, float_angles, float_array, frame_spec,
-                     on_stack, raw_parts)
+                     any_true, builtin_frame, float_angles, float_array,
+                     frame_spec, on_stack, raw_parts)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
-from .streaming import (MuForm, OmegaForm, _direction, _dot, _matvec,
-                        angle_arrays, check_mu, checked_terms,
-                        grad_mu_from_jet, grad_omega_from_jet, has_leaf)
+from .streaming import (MuForm, OmegaForm, angle_arrays, check_mu,
+                        checked_terms, grad_mu_from_jet, grad_omega_from_jet,
+                        has_leaf)
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,8 +39,7 @@ class RayOracleResult:
     richardson_error_estimate: float
 
     def __post_init__(self):
-        negative = self.richardson_error_estimate < 0.0
-        if negative if isinstance(negative, bool) else negative.any():
+        if any_true(self.richardson_error_estimate < 0.0):
             raise InconsistentReport("error estimate must be nonnegative")
 
 
@@ -68,8 +68,8 @@ class CheckResult:
     samples: int
 
 
-def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3,
-               cfg: DiffConfig = DEFAULT_CFG) -> RayOracleResult:
+def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3
+               ) -> RayOracleResult:
     """d(mu)/ds and d(omega)/ds along the straight ray r + s*omega_dir.
 
     Central differences of mu(s) = Omega . n(r + s Omega) and of the
@@ -91,7 +91,7 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3,
     if r.ndim == 2 and r.shape[1:] == (3,) and d.shape == r.shape:
         found = _stacked_rays(frame_field, r, d, step)
         if found is None:  # replayed ray by ray
-            rays = [ray_oracle(frame_field, p, q, step, cfg)
+            rays = [ray_oracle(frame_field, p, q, step)
                     for p, q in zip(r, d)]
             found = [np.array([getattr(ray, name) for ray in rays],
                               dtype=float)
@@ -426,8 +426,7 @@ def _catalog_residuals(fid, field, states, jet, rng, cfg):
 
 def _oracle_residuals(fid, field, states, jet, rng, cfg):
     a_mu, a_omega, angles = _coefficients(jet, states)
-    oracle = ray_oracle(field, _points(states), _direction(jet, *angles),
-                        1e-3, cfg)
+    oracle = ray_oracle(field, _points(states), _direction(jet, *angles))
     return np.abs(np.concatenate([a_mu - oracle.dmu_ds,
                                   a_omega - oracle.domega_ds]))
 

@@ -84,6 +84,21 @@ def test_direction_rejects_bad_mu():
         direction_from_angles(frame, 1.5, 0.0)
 
 
+@pytest.mark.parametrize("mu, omega, message", [
+    (math.nan, 0.0, "mu = nan outside [-1, 1]"),
+    (0.5, math.inf, "omega = inf is not finite"),
+    (0.5, -math.inf, "omega = -inf is not finite"),
+    (0.5, math.nan, "omega = nan is not finite"),
+    ("a", 0.0, "mu and omega must be numbers"),
+])
+def test_direction_rejects_non_numbers_and_non_finite_angles(mu, omega,
+                                                             message):
+    frame = builtin_frame(Constant()).eval([0.0, 0.0, 1.0])
+    with pytest.raises(OutOfRange) as info:
+        direction_from_angles(frame, mu, omega)
+    assert str(info.value).startswith(message)
+
+
 def test_builtin_frames_are_orthonormal_everywhere():
     rng = np.random.default_rng(7)
     for fid in default_frames().values():

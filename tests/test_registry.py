@@ -8,7 +8,7 @@ import pytest
 from framestream import (DiffConfig, MuForm, OmegaForm, OutOfRange,
                          builtin_frame, catalog_entry, conservation_check,
                          frame_jet, grad_mu, grad_omega)
-from framestream import catalog, streaming
+from framestream import catalog, streaming, verification
 from framestream.derivatives import FrameScalars, frame_scalars
 from framestream.frames import BUILTIN_FRAMES, frame_spec
 from framestream.verification import (_angle_grid, default_frames,
@@ -105,6 +105,24 @@ def _imports(module: str) -> set:
     return names
 
 
+def _referenced_names(code) -> set:
+    """The global and attribute names a code object and the code of its
+    nested functions, lambdas and comprehensions reference."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _referenced_names(const)
+    return names
+
+
+# The entry points of the differential engines.
+_ENGINE_NAMES = {"frame_jet", "jacobian", "directional_derivative",
+                 "frame_scalars", "coefficient_terms", "checked_terms",
+                 "DiffConfig", "DEFAULT_CFG"}
+
+
 def test_truth_sources_stay_independent():
     assert "catalog" not in _imports("frames")
     assert not {"derivatives", "streaming", "dual"} & _imports("catalog")
+    for fn in (verification.ray_oracle, verification._stacked_rays):
+        assert not _ENGINE_NAMES & _referenced_names(fn.__code__), fn

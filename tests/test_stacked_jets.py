@@ -291,8 +291,14 @@ def test_loose_frames_ok_agrees_with_frame_point_row_by_row():
     noise = [10.0 ** rng.uniform(-10.0, -6.0, size=(200, 1))
              * rng.normal(size=(200, 3)) for _ in range(3)]
     n, t, b = jet.n + noise[0], jet.t + noise[1], jet.b + noise[2]
+    # Then rows with a NaN, an inf or an overflowing entry in n, t or b.
+    bad = [(v, x) for v in range(3)
+           for x in (math.nan, math.inf, -math.inf, 1e200)]
+    n, t, b = (np.concatenate([u, u[:len(bad)]]) for u in (n, t, b))
+    for i, (v, x) in enumerate(bad, start=200):
+        (n, t, b)[v][i, i % 3] = x
     accepted = []
-    for i in range(200):
+    for i in range(len(n)):
         try:
             FramePoint.loose(n[i], t[i], b[i])
             accepted.append(True)
@@ -300,8 +306,9 @@ def test_loose_frames_ok_agrees_with_frame_point_row_by_row():
             accepted.append(False)
         assert loose_frames_ok(n[i:i + 1], t[i:i + 1],
                                b[i:i + 1]) == accepted[-1]
-    assert 10 < sum(accepted) < 190
+    assert 10 < sum(accepted) < 190 and not any(accepted[200:])
     assert loose_frames_ok(n, t, b) == all(accepted)
+    assert loose_frames_ok(n[:200], t[:200], b[:200]) == all(accepted[:200])
 
 
 @pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])

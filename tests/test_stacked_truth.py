@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framestream import (DomainExit, FrameField, OutsideValidRegion,
-                         PolarDirection, builtin_frame, catalog,
-                         catalog_coefficients)
-from framestream.frames import (BUILTIN_FRAMES, direction_from_angles,
-                                raw_frames)
+from framestream import (DegeneratePoint, DomainExit, FrameField,
+                         LeftDomain, OutsideValidRegion, PolarDirection,
+                         builtin_frame, catalog, catalog_coefficients)
+from framestream.curvature import _loop_normals
+from framestream.frames import BUILTIN_FRAMES, direction_from_angles
 from framestream.verification import default_frames, random_states, ray_oracle
 
 FRAMES = sorted(BUILTIN_FRAMES)
@@ -212,9 +212,9 @@ def test_failing_ray_stack_is_replayed_once():
     assert field.calls == 197
 
 
-# --- the array raw helper -------------------------------------------------
+# --- the loop normals of holonomy ---------------------------------------
 
-def test_raw_frames_replays_a_raw_that_rejects_arrays():
+def test_loop_normals_replay_a_raw_that_rejects_arrays():
     sphere = builtin_frame(BUILTIN_FRAMES["sphere"].default)
     calls = []
 
@@ -224,18 +224,18 @@ def test_raw_frames_replays_a_raw_that_rejects_arrays():
         return sphere.raw(x, y, z)
 
     pts = np.array([[1.0, 0.2, 0.3], [0.4, -1.0, 2.0], [2.0, 1.0, -1.0]])
-    got = raw_frames(FrameField(float_only, "float-only"), pts)
+    got = _loop_normals(FrameField(float_only, "float-only"), pts)
     assert calls == [np.ndarray, float, float, float]
-    want = np.array([sphere.raw(*p) for p in pts.tolist()])
+    want = np.array([sphere.raw(*p)[0] for p in pts.tolist()])
     assert _same(got, want)
-    assert _same(raw_frames(sphere, pts), want)
+    assert _same(_loop_normals(sphere, pts), want)
 
 
-def test_raw_frames_names_the_first_failing_row():
+def test_loop_normals_name_the_first_failing_point():
     sphere = builtin_frame(BUILTIN_FRAMES["sphere"].default)
     pts = np.array([[1.0, 0.2, 0.3], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(OutsideValidRegion,
-                       match=r"row \(0.0, 0.0, 2.0\)") as info:
-        raw_frames(sphere, pts, lambda p, exc: OutsideValidRegion(
-            f"row {tuple(p)}"))
+    with pytest.raises(LeftDomain) as info:
+        _loop_normals(sphere, pts)
+    assert str(info.value) == "frame undefined at loop point (0.0, 0.0, 2.0)"
+    assert isinstance(info.value.__cause__, DegeneratePoint)
     assert "poles" in str(info.value.__cause__)
