@@ -118,12 +118,21 @@ def _parse_axis(text: str):
 
 def _table_chunks(points, mus, omegas, terms, args):
     """The report of the (N, 3) points by the K directions (mus, omegas),
-    point-major, as JSON or CSV text a chunk of rows at a time, byte for
-    byte as _emit_json renders one dict per row; terms are the (N, K)
-    computed columns in the order of TABLE_COLUMNS.  The record format
-    is cut at its column separator, so the text of each point and of
-    each direction is rendered once, and a chunk is one format string
-    filled by one % with the chunk's computed values."""
+    point-major, as JSON or CSV text a chunk of rows at a time; terms
+    are the (N, K) computed columns in the order of TABLE_COLUMNS.
+
+    Every value must be finite: then the text is byte for byte as
+    _emit_json renders one dict per row.  "%.17g" writes nan and inf
+    where _emit_json writes NaN and Infinity.  _emit_states enforces
+    it: the angle checks reject a non-finite mu or omega, the frame test
+    a non-finite point, and the breakdown check of checked_terms a
+    non-finite computed value.
+
+    The record format is cut at its column separator, so the text of
+    each point and of each direction is rendered once.  In a chunk,
+    each distinct computed value is rendered once, keyed by its bits so
+    that 0.0 and -0.0 keep their own text, and the chunk is one format
+    string filled by one % with those texts."""
     if args.format == "csv":
         yield ",".join(CSV_COLUMNS) + "\n"
         record, sep, row_sep = _CSV_ROW + "\n", ",", ""
@@ -134,15 +143,23 @@ def _table_chunks(points, mus, omegas, terms, args):
     head, mid, tail = (sep.join(pieces[:3]) + sep,
                        sep.join(pieces[3:5]) + sep, sep.join(pieces[5:]))
     heads = [head % tuple(p) for p in points.tolist()]
+    tail = tail.replace("%.17g", "%s")
     mids = [mid % d + tail for d in zip(mus, omegas)]
     k = len(mids)
     values = np.stack([term.ravel() for term in terms[:len(pieces) - 5]],
                       axis=1)
     for lo in range(0, len(values), _CHUNK_ROWS):
         chunk = values[lo:lo + _CHUNK_ROWS]
+        keys, inverse = np.unique(chunk.view(np.uint64),
+                                  return_inverse=True)
+        # An object array, so that one gather puts each cell's text in
+        # place.
+        texts = np.array(["%.17g" % v for v in keys.view(float).tolist()],
+                         dtype=object)
         fmt = row_sep.join([heads[i // k] + mids[i % k]
                             for i in range(lo, lo + len(chunk))])
-        yield (row_sep if lo else "") + fmt % tuple(chunk.ravel().tolist())
+        yield (row_sep if lo else "") + fmt % tuple(
+            texts[inverse.ravel()].tolist())
     if args.format == "json":
         yield '\n  ],\n  "meta": ' + _emit_json(_meta(args), 1) + "\n}\n"
 

@@ -31,6 +31,12 @@ def any_true(flags) -> bool:
     return flags if flags.__class__ is bool else bool(flags.any())
 
 
+def all_true(flags) -> bool:
+    """True if a comparison of floats holds, or, for an array of
+    comparisons, if every entry does."""
+    return flags if flags.__class__ is bool else bool(flags.all())
+
+
 def frame_defect(n, t, b, tol: float):
     """The message of the first orthonormality test that the triple
     fails, or None: each vector finite and unit within 2 tol, the three

@@ -14,7 +14,7 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
                           frame_scalars, twist)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
-from .frames import (FramePoint, any_true, direction_from_angles,
+from .frames import (FramePoint, all_true, direction_from_angles,
                      float_angles, float_array, loose_frames_ok)
 
 _POLAR_TOL = 1e-14
@@ -62,16 +62,18 @@ def check_breakdown(a_mu, a_omega, mu_surface, mu_curve_n, omega_curve,
                     omega_wind, omega_tilt) -> None:
     """Raise InconsistentBreakdown unless each coefficient equals the sum
     of its contributions, for floats or equal-length arrays.  The
-    tolerance is _BREAKDOWN_RTOL * (1 + the size of the parts): near a
+    residual is taken relative to 1 + the size of the parts: near a
     singular axis the parts reach 1e8, where rounding alone exceeds any
-    fixed absolute bound."""
+    fixed absolute bound.  Each test asks that every relative residual
+    be within _BREAKDOWN_RTOL, so a NaN fails, and so does an infinite
+    coefficient or part."""
     mu_size = 1.0 + abs(mu_surface) + abs(mu_curve_n)
-    if any_true(abs(a_mu - mu_surface - mu_curve_n)
-                > _BREAKDOWN_RTOL * mu_size):
+    if not all_true(abs(a_mu - mu_surface - mu_curve_n) / mu_size
+                    <= _BREAKDOWN_RTOL):
         raise InconsistentBreakdown("a_mu breakdown inconsistent")
     omega_size = 1.0 + abs(omega_curve) + abs(omega_wind) + abs(omega_tilt)
-    if any_true(abs(a_omega - omega_curve - omega_wind - omega_tilt)
-                > _BREAKDOWN_RTOL * omega_size):
+    if not all_true(abs(a_omega - omega_curve - omega_wind - omega_tilt)
+                    / omega_size <= _BREAKDOWN_RTOL):
         raise InconsistentBreakdown("a_omega breakdown inconsistent")
 
 

@@ -379,6 +379,49 @@ def test_checked_terms_replay_names_the_first_breakdown(monkeypatch):
         checked_terms(jet, *angles)
 
 
+def test_checked_terms_replay_raises_for_a_nan_row(monkeypatch):
+    # A NaN in one point's jn passes the frame test but makes that
+    # point's terms NaN: the stacked breakdown check fails and the
+    # replay raises for that row, after passing the row before it.
+    from framestream import InconsistentBreakdown, streaming
+    check = streaming.check_breakdown
+    calls = []
+
+    def spied(*terms):
+        calls.append(np.shape(terms[0]))
+        check(*terms)
+        calls.append("ok")
+
+    field = builtin_frame(BUILTIN_FRAMES["sphere"].default)
+    states = random_states(BUILTIN_FRAMES["sphere"].default, 3,
+                           np.random.default_rng(4))
+    jet = frame_jet(field, np.array([r for r, _, _ in states]))
+    angles = angle_arrays([m for _, m, _ in states],
+                          [o for _, _, o in states])
+    jn = jet.jn.copy()
+    jn[1, 0, 2] = math.nan
+    monkeypatch.setattr(streaming, "check_breakdown", spied)
+    with pytest.raises(InconsistentBreakdown,
+                       match="a_mu breakdown inconsistent"):
+        checked_terms(FrameJet(jet.n, jet.t, jet.b, jn, jet.jt, jet.jb),
+                      *angles)
+    assert calls == [(3,), (), "ok", ()]
+
+
+def test_checked_terms_reject_a_nan_in_a_single_point_jet():
+    from framestream import InconsistentBreakdown
+    field = builtin_frame(BUILTIN_FRAMES["sphere"].default)
+    jet = frame_jet(field, np.array([0.6, 0.3, 0.5]))
+    jn = jet.jn.copy()
+    jn[2, 1] = math.nan
+    angles = angle_arrays([0.3, -0.5], [1.0, 4.0])
+    checked_terms(jet, *angles)
+    with pytest.raises(InconsistentBreakdown,
+                       match="a_mu breakdown inconsistent"):
+        checked_terms(FrameJet(jet.n, jet.t, jet.b, jn, jet.jt, jet.jb),
+                      *angles)
+
+
 # --- the ray oracle keeps a NaN azimuth or mu -----------------------------
 
 @pytest.mark.parametrize("vector", [0, 1], ids=["n", "t"])

@@ -234,3 +234,21 @@ def test_inconsistent_breakdown_is_typed():
                               coeffs.frame)
     assert isinstance(exc.value, FramestreamError)
     assert isinstance(exc.value, ValueError)
+
+
+# (a_mu, a_omega, mu_surface, mu_curve_n, omega_curve, omega_wind,
+# omega_tilt) with a NaN or an infinity, and the test it fails.
+@pytest.mark.parametrize("terms, which", [
+    ((math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "a_mu"),
+    ((0.0, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0), "a_mu"),
+    ((1.0, 0.0, math.inf, 0.0, 0.0, 0.0, 0.0), "a_mu"),
+    ((0.0, math.inf, 0.0, 0.0, math.inf, 0.0, 0.0), "a_omega"),
+    ((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, math.nan), "a_omega"),
+    ((np.array([0.0, math.nan, 0.0]),) + (np.zeros(3),) * 6, "a_mu"),
+], ids=["nan-a_mu", "nan-part", "inf-part", "inf-a_omega-inf-part",
+        "nan-tilt", "array-one-nan"])
+def test_breakdown_rejects_nan_and_inf(terms, which):
+    from framestream.streaming import check_breakdown
+    with pytest.raises(InconsistentBreakdown,
+                       match=f"^{which} breakdown inconsistent$"):
+        check_breakdown(*terms)

@@ -5,6 +5,7 @@ and renders one record dict per state in the report layout, so the
 one-pass grid path, one stacked jet for all points, must reproduce it
 byte for byte.
 """
+import argparse
 import hashlib
 import math
 
@@ -43,6 +44,11 @@ def _reference(name, points, mus, omegas, engine, fmt):
                     "omega_curve": bd["omega_curve"],
                     "omega_wind": bd["omega_wind"],
                     "omega_tilt": bd["omega_tilt"]})
+    return _render(records, engine, fmt)
+
+
+def _render(records, engine, fmt):
+    """The report of the record dicts, each value through _fmt."""
     if fmt == "csv":
         lines = [",".join(CSV_HEADER)]
         lines += [",".join(_fmt(rec[c]) for c in CSV_HEADER)
@@ -201,6 +207,53 @@ def test_row_format_matches_fmt_on_special_values():
     row = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, 5e-324,
            1.0 / 3.0, -2.5e-300, 123456789012345678.0, 1.0)
     assert cli._CSV_ROW % row == ",".join(_fmt(v) for v in row)
+
+
+def _crafted_table():
+    """3 points by 5 directions, 15 rows: three chunks of 7 rows, the
+    last one partial, with computed values that a dedupe keyed on
+    anything but the bits would render wrong."""
+    rng = np.random.default_rng(3)
+    points = rng.uniform(-2.0, 2.0, size=(3, 3))
+    mus = rng.uniform(-0.9, 0.9, size=5).tolist()
+    omegas = rng.uniform(0.0, 6.0, size=5).tolist()
+    values = rng.uniform(-2.0, 2.0, size=(15, 7))
+    x = float(values[1, 0])
+    values[0, :2] = 0.0, -0.0
+    values[1, 1] = np.nextafter(x, math.inf)
+    values[2, :4] = 5e-324, 1.0 / 3.0, 1e16, 123456789012345678.0
+    values[3:5] = -0.0
+    values[6, 5] = values[7, 0] = values[7, 3] = 1.0 / 3.0
+    values[8:14, 2] = 0.0
+    return points, mus, omegas, tuple(values.T.reshape(7, 3, 5))
+
+
+def _crafted_args(fmt):
+    return argparse.Namespace(format=fmt, seed=0, engine="dual",
+                              no_timestamp=True)
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+def test_table_text_keys_each_value_on_its_bits(fmt):
+    points, mus, omegas, terms = _crafted_table()
+    got = "".join(cli._table_chunks(points, mus, omegas, terms,
+                                    _crafted_args(fmt)))
+    names = cli.TABLE_COLUMNS
+    records = [dict(zip(names, [*map(float, points[i]), mus[j], omegas[j],
+                                *(float(t[i, j]) for t in terms)]))
+               for i in range(3) for j in range(5)]
+    assert got == _render(records, "dual", fmt)
+
+
+@pytest.mark.parametrize("fmt, extra", (("json", 2), ("csv", 1)))
+def test_table_text_stays_chunked(fmt, extra):
+    # One value chunk per _CHUNK_ROWS rows, the last partial; the
+    # header, and in JSON the meta, come on their own.
+    points, mus, omegas, terms = _crafted_table()
+    chunks = list(cli._table_chunks(points, mus, omegas, terms,
+                                    _crafted_args(fmt)))
+    assert cli._CHUNK_ROWS == 7
+    assert len(chunks) == math.ceil(15 / cli._CHUNK_ROWS) + extra
 
 
 # sha256 and length of the benchmark's sweep report (sphere frame, a
