@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import OutOfRange, OutsideValidRegion
 from .frames import (Constant, CylindricalI, CylindricalII, Ellipsoid,
-                     Graph, Paraboloid, Sphere, _on_arrays, any_true,
-                     float_angles, float_array, on_stack)
+                     Graph, Paraboloid, Sphere, _each, _on_arrays,
+                     any_true, float_angles, float_array, on_stack)
 
 _AUX_KEYS = ("s_tt", "s_tb", "s_bt", "s_bb", "kn_t", "kn_b",
              "kt_b", "kb_t", "winding")
@@ -34,13 +34,6 @@ class CatalogEntry:
     coeff_formulas: object
     auxiliary: dict
     errata: tuple
-
-
-def _each(fn, *args):
-    """fn of floats at floats, or at each entry of equal-length arrays."""
-    if not isinstance(args[0], np.ndarray):
-        return fn(*args)
-    return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
 
 
 def _sqrt(v):

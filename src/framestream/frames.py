@@ -167,6 +167,15 @@ def float_angles(mu, omega) -> tuple:
     return mu, omega
 
 
+def _each(fn, *args):
+    """fn of floats at floats, or at each entry of equal-length arrays,
+    so that each entry gets the bits of the float call (numpy's own math
+    functions may round otherwise)."""
+    if not isinstance(args[0], np.ndarray):
+        return fn(*args)
+    return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
+
+
 @contextlib.contextmanager
 def array_attempt():
     """Context of a call on arrays that is replayed point by point when

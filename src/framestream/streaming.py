@@ -14,7 +14,7 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
                           frame_scalars, twist)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
-from .frames import (FramePoint, all_true, direction_from_angles,
+from .frames import (FramePoint, _each, all_true, direction_from_angles,
                      float_angles, float_array, loose_frames_ok)
 
 _POLAR_TOL = 1e-14
@@ -102,9 +102,7 @@ def angle_arrays(mus, omegas):
     # A huge mu overflows to inf without a flag, as a float does.
     with np.errstate(over="ignore"):
         s = np.sqrt(np.fmax(0.0, 1.0 - mu * mu))
-    omegas = omega.tolist()
-    return (mu.copy(), s, np.array(list(map(math.cos, omegas))),
-            np.array(list(map(math.sin, omegas))))
+    return mu.copy(), s, _each(math.cos, omega), _each(math.sin, omega)
 
 
 def check_mu(mu) -> None:

@@ -17,7 +17,7 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, _direction, _dot,
                           frame_scalars)
 from .errors import (DegenerateMetric, DomainExit, InconsistentReport,
                      OutOfRange, PolarDirection, UnwrapFailure)
-from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere,
+from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere, _each,
                      any_true, builtin_frame, float_angles, float_array,
                      frame_spec, on_stack, raw_parts)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
@@ -89,34 +89,40 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3
     if not 0.0 < step < math.inf:
         raise OutOfRange(f"ray step must be positive and finite, not {step}")
     if r.ndim == 2 and r.shape[1:] == (3,) and d.shape == r.shape:
-        found = _stacked_rays(frame_field, r, d, step)
-        if found is None:  # replayed ray by ray
-            rays = [ray_oracle(frame_field, p, q, step)
-                    for p, q in zip(r, d)]
-            found = [np.array([getattr(ray, name) for ray in rays],
-                              dtype=float)
-                     for name in ("dmu_ds", "domega_ds",
-                                  "richardson_error_estimate")]
-        dmu, dom, est = found
-        return RayOracleResult(dmu_ds=dmu, domega_ds=dom, step=step,
-                               richardson_error_estimate=est)
-    if r.shape != (3,) or d.shape != (3,):
+        dmu, dom, est = on_stack(
+            lambda: _stacked_rays(frame_field, r, d, step),
+            lambda: np.array([_one_ray(frame_field, p, q, step)
+                              for p, q in zip(r, d)]).reshape(-1, 3).T,
+            r, d)
+    elif r.shape == (3,) and d.shape == (3,):
+        dmu, dom, est = _one_ray(frame_field, r, d, step)
+    else:
         raise OutOfRange("ray point and direction must be 3-vectors, or "
                          "(N, 3) arrays of one shape")
+    return RayOracleResult(dmu_ds=dmu, domega_ds=dom, step=step,
+                           richardson_error_estimate=est)
+
+
+# The raw of a probe not taken: NaN, which no check of _ray_rates fails.
+_NAN_FRAME = ((math.nan,) * 3,) * 3
+
+
+def _one_ray(frame_field, r, d, step):
+    """(dmu_ds, domega_ds, richardson_error_estimate) of one ray, as
+    Python floats, from five raw calls."""
     if abs(float(d @ d) - 1.0) > 1e-10:
         raise OutOfRange("ray direction must be unit")
-
     # The probes run in the order the checks need them: s = 0 first, then
     # the stencil from -step up, stopping at the first that fails; its
-    # DomainExit is raised only after the checks on the probes before it.
+    # DomainExit is raised only after the checks on the probes before it,
+    # which see NaN at the probes not taken.
     ss = [-step, -step / 2.0, 0.0, step / 2.0, step]
     rows = (r + np.multiply.outer(np.array(ss), d)).tolist()
-    order = (2, 0, 1, 3, 4)
-    outs = []
+    outs = [_NAN_FRAME] * 5
     failure = None
-    for k in order:
+    for k in (2, 0, 1, 3, 4):
         try:
-            outs.append(frame_field.raw(*rows[k]))
+            outs[k] = frame_field.raw(*rows[k])
         except Exception as exc:
             if k == 2:
                 raise DomainExit(
@@ -127,91 +133,74 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3
     # as d @ n does (a stacked matvec does not).
     # A flat list converts faster than a nested one.
     f = np.array([(*n, *t, *b) for n, t, b in outs],
-                 dtype=float).reshape(-1, 3, 3)
-    proj = np.matmul(f[:, :, None, :], d)[:, :, 0].tolist()
-    if 1.0 - proj[0][0] * proj[0][0] <= 1e-10:
-        raise PolarDirection("ray parallel to n at the base point")
-
-    mus = [0.0] * 5
-    oms = [0.0] * 5
-    for k, (mu, dt, db) in zip(order, proj):
-        mus[k] = mu
-        oms[k] = math.atan2(db, dt)
-    last = 5 if failure is None else failure[0]
-    for k in range(1, last):
-        jump = oms[k] - oms[k - 1]
-        if not math.isnan(jump):  # a NaN azimuth flows into domega_ds
-            jump -= TWO_PI * round(jump / TWO_PI)
-        if abs(jump) > math.pi / 2.0:
-            raise UnwrapFailure(
-                f"azimuth jump {jump:.3f} between probes; "
-                "reduce the step or move off the polar direction")
-        oms[k] = oms[k - 1] + jump
+                 dtype=float).reshape(5, 3, 3)
+    found = _ray_rates(*np.matmul(f[:, :, None, :], d)[:, :, 0].T.tolist(),
+                       step)
     if failure is not None:
         k, exc = failure
         raise DomainExit(f"ray probe left the domain at s={ss[k]}") from exc
-
-    def derivs(width_idx, h):
-        lo, hi = 2 - width_idx, 2 + width_idx
-        return ((mus[hi] - mus[lo]) / (2.0 * h),
-                (oms[hi] - oms[lo]) / (2.0 * h))
-
-    dmu_h, dom_h = derivs(2, step)
-    dmu_h2, dom_h2 = derivs(1, step / 2.0)
-    dmu = (4.0 * dmu_h2 - dmu_h) / 3.0
-    dom = (4.0 * dom_h2 - dom_h) / 3.0
-    errs = (abs(dmu_h2 - dmu_h), abs(dom_h2 - dom_h))
-    # NaN-keeping: Python's max drops a NaN that is not its first argument.
-    est = (math.nan if math.isnan(errs[0] + errs[1]) else max(errs)) / 3.0
-    return RayOracleResult(dmu_ds=dmu, domega_ds=dom, step=step,
-                           richardson_error_estimate=est)
+    return found
 
 
 def _stacked_rays(frame_field, r, d, step):
     """(dmu_ds, domega_ds, richardson_error_estimate) arrays of the rays
     along the rows of the (N, 3) arrays r and d, from one raw call on
-    all 5N probes through on_stack; None where a ray needs the
-    single-ray path: a direction that is not unit, a failing probe, a
-    polar ray or an azimuth jump.  The single-ray path is the only
-    replay, so a failing stack is replayed once, ray by ray.
+    all 5N probes.  Raises where a ray needs the single-ray path: a
+    direction that is not unit, a failing probe, a polar ray or an
+    azimuth jump; ray_oracle calls it through on_stack, whose replay is
+    the single-ray path, ray by ray.
 
-    The operations are those of the single-ray path, entry by entry:
-    each Omega . (n, t, b) is a row-by-row dot as ``d @ n`` takes it,
-    math.atan2 runs per entry, and no floating-point flag is raised, as
-    none is on Python floats.
+    Each Omega . (n, t, b) is a row-by-row dot as ``d @ n`` takes it,
+    and _ray_rates gives each entry the arithmetic of one ray.
     """
-    if (np.abs(_dot(d, d) - 1.0) > 1e-10).any():
-        return None
+    if any_true(abs(_dot(d, d) - 1.0) > 1e-10):
+        raise OutOfRange("ray direction must be unit")
     ss = np.array([-step, -step / 2.0, 0.0, step / 2.0, step])
     probes = (r[:, None, :] + ss[:, None] * d[:, None, :]).reshape(-1, 3)
-    f = on_stack(lambda: raw_parts(frame_field, probes)[0], lambda: None,
-                 probes)
-    if f is None:  # replayed ray by ray
-        return None
-    proj = _dot(d[:, None, None, :], f.reshape(-1, 5, 3, 3))
-    mus = proj[..., 0]
-    oms = np.array(list(map(math.atan2, proj[..., 2].ravel().tolist(),
-                            proj[..., 1].ravel().tolist()))).reshape(-1, 5)
-    with np.errstate(all="ignore"):
-        if (1.0 - mus[:, 2] * mus[:, 2] <= 1e-10).any():
-            return None
-        for k in range(1, 5):
-            jump = oms[:, k] - oms[:, k - 1]
-            # + 0.0: a turn count of -0.0 subtracts as Python's 0 does.
-            wrapped = jump - TWO_PI * (np.round(jump / TWO_PI) + 0.0)
-            jump = np.where(np.isnan(jump), jump, wrapped)
-            if (np.abs(jump) > math.pi / 2.0).any():
-                return None
-            oms[:, k] = oms[:, k - 1] + jump
-        dmu_h = (mus[:, 4] - mus[:, 0]) / (2.0 * step)
-        dom_h = (oms[:, 4] - oms[:, 0]) / (2.0 * step)
-        dmu_h2 = (mus[:, 3] - mus[:, 1]) / (2.0 * (step / 2.0))
-        dom_h2 = (oms[:, 3] - oms[:, 1]) / (2.0 * (step / 2.0))
-        errs = np.abs(dmu_h2 - dmu_h), np.abs(dom_h2 - dom_h)
-        est = np.where(np.isnan(errs[0] + errs[1]), np.nan,
-                       np.where(errs[1] > errs[0], errs[1], errs[0])) / 3.0
-        return ((4.0 * dmu_h2 - dmu_h) / 3.0, (4.0 * dom_h2 - dom_h) / 3.0,
-                est)
+    f = raw_parts(frame_field, probes)[0].reshape(-1, 5, 3, 3)
+    return _ray_rates(*_dot(d[:, None, None, :], f).T, step)
+
+
+def _ray_rates(mus, dts, dbs, step):
+    """(dmu_ds, domega_ds, richardson_error_estimate) from Omega . n,
+    Omega . t and Omega . b at the probes s = -step, -step/2, 0, step/2,
+    step: five floats each for one ray, or five arrays of one entry per
+    ray.  PolarDirection where a ray runs along n at s = 0, and
+    UnwrapFailure where its azimuth jumps between probes.  Array entries
+    get the bits of floats: the arithmetic rounds alike on both, and the
+    math calls run per entry."""
+    if any_true(1.0 - mus[2] * mus[2] <= 1e-10):
+        raise PolarDirection("ray parallel to n at the base point")
+    oms = [_each(math.atan2, dbs[0], dts[0])]
+    for k in range(1, 5):
+        oms.append(_each(_next_azimuth, oms[k - 1], dbs[k], dts[k]))
+    dmu_h = (mus[4] - mus[0]) / (2.0 * step)
+    dom_h = (oms[4] - oms[0]) / (2.0 * step)
+    dmu_h2 = (mus[3] - mus[1]) / (2.0 * (step / 2.0))
+    dom_h2 = (oms[3] - oms[1]) / (2.0 * (step / 2.0))
+    return ((4.0 * dmu_h2 - dmu_h) / 3.0, (4.0 * dom_h2 - dom_h) / 3.0,
+            _each(_richardson_error, abs(dmu_h2 - dmu_h),
+                  abs(dom_h2 - dom_h)))
+
+
+def _next_azimuth(prev: float, db: float, dt: float) -> float:
+    """The azimuth atan2(db, dt) moved by whole turns next to that of
+    the probe before, prev; UnwrapFailure where they stay more than
+    pi/2 apart."""
+    jump = math.atan2(db, dt) - prev
+    if not math.isnan(jump):  # a NaN azimuth flows into domega_ds
+        jump -= TWO_PI * round(jump / TWO_PI)
+    if abs(jump) > math.pi / 2.0:
+        raise UnwrapFailure(
+            f"azimuth jump {jump:.3f} between probes; "
+            "reduce the step or move off the polar direction")
+    return prev + jump
+
+
+def _richardson_error(err_mu: float, err_om: float) -> float:
+    # NaN-keeping: Python's max drops a NaN that is not its first argument.
+    return (math.nan if math.isnan(err_mu + err_om)
+            else max(err_mu, err_om)) / 3.0
 
 
 def conservation_check(frame_field, sample_points, sample_angles,

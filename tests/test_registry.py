@@ -1,5 +1,7 @@
 """The frame registry and the nine frame scalars of a jet."""
 import ast
+import inspect
+import types
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from framestream import (DiffConfig, MuForm, OmegaForm, OutOfRange,
                          builtin_frame, catalog_entry, conservation_check,
                          frame_jet, grad_mu, grad_omega)
-from framestream import catalog, streaming, verification
+from framestream import catalog, frames, streaming, verification
 from framestream.derivatives import FrameScalars, frame_scalars
 from framestream.frames import BUILTIN_FRAMES, frame_spec
 from framestream.verification import (_angle_grid, default_frames,
@@ -115,6 +117,29 @@ def _referenced_names(code) -> set:
     return names
 
 
+def _called_functions(fn) -> set:
+    """fn and every framestream function that its code names, and theirs
+    in turn: a global of the function's module, or an attribute of a
+    module it names."""
+    found, todo = set(), [fn]
+    while todo:
+        fn = todo.pop()
+        if fn in found:
+            continue
+        found.add(fn)
+        names = _referenced_names(fn.__code__)
+        spaces = [fn.__globals__] + [
+            vars(v) for k, v in fn.__globals__.items()
+            if k in names and isinstance(v, types.ModuleType)]
+        for name in names:
+            for space in spaces:
+                found_fn = inspect.unwrap(space.get(name))
+                if (isinstance(found_fn, types.FunctionType)
+                        and found_fn.__module__.startswith("framestream")):
+                    todo.append(found_fn)
+    return found
+
+
 # The entry points of the differential engines.
 _ENGINE_NAMES = {"frame_jet", "jacobian", "directional_derivative",
                  "frame_scalars", "coefficient_terms", "checked_terms",
@@ -124,5 +149,9 @@ _ENGINE_NAMES = {"frame_jet", "jacobian", "directional_derivative",
 def test_truth_sources_stay_independent():
     assert "catalog" not in _imports("frames")
     assert not {"derivatives", "streaming", "dual"} & _imports("catalog")
-    for fn in (verification.ray_oracle, verification._stacked_rays):
+    called = _called_functions(verification.ray_oracle)
+    assert {verification._stacked_rays, verification._one_ray,
+            verification._ray_rates, frames._each, frames.on_stack,
+            frames.raw_parts} <= called
+    for fn in called:
         assert not _ENGINE_NAMES & _referenced_names(fn.__code__), fn

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from framestream import (DegeneratePoint, DomainExit, FrameField,
-                         LeftDomain, OutsideValidRegion, PolarDirection,
-                         builtin_frame, catalog, catalog_coefficients)
+                         LeftDomain, OutOfRange, OutsideValidRegion,
+                         PolarDirection, UnwrapFailure, builtin_frame,
+                         catalog, catalog_coefficients)
 from framestream.curvature import _loop_normals
 from framestream.frames import BUILTIN_FRAMES, direction_from_angles
 from framestream.verification import default_frames, random_states, ray_oracle
@@ -178,6 +179,10 @@ def _sphere_rays_with(bad):
 # The s = +step/2 probe of this ray lands on the z-axis.
 AXIS_EXIT = ((5e-4, 0.0, 1.0), (-1.0, 0.0, 0.0))
 RADIAL = ((0.6, 0.0, 0.8), (0.6, 0.0, 0.8))
+# This ray passes the z-axis between its s = 0 and s = +step/2 probes,
+# where the azimuth turns by about pi.
+POLE_CROSSING = ((2.5e-4, 1e-7, 1.0), (-1.0, 0.0, 0.0))
+NOT_UNIT = ((1.0, 0.4, 0.3), (0.6, 0.0, 0.6))
 
 
 @pytest.mark.parametrize("bad, expected", [
@@ -185,7 +190,10 @@ RADIAL = ((0.6, 0.0, 0.8), (0.6, 0.0, 0.8))
     ({3: RADIAL}, PolarDirection),
     ({1: RADIAL, 3: AXIS_EXIT}, PolarDirection),
     ({1: AXIS_EXIT, 3: RADIAL}, DomainExit),
-], ids=["domain-exit", "polar", "polar-first", "exit-first"])
+    ({1: NOT_UNIT}, OutOfRange),
+    ({2: POLE_CROSSING}, UnwrapFailure),
+], ids=["domain-exit", "polar", "polar-first", "exit-first", "not-unit",
+        "azimuth-jump"])
 def test_stacked_ray_oracle_raises_as_the_ray_loop(bad, expected):
     field, points, dirs = _sphere_rays_with(bad)
     loop = _raised(lambda: [ray_oracle(field, r, d)
