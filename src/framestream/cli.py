@@ -14,7 +14,8 @@ import numpy as np
 from .curvature import parallel_transport_holonomy
 from .derivatives import DiffConfig, frame_jet
 from .errors import FramestreamError, OutOfRange
-from .frames import BUILTIN_FRAMES, Constant, Sphere, builtin_frame
+from .frames import (BUILTIN_FRAMES, Constant, Sphere, _place_cylinder,
+                     _shell_placement, builtin_frame)
 from .streaming import angle_arrays, check_mu, checked_terms
 from .verification import (_circle_loop, _latitude_loop, run_checks,
                            sampled_conservation, selected_checks)
@@ -205,12 +206,9 @@ def _cmd_coeffs(args) -> int:
         theta = args.theta if args.theta is not None else math.pi / 2.0
         phi = args.phi if args.phi is not None else 0.0
         if args.frame == "sphere":
-            points = [args.rho * np.array([
-                math.sin(theta) * math.cos(phi),
-                math.sin(theta) * math.sin(phi), math.cos(theta)])]
+            points = [_shell_placement()(args.rho, theta, phi)]
         else:
-            points = [np.array([args.rho * math.cos(phi),
-                                args.rho * math.sin(phi), args.z])]
+            points = [_place_cylinder(args.rho, phi, args.z)]
     else:
         print("error: provide --point or --rho", file=sys.stderr)
         return 2

@@ -551,14 +551,34 @@ def builtin_frame(fid: ClosedFormId) -> FrameField:
 # ---------------------------------------------------------------------------
 # Direction chart.
 
+# Directions with 1 - mu^2 below this have no azimuth.
+_POLAR_TOL = 1e-14
+
+
+def check_mu_range(mu: float) -> None:
+    """OutOfRange for a NaN mu or one outside [-1, 1]."""
+    if not -1.0 <= mu <= 1.0:
+        raise OutOfRange(f"mu = {mu} outside [-1, 1]")
+
+
+def float_vector(x, what: str) -> np.ndarray:
+    """x as a float 3-vector, or OutOfRange naming ``what`` where it is
+    not a finite 3-vector."""
+    v = float_array(x, what)
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise OutOfRange(f"{what} must be a finite 3-vector")
+    return v
+
+
 def orthonormalize(t, b_tilde):
     """Project b_tilde orthogonal to unit t and normalize explicitly.
 
     The normalization divides by the Euclidean norm of the projected
-    residual, not by any closed-form denominator.
+    residual, not by any closed-form denominator.  OutOfRange where t or
+    b_tilde is not a finite 3-vector, or t is not unit.
     """
-    t = np.asarray(t, dtype=float)
-    b_tilde = np.asarray(b_tilde, dtype=float)
+    t = float_vector(t, "t")
+    b_tilde = float_vector(b_tilde, "b_tilde")
     if abs(t @ t - 1.0) > 1e-10:
         raise OutOfRange("t must be unit")
     w = b_tilde - (t @ b_tilde) * t
@@ -569,10 +589,11 @@ def orthonormalize(t, b_tilde):
 
 
 def angles_from_direction(frame: FramePoint, omega_dir) -> AngularPoint:
-    """(mu, omega) of a unit direction relative to a frame."""
-    d = np.asarray(omega_dir, dtype=float)
+    """(mu, omega) of a unit direction relative to a frame; OutOfRange
+    where the direction is not a finite 3-vector."""
+    d = float_vector(omega_dir, "direction")
     mu = float(d @ frame.n)
-    if 1.0 - mu * mu < 1e-14:
+    if 1.0 - mu * mu < _POLAR_TOL:
         raise PolarDirection("azimuth undefined for directions parallel to n")
     omega = float(np.arctan2(d @ frame.b, d @ frame.t))
     if omega < 0.0:
@@ -586,8 +607,7 @@ def direction_from_angles(frame: FramePoint, mu: float, omega: float):
     """Unit direction mu*n + sqrt(1-mu^2)(cos(omega) t + sin(omega) b);
     OutOfRange for a NaN mu or one outside [-1, 1], or from float_angles."""
     mu, omega = float_angles(mu, omega)
-    if not -1.0 <= mu <= 1.0:
-        raise OutOfRange(f"mu = {mu} outside [-1, 1]")
+    check_mu_range(mu)
     s = np.sqrt(max(0.0, 1.0 - mu * mu))
     return (mu * frame.n + s * np.cos(omega) * frame.t
             + s * np.sin(omega) * frame.b)

@@ -14,10 +14,10 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
                           frame_scalars, twist)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
-from .frames import (FramePoint, _each, all_true, direction_from_angles,
-                     float_angles, float_array, loose_frames_ok)
+from .frames import (_POLAR_TOL, FramePoint, _each, all_true,
+                     check_mu_range, direction_from_angles, float_angles,
+                     float_array, float_vector, loose_frames_ok)
 
-_POLAR_TOL = 1e-14
 _BREAKDOWN_RTOL = 1e-10
 _FOLIATION_TOL = 1e-6
 
@@ -111,8 +111,7 @@ def check_mu(mu) -> None:
     magnitude (or the first NaN) decides."""
     if isinstance(mu, np.ndarray):
         mu = float(mu[np.argmax(np.abs(mu))])
-    if not -1.0 <= mu <= 1.0:
-        raise OutOfRange(f"mu = {mu} outside [-1, 1]")
+    check_mu_range(mu)
     if 1.0 - mu * mu < _POLAR_TOL:
         raise PolarDirection("omega undefined for mu at +-1")
 
@@ -165,8 +164,7 @@ def grad_mu(frame_field, r, mu, omega, form: MuForm = MuForm.CURVE_CURVATURE,
             cfg: DiffConfig = DEFAULT_CFG) -> float:
     """Rate of change of mu = Omega . n along a straight ray."""
     angles = _angles(mu, omega)
-    if not -1.0 <= angles[0] <= 1.0:
-        raise OutOfRange(f"mu = {angles[0]} outside [-1, 1]")
+    check_mu_range(angles[0])
     jet = frame_jet(frame_field, r, cfg)
     return _on_leaf(jet, form, grad_mu_from_jet(jet, *angles, form))
 
@@ -321,13 +319,18 @@ def apply_streaming(coeffs: StreamingCoefficients, omega_dir,
                     dpsi_domega: float) -> float:
     """Assembled Omega . grad Psi from precomputed pieces.
 
-    omega_dir must reconstruct from (mu, omega, frame) within 1e-10."""
+    OutOfRange where omega_dir is not a 3-vector, InconsistentDirection
+    where it does not reconstruct from (mu, omega, frame) within 1e-10
+    (a NaN entry included), and OutOfRange where spatial_grad_psi is not
+    a finite 3-vector."""
     d = float_array(omega_dir, "direction")
+    if d.shape != (3,):
+        raise OutOfRange("direction must be a 3-vector")
     _, mu, omega = coeffs.at
     rebuilt = direction_from_angles(coeffs.frame, mu, omega)
-    if float(np.max(np.abs(d - rebuilt))) > 1e-10:
+    if not float(np.max(np.abs(d - rebuilt))) <= 1e-10:
         raise InconsistentDirection(
             "direction does not match the coefficient state")
-    grad = float_array(spatial_grad_psi, "spatial gradient")
+    grad = float_vector(spatial_grad_psi, "spatial gradient")
     return float(d @ grad + coeffs.a_mu * dpsi_dmu
                  + coeffs.a_omega * dpsi_domega)

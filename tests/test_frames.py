@@ -5,10 +5,11 @@ import pytest
 
 from framestream import (Constant, CylindricalI, CylindricalII, DegeneratePoint,
                          Ellipsoid, FramePoint, FramestreamError, Graph,
-                         NotOrthonormal, OutOfRange, ParallelInput,
-                         Paraboloid, PolarDirection, Sphere,
-                         angles_from_direction, builtin_frame,
-                         direction_from_angles, orthonormalize)
+                         InconsistentDirection, NotOrthonormal, OutOfRange,
+                         ParallelInput, Paraboloid, PolarDirection, Sphere,
+                         angles_from_direction, apply_streaming,
+                         builtin_frame, direction_from_angles,
+                         orthonormalize, streaming_coefficients)
 from framestream.frames import BUILTIN_FRAMES
 from framestream.verification import default_frames, random_states
 
@@ -76,6 +77,43 @@ def test_angles_reject_polar_direction():
     frame = builtin_frame(Constant()).eval([0.0, 0.0, 1.0])
     with pytest.raises(PolarDirection):
         angles_from_direction(frame, (0.0, 0.0, 1.0))
+
+
+def _apply_streaming(direction=None, grad=(0.5, -1.0, 0.25)):
+    coeffs = streaming_coefficients(builtin_frame(Sphere()), (1.2, 0.3, 0.9),
+                                     0.4, 2.0)
+    if direction is None:
+        direction = direction_from_angles(coeffs.frame, 0.4, 2.0)
+    return apply_streaming(coeffs, direction, grad, 2.0, -3.0)
+
+
+def _angles(direction):
+    frame = builtin_frame(Sphere()).eval([1.0, 0.5, 0.7])
+    return angles_from_direction(frame, direction)
+
+
+NAN3 = (math.nan, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: _apply_streaming(direction=NAN3), InconsistentDirection),
+    (lambda: _apply_streaming(direction=(1.0, 0.0)), OutOfRange),
+    (lambda: _apply_streaming(grad=NAN3), OutOfRange),
+    (lambda: _apply_streaming(grad=(1.0, 0.0)), OutOfRange),
+    (lambda: _angles(NAN3), OutOfRange),
+    (lambda: _angles((math.inf, 0.0, 0.0)), OutOfRange),
+    (lambda: _angles((0.6, 0.8)), OutOfRange),
+    (lambda: _angles(("a", 0.0, 0.0)), OutOfRange),
+    (lambda: orthonormalize(NAN3, (0.0, 1.0, 0.0)), OutOfRange),
+    (lambda: orthonormalize((1.0, 0.0, 0.0), NAN3), OutOfRange),
+    (lambda: orthonormalize((1.0, 0.0), (0.0, 1.0)), OutOfRange),
+], ids=["apply-nan-direction", "apply-2-direction", "apply-nan-gradient",
+        "apply-2-gradient", "angles-nan", "angles-inf", "angles-2",
+        "angles-string", "orthonormalize-nan-t", "orthonormalize-nan-b",
+        "orthonormalize-2"])
+def test_direction_chart_rejects_bad_vectors(call, expected):
+    with pytest.raises(expected):
+        call()
 
 
 def test_direction_rejects_bad_mu():
