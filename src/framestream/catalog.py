@@ -290,9 +290,9 @@ def catalog_coefficients(fid, r, mu, omega):
     points, with arrays of N mu and N omega values, and the result is
     two arrays of N values.  A stack is one pass of array arithmetic,
     through on_stack.  Where that raises (a state on a singular locus,
-    say), or where a point or omega is not finite, the states go one by
-    one, through float_angles, which raises the first failing state's
-    error.  Every entry of a stacked result has the single-state bits.
+    say), or where a point, mu or omega is not finite, the states go one
+    by one through the single-state call, which raises the first failing
+    state's error.  Every entry of a stacked result has the single-state bits.
     """
     aux = _row(fid)[0]
     pts = float_array(r, "catalog point")
@@ -304,12 +304,6 @@ def catalog_coefficients(fid, r, mu, omega):
             or mus.shape != pts.shape[:1] or omegas.shape != mus.shape:
         raise OutOfRange("catalog point must be a 3-vector, or an (N, 3) "
                          "array with N mu and N omega values")
-
-    def by_state():
-        pairs = [catalog_coefficients(fid, p, m, o)
-                 for p, m, o in zip(pts, mus.tolist(), omegas.tolist())]
-        return tuple(np.array([pair[k] for pair in pairs], dtype=float)
-                     for k in range(2))
-
     return on_stack(lambda: _assemble(aux(fid, *pts.T), mus, omegas),
-                    by_state, pts, omegas)
+                    functools.partial(catalog_coefficients, fid),
+                    pts, mus, omegas)

@@ -160,18 +160,15 @@ def _loop_normals(frame_field, pts):
     """The frame normal at each row of pts, from one raw call through
     on_stack, or row by row on Python floats; a point where the frame is
     undefined raises LeftDomain naming it."""
-    def by_row():
-        normals = np.empty((len(pts), 3))
-        for i, p in enumerate(pts.tolist()):
-            try:
-                normals[i] = raw_components(frame_field, p)[:3]
-            except Exception as exc:
-                raise LeftDomain(
-                    f"frame undefined at loop point {tuple(p)}") from exc
-        return normals
+    def at_row(p):
+        p = tuple(p.tolist())
+        try:
+            return raw_components(frame_field, p)[:3]
+        except Exception as exc:
+            raise LeftDomain(f"frame undefined at loop point {p}") from exc
 
-    return on_stack(lambda: np.ascontiguousarray(
-        raw_parts(frame_field, pts)[0][:, :3]), by_row, pts)
+    return np.column_stack(on_stack(
+        lambda: raw_parts(frame_field, pts)[0][:, :3].T, at_row, pts))
 
 
 def _dot(a, b):

@@ -256,13 +256,7 @@ def frame_jet(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> FrameJet:
     if r.ndim == 1:
         vals, jacs = _point_parts(frame_field, r, cfg)
     else:
-        def by_point():
-            vals, jacs = np.empty((len(r), 9)), np.empty((len(r), 9, 3))
-            for i, p in enumerate(r):
-                vals[i], jacs[i] = _point_parts(frame_field, p, cfg)
-            return vals, jacs
-
         vals, jacs = on_stack(lambda: _stack_parts(frame_field, r, cfg),
-                              by_point, r)
+                              lambda p: _point_parts(frame_field, p, cfg), r)
     return FrameJet(vals[..., 0:3], vals[..., 3:6], vals[..., 6:9],
                     jacs[..., 0:3, :], jacs[..., 3:6, :], jacs[..., 6:9, :])

@@ -188,19 +188,23 @@ def array_attempt():
         yield
 
 
-def on_stack(array_call, replay, *inputs):
-    """array_call() inside array_attempt, or replay() where it raises or
-    where an entry of the input arrays is not finite: the one policy of
-    every stacked evaluation, whose replay goes point by point."""
-    # Non-finite inputs go one by one: array arithmetic on them raises
-    # no flag where the float operations of a raw might.
-    if all(np.isfinite(a).all() for a in inputs):
-        try:
-            with array_attempt():
+def on_stack(array_call, row_call, *inputs):
+    """array_call() inside array_attempt; or, where it raises or where an
+    entry of the inputs is not a finite number, row_call on each row of
+    the inputs in turn, each of its outputs stacked over the rows into a
+    float array, so that the first failing row raises its own error: the
+    one policy of every stacked evaluation.  A stack of no rows has no
+    row to replay, so its array_call must not raise."""
+    try:
+        with array_attempt():
+            # Non-finite inputs go row by row: array arithmetic on them
+            # raises no flag where the float operations of a row might.
+            if all(np.isfinite(a).all() for a in inputs):
                 return array_call()
-        except Exception:  # replayed below, point by point
-            pass
-    return replay()
+    except Exception:  # replayed below, row by row
+        pass
+    rows = [row_call(*row) for row in zip(*inputs)]
+    return tuple(np.array(column, dtype=float) for column in zip(*rows))
 
 
 def raw_components(frame_field, p) -> tuple:
@@ -220,12 +224,15 @@ def raw_components(frame_field, p) -> tuple:
 def raw_parts(frame_field, pts, dual=False) -> tuple:
     """The raw at the rows of an (N, 3) array pts, from one call on
     their coordinate arrays (array Duals seeded with the identity when
-    dual): the (N, 9) values of the nine components and their (N, 9, 3)
-    tangents, zero for a float component.  Raises, for a replay, on a
-    component that is neither a float nor an array of N entries."""
+    dual), or from none where N = 0: the (N, 9) values of the nine
+    components and their (N, 9, 3) tangents, zero for a float
+    component.  Raises, for a replay, on a component that is neither a
+    float nor an array of N entries."""
     count = len(pts)
-    cols = dm.seed_gradient(pts) if dual else np.ascontiguousarray(pts.T)
     vals, tans = np.empty((count, 9)), np.zeros((count, 9, 3))
+    if not count:
+        return vals, tans
+    cols = dm.seed_gradient(pts) if dual else np.ascontiguousarray(pts.T)
     for k, c in enumerate(raw_components(frame_field, cols)):
         parts = (c.val, c.e0, c.e1, c.e2) if isinstance(c, dm.Dual) else (c,)
         if any(np.shape(part) not in ((), (count,)) for part in parts):

@@ -16,7 +16,7 @@ from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
 from .frames import (_POLAR_TOL, FramePoint, _each, all_true,
                      check_mu_range, direction_from_angles, float_angles,
-                     float_array, float_vector, loose_frames_ok)
+                     float_array, float_vector, loose_frames_ok, on_stack)
 
 _BREAKDOWN_RTOL = 1e-10
 _FOLIATION_TOL = 1e-6
@@ -88,21 +88,17 @@ def _angles(mu, omega):
 def angle_arrays(mus, omegas):
     """Arrays (mu, s, c, sn) for paired lists of mu and omega, each entry
     with the bits of _angles at that state.  Columns of finite numbers
-    convert as arrays; any other input is replayed state by state, so
-    that the first bad entry raises its own OutOfRange."""
-    try:
+    convert as arrays, through on_stack; any other input is replayed
+    state by state, so that the first bad entry raises its own
+    OutOfRange."""
+    def as_arrays():
         mu, omega = float_array(mus, "mu"), float_array(omegas, "omega")
-        as_arrays = (mu.ndim == 1 and mu.shape == omega.shape
-                     and np.isfinite(mu).all() and np.isfinite(omega).all())
-    except OutOfRange:
-        as_arrays = False
-    if not as_arrays:
-        rows = [_angles(mu, omega) for mu, omega in zip(mus, omegas)]
-        return tuple(np.array(column, dtype=float) for column in zip(*rows))
-    # A huge mu overflows to inf without a flag, as a float does.
-    with np.errstate(over="ignore"):
+        if mu.ndim != 1 or mu.shape != omega.shape:
+            raise OutOfRange("mu and omega must be paired lists")
         s = np.sqrt(np.fmax(0.0, 1.0 - mu * mu))
-    return mu.copy(), s, _each(math.cos, omega), _each(math.sin, omega)
+        return mu.copy(), s, _each(math.cos, omega), _each(math.sin, omega)
+
+    return on_stack(as_arrays, _angles, mus, omegas)
 
 
 def check_mu(mu) -> None:

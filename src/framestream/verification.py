@@ -91,9 +91,7 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3
     if r.ndim == 2 and r.shape[1:] == (3,) and d.shape == r.shape:
         dmu, dom, est = on_stack(
             lambda: _stacked_rays(frame_field, r, d, step),
-            lambda: np.array([_one_ray(frame_field, p, q, step)
-                              for p, q in zip(r, d)]).reshape(-1, 3).T,
-            r, d)
+            lambda p, q: _one_ray(frame_field, p, q, step), r, d)
     elif r.shape == (3,) and d.shape == (3,):
         dmu, dom, est = _one_ray(frame_field, r, d, step)
     else:
