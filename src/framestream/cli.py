@@ -280,6 +280,8 @@ def _cmd_conservation(args) -> int:
 
 
 def _cmd_holonomy(args) -> int:
+    # Bad flag values raise OutOfRange here: exit 2.
+    _cfg(args)
     steps = args.steps
     if steps < _MIN_HOLONOMY_STEPS:
         print(f"error: --steps must be at least {_MIN_HOLONOMY_STEPS}",

@@ -63,8 +63,9 @@ def integral_curve_curvature(field, r, cfg: DiffConfig = DEFAULT_CFG):
     """Curvature vector -grad_u u of the integral curve of unit field u."""
     r = float_array(r, "point")
     u0 = np.asarray(field(tuple(r)), dtype=float)
-    if abs(float(u0 @ u0) - 1.0) > 2e-6:
-        raise NotUnitField(f"|u| = {math.sqrt(u0 @ u0):.8f} at {tuple(r)}")
+    if not abs(float(u0 @ u0) - 1.0) <= 2e-6:
+        raise NotUnitField(
+            f"|u| = {math.sqrt(u0 @ u0):.8f} at {tuple(r.tolist())}")
     return -directional_derivative(field, r, u0, cfg)
 
 
@@ -113,8 +114,9 @@ def foliation_defect(field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
     """V . rot V; zero certifies local integrability of the V-planes."""
     r = float_array(r, "point")
     v = np.asarray(field(tuple(r)), dtype=float)
-    if abs(float(v @ v) - 1.0) > 2e-6:
-        raise NotUnitField(f"|V| = {math.sqrt(v @ v):.8f} at {tuple(r)}")
+    if not abs(float(v @ v) - 1.0) <= 2e-6:
+        raise NotUnitField(
+            f"|V| = {math.sqrt(v @ v):.8f} at {tuple(r.tolist())}")
     return twist(v, jacobian(field, r, cfg))
 
 

@@ -597,8 +597,10 @@ def orthonormalize(t, b_tilde):
 
 def angles_from_direction(frame: FramePoint, omega_dir) -> AngularPoint:
     """(mu, omega) of a unit direction relative to a frame; OutOfRange
-    where the direction is not a finite 3-vector."""
+    where the direction is not a finite 3-vector, or not unit."""
     d = float_vector(omega_dir, "direction")
+    if abs(d @ d - 1.0) > 1e-10:
+        raise OutOfRange("direction must be unit")
     mu = float(d @ frame.n)
     if 1.0 - mu * mu < _POLAR_TOL:
         raise PolarDirection("azimuth undefined for directions parallel to n")

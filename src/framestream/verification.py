@@ -15,11 +15,13 @@ from .curvature import ShapeOperator2x2, parallel_transport_holonomy
 from .derivatives import (DEFAULT_CFG, DiffConfig, _direction, _dot,
                           _matvec, directional_derivative, frame_jet,
                           frame_scalars)
-from .errors import (DegenerateMetric, DomainExit, InconsistentReport,
-                     OutOfRange, PolarDirection, UnwrapFailure)
+from .errors import (DegenerateMetric, DomainExit, EvaluationFailure,
+                     InconsistentReport, OutOfRange, PolarDirection,
+                     UnwrapFailure)
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere, _each,
-                     any_true, builtin_frame, float_angles, float_array,
-                     frame_spec, on_stack, raw_parts)
+                     all_true, any_true, builtin_frame, float_angles,
+                     float_array, frame_spec, on_stack, raw_components,
+                     raw_parts)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
 from .streaming import (MuForm, OmegaForm, angle_arrays, check_mu,
                         checked_terms, grad_mu_from_jet, grad_omega_from_jet,
@@ -102,13 +104,15 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3
 
 
 # The raw of a probe not taken: NaN, which no check of _ray_rates fails.
-_NAN_FRAME = ((math.nan,) * 3,) * 3
+_NAN_FRAME = (math.nan,) * 9
 
 
 def _one_ray(frame_field, r, d, step):
     """(dmu_ds, domega_ds, richardson_error_estimate) of one ray, as
-    Python floats, from five raw calls."""
-    if abs(float(d @ d) - 1.0) > 1e-10:
+    Python floats, from five raw calls.  A raw that fails at a probe
+    leaves the domain; one whose vectors are not 3 long raises its
+    EvaluationFailure."""
+    if not abs(float(d @ d) - 1.0) <= 1e-10:
         raise OutOfRange("ray direction must be unit")
     # The probes run in the order the checks need them: s = 0 first, then
     # the stencil from -step up, stopping at the first that fails; its
@@ -120,7 +124,9 @@ def _one_ray(frame_field, r, d, step):
     failure = None
     for k in (2, 0, 1, 3, 4):
         try:
-            outs[k] = frame_field.raw(*rows[k])
+            outs[k] = raw_components(frame_field, rows[k])
+        except EvaluationFailure:
+            raise
         except Exception as exc:
             if k == 2:
                 raise DomainExit(
@@ -129,9 +135,7 @@ def _one_ray(frame_field, r, d, step):
             break
     # Omega . (n, t, b) of each probe as a row-by-row dot, which rounds
     # as d @ n does (a stacked matvec does not).
-    # A flat list converts faster than a nested one.
-    f = np.array([(*n, *t, *b) for n, t, b in outs],
-                 dtype=float).reshape(5, 3, 3)
+    f = np.array(outs, dtype=float).reshape(5, 3, 3)
     found = _ray_rates(*np.matmul(f[:, :, None, :], d)[:, :, 0].T.tolist(),
                        step)
     if failure is not None:
@@ -151,7 +155,7 @@ def _stacked_rays(frame_field, r, d, step):
     Each Omega . (n, t, b) is a row-by-row dot as ``d @ n`` takes it,
     and _ray_rates gives each entry the arithmetic of one ray.
     """
-    if any_true(abs(_dot(d, d) - 1.0) > 1e-10):
+    if not all_true(abs(_dot(d, d) - 1.0) <= 1e-10):
         raise OutOfRange("ray direction must be unit")
     ss = np.array([-step, -step / 2.0, 0.0, step / 2.0, step])
     probes = (r[:, None, :] + ss[:, None] * d[:, None, :]).reshape(-1, 3)

@@ -130,6 +130,12 @@ def test_out_of_range_flag_exits_2(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_holonomy_bad_fd_step_exits_2(capsys):
+    rc, out, err = run(capsys, ["holonomy", "--fd-step", "1"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "fd_step must lie in" in err
+
+
 def test_verify_unknown_check_exits_2(capsys):
     rc, out, err = run(capsys, ["verify", "--check", "nosuch"])
     assert rc == 2 and out == ""

@@ -133,6 +133,15 @@ def test_winding_antisymmetry_violation_is_typed():
         winding_term(FrameField(raw, "tilting"), (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("call, message", [
+    (integral_curve_curvature, r"\|u\| = nan at \(1.0, 0.2, 0.3\)"),
+    (foliation_defect, r"\|V\| = nan at \(1.0, 0.2, 0.3\)"),
+], ids=["integral-curve", "foliation-defect"])
+def test_a_nan_field_is_not_unit(call, message):
+    with pytest.raises(NotUnitField, match=f"^{message}$"):
+        call(lambda p: (math.nan, 0.0, 0.0), [1.0, 0.2, 0.3])
+
+
 def test_winding_nonzero_on_ellipsoid():
     field = builtin_frame(Ellipsoid(2.0, 1.0, 1.0))
     r = np.array([1.22474487139159, 0.61237243569579, 0.5])

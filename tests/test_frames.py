@@ -116,6 +116,13 @@ def test_direction_chart_rejects_bad_vectors(call, expected):
         call()
 
 
+@pytest.mark.parametrize("direction", [(0.1, 0.0, 0.0), (2.0, 0.0, 0.0)],
+                         ids=["short", "long"])
+def test_angles_reject_a_direction_that_is_not_unit(direction):
+    with pytest.raises(OutOfRange, match="^direction must be unit$"):
+        _angles(direction)
+
+
 def test_direction_rejects_bad_mu():
     frame = builtin_frame(Constant()).eval([0.0, 0.0, 1.0])
     with pytest.raises(OutOfRange):

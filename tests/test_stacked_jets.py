@@ -17,9 +17,9 @@ from framestream import (DiffConfig, EvaluationFailure, FoliationMissing,
 from framestream import dual as dm
 from framestream.cli import main
 from framestream.curvature import parallel_transport_holonomy
-from framestream.derivatives import FrameJet, frame_scalars
+from framestream.derivatives import FrameJet, _direction, frame_scalars
 from framestream.frames import BUILTIN_FRAMES, FramePoint, loose_frames_ok
-from framestream.streaming import (_direction, angle_arrays, checked_terms,
+from framestream.streaming import (angle_arrays, checked_terms,
                                    coefficient_terms, grad_mu_from_jet,
                                    grad_omega_from_jet, has_leaf,
                                    leaf_defect)

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framestream import (DegeneratePoint, DomainExit, FrameField,
-                         LeftDomain, OutOfRange, OutsideValidRegion,
-                         PolarDirection, UnwrapFailure, builtin_frame,
-                         catalog, catalog_coefficients)
+from framestream import (DegeneratePoint, DomainExit, EvaluationFailure,
+                         FrameField, LeftDomain, OutOfRange,
+                         OutsideValidRegion, PolarDirection, UnwrapFailure,
+                         builtin_frame, catalog, catalog_coefficients)
 from framestream.curvature import _loop_normals
 from framestream.frames import BUILTIN_FRAMES, direction_from_angles
 from framestream.verification import default_frames, random_states, ray_oracle
@@ -218,6 +218,30 @@ def test_failing_ray_stack_is_replayed_once():
     field.calls = 0
     assert _raised(lambda: ray_oracle(field, points, dirs)) == loop
     assert field.calls == 197
+
+
+def _long_normal(x, y, z):
+    n, t, b = builtin_frame(BUILTIN_FRAMES["sphere"].default).raw(x, y, z)
+    return (*n, 0.0), t, b
+
+
+@pytest.mark.parametrize("raw, direction, expected, message", [
+    (None, (math.nan, 0.0, 0.0), OutOfRange,
+     r"^ray direction must be unit$"),
+    (_long_normal, (0.0, 0.6, 0.8), EvaluationFailure,
+     r"^field returned vectors of lengths \(4, 3, 3\), not 3, at probe "),
+], ids=["nan-direction", "vectors-not-3-long"])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_ray_oracle_raises_typed_errors(raw, direction, expected, message,
+                                        stacked):
+    sphere = builtin_frame(BUILTIN_FRAMES["sphere"].default)
+    field = sphere if raw is None else FrameField(raw, "long-normal")
+    points = np.array([[0.5, -0.2, 0.9], [1.0, 0.4, 0.3]])
+    dirs = np.array([[0.6, 0.8, 0.0], direction])
+    if not stacked:
+        points, dirs = points[1], dirs[1]
+    with pytest.raises(expected, match=message):
+        ray_oracle(field, points, dirs)
 
 
 # --- the loop normals of holonomy ---------------------------------------
