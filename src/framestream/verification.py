@@ -109,9 +109,9 @@ _NAN_FRAME = (math.nan,) * 9
 
 def _one_ray(frame_field, r, d, step):
     """(dmu_ds, domega_ds, richardson_error_estimate) of one ray, as
-    Python floats, from five raw calls.  A raw that fails at a probe
-    leaves the domain; one whose vectors are not 3 long raises its
-    EvaluationFailure."""
+    Python floats, from five raw calls.  A raw that raises at a probe
+    gives DomainExit; one whose vectors are not 3 long, the
+    EvaluationFailure of raw_components."""
     if not abs(float(d @ d) - 1.0) <= 1e-10:
         raise OutOfRange("ray direction must be unit")
     # The probes run in the order the checks need them: s = 0 first, then
