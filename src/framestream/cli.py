@@ -241,10 +241,8 @@ def _cmd_verify(args) -> int:
     except FramestreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    checks = [{"name": c.name, "status": c.status,
-               "max_residual": c.max_residual, "tolerance": c.tolerance,
-               "samples": c.samples} for c in results]
-    doc = {"version": 1, "checks": checks, "meta": _meta(args)}
+    doc = {"version": 1, "checks": [dataclasses.asdict(c) for c in results],
+           "meta": _meta(args)}
     _write_doc(doc, args)
     failed = [c for c in results if c.status == "fail"]
     if failed:

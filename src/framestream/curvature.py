@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
-from .derivatives import (DEFAULT_CFG, DiffConfig, FrameScalars,
+from .derivatives import (DEFAULT_CFG, DiffConfig, FrameScalars, _dot,
                           directional_derivative, frame_jet, frame_scalars,
                           jacobian, twist)
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
                      NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
-from .frames import float_array, on_stack, raw_components, raw_parts
+from .frames import (float_3vector, float_array, on_stack, raw_components,
+                     raw_parts)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,7 +63,7 @@ class CurvatureReport:
 
 def integral_curve_curvature(field, r, cfg: DiffConfig = DEFAULT_CFG):
     """Curvature vector -grad_u u of the integral curve of unit field u."""
-    r = float_array(r, "point")
+    r = float_3vector(r, "point")
     u0 = np.asarray(field(tuple(r)), dtype=float)
     if not abs(float(u0 @ u0) - 1.0) <= 2e-6:
         raise NotUnitField(
@@ -77,8 +79,8 @@ def curvature_from_parametrization(gamma_prime, gamma_double_prime):
     orthogonal to g' (arc-length or circular parametrizations) this is
     exactly -g''/|g''|.
     """
-    gp = float_array(gamma_prime, "gamma_prime")
-    gpp = float_array(gamma_double_prime, "gamma_double_prime")
+    gp = float_3vector(gamma_prime, "gamma_prime")
+    gpp = float_3vector(gamma_double_prime, "gamma_double_prime")
     speed2 = float(gp @ gp)
     if speed2 <= 1e-24:
         raise DegenerateTangent("curve velocity below 1e-12")
@@ -91,7 +93,7 @@ def curvature_from_parametrization(gamma_prime, gamma_double_prime):
 def shape_operator(normal_field, basis1_field, basis2_field, r,
                    cfg: DiffConfig = DEFAULT_CFG) -> ShapeOperator2x2:
     """Weingarten form of ``normal_field`` in the given tangent basis."""
-    r = float_array(r, "point")
+    r = float_3vector(r, "point")
     p = tuple(r)
     normal = np.asarray(normal_field(p), dtype=float)
     b1 = np.asarray(basis1_field(p), dtype=float)
@@ -112,7 +114,7 @@ def normal_curvature(shape: ShapeOperator2x2, omega: float) -> float:
 
 def foliation_defect(field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
     """V . rot V; zero certifies local integrability of the V-planes."""
-    r = float_array(r, "point")
+    r = float_3vector(r, "point")
     v = np.asarray(field(tuple(r)), dtype=float)
     if not abs(float(v @ v) - 1.0) <= 2e-6:
         raise NotUnitField(
@@ -128,25 +130,35 @@ def winding_term(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
     if not abs(w + w_anti) <= 1e-8:
         raise NotOrthonormal(
             f"winding antisymmetry violated: t.grad_n b + b.grad_n t = "
-            f"{w + w_anti:.3e} at {tuple(np.asarray(r, dtype=float))}")
+            f"{w + w_anti:.3e} at "
+            f"{tuple(np.asarray(r, dtype=float).tolist())}")
     return w
 
 
 def integrate_curve(field, r0, tau_span, steps: int):
-    """Fixed-step RK4 samples of the integral curve of ``field``."""
+    """Fixed-step RK4 samples of the integral curve of ``field`` from r0
+    over the pair tau_span, in an integer number of steps, at least 16."""
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise OutOfRange(f"steps must be an integer, not {steps!r}") from None
     if steps < 16:
         raise OutOfRange("need at least 16 steps")
-    t0, t1 = float(tau_span[0]), float(tau_span[1])
+    span = float_array(tau_span, "tau_span")
+    if span.shape != (2,):
+        raise OutOfRange(f"tau_span must be a pair, not of shape {span.shape}")
+    t0, t1 = span.tolist()
     h = (t1 - t0) / steps
     out = np.empty((steps + 1, 3))
-    r = float_array(r0, "start point").copy()
+    r = float_3vector(r0, "start point").copy()
     out[0] = r
 
     def f(p):
         try:
             return np.asarray(field(tuple(p)), dtype=float)
         except Exception as exc:
-            raise LeftDomain(f"field undefined near {tuple(p)}") from exc
+            raise LeftDomain(
+                f"field undefined near {tuple(p.tolist())}") from exc
 
     for i in range(steps):
         k1 = f(r)
@@ -171,11 +183,6 @@ def _loop_normals(frame_field, pts):
 
     return np.column_stack(on_stack(
         lambda: raw_parts(frame_field, pts)[0][:, :3].T, at_row, pts))
-
-
-def _dot(a, b):
-    """Row-wise dot products of two (m,3) arrays."""
-    return np.einsum("ij,ij->i", a, b)
 
 
 def _tangential(vecs, normals):

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import dual as dm
 from .errors import EvaluationFailure, OutOfRange
-from .frames import float_array, on_stack, raw_components, raw_parts
+from .frames import (float_3vector, float_array, on_stack, raw_components,
+                     raw_parts)
 
 DUAL = "dual"
 FD = "fd"
@@ -84,8 +85,8 @@ def _fd_stencil(field, r, dirs, cfg):
 
 def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
     """(h . grad) field at r."""
-    r = float_array(r, "point")
-    h = float_array(h, "direction")
+    r = float_3vector(r, "point")
+    h = float_3vector(h, "direction")
     if cfg.engine == DUAL:
         out = _probe(field, dm.seed_direction(r, h))
         return np.array([dm.tangent(c)[0] for c in out])
@@ -98,7 +99,7 @@ def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
 def jacobian(field, r, cfg: DiffConfig = DEFAULT_CFG):
     """Column j = d(field)/d(coordinate j) at r, on a last axis (the fd
     engine also takes fields of stacked vectors)."""
-    r = float_array(r, "point")
+    r = float_3vector(r, "point")
     if cfg.engine == DUAL:
         out = _probe(field, dm.seed_gradient(r))
         return np.array([dm.tangent(c) for c in out], dtype=float)

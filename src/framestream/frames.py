@@ -155,6 +155,15 @@ def float_array(x, what: str) -> np.ndarray:
         raise OutOfRange(f"{what} must be an array of numbers: {exc}") from exc
 
 
+def float_3vector(x, what: str) -> np.ndarray:
+    """x as a float array of shape (3,), NaN and inf entries kept, or
+    OutOfRange naming ``what`` where it has another shape."""
+    v = float_array(x, what)
+    if v.shape != (3,):
+        raise OutOfRange(f"{what} must be a 3-vector, not of shape {v.shape}")
+    return v
+
+
 def float_angles(mu, omega) -> tuple:
     """(mu, omega) as Python floats, or OutOfRange where one is not a
     number, or where omega is infinite or NaN and so has no cosine."""
@@ -194,7 +203,9 @@ def on_stack(array_call, row_call, *inputs):
     the inputs in turn, each of its outputs stacked over the rows into a
     float array, so that the first failing row raises its own error: the
     one policy of every stacked evaluation.  A stack of no rows has no
-    row to replay, so its array_call must not raise."""
+    row to replay, so its array_call must not raise.  The callers pair
+    the inputs; inputs of unequal length raise ValueError in the replay,
+    which never drops the rows of the longer ones."""
     try:
         with array_attempt():
             # Non-finite inputs go row by row: array arithmetic on them
@@ -203,7 +214,7 @@ def on_stack(array_call, row_call, *inputs):
                 return array_call()
     except Exception:  # replayed below, row by row
         pass
-    rows = [row_call(*row) for row in zip(*inputs)]
+    rows = [row_call(*row) for row in zip(*inputs, strict=True)]
     return tuple(np.array(column, dtype=float) for column in zip(*rows))
 
 

@@ -90,7 +90,15 @@ def angle_arrays(mus, omegas):
     with the bits of _angles at that state.  Columns of finite numbers
     convert as arrays, through on_stack; any other input is replayed
     state by state, so that the first bad entry raises its own
-    OutOfRange."""
+    OutOfRange.  Lists of unequal length, or inputs that are not lists,
+    raise OutOfRange before any state is read."""
+    try:
+        paired = len(mus) == len(omegas)
+    except TypeError:  # no length: a number, say
+        paired = False
+    if not paired:
+        raise OutOfRange("mu and omega must be paired lists")
+
     def as_arrays():
         mu, omega = float_array(mus, "mu"), float_array(omegas, "omega")
         if mu.ndim != 1 or mu.shape != omega.shape:

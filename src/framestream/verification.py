@@ -4,6 +4,7 @@ check suite behind ``verify``."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 
@@ -372,16 +373,20 @@ def _points(states):
     return np.array([r for r, _, _ in states])
 
 
-def _sampled_check(rng, cfg, frames, count, per_state, residuals):
+def _sampled_check(count, per_state, residuals, frames, rng, cfg, theta,
+                   homothetic=False):
     """Worst residual and sample count over ``count`` random states of
-    each frame, ``per_state`` samples each.  All of a frame's states are
-    drawn first; then one stacked frame jet at their points is passed to
+    each frame (each homothetic frame when ``homothetic``), ``per_state``
+    samples each.  All of a frame's states are drawn first; then one
+    stacked frame jet at their points is passed to
     ``residuals(fid, field, states, jet, rng, cfg)``, which returns an
     array of the residuals of those states.  The worst is NaN when any
     residual is, so the check fails."""
     found = [np.zeros(0)]
     states = 0
     for fid in frames.values():
+        if homothetic and not frame_spec(fid).homothetic:
+            continue
         field = builtin_frame(fid)
         drawn = random_states(fid, count, rng)
         jet = frame_jet(field, _points(drawn), cfg)
@@ -486,7 +491,7 @@ def sampled_conservation(fid, rng,
                               _angle_grid(16, rng), cfg)
 
 
-def _check_conservation(frames, rng, cfg):
+def _check_conservation(frames, rng, cfg, theta):
     bad = 0
     samples = 0
     for name, fid in frames.items():
@@ -517,7 +522,7 @@ def _circle_loop(radius: float, steps: int):
     return loop, np.array([1.0, 0.0, 0.0]), 0.0
 
 
-def _check_holonomy(theta: float):
+def _check_holonomy(frames, rng, cfg, theta):
     sphere = builtin_frame(Sphere())
     errs = []
     for steps in (1000, 2000):
@@ -541,15 +546,25 @@ def _check_kb_transform(cfg):
     return kb_transform_residual(field, r, cfg), 1
 
 
-_CHECK_TOLS = {
-    "catalog-agreement": 1e-7,
-    "oracle-agreement": 1e-6,
-    "form-equivalence": 1e-8,
-    "frame-identities": 1e-8,
-    "homothety": 1e-8,
-    "conservation-trichotomy": 0.0,
-    "holonomy-convergence": 1e-3,
-    "kb-transform-residual": 0.0,
+def _sampled(count, per_state, residuals, homothetic=False):
+    """The runner of a sampled check: _sampled_check with its settings."""
+    return functools.partial(_sampled_check, count, per_state, residuals,
+                             homothetic=homothetic)
+
+
+# name -> (tolerance, report only, runner), in run order.  Each runner
+# takes (frames, rng, cfg, theta) and returns (worst residual, samples).
+_CHECKS = {
+    "catalog-agreement": (1e-7, False, _sampled(60, 1, _catalog_residuals)),
+    "oracle-agreement": (1e-6, False, _sampled(40, 1, _oracle_residuals)),
+    "form-equivalence": (1e-8, False, _sampled(40, 1, _form_residuals)),
+    "frame-identities": (1e-8, False, _sampled(40, 1, _identity_residuals)),
+    "homothety": (1e-8, False, _sampled(20, 3, _homothety_residuals,
+                                         homothetic=True)),
+    "conservation-trichotomy": (0.0, False, _check_conservation),
+    "holonomy-convergence": (1e-3, False, _check_holonomy),
+    "kb-transform-residual": (
+        0.0, True, lambda frames, rng, cfg, theta: _check_kb_transform(cfg)),
 }
 
 
@@ -557,11 +572,11 @@ def selected_checks(check_filter: str = None) -> list:
     """Names of the checks whose name contains ``check_filter``, in run
     order; all of them when it is None.  Raises OutOfRange when none
     matches."""
-    names = [name for name in _CHECK_TOLS
+    names = [name for name in _CHECKS
              if check_filter is None or check_filter in name]
     if not names:
         raise OutOfRange(f"unknown check {check_filter!r}; checks are "
-                         + ", ".join(_CHECK_TOLS))
+                         + ", ".join(_CHECKS))
     return names
 
 
@@ -577,34 +592,12 @@ def run_checks(frame_filter: str = None, check_filter: str = None,
     wanted = selected_checks(check_filter)
     rng = np.random.default_rng(seed)
     results = []
-
-    def add(name, worst, samples, report_only=False):
-        tol = _CHECK_TOLS[name]
-        if report_only:
-            status = "report-only"
-        else:
-            status = "pass" if worst <= tol else "fail"
+    for name in wanted:
+        tol, report_only, runner = _CHECKS[name]
+        worst, samples = runner(frames, rng, cfg, holonomy_theta)
+        status = ("report-only" if report_only
+                  else "pass" if worst <= tol else "fail")
         results.append(CheckResult(name=name, status=status,
                                    max_residual=float(worst),
                                    tolerance=tol, samples=samples))
-
-    homothetic = {name: fid for name, fid in frames.items()
-                  if frame_spec(fid).homothetic}
-    # name -> (frames, states per frame, samples per state, residuals)
-    sampled = {
-        "catalog-agreement": (frames, 60, 1, _catalog_residuals),
-        "oracle-agreement": (frames, 40, 1, _oracle_residuals),
-        "form-equivalence": (frames, 40, 1, _form_residuals),
-        "frame-identities": (frames, 40, 1, _identity_residuals),
-        "homothety": (homothetic, 20, 3, _homothety_residuals),
-    }
-    for name in wanted:
-        if name in sampled:
-            add(name, *_sampled_check(rng, cfg, *sampled[name]))
-        elif name == "conservation-trichotomy":
-            add(name, *_check_conservation(frames, rng, cfg))
-        elif name == "holonomy-convergence":
-            add(name, *_check_holonomy(holonomy_theta))
-        else:
-            add(name, *_check_kb_transform(cfg), report_only=True)
     return results

@@ -133,6 +133,13 @@ def test_winding_antisymmetry_violation_is_typed():
         winding_term(FrameField(raw, "tilting"), (0.0, 0.0, 0.0))
 
 
+def test_winding_violation_prints_the_point_as_floats():
+    def raw(x, y, z):
+        return (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (z, 1.0, 0.0)
+    with pytest.raises(NotOrthonormal, match=r" at \(0\.0, 0\.0, 0\.0\)$"):
+        winding_term(FrameField(raw, "tilting"), np.zeros(3))
+
+
 @pytest.mark.parametrize("call, message", [
     (integral_curve_curvature, r"\|u\| = nan at \(1.0, 0.2, 0.3\)"),
     (foliation_defect, r"\|V\| = nan at \(1.0, 0.2, 0.3\)"),
@@ -162,6 +169,20 @@ def test_integrate_curve_circle():
 def test_integrate_curve_needs_steps():
     with pytest.raises(OutOfRange):
         integrate_curve(lambda p: (1.0, 0.0, 0.0), [0, 0, 0], (0, 1), 4)
+
+
+def test_integrate_curve_names_the_point_as_floats():
+    with pytest.raises(LeftDomain) as info:
+        integrate_curve(lambda p: (math.log(p[1]), 0.0, 0.0),
+                        [1.0, 0.0, 0.0], (0.0, 2.0), 16)
+    assert str(info.value) == "field undefined near (1.0, 0.0, 0.0)"
+
+
+def test_integrate_curve_takes_integer_steps_and_a_span_of_numbers():
+    """numpy integers and a span of numeric strings run as before."""
+    pts = integrate_curve(lambda p: (1.0, 0.0, 0.0), [0.0, 0.0, 0.0],
+                          ("0", "1"), np.int64(16))
+    assert pts.shape == (17, 3) and pts[-1].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_integrate_curve_domain_exit():

@@ -85,6 +85,14 @@ def test_an_input_that_is_not_numbers_fails_over_to_the_rows():
     assert _same(found[0], np.array([3.0, 2.0, 4.0]))
 
 
+@pytest.mark.parametrize("points, scales", [
+    (POINTS, SCALES[:2]), (POINTS[:2], SCALES)], ids=["short-last",
+                                                      "short-first"])
+def test_a_replay_never_cuts_inputs_of_unequal_length(points, scales):
+    with pytest.raises(ValueError, match="zip"):
+        on_stack(_raises, _Rows(), points, scales)
+
+
 def test_first_failing_row_raises_and_no_later_row_runs():
     rows = _Rows(fail_at=(1, 2))
     with pytest.raises(ValueError, match="^row 1 fails$"):

@@ -202,6 +202,21 @@ def test_angle_arrays_raise_the_first_bad_entry(mus, omegas, message):
         angle_arrays(mus, omegas)
 
 
+@pytest.mark.parametrize("mus, omegas", [
+    ([0.1, 0.2], [0.3]),
+    ([0.1], [0.2, 0.3]),
+    ([0.1, math.nan], [0.3]),
+    ([0.1], [math.nan, 0.3]),
+    (0.1, 0.2),
+    (None, [0.3]),
+], ids=["more-mu", "more-omega", "more-mu-nan", "more-omega-nan", "numbers",
+        "none"])
+def test_angle_arrays_reject_unpaired_lists(mus, omegas):
+    with pytest.raises(OutOfRange) as info:
+        angle_arrays(mus, omegas)
+    assert str(info.value) == "mu and omega must be paired lists"
+
+
 def test_angle_arrays_do_not_alias_their_input():
     mus = np.array([0.1, 0.2])
     out = angle_arrays(mus, [0.3, 0.4])

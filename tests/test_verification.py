@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,12 +9,15 @@ from framestream import (CheckResult, ConservationReport, CylindricalI,
                          FramestreamError, InconsistentReport, OutOfRange,
                          Paraboloid, RayOracleResult, Sphere, builtin_frame,
                          catalog_coefficients, conservation_check,
-                         catalog_entry,
-                         curvature_report, frame_jet, grad_mu, grad_omega,
+                         catalog_entry, curl, curvature_from_parametrization,
+                         curvature_report, directional_derivative,
+                         foliation_defect, frame_jet, grad_mu, grad_omega,
+                         integral_curve_curvature, integrate_curve, jacobian,
                          kb_transform_residual,
                          parallel_transport_holonomy, ray_oracle, run_checks,
-                         shape_operator_via_fundamental_forms,
-                         streaming_coefficients, winding_term)
+                         shape_operator, shape_operator_via_fundamental_forms,
+                         streaming_coefficients, verification, winding_term)
+from framestream.cli import main
 from framestream.verification import (_angle_grid, default_graph_id,
                                       random_states)
 
@@ -405,6 +409,10 @@ def _loop():
 UNIT_X = np.array([1.0, 0.0, 0.0])
 
 
+def _unit_x(p):
+    return (1.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: streaming_coefficients(_sphere(), [1.0, 0.2], 0.3, 1.0),
      "point must be a 3-vector or an (N, 3) array, not of shape (2,)"),
@@ -479,6 +487,39 @@ UNIT_X = np.array([1.0, 0.0, 0.0])
     (lambda: catalog_coefficients(Sphere(), [[1.0, 0.2, 0.3]] * 2,
                                   [0.3, 0.3], [1.0, math.inf]),
      "omega = inf is not finite"),
+    # The generic-field API names the argument of the wrong shape.
+    (lambda: jacobian(_unit_x, [1.0, 0.2]),
+     "point must be a 3-vector, not of shape (2,)"),
+    (lambda: jacobian(_unit_x, [1.0, 0.2], DiffConfig(engine="fd")),
+     "point must be a 3-vector, not of shape (2,)"),
+    (lambda: curl(_unit_x, [1.0, 0.2]),
+     "point must be a 3-vector, not of shape (2,)"),
+    (lambda: directional_derivative(_unit_x, [1.0, 0.2], UNIT_X),
+     "point must be a 3-vector, not of shape (2,)"),
+    (lambda: directional_derivative(_unit_x, UNIT_X, [1.0, 0.0]),
+     "direction must be a 3-vector, not of shape (2,)"),
+    (lambda: directional_derivative(_unit_x, UNIT_X, [1.0, 0.0],
+                                    DiffConfig(engine="fd")),
+     "direction must be a 3-vector, not of shape (2,)"),
+    (lambda: shape_operator(_unit_x, lambda p: (0.0, 1.0, 0.0),
+                            lambda p: (0.0, 0.0, 1.0), [1.0, 0.2]),
+     "point must be a 3-vector, not of shape (2,)"),
+    (lambda: integral_curve_curvature(_unit_x, [1.0, 0.2]),
+     "point must be a 3-vector, not of shape (2,)"),
+    (lambda: foliation_defect(_unit_x, [1.0, 0.2]),
+     "point must be a 3-vector, not of shape (2,)"),
+    (lambda: curvature_from_parametrization([1.0, 0.2], UNIT_X),
+     "gamma_prime must be a 3-vector, not of shape (2,)"),
+    (lambda: curvature_from_parametrization(UNIT_X, [1.0, 0.2]),
+     "gamma_double_prime must be a 3-vector, not of shape (2,)"),
+    (lambda: integrate_curve(_unit_x, UNIT_X, (0.0, 1.0), 16.5),
+     "steps must be an integer, not 16.5"),
+    (lambda: integrate_curve(_unit_x, UNIT_X, (0.0, 1.0), "16"),
+     "steps must be an integer, not '16'"),
+    (lambda: integrate_curve(_unit_x, UNIT_X, ("a", 1), 16),
+     "tau_span must be an array of numbers: could not convert string"),
+    (lambda: integrate_curve(_unit_x, [1.0, 0.2], (0.0, 1.0), 16),
+     "start point must be a 3-vector, not of shape (2,)"),
 ], ids=["coefficients", "curvature-report", "winding", "kb-transform",
         "jet-rank-3", "conservation", "oracle-step-0", "oracle-step-nan",
         "oracle-direction", "holonomy-v0-nan", "holonomy-v0-short",
@@ -489,8 +530,64 @@ UNIT_X = np.array([1.0, 0.0, 0.0])
         "conservation-angle-string", "coefficients-omega-nan",
         "grad-omega-omega-nan", "catalog-mu-string", "catalog-omega-inf",
         "catalog-omega-nan", "catalog-stack-mu-string",
-        "catalog-stack-omega-inf"])
+        "catalog-stack-omega-inf", "jacobian-point", "jacobian-fd-point",
+        "curl-point", "derivative-point", "derivative-direction",
+        "derivative-fd-direction", "shape-operator-point",
+        "integral-curve-point", "foliation-point", "parametrization-prime",
+        "parametrization-double-prime", "integrate-steps-float",
+        "integrate-steps-string", "integrate-span-string",
+        "integrate-start-point"])
 def test_malformed_input_is_out_of_range(call, message):
     with pytest.raises(OutOfRange) as info:
         call()
     assert message in str(info.value)
+
+
+def test_well_formed_generic_field_inputs_keep_nan():
+    """The shape checks let a NaN entry through, as before."""
+    nan_point = [math.nan, 0.2, 0.3]
+    squares = jacobian(lambda p: (p[0] * p[0], p[1], p[2]), nan_point)
+    assert np.isnan(squares[0, 0]) and squares[1, 1] == 1.0
+    assert np.isnan(directional_derivative(
+        lambda p: (p[0], p[1], p[2]), UNIT_X, [math.nan, 0.0, 0.0])).any()
+    assert np.isnan(curvature_from_parametrization(
+        [math.nan, 1.0, 0.0], UNIT_X)).all()
+
+
+# --- a new verify check is one row of verification._CHECKS: run_checks
+# and the CLI pick it up by name, and its tolerance decides its status.
+
+@pytest.mark.parametrize("worst, report_only, status, code", [
+    (0.5, False, "pass", 0),
+    (1.0, False, "pass", 0),
+    (2.0, False, "fail", 1),
+    (math.nan, False, "fail", 1),
+    (2.0, True, "report-only", 0),
+    (math.nan, True, "report-only", 0),
+], ids=["below", "at", "above", "nan", "report-only", "report-only-nan"])
+def test_a_new_check_is_one_row(monkeypatch, capsys, worst, report_only,
+                                status, code):
+    calls = []
+
+    def runner(frames, rng, cfg, theta):
+        calls.append((list(frames), cfg.engine, theta))
+        return worst, 5
+
+    monkeypatch.setitem(verification._CHECKS, "dummy-check",
+                        (1.0, report_only, runner))
+    [result] = run_checks(frame_filter="sphere", check_filter="dummy",
+                          holonomy_theta=0.5)
+    assert calls == [(["sphere"], "dual", 0.5)]
+    assert (result.name, result.status, result.tolerance, result.samples) \
+        == ("dummy-check", status, 1.0, 5)
+    assert result.max_residual == worst or math.isnan(worst)
+
+    rc = main(["verify", "--check", "dummy", "--engine", "fd",
+               "--no-timestamp"])
+    out, err = capsys.readouterr()
+    assert rc == code
+    assert err == ("FAIL: dummy-check\n" if code else "")
+    [check] = json.loads(out)["checks"]
+    assert check["name"] == "dummy-check" and check["status"] == status
+    assert calls[1][1:] == ("fd", math.pi / 3.0)
+    assert len(calls[1][0]) == len(verification.default_frames())
