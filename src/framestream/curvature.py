@@ -9,12 +9,12 @@ import operator
 import numpy as np
 
 from .derivatives import (DEFAULT_CFG, DiffConfig, FrameScalars, _dot,
-                          directional_derivative, frame_jet, frame_scalars,
-                          jacobian, twist)
+                          _probe, directional_derivative, frame_jet,
+                          frame_scalars, jacobian, twist)
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
                      NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
-from .frames import (float_3vector, float_array, on_stack, raw_components,
-                     raw_parts)
+from .frames import (float_3vector, float_array, float_point, float_vector,
+                     on_stack, raw_components, raw_parts)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,14 +61,37 @@ class CurvatureReport:
     point: np.ndarray
 
 
+def _vector_value(out, r) -> np.ndarray:
+    """A field's value ``out`` at the point r as a float 3-vector, or
+    EvaluationFailure naming r where it is none, as raw_components
+    fails a frame raw."""
+    try:
+        v = np.asarray(out, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise EvaluationFailure(f"field returned no array of numbers at "
+                                f"probe {tuple(r.tolist())}") from exc
+    if v.shape != (3,):
+        raise EvaluationFailure(f"field returned a value of shape {v.shape}, "
+                                f"not a 3-vector, at probe "
+                                f"{tuple(r.tolist())}")
+    return v
+
+
+def _unit_value(field, r, label: str) -> np.ndarray:
+    """The value of a unit field at the point r, through _probe on Python
+    floats; NotUnitField, naming the field ``label``, where it misses
+    unit length by more than 2e-6."""
+    v = _vector_value(_probe(field, tuple(r.tolist())), r)
+    if not abs(float(v @ v) - 1.0) <= 2e-6:
+        raise NotUnitField(
+            f"|{label}| = {math.sqrt(v @ v):.8f} at {tuple(r.tolist())}")
+    return v
+
+
 def integral_curve_curvature(field, r, cfg: DiffConfig = DEFAULT_CFG):
     """Curvature vector -grad_u u of the integral curve of unit field u."""
     r = float_3vector(r, "point")
-    u0 = np.asarray(field(tuple(r)), dtype=float)
-    if not abs(float(u0 @ u0) - 1.0) <= 2e-6:
-        raise NotUnitField(
-            f"|u| = {math.sqrt(u0 @ u0):.8f} at {tuple(r.tolist())}")
-    return -directional_derivative(field, r, u0, cfg)
+    return -directional_derivative(field, r, _unit_value(field, r, "u"), cfg)
 
 
 def curvature_from_parametrization(gamma_prime, gamma_double_prime):
@@ -94,10 +117,10 @@ def shape_operator(normal_field, basis1_field, basis2_field, r,
                    cfg: DiffConfig = DEFAULT_CFG) -> ShapeOperator2x2:
     """Weingarten form of ``normal_field`` in the given tangent basis."""
     r = float_3vector(r, "point")
-    p = tuple(r)
-    normal = np.asarray(normal_field(p), dtype=float)
-    b1 = np.asarray(basis1_field(p), dtype=float)
-    b2 = np.asarray(basis2_field(p), dtype=float)
+    # Each field sees the point as Python floats, as the fd probes do.
+    p = tuple(r.tolist())
+    normal, b1, b2 = (_vector_value(_probe(f, p), r) for f in
+                      (normal_field, basis1_field, basis2_field))
     jn = jacobian(normal_field, r, cfg)
     m = np.array([[b1 @ (jn @ b1), b1 @ (jn @ b2)],
                   [b2 @ (jn @ b1), b2 @ (jn @ b2)]])
@@ -115,23 +138,19 @@ def normal_curvature(shape: ShapeOperator2x2, omega: float) -> float:
 def foliation_defect(field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
     """V . rot V; zero certifies local integrability of the V-planes."""
     r = float_3vector(r, "point")
-    v = np.asarray(field(tuple(r)), dtype=float)
-    if not abs(float(v @ v) - 1.0) <= 2e-6:
-        raise NotUnitField(
-            f"|V| = {math.sqrt(v @ v):.8f} at {tuple(r.tolist())}")
-    return twist(v, jacobian(field, r, cfg))
+    return twist(_unit_value(field, r, "V"), jacobian(field, r, cfg))
 
 
 def winding_term(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
     """t . grad_n b, the rotation rate of (t, b) about n along its curve."""
+    r = float_point(r)
     jet = frame_jet(frame_field, r, cfg)
     w = frame_scalars(jet).winding
     w_anti = float(jet.b @ (jet.jt @ jet.n))
     if not abs(w + w_anti) <= 1e-8:
         raise NotOrthonormal(
             f"winding antisymmetry violated: t.grad_n b + b.grad_n t = "
-            f"{w + w_anti:.3e} at "
-            f"{tuple(np.asarray(r, dtype=float).tolist())}")
+            f"{w + w_anti:.3e} at {tuple(r.tolist())}")
     return w
 
 
@@ -155,10 +174,11 @@ def integrate_curve(field, r0, tau_span, steps: int):
 
     def f(p):
         try:
-            return np.asarray(field(tuple(p)), dtype=float)
+            out = field(tuple(p))
         except Exception as exc:
             raise LeftDomain(
                 f"field undefined near {tuple(p.tolist())}") from exc
+        return _vector_value(out, p)
 
     for i in range(steps):
         k1 = f(r)
@@ -234,9 +254,7 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
         i = not_finite[0]
         raise LeftDomain(f"loop vertex {i} is not finite: "
                          f"{tuple(pts[i].tolist())}")
-    v = float_array(v0, "v0")
-    if v.shape != (3,) or not np.isfinite(v).all():
-        raise OutOfRange("v0 must be a finite 3-vector")
+    v = float_vector(v0, "v0")
     span = float(np.abs(pts).max())
     # The loop is open when its ends are farther apart than 1e-9 of its
     # extent, the largest side of its bounding box.  hypot, unlike a
@@ -318,7 +336,7 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
 def curvature_report(frame_field, r,
                      cfg: DiffConfig = DEFAULT_CFG) -> CurvatureReport:
     """All curvature quantities of a frame field at one point."""
-    r = float_array(r, "point")
+    r = float_point(r)
     jet = frame_jet(frame_field, r, cfg)
     kappa_n = -(jet.jn @ jet.n)
     kappa_t = -(jet.jt @ jet.t)

@@ -164,6 +164,16 @@ def float_3vector(x, what: str) -> np.ndarray:
     return v
 
 
+def float_point(x) -> np.ndarray:
+    """x as a float array for a call that takes one point, or OutOfRange
+    where it has two dimensions, as a stack of points has; frame_jet
+    names any other shape that is not a 3-vector."""
+    r = float_array(x, "point")
+    if r.ndim == 2:
+        raise OutOfRange(f"point must be a 3-vector, not of shape {r.shape}")
+    return r
+
+
 def float_angles(mu, omega) -> tuple:
     """(mu, omega) as Python floats, or OutOfRange where one is not a
     number, or where omega is infinite or NaN and so has no cosine."""

@@ -15,8 +15,9 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
 from .frames import (_POLAR_TOL, FramePoint, _each, all_true,
-                     check_mu_range, direction_from_angles, float_angles,
-                     float_array, float_vector, loose_frames_ok, on_stack)
+                     check_mu_range, direction_from_angles, float_3vector,
+                     float_angles, float_array, float_point, float_vector,
+                     loose_frames_ok, on_stack)
 
 _BREAKDOWN_RTOL = 1e-10
 _FOLIATION_TOL = 1e-6
@@ -169,7 +170,7 @@ def grad_mu(frame_field, r, mu, omega, form: MuForm = MuForm.CURVE_CURVATURE,
     """Rate of change of mu = Omega . n along a straight ray."""
     angles = _angles(mu, omega)
     check_mu_range(angles[0])
-    jet = frame_jet(frame_field, r, cfg)
+    jet = frame_jet(frame_field, float_point(r), cfg)
     return _on_leaf(jet, form, grad_mu_from_jet(jet, *angles, form))
 
 
@@ -204,7 +205,7 @@ def grad_omega(frame_field, r, mu, omega,
     the others therefore check."""
     angles = _angles(mu, omega)
     check_mu(angles[0])
-    jet = frame_jet(frame_field, r, cfg)
+    jet = frame_jet(frame_field, float_point(r), cfg)
     return _on_leaf(jet, form, grad_omega_from_jet(jet, *angles, form))
 
 
@@ -293,7 +294,11 @@ def checked_terms(jet: FrameJet, mu, s, c, sn):
 
 def coefficients_from_jet(jet: FrameJet, mu: float, omega: float,
                           at_point=None) -> StreamingCoefficients:
-    """Assemble both coefficients from a precomputed frame jet."""
+    """Assemble both coefficients from a precomputed frame jet of one
+    point; OutOfRange for the jet of a stack of points."""
+    if jet.n.ndim != 1:
+        raise OutOfRange(f"the jet must be of one point, not of "
+                         f"{len(jet.n)} stacked points")
     mu, s, c, sn = _angles(mu, omega)
     check_mu(mu)
     at_point = (np.zeros(3) if at_point is None
@@ -313,7 +318,7 @@ def streaming_coefficients(frame_field, r, mu, omega,
                            cfg: DiffConfig = DEFAULT_CFG
                            ) -> StreamingCoefficients:
     """Both streaming coefficients and their breakdown at one state."""
-    r = float_array(r, "point")
+    r = float_point(r)
     jet = frame_jet(frame_field, r, cfg)
     return coefficients_from_jet(jet, mu, omega, at_point=r)
 
@@ -327,9 +332,7 @@ def apply_streaming(coeffs: StreamingCoefficients, omega_dir,
     where it does not reconstruct from (mu, omega, frame) within 1e-10
     (a NaN entry included), and OutOfRange where spatial_grad_psi is not
     a finite 3-vector."""
-    d = float_array(omega_dir, "direction")
-    if d.shape != (3,):
-        raise OutOfRange("direction must be a 3-vector")
+    d = float_3vector(omega_dir, "direction")
     _, mu, omega = coeffs.at
     rebuilt = direction_from_angles(coeffs.frame, mu, omega)
     if not float(np.max(np.abs(d - rebuilt))) <= 1e-10:

@@ -20,8 +20,8 @@ from .errors import (DegenerateMetric, DomainExit, EvaluationFailure,
                      InconsistentReport, OutOfRange, PolarDirection,
                      UnwrapFailure)
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere, _each,
-                     all_true, any_true, builtin_frame, float_angles,
-                     float_array, frame_spec, on_stack, raw_components,
+                     all_true, any_true, builtin_frame, float_array,
+                     float_point, frame_spec, on_stack, raw_components,
                      raw_parts)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
 from .streaming import (MuForm, OmegaForm, angle_arrays, check_mu,
@@ -212,17 +212,21 @@ def conservation_check(frame_field, sample_points, sample_angles,
 
     Feasible only when kappa^n vanishes and the leaf normal curvature
     C(r, omega) is azimuth-independent at every sample; the two known
-    factor pairs are emitted for flat and spherical leaves."""
+    factor pairs are emitted for flat and spherical leaves.  Each entry
+    of sample_angles is a (mu, omega) pair."""
     points = float_array(sample_points, "sample points")
-    angles = [float_angles(mu, om) for mu, om in sample_angles]
-    if len(points) < 8 or len(angles) < 8:
+    try:
+        mus, omegas = list(zip(*sample_angles, strict=True)) or ((), ())
+    except (TypeError, ValueError):  # an entry is no pair
+        raise OutOfRange("sample angles must be (mu, omega) pairs") from None
+    _, _, c, sn = angle_arrays(mus, omegas)
+    if len(points) < 8 or len(c) < 8:
         raise OutOfRange("need at least 8 spatial and 8 angular samples")
-    samples = len(points) * len(angles)
+    samples = len(points) * len(c)
 
     k = frame_scalars(frame_jet(frame_field, points, cfg))
     # C at each angle (rows) and point (columns).
-    cs = k.normal_curvature(np.array([[math.cos(om)] for _, om in angles]),
-                            np.array([[math.sin(om)] for _, om in angles]))
+    cs = k.normal_curvature(c[:, None], sn[:, None])
     # NaN-keeping folds, and NaN lands on the infeasible side.
     max_kn = _worst(np.abs([k.kn_t, k.kn_b]))
     max_spread = _worst(np.ptp(cs, axis=0))
@@ -306,7 +310,7 @@ def kb_transform_residual(frame_field, r,
     if not isinstance(fid, Ellipsoid):
         raise OutOfRange("kb transform defined for ellipsoid frames")
     a, bb, cc = fid.a, fid.b, fid.c
-    r = float_array(r, "point")
+    r = float_point(r)
 
     def btil_field(p):
         x, y = p[0], p[1]
@@ -334,8 +338,8 @@ def default_frames() -> dict:
 _ANGLE_BOX = ((-0.9, 0.9), (0.0, TWO_PI))
 
 
-def _uniform_rows(rng, count, box) -> list:
-    """``count`` rows of Python floats, one uniform draw in each (low,
+def _uniform_rows(rng, count, box) -> np.ndarray:
+    """A (count, len(box)) array of uniform draws, one in each (low,
     high) range of ``box`` per row: one generator call whose doubles,
     consumed in the same order, are those of a scalar
     ``rng.uniform(low, high)`` call per entry, row by row.  Raises
@@ -348,50 +352,58 @@ def _uniform_rows(rng, count, box) -> list:
         raise OutOfRange(f"count must be a nonnegative integer, not "
                          f"{count!r}")
     low, high = np.array(box).T
-    return rng.uniform(low, high, size=(rows, len(box))).tolist()
+    return rng.uniform(low, high, size=(rows, len(box)))
 
 
-def random_states(fid, count: int, rng) -> list:
-    """Non-degenerate (r, mu, omega) samples in a frame's comfort zone:
-    the draws of each sample's point, placed by its registry row, then
-    mu in (-0.9, 0.9) and omega in (0, 2 pi)."""
+def _draw_states(fid, count: int, rng) -> tuple:
+    """The (N, 3) points and the (N,) mu and omega arrays of ``count``
+    non-degenerate states in a frame's comfort zone: the draws of each
+    state's point, placed by its registry row on Python floats, then mu
+    in (-0.9, 0.9) and omega in (0, 2 pi)."""
     spec = frame_spec(fid)
     place = spec.place(fid)
     k = len(spec.box)
     rows = _uniform_rows(rng, count, spec.box + _ANGLE_BOX)
-    points = np.array([place(*row[:k]) for row in rows], dtype=float)
-    return [(r, row[k], row[k + 1]) for r, row in zip(points, rows)]
+    points = np.array([place(*row) for row in rows[:, :k].tolist()],
+                      dtype=float).reshape(-1, 3)
+    mu, omega = rows[:, k:].T.copy()
+    return points, mu, omega
+
+
+def random_states(fid, count: int, rng) -> list:
+    """The states of _draw_states as a list of (r, mu, omega), r a row
+    of the points and mu and omega Python floats."""
+    points, mu, omega = _draw_states(fid, count, rng)
+    return list(zip(points, mu.tolist(), omega.tolist()))
 
 
 def _angle_grid(count: int, rng) -> list:
     """``count`` (mu, omega) pairs drawn as random_states draws them."""
-    return list(map(tuple, _uniform_rows(rng, count, _ANGLE_BOX)))
-
-
-def _points(states):
-    """The (N, 3) array of the points of (r, mu, omega) states."""
-    return np.array([r for r, _, _ in states])
+    return list(map(tuple, _uniform_rows(rng, count, _ANGLE_BOX).tolist()))
 
 
 def _sampled_check(count, per_state, residuals, frames, rng, cfg, theta,
                    homothetic=False):
     """Worst residual and sample count over ``count`` random states of
     each frame (each homothetic frame when ``homothetic``), ``per_state``
-    samples each.  All of a frame's states are drawn first; then one
-    stacked frame jet at their points is passed to
-    ``residuals(fid, field, states, jet, rng, cfg)``, which returns an
-    array of the residuals of those states.  The worst is NaN when any
-    residual is, so the check fails."""
+    samples each.  Each frame's states are drawn once, by _draw_states,
+    and their (mu, s, c, sn) angle arrays and stacked frame jet are made
+    once; ``residuals(fid, field, points, omega, angles, jet, rng, cfg)``
+    returns an array of the residuals of those states.  The worst is NaN
+    when any residual is, so the check fails."""
     found = [np.zeros(0)]
     states = 0
     for fid in frames.values():
         if homothetic and not frame_spec(fid).homothetic:
             continue
         field = builtin_frame(fid)
-        drawn = random_states(fid, count, rng)
-        jet = frame_jet(field, _points(drawn), cfg)
-        found.append(residuals(fid, field, drawn, jet, rng, cfg))
-        states += len(drawn)
+        points, mu, omega = _draw_states(fid, count, rng)
+        angles = angle_arrays(mu, omega)
+        check_mu(angles[0])
+        jet = frame_jet(field, points, cfg)
+        found.append(residuals(fid, field, points, omega, angles, jet, rng,
+                               cfg))
+        states += len(points)
     return _worst(np.concatenate(found)), per_state * states
 
 
@@ -401,37 +413,22 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def _coefficients(jet, states):
-    """a_mu and a_omega arrays at the states of a stacked jet, checked
-    as coefficients_from_jet checks each state, and the angle arrays
-    (mu, s, c, sn) of the states."""
-    angles = angle_arrays([mu for _, mu, _ in states],
-                          [omega for _, _, omega in states])
-    check_mu(angles[0])
+def _catalog_residuals(fid, field, points, omega, angles, jet, rng, cfg):
     a_mu, a_omega = checked_terms(jet, *angles)[:2]
-    return a_mu, a_omega, angles
-
-
-def _catalog_residuals(fid, field, states, jet, rng, cfg):
-    a_mu, a_omega, angles = _coefficients(jet, states)
-    cat_mu, cat_om = catalog_coefficients(
-        fid, _points(states), angles[0],
-        np.array([omega for _, _, omega in states]))
+    cat_mu, cat_om = catalog_coefficients(fid, points, angles[0], omega)
     return np.abs(np.concatenate([a_mu - cat_mu, a_omega - cat_om]))
 
 
-def _oracle_residuals(fid, field, states, jet, rng, cfg):
-    a_mu, a_omega, angles = _coefficients(jet, states)
-    oracle = ray_oracle(field, _points(states), _direction(jet, *angles))
+def _oracle_residuals(fid, field, points, omega, angles, jet, rng, cfg):
+    a_mu, a_omega = checked_terms(jet, *angles)[:2]
+    oracle = ray_oracle(field, points, _direction(jet, *angles))
     return np.abs(np.concatenate([a_mu - oracle.dmu_ds,
                                   a_omega - oracle.domega_ds]))
 
 
-def _form_residuals(fid, field, states, jet, rng, cfg):
+def _form_residuals(fid, field, points, omega, angles, jet, rng, cfg):
     """The spread of each coefficient over its routes at each state,
     less the routes whose leaf is missing there; NaN if a kept one is."""
-    angles = angle_arrays([mu for _, mu, _ in states],
-                          [omega for _, _, omega in states])
     spreads = []
     for grad, forms in ((grad_mu_from_jet, MuForm),
                         (grad_omega_from_jet, OmegaForm)):
@@ -442,10 +439,10 @@ def _form_residuals(fid, field, states, jet, rng, cfg):
     return np.concatenate(spreads)
 
 
-def _identity_residuals(fid, field, states, jet, rng, cfg):
+def _identity_residuals(fid, field, points, omega, angles, jet, rng, cfg):
     """|u . grad_h u| and |u . grad_h v + v . grad_h u| for the frame
     vectors u, v along a random unit h, one h per state."""
-    h = rng.normal(size=(len(states), 3))
+    h = rng.normal(size=(len(points), 3))
     h /= np.sqrt(_dot(h, h))[:, None]
     vecs = (jet.n, jet.t, jet.b)
     rates = [_matvec(jac, h) for jac in (jet.jn, jet.jt, jet.jb)]
@@ -460,7 +457,7 @@ def _identity_residuals(fid, field, states, jet, rng, cfg):
 _SCALES = (0.5, 2.0, 10.0)
 
 
-def _homothety_residuals(fid, field, states, jet, rng, cfg):
+def _homothety_residuals(fid, field, points, omega, angles, jet, rng, cfg):
     """Relative misfit of a(scale r) = a(r) / scale at three scales; the
     scaled points of all states share one stacked jet.
 
@@ -468,16 +465,15 @@ def _homothety_residuals(fid, field, states, jet, rng, cfg):
     1/|r| that homothety fixes: where a(r) nearly vanishes, a fixed
     floor would read the fd engine's absolute error as a large relative
     one."""
-    a_mu, a_omega, _ = _coefficients(jet, states)
-    scaled_states = [(scale * r, mu, omega) for r, mu, omega in states
-                     for scale in _SCALES]
-    scaled_jet = frame_jet(field, _points(scaled_states), cfg)
-    s_mu, s_omega, _ = _coefficients(scaled_jet, scaled_states)
+    a_mu, a_omega = checked_terms(jet, *angles)[:2]
+    scales = np.tile(_SCALES, len(points))
+    scaled_jet = frame_jet(field, scales[:, None] * np.repeat(
+        points, len(_SCALES), axis=0), cfg)
+    s_mu, s_omega = checked_terms(scaled_jet, *(
+        np.repeat(a, len(_SCALES)) for a in angles))[:2]
     lead = np.repeat([a_mu, a_omega], len(_SCALES), axis=1)
     trail = np.array([s_mu, s_omega])
-    scales = np.tile(_SCALES, len(states))
-    radii = np.linalg.norm(_points(states), axis=1)
-    floor = np.repeat(1.0 / radii, len(_SCALES))
+    floor = np.repeat(1.0 / np.linalg.norm(points, axis=1), len(_SCALES))
     return (np.abs(scales * trail - lead)
             / np.maximum(np.abs(lead), floor)).ravel()
 
@@ -486,7 +482,7 @@ def sampled_conservation(fid, rng,
                          cfg: DiffConfig = DEFAULT_CFG) -> ConservationReport:
     """conservation_check of the frame ``fid`` names at 64 of its random
     points and 16 random angles, drawn from rng in that order."""
-    points = [r for r, _, _ in random_states(fid, 64, rng)]
+    points = _draw_states(fid, 64, rng)[0]
     return conservation_check(builtin_frame(fid), points,
                               _angle_grid(16, rng), cfg)
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from framestream import (Constant, CylindricalI, CylindricalII,
-                         DegenerateTangent, Ellipsoid, FrameField,
+                         DegenerateTangent, Ellipsoid, EvaluationFailure,
+                         FrameField,
                          LeftDomain, NotOnLeaf, NotOrthonormal, NotUnitField,
                          OutOfRange, ShapeOperator2x2, Sphere,
                          builtin_frame, curvature_from_parametrization,
@@ -183,6 +184,46 @@ def test_integrate_curve_takes_integer_steps_and_a_span_of_numbers():
     pts = integrate_curve(lambda p: (1.0, 0.0, 0.0), [0.0, 0.0, 0.0],
                           ("0", "1"), np.int64(16))
     assert pts.shape == (17, 3) and pts[-1].tolist() == [1.0, 0.0, 0.0]
+
+
+def _raises(p):
+    raise ValueError("boom")
+
+
+def _two_vector(p):
+    return (1.0, 0.0)
+
+
+def _unit_x(p):
+    return (1.0, 0.0, 0.0)
+
+
+BASE = [1.0, 2.0, 3.0]
+RAISED = "field raised at probe (1.0, 2.0, 3.0)"
+SHAPE_2 = ("field returned a value of shape (2,), not a 3-vector, at probe "
+           "(1.0, 2.0, 3.0)")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: foliation_defect(_raises, BASE), RAISED),
+    (lambda: foliation_defect(_two_vector, BASE), SHAPE_2),
+    (lambda: integral_curve_curvature(_raises, BASE), RAISED),
+    (lambda: integral_curve_curvature(_two_vector, BASE), SHAPE_2),
+    (lambda: shape_operator(_two_vector, _unit_x, _unit_x, BASE), SHAPE_2),
+    (lambda: shape_operator(_unit_x, _raises, _unit_x, BASE), RAISED),
+    (lambda: shape_operator(_unit_x, _unit_x, lambda p: ("a", 0.0, 0.0),
+                            BASE),
+     "field returned no array of numbers at probe (1.0, 2.0, 3.0)"),
+    (lambda: integrate_curve(_two_vector, BASE, (0.0, 1.0), 16), SHAPE_2),
+], ids=["foliation-raises", "foliation-2-vector", "integral-curve-raises",
+        "integral-curve-2-vector", "shape-normal-2-vector",
+        "shape-basis-raises", "shape-basis-string", "integrate-2-vector"])
+def test_a_generic_field_value_is_one_evaluated_3_vector(call, message):
+    """Each generic field is evaluated through the probe that the
+    differential engines use, and its value must be a 3-vector."""
+    with pytest.raises(EvaluationFailure) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_integrate_curve_domain_exit():

@@ -10,12 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from framestream import OutOfRange
+from framestream import DiffConfig, OutOfRange
 from framestream.frames import (BUILTIN_FRAMES, Constant, CylindricalI,
                                 CylindricalII, Ellipsoid, Graph, Paraboloid,
                                 Sphere)
 from framestream.streaming import _angles, angle_arrays
-from framestream.verification import _angle_grid, random_states
+from framestream.verification import (_angle_grid, _sampled_check,
+                                      default_frames, random_states)
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,6 +151,32 @@ def test_integer_like_count_is_accepted():
     rng = np.random.default_rng(3)
     states = random_states(Sphere(), np.int64(4), rng)
     assert len(states) == 4
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_verify_draws_the_states_of_random_states(seed):
+    """_sampled_check draws each frame's states once, as arrays that it
+    hands to the residual runner: those of random_states on the same
+    generator, bit for bit."""
+    seen = []
+
+    def spy(fid, field, points, omega, angles, jet, rng, cfg):
+        seen.append((fid, points, angles[0], omega))
+        return np.zeros(0)
+
+    frames = default_frames()
+    _sampled_check(60, 1, spy, frames, np.random.default_rng(seed),
+                   DiffConfig(), None)
+    assert [fid for fid, *_ in seen] == list(frames.values())
+    rng = np.random.default_rng(seed)
+    for fid, points, mu, omega in seen:
+        want = random_states(fid, 60, rng)
+        assert points.shape == (60, 3)
+        assert points.tobytes() == np.array(
+            [r for r, _, _ in want]).tobytes()
+        assert mu.tobytes() == np.array([m for _, m, _ in want]).tobytes()
+        assert omega.tobytes() == np.array(
+            [om for _, _, om in want]).tobytes()
 
 
 # --- angle arrays ---------------------------------------------------------

@@ -191,7 +191,9 @@ def test_form_residuals_match_a_per_state_loop_with_mixed_leaves():
     # b-leaves at 2 of the 200 states, t-leaves at none.
     assert int(has_leaf(jet, OmegaForm.SURFACE_B).sum()) == 2
     assert not has_leaf(jet, OmegaForm.SURFACE_T).any()
-    got = _form_residuals(fid, field, states, jet, None, DiffConfig())
+    got = _form_residuals(fid, field, None, None, angle_arrays(
+        [mu for _, mu, _ in states], [omega for _, _, omega in states]),
+        jet, None, DiffConfig())
     want = {grad_mu: [], grad_omega: []}
     for r, mu, omega in states:
         for grad, forms in ((grad_mu, MuForm), (grad_omega, OmegaForm)):
@@ -226,7 +228,9 @@ def test_a_nan_leaf_defect_keeps_its_route(monkeypatch):
                         nan_surface_b_at_0_and_3)
     assert has_leaf(jet, OmegaForm.SURFACE_B).tolist() == [
         False, False, False, True, False, False]
-    spreads = _form_residuals(fid, field, states, jet, None, DiffConfig())
+    spreads = _form_residuals(fid, field, None, None, angle_arrays(
+        [mu for _, mu, _ in states], [omega for _, _, omega in states]),
+        jet, None, DiffConfig())
     # State 0 has no b-leaf, so its NaN route is left out; the b-leaf
     # defect of state 3 is NaN, so its route is kept, and the NaN with it.
     omega = spreads[len(states):]

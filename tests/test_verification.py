@@ -6,9 +6,10 @@ import pytest
 
 from framestream import (CheckResult, ConservationReport, CylindricalI,
                          CylindricalII, DiffConfig, Ellipsoid,
-                         FramestreamError, InconsistentReport, OutOfRange,
-                         Paraboloid, RayOracleResult, Sphere, builtin_frame,
-                         catalog_coefficients, conservation_check,
+                         FramestreamError, InconsistentReport, MuForm,
+                         OmegaForm, OutOfRange, Paraboloid, RayOracleResult,
+                         Sphere, builtin_frame, catalog_coefficients,
+                         coefficients_from_jet, conservation_check,
                          catalog_entry, curl, curvature_from_parametrization,
                          curvature_report, directional_derivative,
                          foliation_defect, frame_jet, grad_mu, grad_omega,
@@ -246,8 +247,11 @@ def test_homothety_floor_keeps_a_non_homothetic_misfit_large():
     field = builtin_frame(fid)
     states = random_states(fid, 20, np.random.default_rng(7))
     jet = frame_jet(field, np.array([r for r, _, _ in states]))
-    residuals = _homothety_residuals(fid, field, states, jet, None,
-                                     DiffConfig())
+    residuals = _homothety_residuals(
+        fid, field, np.array([r for r, _, _ in states]), None,
+        verification.angle_arrays([mu for _, mu, _ in states],
+                                  [omega for _, _, omega in states]),
+        jet, None, DiffConfig())
     assert residuals.shape == (120,)
     assert np.median(residuals) > 1e-2
 
@@ -407,6 +411,7 @@ def _loop():
 
 
 UNIT_X = np.array([1.0, 0.0, 0.0])
+STACK = [[1.0, 0.2, 0.3], [0.5, 0.4, 0.9]]
 
 
 def _unit_x(p):
@@ -520,6 +525,33 @@ def _unit_x(p):
      "tau_span must be an array of numbers: could not convert string"),
     (lambda: integrate_curve(_unit_x, [1.0, 0.2], (0.0, 1.0), 16),
      "start point must be a 3-vector, not of shape (2,)"),
+    # A single-state call names a stack of points, whatever its route.
+    (lambda: grad_mu(_sphere(), STACK, 0.3, 1.0),
+     "point must be a 3-vector, not of shape (2, 3)"),
+    (lambda: grad_mu(_sphere(), STACK, 0.3, 1.0, MuForm.SURFACE_CURVATURE),
+     "point must be a 3-vector, not of shape (2, 3)"),
+    (lambda: grad_omega(_sphere(), STACK, 0.3, 1.0),
+     "point must be a 3-vector, not of shape (2, 3)"),
+    (lambda: grad_omega(_sphere(), STACK, 0.3, 1.0, OmegaForm.SURFACE_B),
+     "point must be a 3-vector, not of shape (2, 3)"),
+    (lambda: winding_term(_sphere(), STACK),
+     "point must be a 3-vector, not of shape (2, 3)"),
+    (lambda: curvature_report(_sphere(), STACK),
+     "point must be a 3-vector, not of shape (2, 3)"),
+    (lambda: kb_transform_residual(builtin_frame(Ellipsoid(2.0, 1.0, 1.0)),
+                                   STACK),
+     "point must be a 3-vector, not of shape (2, 3)"),
+    (lambda: streaming_coefficients(_sphere(), STACK, 0.3, 1.0),
+     "point must be a 3-vector, not of shape (2, 3)"),
+    (lambda: coefficients_from_jet(frame_jet(_sphere(), STACK), 0.3, 1.0),
+     "the jet must be of one point, not of 2 stacked points"),
+    # Each sample angle is a (mu, omega) pair.
+    (lambda: conservation_check(_sphere(), [[1.0, 0.2, 0.3]] * 8,
+                                [(0.1, 0.2, 0.3)] * 8),
+     "sample angles must be (mu, omega) pairs"),
+    (lambda: conservation_check(_sphere(), [[1.0, 0.2, 0.3]] * 8,
+                                [0.1] * 8),
+     "sample angles must be (mu, omega) pairs"),
 ], ids=["coefficients", "curvature-report", "winding", "kb-transform",
         "jet-rank-3", "conservation", "oracle-step-0", "oracle-step-nan",
         "oracle-direction", "holonomy-v0-nan", "holonomy-v0-short",
@@ -536,7 +568,11 @@ def _unit_x(p):
         "integral-curve-point", "foliation-point", "parametrization-prime",
         "parametrization-double-prime", "integrate-steps-float",
         "integrate-steps-string", "integrate-span-string",
-        "integrate-start-point"])
+        "integrate-start-point", "grad-mu-stack", "grad-mu-surface-stack",
+        "grad-omega-stack", "grad-omega-surface-stack", "winding-stack",
+        "curvature-report-stack", "kb-transform-stack", "coefficients-stack",
+        "coefficients-jet-stack", "conservation-angle-triple",
+        "conservation-angle-number"])
 def test_malformed_input_is_out_of_range(call, message):
     with pytest.raises(OutOfRange) as info:
         call()
