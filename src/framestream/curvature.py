@@ -13,7 +13,7 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameScalars, _dot,
                           frame_scalars, jacobian, twist)
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
                      NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
-from .frames import (float_3vector, float_array, float_point, float_vector,
+from .frames import (float_3vector, float_array, float_vector,
                      on_stack, raw_components, raw_parts)
 
 
@@ -143,7 +143,7 @@ def foliation_defect(field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
 
 def winding_term(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
     """t . grad_n b, the rotation rate of (t, b) about n along its curve."""
-    r = float_point(r)
+    r = float_3vector(r, "point")
     jet = frame_jet(frame_field, r, cfg)
     w = frame_scalars(jet).winding
     w_anti = float(jet.b @ (jet.jt @ jet.n))
@@ -336,7 +336,7 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
 def curvature_report(frame_field, r,
                      cfg: DiffConfig = DEFAULT_CFG) -> CurvatureReport:
     """All curvature quantities of a frame field at one point."""
-    r = float_point(r)
+    r = float_3vector(r, "point")
     jet = frame_jet(frame_field, r, cfg)
     kappa_n = -(jet.jn @ jet.n)
     kappa_t = -(jet.jt @ jet.t)

@@ -1,8 +1,8 @@
 """Directional derivatives, Jacobians, and curls of vector fields.
 
 Two interchangeable engines: dual-number forward mode (exact for
-analytic fields) and central finite differences with optional
-Richardson extrapolation.  Fields are callables taking one 3-sequence
+analytic fields) and Richardson-extrapolated central finite
+differences.  Fields are callables taking one 3-sequence
 of scalars; the dual engine feeds them Dual scalars.
 """
 from __future__ import annotations
@@ -26,7 +26,6 @@ FD = "fd"
 class DiffConfig:
     engine: str = DUAL
     fd_step: float = 1e-5
-    richardson: bool = True
 
     def __post_init__(self):
         if self.engine not in (DUAL, FD):
@@ -52,26 +51,23 @@ def _probe(field, p):
 def _stencil(r, dirs, cfg):
     """The central-difference probes at r, one point or each row of an
     (N, 3) array, along each row of ``dirs``: on axes (dirs, steps,
-    points, 3), steps h, -h, h/2, -h/2 (h, -h without Richardson)."""
+    points, 3), steps h, -h, h/2, -h/2."""
     h = cfg.fd_step
-    steps = [h, -h, h / 2.0, -h / 2.0] if cfg.richardson else [h, -h]
-    offsets = dirs[:, None, :] * np.array(steps)[:, None]
+    offsets = dirs[:, None, :] * np.array([h, -h, h / 2.0, -h / 2.0])[:, None]
     return r + (offsets[:, :, None] if r.ndim == 2 else offsets)
 
 
 def _differences(f, cfg):
     """Derivatives from the outputs f at the probes of _stencil, on its
-    axes, Richardson-extrapolated over {h, h/2} when cfg.richardson, in
+    axes, Richardson-extrapolated over {h, h/2}, in
     the operation order of one direction at a time, whose bits every
     entry keeps.  Item k of the last axis is along dirs[k], in C order
     as np.stack gave: a transposed layout would send later matvecs
     through another BLAS kernel, which rounds differently."""
     h = cfg.fd_step
     d = (f[:, 0] - f[:, 1]) / (2.0 * h)
-    if cfg.richardson:
-        d_half = (f[:, 2] - f[:, 3]) / (2.0 * (h / 2.0))
-        d = (4.0 * d_half - d) / 3.0
-    return np.ascontiguousarray(np.moveaxis(d, 0, -1))
+    d_half = (f[:, 2] - f[:, 3]) / (2.0 * (h / 2.0))
+    return np.ascontiguousarray(np.moveaxis((4.0 * d_half - d) / 3.0, 0, -1))
 
 
 def _fd_stencil(field, r, dirs, cfg):

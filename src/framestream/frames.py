@@ -126,10 +126,9 @@ class FrameField:
     and wraps into FramePoint.
     """
 
-    def __init__(self, raw: Callable, name: str, homothetic: bool = False):
+    def __init__(self, raw: Callable, name: str):
         self.raw = raw
         self.name = name
-        self.homothetic = homothetic
         self.n_field = lambda p: raw(p[0], p[1], p[2])[0]
         self.t_field = lambda p: raw(p[0], p[1], p[2])[1]
         self.b_field = lambda p: raw(p[0], p[1], p[2])[2]
@@ -143,7 +142,7 @@ class FrameField:
         return self.eval(r)
 
     def __repr__(self):
-        return f"FrameField({self.name!r}, homothetic={self.homothetic})"
+        return f"FrameField({self.name!r})"
 
 
 def float_array(x, what: str) -> np.ndarray:
@@ -162,16 +161,6 @@ def float_3vector(x, what: str) -> np.ndarray:
     if v.shape != (3,):
         raise OutOfRange(f"{what} must be a 3-vector, not of shape {v.shape}")
     return v
-
-
-def float_point(x) -> np.ndarray:
-    """x as a float array for a call that takes one point, or OutOfRange
-    where it has two dimensions, as a stack of points has; frame_jet
-    names any other shape that is not a 3-vector."""
-    r = float_array(x, "point")
-    if r.ndim == 2:
-        raise OutOfRange(f"point must be a 3-vector, not of shape {r.shape}")
-    return r
 
 
 def float_angles(mu, omega) -> tuple:
@@ -571,7 +560,7 @@ def builtin_frame(fid: ClosedFormId) -> FrameField:
     name = spec.name
     if params and not any(callable(v) for v in params):
         name += "(" + ",".join(str(v) for v in params) + ")"
-    field = FrameField(spec.raw(fid), name, homothetic=spec.homothetic)
+    field = FrameField(spec.raw(fid), name)
     field.fid = fid
     return field
 

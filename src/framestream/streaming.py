@@ -16,7 +16,7 @@ from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
 from .frames import (_POLAR_TOL, FramePoint, _each, all_true,
                      check_mu_range, direction_from_angles, float_3vector,
-                     float_angles, float_array, float_point, float_vector,
+                     float_angles, float_array, float_vector,
                      loose_frames_ok, on_stack)
 
 _BREAKDOWN_RTOL = 1e-10
@@ -170,7 +170,7 @@ def grad_mu(frame_field, r, mu, omega, form: MuForm = MuForm.CURVE_CURVATURE,
     """Rate of change of mu = Omega . n along a straight ray."""
     angles = _angles(mu, omega)
     check_mu_range(angles[0])
-    jet = frame_jet(frame_field, float_point(r), cfg)
+    jet = frame_jet(frame_field, float_3vector(r, "point"), cfg)
     return _on_leaf(jet, form, grad_mu_from_jet(jet, *angles, form))
 
 
@@ -205,7 +205,7 @@ def grad_omega(frame_field, r, mu, omega,
     the others therefore check."""
     angles = _angles(mu, omega)
     check_mu(angles[0])
-    jet = frame_jet(frame_field, float_point(r), cfg)
+    jet = frame_jet(frame_field, float_3vector(r, "point"), cfg)
     return _on_leaf(jet, form, grad_omega_from_jet(jet, *angles, form))
 
 
@@ -318,7 +318,7 @@ def streaming_coefficients(frame_field, r, mu, omega,
                            cfg: DiffConfig = DEFAULT_CFG
                            ) -> StreamingCoefficients:
     """Both streaming coefficients and their breakdown at one state."""
-    r = float_point(r)
+    r = float_3vector(r, "point")
     jet = frame_jet(frame_field, r, cfg)
     return coefficients_from_jet(jet, mu, omega, at_point=r)
 

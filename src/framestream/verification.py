@@ -20,8 +20,8 @@ from .errors import (DegenerateMetric, DomainExit, EvaluationFailure,
                      InconsistentReport, OutOfRange, PolarDirection,
                      UnwrapFailure)
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere, _each,
-                     all_true, any_true, builtin_frame, float_array,
-                     float_point, frame_spec, on_stack, raw_components,
+                     all_true, any_true, builtin_frame, float_3vector,
+                     float_array, frame_spec, on_stack, raw_components,
                      raw_parts)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
 from .streaming import (MuForm, OmegaForm, angle_arrays, check_mu,
@@ -268,9 +268,7 @@ def shape_operator_via_fundamental_forms(surface_parametrization, u, v,
             return (chart(u + h * du, v + h * dv)
                     - chart(u - h * du, v - h * dv)) / (2.0 * h)
         d = central(h1)
-        if cfg.richardson:
-            d = (4.0 * central(h1 / 2.0) - d) / 3.0
-        return d
+        return (4.0 * central(h1 / 2.0) - d) / 3.0
 
     x_u = first(1.0, 0.0)
     x_v = first(0.0, 1.0)
@@ -310,7 +308,7 @@ def kb_transform_residual(frame_field, r,
     if not isinstance(fid, Ellipsoid):
         raise OutOfRange("kb transform defined for ellipsoid frames")
     a, bb, cc = fid.a, fid.b, fid.c
-    r = float_point(r)
+    r = float_3vector(r, "point")
 
     def btil_field(p):
         x, y = p[0], p[1]

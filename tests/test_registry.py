@@ -25,7 +25,6 @@ def test_default_frames_are_the_registry_defaults():
         spec = frame_spec(fid)
         assert spec.name == name and spec.default is fid
         field = builtin_frame(fid)
-        assert field.homothetic == spec.homothetic
         assert field.fid is fid
 
 

@@ -420,7 +420,7 @@ def _unit_x(p):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: streaming_coefficients(_sphere(), [1.0, 0.2], 0.3, 1.0),
-     "point must be a 3-vector or an (N, 3) array, not of shape (2,)"),
+     "point must be a 3-vector, not of shape (2,)"),
     (lambda: curvature_report(_sphere(), [1.0, 0.2]), "point must be"),
     (lambda: winding_term(_sphere(), [1.0, 0.2]), "point must be"),
     (lambda: kb_transform_residual(builtin_frame(Ellipsoid(2.0, 1.0, 1.0)),
