@@ -285,6 +285,10 @@ def _cmd_holonomy(args) -> int:
         print(f"error: --steps must be at least {_MIN_HOLONOMY_STEPS}",
               file=sys.stderr)
         return 2
+    if args.radius <= 0.0:  # nan passes, and exits 3 naming a vertex
+        print(f"error: --radius must be positive, not {args.radius}",
+              file=sys.stderr)
+        return 2
     if args.frame == "constant":
         loop, v0, expected = _circle_loop(args.radius, steps)
         field = builtin_frame(Constant())
@@ -374,11 +378,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise OutOfRange(f"--seed must be at least 0, not {args.seed}")
         return args.func(args)
     except OutOfRange as exc:
-        # A flag value the parser accepts but a frame, DiffConfig or the
-        # check filter rejects.  The commands catch failures of the
-        # evaluation itself and exit 3.
+        # A flag value the parser accepts but a frame, DiffConfig, the
+        # check filter or the seed test above rejects.  The commands
+        # catch failures of the evaluation itself and exit 3.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,10 +33,10 @@ class ShapeOperator2x2:
         for u, v in ((self.basis1, self.basis2),
                      (self.basis1, self.normal),
                      (self.basis2, self.normal)):
-            if abs(float(u @ v)) > 1e-10:
+            if not abs(float(u @ v)) <= 1e-10:
                 raise NotOrthonormal("shape operator basis not orthogonal")
         for u in (self.basis1, self.basis2, self.normal):
-            if abs(float(u @ u) - 1.0) > 1e-10:
+            if not abs(float(u @ u) - 1.0) <= 1e-10:
                 raise NotOrthonormal("shape operator basis not unit")
 
     @property
@@ -270,6 +270,9 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
         i = not_unit[0]
         raise LeftDomain(f"frame normal at loop vertex {i} is not a finite "
                          f"unit vector: {tuple(pts[i].tolist())}")
+    if extent == 0.0:
+        raise OutOfRange(f"loop has no extent: all {len(pts)} vertices are "
+                         f"{tuple(pts[0].tolist())}")
 
     # Edges and tangents enter only through their directions, so they
     # come from the loop scaled by a power of two to a largest coordinate
@@ -343,7 +346,7 @@ def curvature_report(frame_field, r,
     kappa_b = -(jet.jb @ jet.b)
     for vec, kap, label in ((jet.n, kappa_n, "n"), (jet.t, kappa_t, "t"),
                             (jet.b, kappa_b, "b")):
-        if abs(float(vec @ kap)) > 1e-8:
+        if not abs(float(vec @ kap)) <= 1e-8:
             raise EvaluationFailure(
                 f"kappa_{label} not orthogonal to {label}")
     k = frame_scalars(jet)

@@ -123,6 +123,18 @@ def test_bad_frame_exits_2(capsys):
       "--omega", "inf"], "omega = inf is not finite"),
     (["coeffs", "--frame", "sphere", "--point", "1,0,1", "--mu", "0.3",
       "--omega", "nan", "--format", "csv"], "omega = nan is not finite"),
+    (["verify", "--seed", "-1"], "--seed must be at least 0, not -1"),
+    (["conservation", "--frame", "sphere", "--seed", "-1"],
+     "--seed must be at least 0, not -1"),
+    (["coeffs", "--frame", "sphere", "--point", SPHERE_PT, "--mu", "0.5",
+      "--omega", "0", "--seed", "-3"], "--seed must be at least 0, not -3"),
+    (["sweep", "--frame", "sphere", "--seed", "-1"],
+     "--seed must be at least 0, not -1"),
+    (["holonomy", "--seed", "-1"], "--seed must be at least 0, not -1"),
+    (["holonomy", "--radius", "0"], "--radius must be positive, not 0.0"),
+    (["holonomy", "--radius", "-1"], "--radius must be positive, not -1.0"),
+    (["holonomy", "--frame", "constant", "--radius", "0"],
+     "--radius must be positive, not 0.0"),
 ])
 def test_out_of_range_flag_exits_2(capsys, argv, message):
     rc, out, err = run(capsys, argv)

@@ -16,7 +16,8 @@ from framestream import (Constant, CylindricalI, CylindricalII,
                          shape_operator, winding_term)
 from framestream import dual as dm
 from framestream.cli import main
-from framestream.verification import default_frames, random_states
+from framestream.verification import (_circle_loop, _latitude_loop,
+                                      default_frames, random_states)
 
 
 def latitude_loop(theta, steps, radius=1.0):
@@ -96,6 +97,28 @@ def test_shape_operator_basis_validation():
                          basis1=np.array([1.0, 0.0, 0.0]),
                          basis2=np.array([1.0, 0.0, 0.0]),
                          normal=np.array([0.0, 0.0, 1.0]))
+
+
+E_X, E_Y, E_Z = np.eye(3)
+
+
+@pytest.mark.parametrize("vectors", [
+    (np.array([math.nan, 0.0, 0.0]), E_Y, E_Z),
+    (E_X, np.array([0.0, math.nan, 0.0]), E_Z),
+    (E_X, E_Y, np.array([0.0, 0.0, math.nan])),
+], ids=["basis1", "basis2", "normal"])
+def test_shape_operator_rejects_a_nan_vector(vectors):
+    b1, b2, normal = vectors
+    with pytest.raises(NotOrthonormal):
+        ShapeOperator2x2(matrix=np.eye(2), basis1=b1, basis2=b2,
+                         normal=normal)
+
+
+def test_shape_operator_of_a_nan_field_is_typed():
+    field = builtin_frame(Sphere())
+    with pytest.raises(NotOrthonormal, match="not orthogonal"):
+        shape_operator(lambda p: (math.nan, 0.0, 0.0), field.t_field,
+                       field.b_field, [1.2, -0.4, 0.9])
 
 
 # --- foliation defect and winding
@@ -344,6 +367,30 @@ def test_holonomy_matches_pinned_loop_angles(theta, steps, direction, want):
     assert abs(got - want) < 1e-12
 
 
+# Angles of 50-step loops that walk one step back and forth after vertex
+# k: ..., p_k, p_{k+1}, p_k, p_{k+1}, ..., so the central tangent at the
+# repeated p_k is zero.  A turn count taken from the Gauss-Bonnet sum
+# alone moves each of them by a full turn.
+BACK_AND_FORTH = [
+    ("sphere", math.pi / 3, 3.138488963509641),
+    ("sphere", 2.5, 11.319291796595621),
+    ("plane", None, 0.0),
+]
+
+
+@pytest.mark.parametrize("k", [0, 10, 25, 48])
+@pytest.mark.parametrize("frame, theta, want", BACK_AND_FORTH)
+def test_holonomy_of_a_loop_that_steps_back_and_forth(frame, theta, want, k):
+    if frame == "sphere":
+        loop, v0, _ = _latitude_loop(theta, 50)
+        field = builtin_frame(Sphere())
+    else:
+        loop, v0, _ = _circle_loop(1.0, 50)
+        field = builtin_frame(Constant())
+    loop = np.vstack([loop[:k + 2], loop[k:]])
+    assert abs(parallel_transport_holonomy(field, loop, v0) - want) < 1e-12
+
+
 @pytest.mark.parametrize("theta", [math.pi / 6, 1.2, 2.0, 2.8])
 def test_holonomy_independent_of_v0_direction(theta):
     sphere = builtin_frame(Sphere())
@@ -431,6 +478,12 @@ def test_curvature_report_sphere():
     assert abs(rep.winding) < 1e-12
     assert abs(rep.foliation_defect_n) < 1e-12
     assert np.allclose(rep.point, r)
+
+
+def test_curvature_report_at_a_nan_point_is_typed():
+    with pytest.raises(EvaluationFailure,
+                       match="kappa_n not orthogonal to n"):
+        curvature_report(builtin_frame(Sphere()), [math.nan, 0.0, 1.0])
 
 
 def test_curvature_report_scales_homothetically():

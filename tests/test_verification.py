@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from framestream import (CheckResult, ConservationReport, CylindricalI,
-                         CylindricalII, DiffConfig, Ellipsoid,
+from framestream import (CheckResult, ConservationReport, Constant,
+                         CylindricalI, CylindricalII, DiffConfig, Ellipsoid,
                          FramestreamError, InconsistentReport, MuForm,
                          OmegaForm, OutOfRange, Paraboloid, RayOracleResult,
                          Sphere, builtin_frame, catalog_coefficients,
@@ -441,6 +441,13 @@ def _unit_x(p):
      "v0 must be a finite 3-vector"),
     (lambda: parallel_transport_holonomy(_sphere(), _loop(), [1.0, 0.0]),
      "v0 must be a finite 3-vector"),
+    # A loop of one repeated vertex has no extent to turn around.
+    (lambda: parallel_transport_holonomy(builtin_frame(Constant()),
+                                         [[1.0, 0.0, 0.0]] * 16, UNIT_X),
+     "loop has no extent: all 16 vertices are (1.0, 0.0, 0.0)"),
+    (lambda: parallel_transport_holonomy(_sphere(), [[0.6, 0.0, 0.8]] * 16,
+                                         [0.0, 1.0, 0.0]),
+     "loop has no extent: all 16 vertices are (0.6, 0.0, 0.8)"),
     # Coordinates numpy cannot convert to floats.
     (lambda: frame_jet(_sphere(), ["a", 1, 2]),
      "point must be an array of numbers: could not convert string to "
@@ -555,6 +562,7 @@ def _unit_x(p):
 ], ids=["coefficients", "curvature-report", "winding", "kb-transform",
         "jet-rank-3", "conservation", "oracle-step-0", "oracle-step-nan",
         "oracle-direction", "holonomy-v0-nan", "holonomy-v0-short",
+        "holonomy-plane-no-extent", "holonomy-sphere-no-extent",
         "jet-string", "coefficients-string", "oracle-string",
         "conservation-ragged", "holonomy-loop-string",
         "coefficients-omega-inf", "coefficients-mu-string",
