@@ -346,9 +346,16 @@ def curvature_report(frame_field, r,
     kappa_b = -(jet.jb @ jet.b)
     for vec, kap, label in ((jet.n, kappa_n, "n"), (jet.t, kappa_t, "t"),
                             (jet.b, kappa_b, "b")):
-        if not abs(float(vec @ kap)) <= 1e-8:
+        overlap = float(vec @ kap)
+        if not abs(overlap) <= 1e-8:
+            cause = (f"{label} . kappa_{label} = {overlap:.3e} exceeds 1e-08,"
+                     f" so the frame is not orthonormal"
+                     if math.isfinite(overlap) else
+                     f"{label} . kappa_{label} is {overlap}: the frame or "
+                     f"its Jacobian is not finite")
             raise EvaluationFailure(
-                f"kappa_{label} not orthogonal to {label}")
+                f"kappa_{label} not orthogonal to {label} at "
+                f"{tuple(r.tolist())}: {cause}")
     k = frame_scalars(jet)
     shape_n = ShapeOperator2x2(matrix=np.array([[k.s_tt, k.s_tb],
                                                 [k.s_bt, k.s_bb]]),

@@ -4,11 +4,18 @@ Two interchangeable engines: dual-number forward mode (exact for
 analytic fields) and Richardson-extrapolated central finite
 differences.  Fields are callables taking one 3-sequence
 of scalars; the dual engine feeds them Dual scalars.
+
+A one-point evaluation does its elementwise steps (the fd probes and
+Richardson step, the direction Omega) on Python floats, in the
+operation order of the stacked arrays, and uses numpy only for the
+contractions, whose bits come from its BLAS kernels: so one point and
+a stack give the same bits.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -48,35 +55,75 @@ def _probe(field, p):
     return out
 
 
-def _stencil(r, dirs, cfg):
-    """The central-difference probes at r, one point or each row of an
-    (N, 3) array, along each row of ``dirs``: on axes (dirs, steps,
-    points, 3), steps h, -h, h/2, -h/2."""
+# The coordinate axes: the probe directions of a Jacobian's columns.
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _richardson(f_h, f_mh, f_h2, f_mh2, h):
+    """The central differences over h and h/2 of the values at the
+    probes h, -h, h/2 and -h/2, Richardson-extrapolated: floats, or
+    arrays whose entries get the bits of floats."""
+    d = (f_h - f_mh) / (2.0 * h)
+    d_half = (f_h2 - f_mh2) / (2.0 * (h / 2.0))
+    return (4.0 * d_half - d) / 3.0
+
+
+def _stencil(pts, cfg):
+    """The central-difference probes at each row of an (N, 3) array pts
+    along each axis: on axes (axes, steps, points, 3), steps h, -h,
+    h/2, -h/2."""
     h = cfg.fd_step
-    offsets = dirs[:, None, :] * np.array([h, -h, h / 2.0, -h / 2.0])[:, None]
-    return r + (offsets[:, :, None] if r.ndim == 2 else offsets)
+    offsets = np.eye(3)[:, None, :] * np.array(
+        [h, -h, h / 2.0, -h / 2.0])[:, None]
+    return pts + offsets[:, :, None]
 
 
 def _differences(f, cfg):
     """Derivatives from the outputs f at the probes of _stencil, on its
-    axes, Richardson-extrapolated over {h, h/2}, in
-    the operation order of one direction at a time, whose bits every
-    entry keeps.  Item k of the last axis is along dirs[k], in C order
+    axes, by _richardson on arrays, so that every entry has the bits of
+    _point_stencil.  Item k of the last axis is along axis k, in C order
     as np.stack gave: a transposed layout would send later matvecs
     through another BLAS kernel, which rounds differently."""
-    h = cfg.fd_step
-    d = (f[:, 0] - f[:, 1]) / (2.0 * h)
-    d_half = (f[:, 2] - f[:, 3]) / (2.0 * (h / 2.0))
-    return np.ascontiguousarray(np.moveaxis((4.0 * d_half - d) / 3.0, 0, -1))
+    return np.ascontiguousarray(np.moveaxis(
+        _richardson(f[:, 0], f[:, 1], f[:, 2], f[:, 3], cfg.fd_step), 0, -1))
 
 
-def _fd_stencil(field, r, dirs, cfg):
-    """The derivatives of ``field`` at one point r along each row of
-    ``dirs``; the field sees each probe as a tuple of Python floats."""
-    probes = _stencil(r, dirs, cfg)
-    f = np.array([_probe(field, tuple(p))
-                  for p in probes.reshape(-1, 3).tolist()], dtype=float)
-    return _differences(f.reshape(*probes.shape[:2], *f.shape[1:]), cfg)
+def _point_stencil(field, r, dirs, h):
+    """The derivatives at one point r, three Python floats, along each
+    of ``dirs``, float 3-tuples, of a field whose output at a probe is a
+    flat sequence of numbers: a (components, directions) array,
+    Richardson-extrapolated over {h, h/2}.
+
+    The probes r + step * dir and the Richardson step run on floats, in
+    the operation order of _stencil and _differences, so each entry has
+    the bits of the stacked one; numpy only stores the result."""
+    steps = (h, -h, h / 2.0, -h / 2.0)
+    x, y, z = r
+    outs = [_probe(field, (x + u * s, y + v * s, z + w * s))
+            for u, v, w in dirs for s in steps]
+    # One map per direction over the outputs at its probes, component by
+    # component; zip makes a row of each component.
+    return np.array(list(zip(*(
+        map(_richardson, *outs[k:k + len(steps)], itertools.repeat(h))
+        for k in range(0, len(outs), len(steps))))), dtype=float)
+
+
+def _field_stencil(field, r, dirs, h):
+    """_point_stencil of a generic field, each output converted by numpy
+    and flattened: the derivatives have the outputs' shape, then an
+    axis of the directions."""
+    shapes = set()
+
+    def flat(p):
+        out = np.asarray(field(p), dtype=float)
+        shapes.add(out.shape)
+        return out.ravel().tolist()
+
+    derivs = _point_stencil(flat, r, dirs, h)
+    if len(shapes) != 1:
+        raise EvaluationFailure(f"field returned values of shapes "
+                                f"{sorted(shapes)} at the probes")
+    return derivs.reshape(*shapes.pop(), len(dirs))
 
 
 def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
@@ -89,7 +136,8 @@ def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
     scale = float(np.linalg.norm(h))
     if scale == 0.0:
         return np.zeros(3)
-    return scale * _fd_stencil(field, r, (h / scale)[None, :], cfg)[..., 0]
+    return scale * _field_stencil(field, r.tolist(), [(h / scale).tolist()],
+                                  cfg.fd_step)[..., 0]
 
 
 def jacobian(field, r, cfg: DiffConfig = DEFAULT_CFG):
@@ -99,7 +147,7 @@ def jacobian(field, r, cfg: DiffConfig = DEFAULT_CFG):
     if cfg.engine == DUAL:
         out = _probe(field, dm.seed_gradient(r))
         return np.array([dm.tangent(c) for c in out], dtype=float)
-    return _fd_stencil(field, r, np.eye(3), cfg)
+    return _field_stencil(field, r.tolist(), _AXES, cfg.fd_step)
 
 
 def axial_vector(j):
@@ -162,12 +210,22 @@ class FrameScalars(NamedTuple):
                 + sn * sn * self.s_bb)
 
 
+def _combine(mu, s, c, sn, n, t, b):
+    """mu n + s (c t + sn b), on floats or on arrays that broadcast."""
+    return mu * n + s * (c * t + sn * b)
+
+
 def _direction(jet: FrameJet, mu, s, c, sn):
     """Omega = mu n + s (c t + sn b): one 3-vector, or rows of 3 with
-    the angle arrays' shape."""
+    the angle arrays' shape.  For one state, with float angles, the
+    formula runs per coordinate on Python floats, in the order that it
+    runs on arrays."""
     if isinstance(mu, np.ndarray):
         mu, s, c, sn = (a[..., None] for a in (mu, s, c, sn))
-    return mu * jet.n + s * (c * jet.t + sn * jet.b)
+    elif jet.n.ndim == 1:
+        return np.array([_combine(mu, s, c, sn, *v) for v in zip(
+            jet.n.tolist(), jet.t.tolist(), jet.b.tolist())])
+    return _combine(mu, s, c, sn, jet.n, jet.t, jet.b)
 
 
 def _matvec(m, v):
@@ -204,10 +262,10 @@ def frame_scalars(jet: FrameJet) -> FrameScalars:
     dots = np.matmul(v[None, None, ..., None, :], jv[:, :, None])[..., 0, 0]
     sn, st, sb = dots.tolist() if dots.ndim == 3 else dots
     n, t, b = 0, 1, 2
-    return FrameScalars(
-        s_tt=sn[t][t], s_tb=sn[b][t], s_bt=sn[t][b], s_bb=sn[b][b],
-        kn_t=-sn[n][t], kn_b=-sn[n][b], kt_b=-st[t][b], kb_t=-sb[b][t],
-        winding=sb[n][t])
+    # In field order: s_tt, s_tb, s_bt, s_bb, kn_t, kn_b, kt_b, kb_t,
+    # winding (positional arguments build a NamedTuple fastest).
+    return FrameScalars(sn[t][t], sn[b][t], sn[t][b], sn[b][b], -sn[n][t],
+                        -sn[n][b], -st[t][b], -sb[b][t], sb[n][t])
 
 
 def _point_parts(frame_field, r, cfg: DiffConfig):
@@ -216,12 +274,14 @@ def _point_parts(frame_field, r, cfg: DiffConfig):
     comps = functools.partial(raw_components, frame_field)
     if cfg.engine == DUAL:
         flat = _probe(comps, dm.seed_gradient(r))
-        vals = np.array([dm.value(c) for c in flat], dtype=float)
-        jacs = np.array([e for c in flat for e in dm.tangent(c)],
-                        dtype=float).reshape(9, 3)
+        vals = np.array([c.val if isinstance(c, dm.Dual) else c
+                         for c in flat], dtype=float)
+        jacs = np.array([(c.e0, c.e1, c.e2) if isinstance(c, dm.Dual)
+                         else (0.0, 0.0, 0.0) for c in flat], dtype=float)
     else:
-        vals = np.array(_probe(comps, tuple(r.tolist())), dtype=float)
-        jacs = jacobian(comps, r, cfg)
+        p = r.tolist()
+        vals = np.array(_probe(comps, tuple(p)), dtype=float)
+        jacs = _point_stencil(comps, p, _AXES, cfg.fd_step)
     return vals, jacs
 
 
@@ -231,7 +291,7 @@ def _stack_parts(frame_field, pts, cfg: DiffConfig):
     engine, on the points and their stencil probes for fd."""
     if cfg.engine == DUAL:
         return raw_parts(frame_field, pts, dual=True)
-    probes = _stencil(pts, np.eye(3), cfg)
+    probes = _stencil(pts, cfg)
     f = raw_parts(frame_field, np.concatenate([pts, probes.reshape(-1, 3)]))[0]
     return f[:len(pts)], _differences(
         f[len(pts):].reshape(*probes.shape[:-1], 9), cfg)

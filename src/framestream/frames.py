@@ -627,6 +627,10 @@ def direction_from_angles(frame: FramePoint, mu: float, omega: float):
     OutOfRange for a NaN mu or one outside [-1, 1], or from float_angles."""
     mu, omega = float_angles(mu, omega)
     check_mu_range(mu)
-    s = np.sqrt(max(0.0, 1.0 - mu * mu))
-    return (mu * frame.n + s * np.cos(omega) * frame.t
-            + s * np.sin(omega) * frame.b)
+    s = math.sqrt(max(0.0, 1.0 - mu * mu))
+    # The arithmetic runs on floats, in the order of the array expression
+    # mu n + s cos(omega) t + s sin(omega) b; the cosine and sine stay
+    # numpy's, which may round otherwise than math's.
+    sc, ss = s * float(np.cos(omega)), s * float(np.sin(omega))
+    return np.array([mu * n + sc * t + ss * b for n, t, b in zip(
+        frame.n.tolist(), frame.t.tolist(), frame.b.tolist())])

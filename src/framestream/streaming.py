@@ -1,6 +1,12 @@
 """Coefficients of d/dmu and d/domega in the frame-adapted streaming
 term, in every derivable form, plus the assembled directional
-derivative Omega . grad Psi."""
+derivative Omega . grad Psi.
+
+The term algebra is written once, over floats or arrays.  One state
+runs it on Python floats, in the operation order of a stack, and
+enters numpy only for the contractions (frame_scalars' matmuls,
+jn @ Omega and the dots), so one state and a stack give the same
+bits."""
 from __future__ import annotations
 
 import dataclasses

@@ -1,6 +1,11 @@
 """Independent truth sources: straight-ray oracle, conservation-form
 feasibility, fundamental-forms shape operator, and the aggregated
-check suite behind ``verify``."""
+check suite behind ``verify``.
+
+One ray builds its probes and runs its arithmetic on Python floats, in
+the operation order of a stack of rays, and uses numpy only for the
+contraction Omega . (n, t, b), so one ray and a stack give the same
+bits."""
 from __future__ import annotations
 
 import dataclasses
@@ -120,7 +125,9 @@ def _one_ray(frame_field, r, d, step):
     # DomainExit is raised only after the checks on the probes before it,
     # which see NaN at the probes not taken.
     ss = [-step, -step / 2.0, 0.0, step / 2.0, step]
-    rows = (r + np.multiply.outer(np.array(ss), d)).tolist()
+    # The probes on floats, in the operation order of _stacked_rays.
+    (x, y, z), (u, v, w) = r.tolist(), d.tolist()
+    rows = [(x + s * u, y + s * v, z + s * w) for s in ss]
     outs = [_NAN_FRAME] * 5
     failure = None
     for k in (2, 0, 1, 3, 4):

@@ -486,6 +486,24 @@ def test_curvature_report_at_a_nan_point_is_typed():
         curvature_report(builtin_frame(Sphere()), [math.nan, 0.0, 1.0])
 
 
+def test_curvature_report_names_the_point_and_the_cause():
+    # n = (x, 0, 1) is not unit, so n . kappa_n = -x^2, finite.
+    skew = FrameField(lambda x, y, z: ((x, 0.0, 1.0), (1.0, 0.0, 0.0),
+                                       (0.0, 1.0, 0.0)), "skew")
+    with pytest.raises(EvaluationFailure) as info:
+        curvature_report(builtin_frame(Sphere()), [math.nan, 0.0, 1.0])
+    at_nan = str(info.value)
+    with pytest.raises(EvaluationFailure) as info:
+        curvature_report(skew, [1.0, 0.5, 0.25])
+    skewed = str(info.value)
+    assert at_nan == ("kappa_n not orthogonal to n at (nan, 0.0, 1.0): "
+                      "n . kappa_n is nan: the frame or its Jacobian is "
+                      "not finite")
+    assert skewed == ("kappa_n not orthogonal to n at (1.0, 0.5, 0.25): "
+                      "n . kappa_n = -1.000e+00 exceeds 1e-08, so the "
+                      "frame is not orthonormal")
+
+
 def test_curvature_report_scales_homothetically():
     field = builtin_frame(Ellipsoid(2.0, 1.0, 1.0))
     r = np.array([1.22474487139159, 0.61237243569579, 0.5])

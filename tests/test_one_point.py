@@ -1,0 +1,103 @@
+"""One-point evaluations against the stacked ones on the scatter path.
+
+A single state runs its elementwise steps on Python floats (the fd
+stencil's probes and Richardson step, the direction Omega, the ray
+probes) and a stack runs them on arrays; both must give the same bits.
+The states are those of every default frame at two seeds, plus a point
+with -0.0 coordinates, where a probe x + 0.0 * step must round as
+numpy's r + offsets does."""
+import numpy as np
+import pytest
+
+from framestream import DiffConfig, builtin_frame, frame_jet, ray_oracle
+from framestream.frames import direction_from_angles
+from framestream.streaming import (angle_arrays, checked_terms,
+                                   streaming_coefficients)
+from framestream.verification import default_frames, random_states
+
+ENGINES = [DiffConfig(), DiffConfig(engine="fd")]
+STATES_PER_FRAME = 30
+# Valid in every default frame: off the axes, poles and origins.
+SIGNED_ZERO_POINT = (-0.0, 0.8, -0.0)
+
+
+def _cases(seed):
+    """(field, points, mus, omegas) of every default frame: its random
+    states at ``seed``, then the signed-zero point."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for fid in default_frames().values():
+        states = random_states(fid, STATES_PER_FRAME, rng)
+        points = np.array([r for r, _, _ in states] + [SIGNED_ZERO_POINT])
+        mus = [mu for _, mu, _ in states] + [0.3]
+        omegas = [omega for _, _, omega in states] + [1.1]
+        cases.append((builtin_frame(fid), points, mus, omegas))
+    return cases
+
+
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+@pytest.mark.parametrize("seed", [7, 11])
+def test_single_state_coefficients_have_the_stacked_bits(seed, cfg):
+    for field, points, mus, omegas in _cases(seed):
+        one = np.array([
+            (c.a_mu, c.a_omega, *c.breakdown.values())
+            for c in (streaming_coefficients(field, r, mu, omega, cfg)
+                      for r, mu, omega in zip(points, mus, omegas))])
+        stacked = np.stack(checked_terms(frame_jet(field, points, cfg),
+                                         *angle_arrays(mus, omegas)), axis=1)
+        assert one.tobytes() == stacked.tobytes(), field.name
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_single_ray_has_the_stacked_bits(seed):
+    for field, points, mus, omegas in _cases(seed):
+        dirs = np.array([direction_from_angles(field.eval(r), mu, omega)
+                         for r, mu, omega in zip(points, mus, omegas)])
+        rays = [ray_oracle(field, r, d) for r, d in zip(points, dirs)]
+        one = np.array([(ray.dmu_ds, ray.domega_ds,
+                         ray.richardson_error_estimate) for ray in rays])
+        stacked = ray_oracle(field, points, dirs)
+        assert one.tobytes() == np.stack(
+            [stacked.dmu_ds, stacked.domega_ds,
+             stacked.richardson_error_estimate], axis=1).tobytes(), field.name
+
+
+class _Recorded:
+    """The constant frame, recording the point of every raw call."""
+
+    def __init__(self):
+        self.probes = []
+
+    def raw(self, x, y, z):
+        self.probes.append((x, y, z))
+        return (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+
+
+def test_fd_probes_round_as_the_stacked_stencil():
+    h = 1e-5
+    r = np.array(SIGNED_ZERO_POINT)
+    field = _Recorded()
+    frame_jet(field, r, DiffConfig(engine="fd", fd_step=h))
+    offsets = np.eye(3)[:, None, :] * np.array(
+        [h, -h, h / 2.0, -h / 2.0])[:, None]
+    want = np.concatenate([r[None], (r + offsets).reshape(-1, 3)])
+    got = np.array(field.probes)
+    assert got.tobytes() == want.tobytes()
+    # Both signs of zero occur, so the comparison tells them apart.
+    signs = np.signbit(got[got == 0.0])
+    assert signs.any() and not signs.all()
+
+
+def test_ray_probes_round_as_the_stacked_rays():
+    step = 1e-3
+    r = np.array(SIGNED_ZERO_POINT)
+    d = np.array([0.6, 0.0, -0.8])
+    field = _Recorded()
+    ray_oracle(field, r, d, step)
+    ss = np.array([-step, -step / 2.0, 0.0, step / 2.0, step])
+    # The probes in call order: s = 0 first, then the stencil.
+    want = (r + ss[:, None] * d)[[2, 0, 1, 3, 4]]
+    got = np.array(field.probes)
+    assert got.tobytes() == want.tobytes()
+    signs = np.signbit(got[got == 0.0])
+    assert signs.any() and not signs.all()

@@ -299,6 +299,48 @@ def test_fd_probe_failure_names_plain_floats():
     assert "np.float64" not in msg
 
 
+class _FailsOffCentre:
+    """A constant frame whose raw raises only at the probes that
+    ``bad(x, y, z)`` picks, none of them the centre (1.0, 0.5, 0.25)."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def raw(self, x, y, z):
+        if self.bad(x, y, z):
+            raise ZeroDivisionError("boom")
+        return (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+
+
+# With h = 1e-5 the probes run x + h, x - h, x + h/2, x - h/2, then
+# likewise along y and z: the first pick is the first probe, the second
+# the eleventh, z + h/2.
+@pytest.mark.parametrize("bad, probe", [
+    (lambda x, y, z: x > 1.0 + 0.5e-5, "(1.00001, 0.5, 0.25)"),
+    (lambda x, y, z: 0.25 + 0.25e-5 < z < 0.25 + 0.75e-5,
+     "(1.0, 0.5, 0.250005)"),
+], ids=["first-probe", "eleventh-probe"])
+def test_fd_failure_names_the_failing_off_centre_probe(bad, probe):
+    field = _FailsOffCentre(bad)
+    want = f"field raised at probe {probe}"
+    with pytest.raises(EvaluationFailure) as info:
+        frame_jet(field, [1.0, 0.5, 0.25], CFGS[0])
+    assert str(info.value) == want
+    with pytest.raises(EvaluationFailure) as info:
+        jacobian(lambda p: field.raw(*p), [1.0, 0.5, 0.25], CFGS[0])
+    assert str(info.value) == want
+
+
+def test_fd_field_of_changing_shape_is_an_evaluation_failure():
+    def field(p):
+        return (p[0], p[1]) if p[2] > 3.0 else (p[0], p[1], p[2])
+
+    with pytest.raises(EvaluationFailure) as info:
+        jacobian(field, [1.0, 2.0, 3.0], CFGS[0])
+    assert str(info.value) == ("field returned values of shapes "
+                               "[(2,), (3,)] at the probes")
+
+
 class _StubRay:
     """A frame field along the x axis: n = e_z, and (t, b) = (e_x, e_y)
     or (-e_x, -e_y) depending on which side of ``flip_at`` x lies; raw
