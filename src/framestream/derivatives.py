@@ -9,13 +9,14 @@ A one-point evaluation does its elementwise steps (the fd probes and
 Richardson step, the direction Omega) on Python floats, in the
 operation order of the stacked arrays, and uses numpy only for the
 contractions, whose bits come from its BLAS kernels: so one point and
-a stack give the same bits.
+a stack give the same bits.  Every contraction of the frame scalars,
+with any extra vector such as Omega, is one item of two broadcast
+numpy calls (_contractions).
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -59,13 +60,19 @@ def _probe(field, p):
 _AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
-def _richardson(f_h, f_mh, f_h2, f_mh2, h):
-    """The central differences over h and h/2 of the values at the
-    probes h, -h, h/2 and -h/2, Richardson-extrapolated: floats, or
-    arrays whose entries get the bits of floats."""
-    d = (f_h - f_mh) / (2.0 * h)
-    d_half = (f_h2 - f_mh2) / (2.0 * (h / 2.0))
-    return (4.0 * d_half - d) / 3.0
+def _richardson(h):
+    """The Richardson step of step h: a function of the values at the
+    probes h, -h, h/2 and -h/2 that extrapolates their central
+    differences over h and h/2, on floats, or on arrays whose entries
+    get the bits of floats.  Its denominators are taken once per step,
+    not once per call."""
+    two_h, two_half_h = 2.0 * h, 2.0 * (h / 2.0)
+
+    def extrapolate(f_h, f_mh, f_h2, f_mh2):
+        d = (f_h - f_mh) / two_h
+        d_half = (f_h2 - f_mh2) / two_half_h
+        return (4.0 * d_half - d) / 3.0
+    return extrapolate
 
 
 def _stencil(pts, cfg):
@@ -85,7 +92,7 @@ def _differences(f, cfg):
     as np.stack gave: a transposed layout would send later matvecs
     through another BLAS kernel, which rounds differently."""
     return np.ascontiguousarray(np.moveaxis(
-        _richardson(f[:, 0], f[:, 1], f[:, 2], f[:, 3], cfg.fd_step), 0, -1))
+        _richardson(cfg.fd_step)(f[:, 0], f[:, 1], f[:, 2], f[:, 3]), 0, -1))
 
 
 def _point_stencil(field, r, dirs, h):
@@ -98,41 +105,61 @@ def _point_stencil(field, r, dirs, h):
     the operation order of _stencil and _differences, so each entry has
     the bits of the stacked one; numpy only stores the result."""
     steps = (h, -h, h / 2.0, -h / 2.0)
+    extrapolate = _richardson(h)
     x, y, z = r
     outs = [_probe(field, (x + u * s, y + v * s, z + w * s))
             for u, v, w in dirs for s in steps]
-    # One map per direction over the outputs at its probes, component by
-    # component; zip makes a row of each component.
-    return np.array(list(zip(*(
-        map(_richardson, *outs[k:k + len(steps)], itertools.repeat(h))
-        for k in range(0, len(outs), len(steps))))), dtype=float)
+    # A row per direction, mapped over the outputs at its probes
+    # component by component, then copied to (components, directions).
+    return np.ascontiguousarray(np.array([
+        list(map(extrapolate, *outs[k:k + len(steps)]))
+        for k in range(0, len(outs), len(steps))], dtype=float).T)
 
 
 def _field_stencil(field, r, dirs, h):
     """_point_stencil of a generic field, each output converted by numpy
     and flattened: the derivatives have the outputs' shape, then an
-    axis of the directions."""
+    axis of the directions.  EvaluationFailure at the first probe whose
+    output has another shape than those before it."""
     shapes = set()
 
     def flat(p):
         out = np.asarray(field(p), dtype=float)
         shapes.add(out.shape)
+        if len(shapes) != 1:
+            raise EvaluationFailure(f"field returned values of shapes "
+                                    f"{sorted(shapes)} at the probes")
         return out.ravel().tolist()
 
     derivs = _point_stencil(flat, r, dirs, h)
-    if len(shapes) != 1:
-        raise EvaluationFailure(f"field returned values of shapes "
-                                f"{sorted(shapes)} at the probes")
     return derivs.reshape(*shapes.pop(), len(dirs))
 
 
+def _tangents(out):
+    """The tangents (e0, e1, e2) of a dual field's output, flat or
+    nested: an array of the output's shape, then an axis of three, zero
+    for a number.  EvaluationFailure where a value, or an entry of a
+    ragged output, is neither a Dual nor a number."""
+    leaves = np.array(out, dtype=object)
+    tans = []
+    for c in leaves.ravel().tolist():
+        if not isinstance(c, dm.Dual):
+            try:
+                float(c)
+            except (TypeError, ValueError):
+                raise EvaluationFailure(
+                    f"field returned {c!r}, not a number") from None
+        tans.append(dm.tangent(c))
+    return np.array(tans, dtype=float).reshape(*leaves.shape, 3)
+
+
 def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
-    """(h . grad) field at r."""
+    """(h . grad) field at r, with the shape of the field's values."""
     r = float_3vector(r, "point")
     h = float_3vector(h, "direction")
     if cfg.engine == DUAL:
-        out = _probe(field, dm.seed_direction(r, h))
-        return np.array([dm.tangent(c)[0] for c in out])
+        return np.ascontiguousarray(
+            _tangents(_probe(field, dm.seed_direction(r, h)))[..., 0])
     scale = float(np.linalg.norm(h))
     if scale == 0.0:
         return np.zeros(3)
@@ -141,18 +168,22 @@ def directional_derivative(field, r, h, cfg: DiffConfig = DEFAULT_CFG):
 
 
 def jacobian(field, r, cfg: DiffConfig = DEFAULT_CFG):
-    """Column j = d(field)/d(coordinate j) at r, on a last axis (the fd
-    engine also takes fields of stacked vectors)."""
+    """Column j = d(field)/d(coordinate j) at r, on a last axis after
+    the shape of the field's values: (3, 3) for a 3-vector field,
+    (3, 3, 3) for a field of three stacked vectors, on either engine."""
     r = float_3vector(r, "point")
     if cfg.engine == DUAL:
-        out = _probe(field, dm.seed_gradient(r))
-        return np.array([dm.tangent(c) for c in out], dtype=float)
+        return _tangents(_probe(field, dm.seed_gradient(r)))
     return _field_stencil(field, r.tolist(), _AXES, cfg.fd_step)
 
 
 def axial_vector(j):
     """Axial vector of the antisymmetric part of a 3x3 matrix, or of
-    each of a stack; for a Jacobian it is the curl of the field."""
+    each of a stack; for a Jacobian it is the curl of the field.  One
+    matrix is read on floats, whose subtractions round as numpy's."""
+    if j.ndim == 2:
+        (_, j01, j02), (j10, _, j12), (j20, j21, _) = j.tolist()
+        return np.array([j21 - j12, j02 - j20, j10 - j01])
     return np.stack([j[..., 2, 1] - j[..., 1, 2],
                      j[..., 0, 2] - j[..., 2, 0],
                      j[..., 1, 0] - j[..., 0, 1]], axis=-1)
@@ -247,20 +278,24 @@ def _dot(u, v):
     return np.matmul(v[..., None, :], u[..., None])[..., 0, 0]
 
 
-def frame_scalars(jet: FrameJet) -> FrameScalars:
-    """The nine scalars of a frame jet, one point or stacked.
+def _contractions(jet: FrameJet, *extra):
+    """(sn, st, sb) with sn[V][W] = W . (jn @ V), likewise st for jt and
+    sb for jb, for V, W in (n, t, b, *extra): extra vectors have the
+    frame vectors' shape.  Nested lists of floats for one point, arrays
+    of one entry per point for a stack.
 
     One stacked matvec gives every J @ V and one stacked dot every
-    W . (J @ V), for J in (jn, jt, jb) and V, W in (n, t, b).  Each item
-    goes through the BLAS kernel that ``jn @ t`` and ``t @ x`` use on
-    their own, so the scalars keep those bits (``einsum`` does not).
-    """
-    v = np.array([jet.n, jet.t, jet.b])
+    W . (J @ V).  Each item goes through the BLAS kernel that ``jn @ t``
+    and ``t @ x`` use on their own, so the scalars keep those bits
+    (``einsum`` does not)."""
+    v = np.array([jet.n, jet.t, jet.b, *extra])
     jv = np.matmul(np.array([jet.jn, jet.jt, jet.jb])[:, None],
                    v[None, ..., None])
-    # sn[V][W] = W . (jn @ V), likewise st for jt and sb for jb.
     dots = np.matmul(v[None, None, ..., None, :], jv[:, :, None])[..., 0, 0]
-    sn, st, sb = dots.tolist() if dots.ndim == 3 else dots
+    return dots.tolist() if dots.ndim == 3 else dots
+
+
+def _scalars(sn, st, sb) -> FrameScalars:
     n, t, b = 0, 1, 2
     # In field order: s_tt, s_tb, s_bt, s_bb, kn_t, kn_b, kt_b, kb_t,
     # winding (positional arguments build a NamedTuple fastest).
@@ -268,12 +303,27 @@ def frame_scalars(jet: FrameJet) -> FrameScalars:
                         -sn[n][b], -st[t][b], -sb[b][t], sb[n][t])
 
 
+def frame_scalars(jet: FrameJet) -> FrameScalars:
+    """The nine scalars of a frame jet, one point or stacked, from two
+    numpy calls (see _contractions)."""
+    return _scalars(*_contractions(jet))
+
+
+def scalars_along(jet: FrameJet, omega):
+    """frame_scalars(jet) with t . (jn @ omega) and b . (jn @ omega), for
+    a direction omega of the frame vectors' shape: omega rides in the
+    same two numpy calls as a fourth vector, and each item keeps the
+    bits of its own matvec and dot."""
+    sn, st, sb = _contractions(jet, omega)
+    return _scalars(sn, st, sb), sn[3][1], sn[3][2]
+
+
 def _point_parts(frame_field, r, cfg: DiffConfig):
     """The nine components at one point r, an ndarray of shape (3,),
     and their (9, 3) Jacobian."""
     comps = functools.partial(raw_components, frame_field)
     if cfg.engine == DUAL:
-        flat = _probe(comps, dm.seed_gradient(r))
+        flat = _probe(comps, dm.seed_gradient(r.tolist()))
         vals = np.array([c.val if isinstance(c, dm.Dual) else c
                          for c in flat], dtype=float)
         jacs = np.array([(c.e0, c.e1, c.e2) if isinstance(c, dm.Dual)

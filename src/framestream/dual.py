@@ -120,6 +120,8 @@ def cos(x):
 
 
 def sqrt(x):
+    if x.__class__ is float:  # the raws' most frequent call
+        return math.sqrt(x)
     if isinstance(x, Dual):
         root = sqrt(x.val)
         f = 0.5 / root
@@ -134,16 +136,14 @@ def sqrt(x):
 # Tuple-vector helpers, generic over float | array | Dual components.
 
 def dot3(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def norm3(u):
-    return sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    return u0 * v0 + u1 * v1 + u2 * v2
 
 
 def normalize3(u):
-    inv = 1.0 / norm3(u)
-    return (u[0] * inv, u[1] * inv, u[2] * inv)
+    x, y, z = u
+    inv = 1.0 / sqrt(x * x + y * y + z * z)
+    return (x * inv, y * inv, z * inv)
 
 
 def seed_direction(r, h):
@@ -156,10 +156,10 @@ def seed_direction(r, h):
 
 def seed_gradient(r):
     """Dual triple whose tangent components span the identity, at one
-    point (float values) or at each row of an (N, 3) array (array
-    values, float tangents)."""
-    if np.ndim(r) == 2:
-        x, y, z = np.ascontiguousarray(np.transpose(r))
+    point, a 3-sequence (float values), or at each row of an (N, 3)
+    array (array values, float tangents)."""
+    if isinstance(r, np.ndarray) and r.ndim == 2:
+        x, y, z = np.ascontiguousarray(r.T)
     else:
         x, y, z = float(r[0]), float(r[1]), float(r[2])
     return (Dual(x, 1.0, 0.0, 0.0), Dual(y, 0.0, 1.0, 0.0),

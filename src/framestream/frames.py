@@ -43,13 +43,27 @@ def frame_defect(n, t, b, tol: float):
     orthogonal and b = n x t within tol.  n, t and b are 3-sequences of
     Python floats (one frame) or of arrays (the columns of a stack of
     frames, which fails a test where any of its frames does)."""
+    (n0, n1, n2), (t0, t1, t2), (b0, b1, b2) = n, t, b
+    # Every test at once, as one accept: a vector that is unit within
+    # 2 tol is finite, and products of such vectors cannot overflow, so
+    # a triple that passes it passes each test below, which only name
+    # the first failure.
+    if all_true((abs(n0 * n0 + n1 * n1 + n2 * n2 - 1.0) <= 2.0 * tol)
+                & (abs(t0 * t0 + t1 * t1 + t2 * t2 - 1.0) <= 2.0 * tol)
+                & (abs(b0 * b0 + b1 * b1 + b2 * b2 - 1.0) <= 2.0 * tol)
+                & (abs(n0 * t0 + n1 * t1 + n2 * t2) <= tol)
+                & (abs(n0 * b0 + n1 * b1 + n2 * b2) <= tol)
+                & (abs(t0 * b0 + t1 * b1 + t2 * b2) <= tol)
+                & (abs(n1 * t2 - n2 * t1 - b0) <= tol)
+                & (abs(n2 * t0 - n0 * t2 - b1) <= tol)
+                & (abs(n0 * t1 - n1 * t0 - b2) <= tol)):
+        return None
     for (x, y, z), label in ((n, "n"), (t, "t"), (b, "b")):
         # x - x is 0.0 for a finite x and NaN for an inf or a NaN.
         if any_true((x - x) + (y - y) + (z - z) != 0.0):
             return f"{label} must be a finite 3-vector"
         if any_true(abs(x * x + y * y + z * z - 1.0) > 2.0 * tol):
             return f"{label} is not unit within {tol}"
-    (n0, n1, n2), (t0, t1, t2), (b0, b1, b2) = n, t, b
     if any_true((abs(n0 * t0 + n1 * t1 + n2 * t2) > tol)
                 | (abs(n0 * b0 + n1 * b1 + n2 * b2) > tol)
                 | (abs(t0 * b0 + t1 * b1 + t2 * b2) > tol)):
@@ -134,7 +148,7 @@ class FrameField:
         self.b_field = lambda p: raw(p[0], p[1], p[2])[2]
 
     def eval(self, r) -> FramePoint:
-        x, y, z = (float(r[0]), float(r[1]), float(r[2]))
+        x, y, z = float_3vector(r, "point").tolist()
         n, t, b = self.raw(x, y, z)
         return FramePoint(n, t, b)
 
@@ -430,6 +444,8 @@ def _lift_scalar(fn, d_dx, d_dy):
     """Lift a plain-float callable of (x, y) to floats, arrays or Duals
     using its supplied first partials for the chain rule."""
     def lifted(x, y):
+        if x.__class__ is float and y.__class__ is float:
+            return float(fn(x, y))
         xv, yv = value(x), value(y)
         arrays = isinstance(xv, np.ndarray) or isinstance(yv, np.ndarray)
         v = _on_arrays(fn, xv, yv) if arrays else float(fn(xv, yv))

@@ -4,9 +4,11 @@ derivative Omega . grad Psi.
 
 The term algebra is written once, over floats or arrays.  One state
 runs it on Python floats, in the operation order of a stack, and
-enters numpy only for the contractions (frame_scalars' matmuls,
-jn @ Omega and the dots), so one state and a stack give the same
-bits."""
+enters numpy only for the contractions, so one state and a stack give
+the same bits.  One state makes them all in two numpy calls: Omega
+joins (n, t, b) in frame_scalars' matmuls (scalars_along), which give
+t . (jn @ Omega) and b . (jn @ Omega) beside the nine scalars; a stack
+makes jn @ Omega and its two dots in calls of their own."""
 from __future__ import annotations
 
 import dataclasses
@@ -17,7 +19,7 @@ import numpy as np
 
 from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
                           _direction, _dot, _matvec, frame_jet,
-                          frame_scalars, twist)
+                          frame_scalars, scalars_along, twist)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
 from .frames import (_POLAR_TOL, FramePoint, _each, all_true,
@@ -163,11 +165,13 @@ def has_leaf(jet: FrameJet, form):
 
 
 def _on_leaf(jet: FrameJet, form, value):
-    """value where ``form``'s leaf exists; else FoliationMissing."""
-    if not has_leaf(jet, form):
-        raise FoliationMissing(f"{_LEAF[form]}-foliation defect "
-                               f"{leaf_defect(jet, form):.3e} exceeds "
-                               f"{_FOLIATION_TOL}")
+    """value where ``form``'s leaf exists, as has_leaf tests it at one
+    point, or where the form reads no leaf; else FoliationMissing."""
+    if form in _LEAF:
+        defect = leaf_defect(jet, form)
+        if abs(defect) > _FOLIATION_TOL:
+            raise FoliationMissing(f"{_LEAF[form]}-foliation defect "
+                                   f"{defect:.3e} exceeds {_FOLIATION_TOL}")
     return value
 
 
@@ -252,18 +256,24 @@ def coefficient_terms(jet: FrameJet, mu, s, c, sn):
     same quantities from its own hand-derived scalars, and the ray
     oracle checks both without any jet.
     """
-    k = frame_scalars(jet)
-    if isinstance(mu, np.ndarray) and mu.ndim == 2:
-        # An axis for the directions on the jet and the scalars: views
-        # of (N, 1, ...) that repeat nothing per direction.
-        jet = FrameJet(*(getattr(jet, f.name)[:, None]
-                         for f in dataclasses.fields(jet)))
-        k = FrameScalars(*(x[:, None] for x in k))
+    if jet.n.ndim == 1 and not isinstance(mu, np.ndarray):
+        # One state: t . (jn @ Omega) and b . (jn @ Omega) come out of
+        # frame_scalars' two numpy calls.  A stack keeps its own calls:
+        # there the extra items would cost more than the calls saved.
+        k, t_dn, b_dn = scalars_along(jet, _direction(jet, mu, s, c, sn))
+    else:
+        k = frame_scalars(jet)
+        if isinstance(mu, np.ndarray) and mu.ndim == 2:
+            # An axis for the directions on the jet and the scalars:
+            # views of (N, 1, ...) that repeat nothing per direction.
+            jet = FrameJet(*(getattr(jet, f.name)[:, None]
+                             for f in dataclasses.fields(jet)))
+            k = FrameScalars(*(x[:, None] for x in k))
+        dn_along = _matvec(jet.jn, _direction(jet, mu, s, c, sn))
+        t_dn, b_dn = _dot(jet.t, dn_along), _dot(jet.b, dn_along)
     mu_surface, mu_curve_n = _mu_terms(k, mu, s, c, sn)
     omega_curve, omega_wind = _omega_terms(k, mu, s, c, sn)
-    dn_along = _matvec(jet.jn, _direction(jet, mu, s, c, sn))
-    omega_tilt = -mu * (-sn * _dot(jet.t, dn_along)
-                        + c * _dot(jet.b, dn_along)) / s
+    omega_tilt = -mu * (-sn * t_dn + c * b_dn) / s
     return (mu_surface + mu_curve_n, omega_curve + omega_wind + omega_tilt,
             mu_surface, mu_curve_n, omega_curve, omega_wind, omega_tilt)
 

@@ -11,9 +11,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from framestream import cli, frames
+from framestream import (DiffConfig, catalog, cli, frames, streaming,
+                         verification)
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -114,3 +116,39 @@ def test_traced_verify_seed_7_counts_are_pinned(tracing, capsys):
     metrics = tracer.layer_metrics(len(out.encode()), 0.0)
     assert {name: metrics[name]
             for name in VERIFY_SEED_7_COUNTS} == VERIFY_SEED_7_COUNTS
+
+
+# Per-state counts of the one-state path that the scatter workload runs:
+# the dual jet is one raw call on Duals; the fd jet 13 raw calls on
+# floats (the point and 12 stencil probes) and the ray 5; each of the two
+# streaming_coefficients calls assembles once and checks its frame once.
+# A speed-up that skips a probe or a check moves one of these.
+ONE_STATE_COUNTS = {
+    "frames.raw.float.calls": 18,
+    "frames.raw.dual.calls": 1,
+    "frames.FramePoint.loose.calls": 2,
+    "streaming.coefficients_from_jet.calls": 2,
+    "catalog.catalog_coefficients.calls": 1,
+    "verification.ray_oracle.calls": 1,
+}
+
+
+def test_traced_one_state_pass_counts_every_probe_and_check(tracing):
+    rng = np.random.default_rng(7)
+    fd = DiffConfig(engine="fd")
+    tracer = tracing.Tracer()
+    states = 0
+    with tracer.traced_pass():
+        for fid in verification.default_frames().values():
+            field = frames.builtin_frame(fid)
+            for r, mu, omega in verification.random_states(fid, 1, rng):
+                dual = streaming.streaming_coefficients(field, r, mu, omega)
+                streaming.streaming_coefficients(field, r, mu, omega, fd)
+                catalog.catalog_coefficients(fid, r, mu, omega)
+                verification.ray_oracle(field, r, frames.direction_from_angles(
+                    dual.frame, mu, omega))
+                states += 1
+    assert states == 7
+    metrics = tracer.layer_metrics(0, 0.0)
+    assert {name: metrics[name] / states
+            for name in ONE_STATE_COUNTS} == ONE_STATE_COUNTS

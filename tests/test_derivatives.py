@@ -111,3 +111,53 @@ def test_plain_math_field_fails_under_dual_engine():
         jacobian(field, [0.3, 0.0, 0.0])
     v = np.array([0.0, math.cos(0.3), math.sin(0.3)])
     assert np.allclose(curl(field, [0.3, 0.0, 0.0], FD), -v, atol=1e-9)
+
+
+# --- fields whose values are nested or scalar --------------------------------
+
+NESTED_POINT = [1.0, 0.4, 0.3]
+
+
+def _sphere_triple():
+    sphere = builtin_frame(Sphere())
+    return lambda p: sphere.raw(*p)
+
+
+def test_dual_jacobian_of_stacked_vectors_matches_fd():
+    field = _sphere_triple()
+    jd = jacobian(field, NESTED_POINT)
+    jf = jacobian(field, NESTED_POINT, FD)
+    assert jd.shape == jf.shape == (3, 3, 3)
+    assert np.max(np.abs(jd - jf)) < 1e-9
+    # Each block is the Jacobian of one frame vector.
+    jet = frame_jet(builtin_frame(Sphere()), NESTED_POINT)
+    assert np.array_equal(jd, np.array([jet.jn, jet.jt, jet.jb]))
+
+
+def test_dual_directional_derivative_of_stacked_vectors_matches_fd():
+    field = _sphere_triple()
+    h = [0.3, 0.2, -0.1]
+    dd = directional_derivative(field, NESTED_POINT, h)
+    df = directional_derivative(field, NESTED_POINT, h, FD)
+    assert dd.shape == df.shape == (3, 3)
+    assert np.max(np.abs(dd - df)) < 1e-9
+    assert np.allclose(dd, jacobian(field, NESTED_POINT) @ h, rtol=0.0,
+                       atol=1e-15)
+
+
+def test_scalar_field_gradient_on_both_engines():
+    field = lambda p: p[0] * p[1] + 2.0 * p[2]
+    want = np.array([0.4, 1.0, 2.0])
+    assert np.array_equal(jacobian(field, NESTED_POINT), want)
+    assert np.allclose(jacobian(field, NESTED_POINT, FD), want, atol=1e-9)
+
+
+@pytest.mark.parametrize("field", [
+    lambda p: ((p[0], p[1]), (p[2],)),
+    lambda p: (p[0], "a", p[1]),
+], ids=["ragged", "string"])
+def test_dual_engine_rejects_values_that_are_not_numbers(field):
+    with pytest.raises(EvaluationFailure, match="not a number"):
+        jacobian(field, NESTED_POINT)
+    with pytest.raises(EvaluationFailure, match="not a number"):
+        directional_derivative(field, NESTED_POINT, [1.0, 0.0, 0.0])

@@ -10,7 +10,7 @@ from framestream import (Constant, CylindricalI, CylindricalII, DegeneratePoint,
                          angles_from_direction, apply_streaming,
                          builtin_frame, direction_from_angles,
                          orthonormalize, streaming_coefficients)
-from framestream.frames import BUILTIN_FRAMES
+from framestream.frames import BUILTIN_FRAMES, frame_defect, loose_frames_ok
 from framestream.verification import default_frames, random_states
 
 
@@ -237,6 +237,71 @@ def test_frame_point_raises_typed_error(n, t, b):
 def test_frame_point_names_non_finite_vector():
     with pytest.raises(NotOrthonormal, match="t must be a finite 3-vector"):
         FramePoint((0, 0, 1), (math.nan, 0, 0), (0, 1, 0))
+
+
+# One frame of each failure kind and the message that names it.  The
+# accept runs every test at once; a frame it rejects is named by the
+# first test that fails, in the order n, t, b (finite, then unit), then
+# orthogonality, then handedness.  The unit and orthogonality misses lie
+# 1% beyond their bounds, so an accept looser than a test fails here.
+FRAME_DEFECTS = {
+    "non-finite": (((0, 0, 1), (1, 0, math.inf), (0, 1, 0)),
+                   "t must be a finite 3-vector"),
+    "nan": (((0, 0, 1), (1, 0, 0), (0, math.nan, 0)),
+            "b must be a finite 3-vector"),
+    "huge": (((0, 0, 1e200), (1, 0, 0), (0, 1, 0)),
+             "n is not unit within 1e-08"),
+    # b = n x t holds, so the unit test alone fails.
+    "non-unit": (((0, 0, 1.0 + 1.01e-8), (1, 0, 0), (0, 1.0 + 1.01e-8, 0)),
+                 "n is not unit within 1e-08"),
+    "non-orthogonal": (((0, 0, 1), (1, 0, 1.01e-8), (0, 1, 0)),
+                       "frame not orthogonal within 1e-08"),
+    "left-handed": (((0, 0, 1), (1, 0, 0), (0, -1, 0)),
+                    "frame not right-handed within 1e-08"),
+}
+CANONICAL = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("kind", sorted(FRAME_DEFECTS))
+def test_frame_defect_names_each_failure_kind(kind):
+    (n, t, b), message = FRAME_DEFECTS[kind]
+    with pytest.raises(NotOrthonormal) as info:
+        FramePoint.loose(n, t, b)
+    assert str(info.value) == message
+    # A stack fails where one of its frames does, with the same message.
+    stack = [np.array([c, v, c], dtype=float)
+             for c, v in zip(CANONICAL, (n, t, b))]
+    assert not loose_frames_ok(*stack)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert frame_defect(*(v.T for v in stack), 1e-8) == message
+
+
+def test_frame_defect_accepts_within_its_tolerances():
+    # |n|^2 - 1 at just under 2 tol, and n . t just under tol.
+    frame = ((0.0, 0.0, 1.0 + 0.99e-8), (1.0, 0.0, 0.99e-8), (0.0, 1.0, 0.0))
+    assert frame_defect(*frame, 1e-8) is None
+    FramePoint.loose(*frame)
+    assert loose_frames_ok(*(np.array([c, v])
+                             for c, v in zip(CANONICAL, frame)))
+
+
+@pytest.mark.parametrize("r", [(1.0, 0.5, 0.25, 2.0), (1.0, 0.5), 1.0,
+                               ((1.0, 0.5, 0.25),)])
+def test_frame_field_eval_rejects_a_point_that_is_not_a_3_vector(r):
+    field = builtin_frame(Sphere())
+    with pytest.raises(OutOfRange, match="point must be a 3-vector"):
+        field.eval(r)
+    with pytest.raises(OutOfRange, match="point must be a 3-vector"):
+        field(r)
+
+
+def test_frame_field_eval_keeps_the_raw_bits():
+    field = builtin_frame(Ellipsoid(2.0, 1.0, 1.0))
+    r = [1.1, -0.4, np.float64(0.3)]
+    got = field.eval(r)
+    want = field.raw(1.1, -0.4, 0.3)
+    for vec, raw in zip((got.n, got.t, got.b), want):
+        assert vec.tobytes() == np.array(raw).tobytes()
 
 
 # --- singular-locus guards at tiny distances

@@ -11,8 +11,8 @@ import pytest
 
 from framestream import DiffConfig, builtin_frame, frame_jet, ray_oracle
 from framestream.frames import direction_from_angles
-from framestream.streaming import (angle_arrays, checked_terms,
-                                   streaming_coefficients)
+from framestream.streaming import (_angles, angle_arrays, checked_terms,
+                                   coefficient_terms, streaming_coefficients)
 from framestream.verification import default_frames, random_states
 
 ENGINES = [DiffConfig(), DiffConfig(engine="fd")]
@@ -101,3 +101,54 @@ def test_ray_probes_round_as_the_stacked_rays():
     assert got.tobytes() == want.tobytes()
     signs = np.signbit(got[got == 0.0])
     assert signs.any() and not signs.all()
+
+
+def _separate_terms(jet, mu, s, c, sn):
+    """A frozen reference for coefficient_terms that makes each
+    contraction in its own numpy call: the nine scalars from two
+    broadcast matmuls over (n, t, b), then jn @ Omega and the dots
+    t . (jn @ Omega), b . (jn @ Omega).  One state (floats) or one state
+    per point of a stacked jet."""
+    one = jet.n.ndim == 1
+    v = np.array([jet.n, jet.t, jet.b])
+    jv = np.matmul(np.array([jet.jn, jet.jt, jet.jb])[:, None],
+                   v[None, ..., None])
+    dots = np.matmul(v[None, None, ..., None, :], jv[:, :, None])[..., 0, 0]
+    sn_, st, sb = dots.tolist() if one else dots
+    s_tt, s_tb, s_bt, s_bb = sn_[1][1], sn_[2][1], sn_[1][2], sn_[2][2]
+    kn_t, kn_b, kt_b = -sn_[0][1], -sn_[0][2], -st[1][2]
+    kb_t, winding = -sb[2][1], sb[0][1]
+    mu_surface = (1.0 - mu * mu) * (c * c * s_tt + sn * c * (s_tb + s_bt)
+                                    + sn * sn * s_bb)
+    mu_curve_n = mu * s * (c * -kn_t + sn * -kn_b)
+    omega_curve, omega_wind = s * (c * kt_b - sn * kb_t), mu * winding
+    if one:
+        omega = np.array([mu * n + s * (c * t + sn * b) for n, t, b in zip(
+            jet.n.tolist(), jet.t.tolist(), jet.b.tolist())])
+        dn = jet.jn @ omega
+        t_dn, b_dn = float(jet.t @ dn), float(jet.b @ dn)
+    else:
+        m, s_, c_, sn_ = (a[:, None] for a in (mu, s, c, sn))
+        omega = m * jet.n + s_ * (c_ * jet.t + sn_ * jet.b)
+        dn = np.matmul(jet.jn, omega[..., None])[..., 0]
+        t_dn = np.matmul(dn[..., None, :], jet.t[..., None])[..., 0, 0]
+        b_dn = np.matmul(dn[..., None, :], jet.b[..., None])[..., 0, 0]
+    omega_tilt = -mu * (-sn * t_dn + c * b_dn) / s
+    return (mu_surface + mu_curve_n, omega_curve + omega_wind + omega_tilt,
+            mu_surface, mu_curve_n, omega_curve, omega_wind, omega_tilt)
+
+
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+@pytest.mark.parametrize("seed", [7, 11])
+def test_coefficient_terms_keep_the_bits_of_separate_contractions(seed, cfg):
+    for field, points, mus, omegas in _cases(seed):
+        for r, mu, omega in zip(points, mus, omegas):
+            jet, angles = frame_jet(field, r, cfg), _angles(mu, omega)
+            assert (np.array(coefficient_terms(jet, *angles)).tobytes()
+                    == np.array(_separate_terms(jet, *angles)).tobytes()), (
+                field.name, r)
+        jet = frame_jet(field, points, cfg)
+        angles = angle_arrays(mus, omegas)
+        assert (np.array(coefficient_terms(jet, *angles)).tobytes()
+                == np.array(_separate_terms(jet, *angles)).tobytes()), (
+            field.name)
