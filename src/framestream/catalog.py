@@ -10,6 +10,11 @@ stack.  Vectors are 3-tuples of such components.  Arithmetic rounds the
 same on floats and on array entries; math.hypot, math.cos and math.sin
 run per entry, since numpy's own may round otherwise.  So every entry of
 a stacked result has the bits of the single-state call.
+
+The chart chain (_norm_chain, _gram_schmidt_chain, _along and the
+ellipsoid's chart rates) unpacks each vector once and writes every
+component out, with the operations of the per-index formula in its
+order, so one state runs no generator or helper call per component.
 """
 from __future__ import annotations
 
@@ -105,39 +110,41 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def _norm_chain(w, dw):
-    """Value and chart partials of w/|w| given w and its partials."""
-    nw = _sqrt(_dot(w, w))
-    v = (w[0] / nw, w[1] / nw, w[2] / nw)
-    dv = []
-    for d in dw:
-        dv_coef = _dot(d, v)
-        dv.append(tuple((d[i] - dv_coef * v[i]) / nw for i in range(3)))
-    return v, dv
+    """Value and chart partials of w/|w| given w and its two partials."""
+    w0, w1, w2 = w
+    nw = _sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    v0, v1, v2 = w0 / nw, w1 / nw, w2 / nw
+    (a0, a1, a2), (b0, b1, b2) = dw
+    ca = a0 * v0 + a1 * v1 + a2 * v2
+    cb = b0 * v0 + b1 * v1 + b2 * v2
+    return (v0, v1, v2), (
+        ((a0 - ca * v0) / nw, (a1 - ca * v1) / nw, (a2 - ca * v2) / nw),
+        ((b0 - cb * v0) / nw, (b1 - cb * v1) / nw, (b2 - cb * v2) / nw))
 
 
 def _gram_schmidt_chain(t, dt, btil, dbtil):
     """b = btil - (btil . t) t normalized, and its chart partials."""
-    overlap = _dot(btil, t)
-    g = tuple(btil[i] - overlap * t[i] for i in range(3))
-    dg = []
-    for k in range(2):
-        coef = _dot(dbtil[k], t) + _dot(btil, dt[k])
-        dg.append(tuple(dbtil[k][i] - coef * t[i] - overlap * dt[k][i]
-                        for i in range(3)))
-    return _norm_chain(g, dg)
+    t0, t1, t2 = t
+    (ta0, ta1, ta2), (tb0, tb1, tb2) = dt
+    g0, g1, g2 = btil
+    (ga0, ga1, ga2), (gb0, gb1, gb2) = dbtil
+    overlap = g0 * t0 + g1 * t1 + g2 * t2
+    ca = (ga0 * t0 + ga1 * t1 + ga2 * t2) + (g0 * ta0 + g1 * ta1 + g2 * ta2)
+    cb = (gb0 * t0 + gb1 * t1 + gb2 * t2) + (g0 * tb0 + g1 * tb1 + g2 * tb2)
+    return _norm_chain(
+        (g0 - overlap * t0, g1 - overlap * t1, g2 - overlap * t2),
+        ((ga0 - ca * t0 - overlap * ta0, ga1 - ca * t1 - overlap * ta1,
+          ga2 - ca * t2 - overlap * ta2),
+         (gb0 - cb * t0 - overlap * tb0, gb1 - cb * t1 - overlap * tb1,
+          gb2 - cb * t2 - overlap * tb2)))
 
 
 def _along(dfield, ru, rv):
     """The derivative of a field along a vector, from its partials along
     the two chart coordinates and their rates ru, rv along the vector."""
-    d0, d1 = dfield
-    return tuple(d0[i] * ru + d1[i] * rv for i in range(3))
+    (a0, a1, a2), (b0, b1, b2) = dfield
+    return (a0 * ru + b0 * rv, a1 * ru + b1 * rv, a2 * ru + b2 * rv)
 
 
 def _chart_aux(n, t, b, dn, dt, db, rates):
@@ -166,16 +173,16 @@ def _aux_ellipsoid(fid, x, y, z):
     st, ct = sxy / lam, pz / lam
     cp, sp = px / sxy, py / sxy
 
-    chart = (a * st * cp, bb * st * sp, cc * ct)
-    x_th = (a * ct * cp, bb * ct * sp, -cc * st)
-    x_ph = (-a * st * sp, bb * st * cp, 0.0)
+    x0, x1, x2 = a * st * cp, bb * st * sp, cc * ct  # the chart point
+    h0, h1, h2 = a * ct * cp, bb * ct * sp, -cc * st  # d/d theta
+    f0, f1 = -a * st * sp, bb * st * cp  # d/d phi, third component 0
     x_thph = (-a * ct * sp, bb * ct * cp, 0.0)
 
     w_n = (st * cp / a, st * sp / bb, ct / cc)
     w_n_th = (ct * cp / a, ct * sp / bb, -st / cc)
     w_n_ph = (-st * sp / a, st * cp / bb, 0.0)
     n, dn = _norm_chain(w_n, (w_n_th, w_n_ph))
-    t, dt = _norm_chain(x_th, ((-chart[0], -chart[1], -chart[2]), x_thph))
+    t, dt = _norm_chain((h0, h1, h2), ((-x0, -x1, -x2), x_thph))
     w_b = (-a * sp, bb * cp, 0.0)
     w_b_ph = (-a * cp, -bb * sp, 0.0)
     btil, dbtil = _norm_chain(w_b, ((0.0, 0.0, 0.0), w_b_ph))
@@ -183,12 +190,21 @@ def _aux_ellipsoid(fid, x, y, z):
 
     # Chart rates (d theta, d phi) along each frame vector v, by Cramer's
     # rule on the columns (d/d rho, d/d theta, d/d phi) = (chart,
-    # lam x_th, lam x_ph).
-    c2 = (lam * x_th[0], lam * x_th[1], lam * x_th[2])
-    c3 = (lam * x_ph[0], lam * x_ph[1], lam * x_ph[2])
-    det = _dot(chart, _cross(c2, c3))
-    rates = [tuple(_dot(row, v) / det for v in (t, b, n))
-             for row in (_cross(c3, chart), _cross(chart, c2))]
+    # lam x_th, lam x_ph): rows c3 x chart and chart x c2 over
+    # det = chart . (c2 x c3), c3's third component 0.0.
+    c20, c21, c22 = lam * h0, lam * h1, lam * h2
+    c30, c31, c32 = lam * f0, lam * f1, lam * 0.0
+    det = (x0 * (c21 * c32 - c22 * c31) + x1 * (c22 * c30 - c20 * c32)
+           + x2 * (c20 * c31 - c21 * c30))
+    p0, p1, p2 = c31 * x2 - c32 * x1, c32 * x0 - c30 * x2, c30 * x1 - c31 * x0
+    q0, q1, q2 = x1 * c22 - x2 * c21, x2 * c20 - x0 * c22, x0 * c21 - x1 * c20
+    (t0, t1, t2), (b0, b1, b2), (n0, n1, n2) = t, b, n
+    rates = ((p0 * t0 + p1 * t1 + p2 * t2) / det,
+             (p0 * b0 + p1 * b1 + p2 * b2) / det,
+             (p0 * n0 + p1 * n1 + p2 * n2) / det), (
+        (q0 * t0 + q1 * t1 + q2 * t2) / det,
+        (q0 * b0 + q1 * b1 + q2 * b2) / det,
+        (q0 * n0 + q1 * n1 + q2 * n2) / det)
     return _chart_aux(n, t, b, dn, dt, db, rates)
 
 

@@ -12,11 +12,18 @@ contractions, whose bits come from its BLAS kernels: so one point and
 a stack give the same bits.  Every contraction of the frame scalars,
 with any extra vector such as Omega, is one item of two broadcast
 numpy calls (_contractions).
+
+The fd stencil of one point runs its probes in one loop inside one
+try, which names a failing probe as _probe does, and takes the
+Richardson step of every (component, direction) pair in one list
+comprehension (_richardson), the formula that the stacked stencil
+maps over its direction axis.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -60,19 +67,14 @@ def _probe(field, p):
 _AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
-def _richardson(h):
-    """The Richardson step of step h: a function of the values at the
-    probes h, -h, h/2 and -h/2 that extrapolates their central
-    differences over h and h/2, on floats, or on arrays whose entries
-    get the bits of floats.  Its denominators are taken once per step,
-    not once per call."""
+def _richardson(f_h, f_mh, f_h2, f_mh2, h):
+    """The Richardson step of step h, mapped over four equal-length
+    sequences of the values at the probes h, -h, h/2 and -h/2: the
+    central differences over h and h/2, extrapolated, as a list.  The
+    items are floats, or arrays whose entries get the bits of floats."""
     two_h, two_half_h = 2.0 * h, 2.0 * (h / 2.0)
-
-    def extrapolate(f_h, f_mh, f_h2, f_mh2):
-        d = (f_h - f_mh) / two_h
-        d_half = (f_h2 - f_mh2) / two_half_h
-        return (4.0 * d_half - d) / 3.0
-    return extrapolate
+    return [(4.0 * ((a2 - b2) / two_half_h) - (a - b) / two_h) / 3.0
+            for a, b, a2, b2 in zip(f_h, f_mh, f_h2, f_mh2)]
 
 
 def _stencil(pts, cfg):
@@ -86,13 +88,14 @@ def _stencil(pts, cfg):
 
 
 def _differences(f, cfg):
-    """Derivatives from the outputs f at the probes of _stencil, on its
-    axes, by _richardson on arrays, so that every entry has the bits of
-    _point_stencil.  Item k of the last axis is along axis k, in C order
-    as np.stack gave: a transposed layout would send later matvecs
-    through another BLAS kernel, which rounds differently."""
-    return np.ascontiguousarray(np.moveaxis(
-        _richardson(cfg.fd_step)(f[:, 0], f[:, 1], f[:, 2], f[:, 3]), 0, -1))
+    """Derivatives from the outputs f at the probes of _stencil, by
+    _richardson over its axes, one (N, ...) array per axis, so that every
+    entry has the bits of _point_stencil.  Item k of the last axis is
+    along axis k, in C order as np.stack gives it: a transposed layout
+    would send later matvecs through another BLAS kernel, which rounds
+    differently."""
+    return np.stack(_richardson(f[:, 0], f[:, 1], f[:, 2], f[:, 3],
+                                cfg.fd_step), axis=-1)
 
 
 def _point_stencil(field, r, dirs, h):
@@ -101,19 +104,30 @@ def _point_stencil(field, r, dirs, h):
     flat sequence of numbers: a (components, directions) array,
     Richardson-extrapolated over {h, h/2}.
 
-    The probes r + step * dir and the Richardson step run on floats, in
-    the operation order of _stencil and _differences, so each entry has
-    the bits of the stacked one; numpy only stores the result."""
+    The probes r + step * dir run in one loop, in the order and the
+    operation order of _stencil, and a probe where the field raises is
+    named in an EvaluationFailure, as _probe names it.  One _richardson
+    on floats then gives every (component, direction) entry in C order,
+    with the bits of the stacked one; numpy only stores the result."""
     steps = (h, -h, h / 2.0, -h / 2.0)
-    extrapolate = _richardson(h)
     x, y, z = r
-    outs = [_probe(field, (x + u * s, y + v * s, z + w * s))
-            for u, v, w in dirs for s in steps]
-    # A row per direction, mapped over the outputs at its probes
-    # component by component, then copied to (components, directions).
-    return np.ascontiguousarray(np.array([
-        list(map(extrapolate, *outs[k:k + len(steps)]))
-        for k in range(0, len(outs), len(steps))], dtype=float).T)
+    outs = []
+    try:
+        for u, v, w in dirs:
+            for s in steps:
+                p = (x + u * s, y + v * s, z + w * s)
+                outs.append(field(p))
+    except EvaluationFailure:
+        raise
+    except Exception as exc:
+        raise EvaluationFailure(f"field raised at probe {p}") from exc
+    # The outputs component by component, each over the probes in order:
+    # four values in a row are one direction's at the four steps.  Handed
+    # the one iterator four times, _richardson's zip takes them in rows
+    # of four, so its list runs over (component, direction) in C order.
+    values = itertools.chain.from_iterable(zip(*outs))
+    return np.array(_richardson(values, values, values, values, h),
+                    dtype=float).reshape(-1, len(dirs))
 
 
 def _field_stencil(field, r, dirs, h):
@@ -324,9 +338,10 @@ def _point_parts(frame_field, r, cfg: DiffConfig):
     comps = functools.partial(raw_components, frame_field)
     if cfg.engine == DUAL:
         flat = _probe(comps, dm.seed_gradient(r.tolist()))
-        vals = np.array([c.val if isinstance(c, dm.Dual) else c
+        dual = dm.Dual
+        vals = np.array([c.val if c.__class__ is dual else c
                          for c in flat], dtype=float)
-        jacs = np.array([(c.e0, c.e1, c.e2) if isinstance(c, dm.Dual)
+        jacs = np.array([(c.e0, c.e1, c.e2) if c.__class__ is dual
                          else (0.0, 0.0, 0.0) for c in flat], dtype=float)
     else:
         p = r.tolist()

@@ -8,6 +8,12 @@ full gradient in one pass; a seed of (h, 0, 0) carries the single
 direction h in ``e0``.  Math helpers below dispatch on ``float | array
 | Dual`` so the same frame code serves both plain evaluation and
 differentiation.
+
+The operations and math helpers build their results through ``_dual``,
+``object.__new__`` and four slot stores, which skips the Python frame
+of ``__init__`` that a ``Dual(...)`` call pays; they tell a Dual
+operand by ``o.__class__ is Dual``.  Float and array Duals take the
+same code.
 """
 from __future__ import annotations
 
@@ -34,49 +40,66 @@ class Dual:
         return f"Dual({self.val!r}, {self.e0!r}, {self.e1!r}, {self.e2!r})"
 
     def __add__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.val + o.val, self.e0 + o.e0, self.e1 + o.e1,
-                        self.e2 + o.e2)
-        return Dual(self.val + o, self.e0, self.e1, self.e2)
+        if o.__class__ is Dual:
+            return _dual(self.val + o.val, self.e0 + o.e0, self.e1 + o.e1,
+                         self.e2 + o.e2)
+        return _dual(self.val + o, self.e0, self.e1, self.e2)
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.val - o.val, self.e0 - o.e0, self.e1 - o.e1,
-                        self.e2 - o.e2)
-        return Dual(self.val - o, self.e0, self.e1, self.e2)
+        if o.__class__ is Dual:
+            return _dual(self.val - o.val, self.e0 - o.e0, self.e1 - o.e1,
+                         self.e2 - o.e2)
+        return _dual(self.val - o, self.e0, self.e1, self.e2)
 
     def __rsub__(self, o):
-        return Dual(o - self.val, -self.e0, -self.e1, -self.e2)
+        return _dual(o - self.val, -self.e0, -self.e1, -self.e2)
 
     def __mul__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.val * o.val,
-                        self.e0 * o.val + self.val * o.e0,
-                        self.e1 * o.val + self.val * o.e1,
-                        self.e2 * o.val + self.val * o.e2)
-        return Dual(self.val * o, self.e0 * o, self.e1 * o, self.e2 * o)
+        if o.__class__ is Dual:
+            return _dual(self.val * o.val,
+                         self.e0 * o.val + self.val * o.e0,
+                         self.e1 * o.val + self.val * o.e1,
+                         self.e2 * o.val + self.val * o.e2)
+        return _dual(self.val * o, self.e0 * o, self.e1 * o, self.e2 * o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        if isinstance(o, Dual):
+        if o.__class__ is Dual:
             inv = 1.0 / o.val
             q = self.val * inv
-            return Dual(q, (self.e0 - q * o.e0) * inv,
-                        (self.e1 - q * o.e1) * inv,
-                        (self.e2 - q * o.e2) * inv)
-        return self * (1.0 / o)
+            return _dual(q, (self.e0 - q * o.e0) * inv,
+                         (self.e1 - q * o.e1) * inv,
+                         (self.e2 - q * o.e2) * inv)
+        # Multiplication by the reciprocal, as self * (1.0 / o) computes.
+        inv = 1.0 / o
+        return _dual(self.val * inv, self.e0 * inv, self.e1 * inv,
+                     self.e2 * inv)
 
     def __rtruediv__(self, o):
         inv = 1.0 / self.val
         q = o * inv
         f = -q * inv
-        return Dual(q, f * self.e0, f * self.e1, f * self.e2)
+        return _dual(q, f * self.e0, f * self.e1, f * self.e2)
 
     def __neg__(self):
-        return Dual(-self.val, -self.e0, -self.e1, -self.e2)
+        return _dual(-self.val, -self.e0, -self.e1, -self.e2)
+
+
+_new = object.__new__
+
+
+def _dual(val, e0, e1, e2):
+    """Dual(val, e0, e1, e2) built without the call of __init__: the
+    constructor of every result of the operations and math helpers."""
+    d = _new(Dual)
+    d.val = val
+    d.e0 = e0
+    d.e1 = e1
+    d.e2 = e2
+    return d
 
 
 def value(x):
@@ -100,9 +123,9 @@ def below(x, bound) -> bool:
 # an array, and trying math first keeps the float path as fast as before.
 
 def sin(x):
-    if isinstance(x, Dual):
+    if x.__class__ is Dual:
         c = cos(x.val)
-        return Dual(sin(x.val), c * x.e0, c * x.e1, c * x.e2)
+        return _dual(sin(x.val), c * x.e0, c * x.e1, c * x.e2)
     try:
         return math.sin(x)
     except TypeError:
@@ -110,9 +133,9 @@ def sin(x):
 
 
 def cos(x):
-    if isinstance(x, Dual):
+    if x.__class__ is Dual:
         s = -sin(x.val)
-        return Dual(cos(x.val), s * x.e0, s * x.e1, s * x.e2)
+        return _dual(cos(x.val), s * x.e0, s * x.e1, s * x.e2)
     try:
         return math.cos(x)
     except TypeError:
@@ -122,10 +145,11 @@ def cos(x):
 def sqrt(x):
     if x.__class__ is float:  # the raws' most frequent call
         return math.sqrt(x)
-    if isinstance(x, Dual):
-        root = sqrt(x.val)
+    if x.__class__ is Dual:
+        v = x.val
+        root = math.sqrt(v) if v.__class__ is float else sqrt(v)
         f = 0.5 / root
-        return Dual(root, f * x.e0, f * x.e1, f * x.e2)
+        return _dual(root, f * x.e0, f * x.e1, f * x.e2)
     try:
         return math.sqrt(x)
     except TypeError:
@@ -142,7 +166,9 @@ def dot3(u, v):
 
 def normalize3(u):
     x, y, z = u
-    inv = 1.0 / sqrt(x * x + y * y + z * z)
+    sq = x * x + y * y + z * z
+    # sqrt's float path inline: the float raws' most frequent call.
+    inv = 1.0 / (math.sqrt(sq) if sq.__class__ is float else sqrt(sq))
     return (x * inv, y * inv, z * inv)
 
 

@@ -143,9 +143,9 @@ class FrameField:
     def __init__(self, raw: Callable, name: str):
         self.raw = raw
         self.name = name
-        self.n_field = lambda p: raw(p[0], p[1], p[2])[0]
-        self.t_field = lambda p: raw(p[0], p[1], p[2])[1]
-        self.b_field = lambda p: raw(p[0], p[1], p[2])[2]
+        self.n_field = _vector_field(raw, 0)
+        self.t_field = _vector_field(raw, 1)
+        self.b_field = _vector_field(raw, 2)
 
     def eval(self, r) -> FramePoint:
         x, y, z = float_3vector(r, "point").tolist()
@@ -157,6 +157,18 @@ class FrameField:
 
     def __repr__(self):
         return f"FrameField({self.name!r})"
+
+
+def _vector_field(raw, k):
+    """The field of frame vector k (0, 1, 2 for n, t, b) of a raw, at a
+    point of three coordinates: floats, Duals or arrays.  OutOfRange for
+    a point of another length, which the raw would drop or miss."""
+    def field(p):
+        if len(p) != 3:
+            raise OutOfRange(
+                f"point must be a 3-vector, not of length {len(p)}")
+        return raw(p[0], p[1], p[2])[k]
+    return field
 
 
 def float_array(x, what: str) -> np.ndarray:

@@ -311,14 +311,15 @@ def checked_terms(jet: FrameJet, mu, s, c, sn):
 def coefficients_from_jet(jet: FrameJet, mu: float, omega: float,
                           at_point=None) -> StreamingCoefficients:
     """Assemble both coefficients from a precomputed frame jet of one
-    point; OutOfRange for the jet of a stack of points."""
+    point; OutOfRange for the jet of a stack of points, or for an
+    at_point that is not a 3-vector."""
     if jet.n.ndim != 1:
         raise OutOfRange(f"the jet must be of one point, not of "
                          f"{len(jet.n)} stacked points")
     mu, s, c, sn = _angles(mu, omega)
     check_mu(mu)
     at_point = (np.zeros(3) if at_point is None
-                else float_array(at_point, "point").copy())
+                else float_3vector(at_point, "point").copy())
     (a_mu, a_omega, mu_surface, mu_curve_n, omega_curve, omega_wind,
      omega_tilt) = coefficient_terms(jet, mu, s, c, sn)
     breakdown = {"mu_surface": mu_surface, "mu_curve_n": mu_curve_n,

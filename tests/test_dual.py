@@ -21,8 +21,10 @@ def test_dual_has_three_float_components():
     assert x.eps == dm.tangent(x) == (1.0, 2.0, 3.0)
     assert dm.tangent(0.5) == (0.0, 0.0, 0.0)
     assert dm.value(x) == 0.5 and dm.value(0.5) == 0.5
-    y = x * x / (1.0 + x)
-    assert all(type(c) is float for c in (y.val, *y.eps))
+    for y in (x * x / (1.0 + x), x - 1.0, 1.0 - x, x / 3.0, 2.0 / x, -x,
+              dm.sqrt(x), dm.sin(x), dm.cos(x)):
+        assert type(y) is dm.Dual
+        assert all(type(c) is float for c in (y.val, *y.eps))
 
 
 # float.hex of the dual directional derivative of n, t and b along a

@@ -6,10 +6,14 @@ probes) and a stack runs them on arrays; both must give the same bits.
 The states are those of every default frame at two seeds, plus a point
 with -0.0 coordinates, where a probe x + 0.0 * step must round as
 numpy's r + offsets does."""
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
-from framestream import DiffConfig, builtin_frame, frame_jet, ray_oracle
+from framestream import (DiffConfig, builtin_frame, catalog_coefficients,
+                         frame_jet, ray_oracle)
 from framestream.frames import direction_from_angles
 from framestream.streaming import (_angles, angle_arrays, checked_terms,
                                    coefficient_terms, streaming_coefficients)
@@ -152,3 +156,32 @@ def test_coefficient_terms_keep_the_bits_of_separate_contractions(seed, cfg):
         assert (np.array(coefficient_terms(jet, *angles)).tobytes()
                 == np.array(_separate_terms(jet, *angles)).tobytes()), (
             field.name)
+
+
+# sha256 of the packed rows of the scatter loop below: 10 states of each
+# default frame, drawn in registry order from one generator per seed.
+SCATTER_PINS = {
+    7: "0c731c3e23b7af8ba4643474ebd42d28eb4848392642395fb32c76707c4bbd81",
+    11: "b7af3dfbc5d29448d2e41708a3a8193453a0df42a83d72d81a33d6ff753d2462",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SCATTER_PINS))
+def test_scatter_rows_are_pinned(seed):
+    """The per-state loop of the benchmark's scatter workload: per state
+    the dual and fd coefficients, the catalog and the ray oracle, each
+    row packed as eight doubles."""
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    for fid in default_frames().values():
+        field = builtin_frame(fid)
+        for r, mu, omega in random_states(fid, 10, rng):
+            dual = streaming_coefficients(field, r, mu, omega)
+            fd = streaming_coefficients(field, r, mu, omega, ENGINES[1])
+            cat = catalog_coefficients(fid, r, mu, omega)
+            ray = ray_oracle(field, r,
+                             direction_from_angles(dual.frame, mu, omega))
+            digest.update(struct.pack(
+                "8d", dual.a_mu, dual.a_omega, fd.a_mu, fd.a_omega, *cat,
+                ray.dmu_ds, ray.domega_ds))
+    assert digest.hexdigest() == SCATTER_PINS[seed]

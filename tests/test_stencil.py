@@ -314,12 +314,13 @@ class _FailsOffCentre:
 
 # With h = 1e-5 the probes run x + h, x - h, x + h/2, x - h/2, then
 # likewise along y and z: the first pick is the first probe, the second
-# the eleventh, z + h/2.
+# the eleventh, z + h/2, the third the sixth, y - h.
 @pytest.mark.parametrize("bad, probe", [
     (lambda x, y, z: x > 1.0 + 0.5e-5, "(1.00001, 0.5, 0.25)"),
     (lambda x, y, z: 0.25 + 0.25e-5 < z < 0.25 + 0.75e-5,
      "(1.0, 0.5, 0.250005)"),
-], ids=["first-probe", "eleventh-probe"])
+    (lambda x, y, z: y < 0.5 - 0.75e-5, "(1.0, 0.49999, 0.25)"),
+], ids=["first-probe", "eleventh-probe", "sixth-probe"])
 def test_fd_failure_names_the_failing_off_centre_probe(bad, probe):
     field = _FailsOffCentre(bad)
     want = f"field raised at probe {probe}"

@@ -559,6 +559,16 @@ def _unit_x(p):
     (lambda: conservation_check(_sphere(), [[1.0, 0.2, 0.3]] * 8,
                                 [0.1] * 8),
      "sample angles must be (mu, omega) pairs"),
+    # A point of another length than 3, given to an API that reads it.
+    (lambda: coefficients_from_jet(frame_jet(_sphere(), [1.0, 0.2, 0.3]),
+                                   0.3, 1.0, at_point=[1.0, 2.0]),
+     "point must be a 3-vector, not of shape (2,)"),
+    (lambda: _sphere().n_field([1.0, 0.4, 0.3, 99.0]),
+     "point must be a 3-vector, not of length 4"),
+    (lambda: _sphere().t_field([1.0, 0.4]),
+     "point must be a 3-vector, not of length 2"),
+    (lambda: _sphere().b_field((1.0,) * 4),
+     "point must be a 3-vector, not of length 4"),
 ], ids=["coefficients", "curvature-report", "winding", "kb-transform",
         "jet-rank-3", "conservation", "oracle-step-0", "oracle-step-nan",
         "oracle-direction", "holonomy-v0-nan", "holonomy-v0-short",
@@ -580,7 +590,8 @@ def _unit_x(p):
         "grad-omega-stack", "grad-omega-surface-stack", "winding-stack",
         "curvature-report-stack", "kb-transform-stack", "coefficients-stack",
         "coefficients-jet-stack", "conservation-angle-triple",
-        "conservation-angle-number"])
+        "conservation-angle-number", "coefficients-jet-at-point",
+        "n-field-4-vector", "t-field-2-vector", "b-field-4-vector"])
 def test_malformed_input_is_out_of_range(call, message):
     with pytest.raises(OutOfRange) as info:
         call()
