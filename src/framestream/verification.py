@@ -5,21 +5,30 @@ check suite behind ``verify``.
 One ray builds its probes and runs its arithmetic on Python floats, in
 the operation order of a stack of rays, and uses numpy only for the
 contraction Omega . (n, t, b), so one ray and a stack give the same
-bits."""
+bits.
+
+The check suite runs in two phases.  Every selected check first takes
+its draws from the one seeded generator, in run order: a check over
+random states (a _Sampled row) draws each frame's states and extra
+draws, and any other check runs at its turn.  Then each frame makes
+one stacked frame jet at the points of every sampled check, and each
+check's residuals read their own rows of it.  A stacked jet gives each
+row the bits of the single-point jet, so each check reports what it
+would report alone."""
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import operator
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import dual as dm
 from .catalog import catalog_coefficients
 from .curvature import ShapeOperator2x2, parallel_transport_holonomy
-from .derivatives import (DEFAULT_CFG, DiffConfig, _direction, _dot,
-                          _matvec, directional_derivative, frame_jet,
+from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, _direction,
+                          _dot, _matvec, directional_derivative, frame_jet,
                           frame_scalars)
 from .errors import (DegenerateMetric, DomainExit, EvaluationFailure,
                      InconsistentReport, OutOfRange, PolarDirection,
@@ -229,15 +238,20 @@ def conservation_check(frame_field, sample_points, sample_angles,
     _, _, c, sn = angle_arrays(mus, omegas)
     if len(points) < 8 or len(c) < 8:
         raise OutOfRange("need at least 8 spatial and 8 angular samples")
-    samples = len(points) * len(c)
+    return _conservation_report(frame_jet(frame_field, points, cfg), c, sn)
 
-    k = frame_scalars(frame_jet(frame_field, points, cfg))
+
+def _conservation_report(jet: FrameJet, c, sn) -> ConservationReport:
+    """conservation_check from the stacked frame jet at the sample
+    points and the cos and sin arrays of the sample azimuths."""
+    k = frame_scalars(jet)
     # C at each angle (rows) and point (columns).
     cs = k.normal_curvature(c[:, None], sn[:, None])
     # NaN-keeping folds, and NaN lands on the infeasible side.
     max_kn = _worst(np.abs([k.kn_t, k.kn_b]))
     max_spread = _worst(np.ptp(cs, axis=0))
     max_c = _worst(np.abs(cs))
+    samples = len(jet.n) * len(c)
 
     if not max_kn < 1e-8:
         return ConservationReport(False, "KappaNNonzero", None, None,
@@ -349,15 +363,22 @@ def _uniform_rows(rng, count, box) -> np.ndarray:
     consumed in the same order, are those of a scalar
     ``rng.uniform(low, high)`` call per entry, row by row.  Raises
     OutOfRange for a count that is not a nonnegative integer."""
-    try:
-        rows = operator.index(count)
-    except TypeError:
-        rows = -1
-    if rows < 0:
-        raise OutOfRange(f"count must be a nonnegative integer, not "
-                         f"{count!r}")
+    rows = _nonnegative_int(count, "count")
     low, high = np.array(box).T
     return rng.uniform(low, high, size=(rows, len(box)))
+
+
+def _nonnegative_int(value, what: str) -> int:
+    """value as an int; OutOfRange, naming it ``what``, unless it is a
+    nonnegative integer."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = -1
+    if number < 0:
+        raise OutOfRange(f"{what} must be a nonnegative integer, not "
+                         f"{value!r}")
+    return number
 
 
 def _draw_states(fid, count: int, rng) -> tuple:
@@ -387,51 +408,113 @@ def _angle_grid(count: int, rng) -> list:
     return list(map(tuple, _uniform_rows(rng, count, _ANGLE_BOX).tolist()))
 
 
-def _sampled_check(count, per_state, residuals, frames, rng, cfg, theta,
-                   homothetic=False):
-    """Worst residual and sample count over ``count`` random states of
-    each frame (each homothetic frame when ``homothetic``), ``per_state``
-    samples each.  Each frame's states are drawn once, by _draw_states,
-    and their (mu, s, c, sn) angle arrays and stacked frame jet are made
-    once; ``residuals(fid, field, points, omega, angles, jet, rng, cfg)``
-    returns an array of the residuals of those states.  The worst is NaN
-    when any residual is, so the check fails."""
-    found = [np.zeros(0)]
-    states = 0
-    for fid in frames.values():
-        if homothetic and not frame_spec(fid).homothetic:
-            continue
-        field = builtin_frame(fid)
-        points, mu, omega = _draw_states(fid, count, rng)
-        angles = angle_arrays(mu, omega)
-        check_mu(angles[0])
-        jet = frame_jet(field, points, cfg)
-        found.append(residuals(fid, field, points, omega, angles, jet, rng,
-                               cfg))
-        states += len(points)
-    return _worst(np.concatenate(found)), per_state * states
-
-
 def _worst(residuals) -> float:
     """The largest residual, 0.0 for none, NaN if any is NaN (Python's
     max drops a NaN that is not its first argument)."""
     return float(np.max(residuals, initial=0.0))
 
 
-def _catalog_residuals(fid, field, points, omega, angles, jet, rng, cfg):
+class _Sampled(NamedTuple):
+    """The row of a check over ``count`` random states of each frame
+    (each homothetic frame when ``homothetic``), ``per_state`` samples
+    each; run_checks draws its states and evaluates their frame jet.
+
+    ``residuals(fid, field, points, omega, angles, jet, extra)`` returns
+    an array of the residuals at one frame's states: ``points`` (N, 3),
+    ``omega`` (N,), ``angles`` the (mu, s, c, sn) arrays of angle_arrays
+    and ``jet`` the stacked frame jet at the points, followed by those
+    of ``extra_points(points)`` when that hook is set.  ``extra`` holds
+    what ``draw(rng, count)`` drew right after the frame's states, or
+    None.  The check's worst residual is ``total`` of the residuals of
+    all its frames."""
+
+    count: int
+    per_state: int
+    residuals: Callable
+    homothetic: bool = False
+    draw: Callable = None
+    extra_points: Callable = None
+    total: Callable = _worst
+
+
+def _draw(row: _Sampled, frames, rng) -> dict:
+    """Frame name -> (points, omega, angles, extra) of a sampled row,
+    drawn from rng frame by frame: each frame's states by _draw_states,
+    then its extra draws, if the row makes any."""
+    drawn = {}
+    for name, fid in frames.items():
+        if row.homothetic and not frame_spec(fid).homothetic:
+            continue
+        points, mu, omega = _draw_states(fid, row.count, rng)
+        angles = angle_arrays(mu, omega)
+        check_mu(angles[0])
+        extra = None if row.draw is None else row.draw(rng, row.count)
+        drawn[name] = points, omega, angles, extra
+    return drawn
+
+
+def _jet_points(row: _Sampled, points):
+    """The points at which a row reads the frame jet."""
+    if row.extra_points is None:
+        return points
+    return np.concatenate([points, row.extra_points(points)])
+
+
+def _rows(jet: FrameJet, start, stop) -> FrameJet:
+    """Rows start to stop (None: to the end) of a stacked jet, as
+    views."""
+    return FrameJet(jet.n[start:stop], jet.t[start:stop], jet.b[start:stop],
+                    jet.jn[start:stop], jet.jt[start:stop],
+                    jet.jb[start:stop])
+
+
+def _evaluate(drawn: dict, frames, cfg) -> dict:
+    """Check name -> (worst residual, samples) of the sampled rows in
+    ``drawn`` (name -> (row, its draws by _draw)).  Each frame makes one
+    stacked frame jet at the points of every row, in row order, and
+    each row's residuals read their own rows of it.  Every entry of a
+    stacked jet has the bits of the single-point jet, so a row's
+    residuals do not depend on the rows beside it; where the stack
+    fails, its points are replayed one by one, and the first failing
+    state, in frame order and then row order, raises its error."""
+    found = {name: [np.zeros(0)] for name in drawn}
+    for frame, fid in frames.items():
+        asks = [(name, row, states[frame])
+                for name, (row, states) in drawn.items() if frame in states]
+        if not asks:
+            continue
+        blocks = [_jet_points(row, states[0]) for _, row, states in asks]
+        field = builtin_frame(fid)
+        jet = frame_jet(field, np.concatenate(blocks), cfg)
+        stop = 0
+        for (name, row, (points, omega, angles, extra)), block in zip(
+                asks, blocks):
+            start, stop = stop, stop + len(block)
+            found[name].append(row.residuals(fid, field, points, omega,
+                                             angles, _rows(jet, start, stop),
+                                             extra))
+    out = {}
+    for name, (row, states) in drawn.items():
+        count = sum(len(points) for points, *_ in states.values())
+        out[name] = (row.total(np.concatenate(found[name])),
+                     row.per_state * count)
+    return out
+
+
+def _catalog_residuals(fid, field, points, omega, angles, jet, extra):
     a_mu, a_omega = checked_terms(jet, *angles)[:2]
     cat_mu, cat_om = catalog_coefficients(fid, points, angles[0], omega)
     return np.abs(np.concatenate([a_mu - cat_mu, a_omega - cat_om]))
 
 
-def _oracle_residuals(fid, field, points, omega, angles, jet, rng, cfg):
+def _oracle_residuals(fid, field, points, omega, angles, jet, extra):
     a_mu, a_omega = checked_terms(jet, *angles)[:2]
     oracle = ray_oracle(field, points, _direction(jet, *angles))
     return np.abs(np.concatenate([a_mu - oracle.dmu_ds,
                                   a_omega - oracle.domega_ds]))
 
 
-def _form_residuals(fid, field, points, omega, angles, jet, rng, cfg):
+def _form_residuals(fid, field, points, omega, angles, jet, extra):
     """The spread of each coefficient over its routes at each state,
     less the routes whose leaf is missing there; NaN if a kept one is."""
     spreads = []
@@ -444,11 +527,16 @@ def _form_residuals(fid, field, points, omega, angles, jet, rng, cfg):
     return np.concatenate(spreads)
 
 
-def _identity_residuals(fid, field, points, omega, angles, jet, rng, cfg):
+def _normal_rows(rng, count):
+    """``count`` rows of three standard normal draws."""
+    return rng.normal(size=(count, 3))
+
+
+def _identity_residuals(fid, field, points, omega, angles, jet, h):
     """|u . grad_h u| and |u . grad_h v + v . grad_h u| for the frame
-    vectors u, v along a random unit h, one h per state."""
-    h = rng.normal(size=(len(points), 3))
-    h /= np.sqrt(_dot(h, h))[:, None]
+    vectors u, v along a unit h, one h per state: the rows of h,
+    normalized."""
+    h = h / np.sqrt(_dot(h, h))[:, None]
     vecs = (jet.n, jet.t, jet.b)
     rates = [_matvec(jac, h) for jac in (jet.jn, jet.jt, jet.jb)]
     out = []
@@ -462,19 +550,24 @@ def _identity_residuals(fid, field, points, omega, angles, jet, rng, cfg):
 _SCALES = (0.5, 2.0, 10.0)
 
 
-def _homothety_residuals(fid, field, points, omega, angles, jet, rng, cfg):
+def _scaled_points(points):
+    """Each point at each of _SCALES in turn, (3N, 3)."""
+    return np.tile(_SCALES, len(points))[:, None] * np.repeat(
+        points, len(_SCALES), axis=0)
+
+
+def _homothety_residuals(fid, field, points, omega, angles, jet, extra):
     """Relative misfit of a(scale r) = a(r) / scale at three scales; the
-    scaled points of all states share one stacked jet.
+    jet holds the N points, then their _scaled_points.
 
     The misfit is relative to |a(r)|, floored at the coefficient scale
     1/|r| that homothety fixes: where a(r) nearly vanishes, a fixed
     floor would read the fd engine's absolute error as a large relative
     one."""
-    a_mu, a_omega = checked_terms(jet, *angles)[:2]
-    scales = np.tile(_SCALES, len(points))
-    scaled_jet = frame_jet(field, scales[:, None] * np.repeat(
-        points, len(_SCALES), axis=0), cfg)
-    s_mu, s_omega = checked_terms(scaled_jet, *(
+    count = len(points)
+    a_mu, a_omega = checked_terms(_rows(jet, 0, count), *angles)[:2]
+    scales = np.tile(_SCALES, count)
+    s_mu, s_omega = checked_terms(_rows(jet, count, None), *(
         np.repeat(a, len(_SCALES)) for a in angles))[:2]
     lead = np.repeat([a_mu, a_omega], len(_SCALES), axis=1)
     trail = np.array([s_mu, s_omega])
@@ -483,25 +576,32 @@ def _homothety_residuals(fid, field, points, omega, angles, jet, rng, cfg):
             / np.maximum(np.abs(lead), floor)).ravel()
 
 
+# The random points and angles of conservation_check on one frame.
+_CONSERVATION_POINTS, _CONSERVATION_ANGLES = 64, 16
+
+
 def sampled_conservation(fid, rng,
                          cfg: DiffConfig = DEFAULT_CFG) -> ConservationReport:
     """conservation_check of the frame ``fid`` names at 64 of its random
     points and 16 random angles, drawn from rng in that order."""
-    points = _draw_states(fid, 64, rng)[0]
+    points = _draw_states(fid, _CONSERVATION_POINTS, rng)[0]
     return conservation_check(builtin_frame(fid), points,
-                              _angle_grid(16, rng), cfg)
+                              _angle_grid(_CONSERVATION_ANGLES, rng), cfg)
 
 
-def _check_conservation(frames, rng, cfg, theta):
-    bad = 0
-    samples = 0
-    for name, fid in frames.items():
-        report = sampled_conservation(fid, rng, cfg)
-        samples += report.samples_checked
-        if ((report.feasible, report.reason)
-                != BUILTIN_FRAMES[name].conservation):
-            bad += 1
-    return float(bad), samples
+def _angle_rows(rng, count):
+    """The (mu, omega) pairs that _angle_grid draws for conservation, as
+    the rows of an array, whatever the row's count of states."""
+    return _uniform_rows(rng, _CONSERVATION_ANGLES, _ANGLE_BOX)
+
+
+def _conservation_residuals(fid, field, points, omega, angles, jet, grid):
+    """1.0 where the conservation verdict at the points and at the
+    (mu, omega) rows of grid is not the one that the frame's registry
+    row expects, else 0.0."""
+    report = _conservation_report(jet, *angle_arrays(*grid.T)[2:])
+    return np.array([float((report.feasible, report.reason)
+                           != frame_spec(fid).conservation)])
 
 
 def _latitude_loop(theta: float, steps: int):
@@ -547,22 +647,21 @@ def _check_kb_transform(cfg):
     return kb_transform_residual(field, r, cfg), 1
 
 
-def _sampled(count, per_state, residuals, homothetic=False):
-    """The runner of a sampled check: _sampled_check with its settings."""
-    return functools.partial(_sampled_check, count, per_state, residuals,
-                             homothetic=homothetic)
-
-
-# name -> (tolerance, report only, runner), in run order.  Each runner
-# takes (frames, rng, cfg, theta) and returns (worst residual, samples).
+# name -> (tolerance, report only, runner), in run order.  A sampled row
+# is a _Sampled; any other runner takes (frames, rng, cfg, theta) and
+# returns (worst residual, samples).
 _CHECKS = {
-    "catalog-agreement": (1e-7, False, _sampled(60, 1, _catalog_residuals)),
-    "oracle-agreement": (1e-6, False, _sampled(40, 1, _oracle_residuals)),
-    "form-equivalence": (1e-8, False, _sampled(40, 1, _form_residuals)),
-    "frame-identities": (1e-8, False, _sampled(40, 1, _identity_residuals)),
-    "homothety": (1e-8, False, _sampled(20, 3, _homothety_residuals,
-                                         homothetic=True)),
-    "conservation-trichotomy": (0.0, False, _check_conservation),
+    "catalog-agreement": (1e-7, False, _Sampled(60, 1, _catalog_residuals)),
+    "oracle-agreement": (1e-6, False, _Sampled(40, 1, _oracle_residuals)),
+    "form-equivalence": (1e-8, False, _Sampled(40, 1, _form_residuals)),
+    "frame-identities": (1e-8, False, _Sampled(40, 1, _identity_residuals,
+                                               draw=_normal_rows)),
+    "homothety": (1e-8, False, _Sampled(20, 3, _homothety_residuals,
+                                        homothetic=True,
+                                        extra_points=_scaled_points)),
+    "conservation-trichotomy": (0.0, False, _Sampled(
+        _CONSERVATION_POINTS, _CONSERVATION_ANGLES, _conservation_residuals,
+        draw=_angle_rows, total=np.sum)),
     "holonomy-convergence": (1e-3, False, _check_holonomy),
     "kb-transform-residual": (
         0.0, True, lambda frames, rng, cfg, theta: _check_kb_transform(cfg)),
@@ -584,18 +683,33 @@ def selected_checks(check_filter: str = None) -> list:
 def run_checks(frame_filter: str = None, check_filter: str = None,
                seed: int = 0, cfg: DiffConfig = DEFAULT_CFG,
                holonomy_theta: float = math.pi / 3.0) -> list:
-    """Run the verification suite; returns a list of CheckResult."""
+    """Run the verification suite; returns a list of CheckResult.
+
+    Every selected row first takes its draws from the one generator
+    that ``seed`` starts, in run order: a sampled row draws each frame's
+    states and extra draws, and any other runner runs at its turn.  Then
+    each frame makes one stacked frame jet for all the sampled rows
+    (_evaluate).  Raises OutOfRange for a seed that is not a nonnegative
+    integer."""
     frames = default_frames()
     if frame_filter is not None:
         if frame_filter not in frames:
             raise OutOfRange(f"unknown frame {frame_filter!r}")
         frames = {frame_filter: frames[frame_filter]}
     wanted = selected_checks(check_filter)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_nonnegative_int(seed, "seed"))
+    found, drawn = {}, {}
+    for name in wanted:
+        runner = _CHECKS[name][2]
+        if isinstance(runner, _Sampled):
+            drawn[name] = runner, _draw(runner, frames, rng)
+        else:
+            found[name] = runner(frames, rng, cfg, holonomy_theta)
+    found.update(_evaluate(drawn, frames, cfg))
     results = []
     for name in wanted:
-        tol, report_only, runner = _CHECKS[name]
-        worst, samples = runner(frames, rng, cfg, holonomy_theta)
+        tol, report_only, _ = _CHECKS[name]
+        worst, samples = found[name]
         status = ("report-only" if report_only
                   else "pass" if worst <= tol else "fail")
         results.append(CheckResult(name=name, status=status,

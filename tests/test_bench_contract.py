@@ -93,14 +93,15 @@ def test_traced_sweep_is_one_grid_pass(tracing, tmp_path, capsys):
 
 
 # Per-layer counts of one traced `verify --seed 7`.  Dual jets, one raw
-# call each: a stacked jet per frame for catalog, oracle, forms,
-# identities and conservation (35), two per homothetic frame (8) and the
-# kb-transform point.  Raw calls on float arrays: one per frame for all
-# of its ray oracle probes (7) and one per holonomy loop (3).  The
-# catalog and the ray oracle take each frame's states as one stack.
+# call each: one stacked jet per frame (7) at the states of every
+# sampled check (catalog, oracle, forms, identities, homothety with its
+# scaled points, and conservation), and the kb-transform point.  Raw
+# calls on float arrays: one per frame for all of its ray oracle probes
+# (7) and one per holonomy loop (3).  The catalog and the ray oracle
+# take each frame's states as one stack.
 VERIFY_SEED_7_COUNTS = {
-    "derivatives.frame_jet.dual.calls": 44,
-    "frames.raw.dual.calls": 44,
+    "derivatives.frame_jet.dual.calls": 8,
+    "frames.raw.dual.calls": 8,
     "frames.raw.float.calls": 10,
     "catalog.catalog_coefficients.calls": 7,
     "verification.ray_oracle.calls": 7,

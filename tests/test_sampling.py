@@ -10,13 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from framestream import DiffConfig, OutOfRange
+from framestream import OutOfRange, frame_jet, run_checks, verification
 from framestream.frames import (BUILTIN_FRAMES, Constant, CylindricalI,
                                 CylindricalII, Ellipsoid, Graph, Paraboloid,
                                 Sphere)
 from framestream.streaming import _angles, angle_arrays
-from framestream.verification import (_angle_grid, _sampled_check,
-                                      default_frames, random_states)
+from framestream.verification import (_angle_grid, default_frames,
+                                      random_states)
 
 TWO_PI = 2.0 * math.pi
 
@@ -154,19 +154,22 @@ def test_integer_like_count_is_accepted():
 
 
 @pytest.mark.parametrize("seed", [7, 11])
-def test_verify_draws_the_states_of_random_states(seed):
-    """_sampled_check draws each frame's states once, as arrays that it
-    hands to the residual runner: those of random_states on the same
-    generator, bit for bit."""
+def test_verify_draws_the_states_of_random_states(seed, monkeypatch):
+    """A sampled row of run_checks draws each frame's states once, as
+    arrays that it hands to the row's residuals with the frame jet at
+    them: those of random_states on the same generator, bit for bit."""
     seen = []
 
-    def spy(fid, field, points, omega, angles, jet, rng, cfg):
+    def spy(fid, field, points, omega, angles, jet, extra):
         seen.append((fid, points, angles[0], omega))
+        assert jet.n.tobytes() == frame_jet(field, points).n.tobytes()
         return np.zeros(0)
 
+    monkeypatch.setattr(verification, "_CHECKS", {
+        "spy": (0.0, False, verification._Sampled(60, 1, spy))})
+    [result] = run_checks(seed=seed)
+    assert (result.max_residual, result.samples) == (0.0, 7 * 60)
     frames = default_frames()
-    _sampled_check(60, 1, spy, frames, np.random.default_rng(seed),
-                   DiffConfig(), None)
     assert [fid for fid, *_ in seen] == list(frames.values())
     rng = np.random.default_rng(seed)
     for fid, points, mu, omega in seen:

@@ -193,7 +193,7 @@ def test_form_residuals_match_a_per_state_loop_with_mixed_leaves():
     assert not has_leaf(jet, OmegaForm.SURFACE_T).any()
     got = _form_residuals(fid, field, None, None, angle_arrays(
         [mu for _, mu, _ in states], [omega for _, _, omega in states]),
-        jet, None, DiffConfig())
+        jet, None)
     want = {grad_mu: [], grad_omega: []}
     for r, mu, omega in states:
         for grad, forms in ((grad_mu, MuForm), (grad_omega, OmegaForm)):
@@ -230,7 +230,7 @@ def test_a_nan_leaf_defect_keeps_its_route(monkeypatch):
         False, False, False, True, False, False]
     spreads = _form_residuals(fid, field, None, None, angle_arrays(
         [mu for _, mu, _ in states], [omega for _, _, omega in states]),
-        jet, None, DiffConfig())
+        jet, None)
     # State 0 has no b-leaf, so its NaN route is left out; the b-leaf
     # defect of state 3 is NaN, so its route is kept, and the NaN with it.
     omega = spreads[len(states):]
@@ -509,3 +509,55 @@ VERIFY_FD_STDOUT = {
 def test_verify_fd_stdout_is_pinned_byte_for_byte(seed, capsys):
     _check_verify_stdout(["verify", "--engine", "fd", "--seed", str(seed)],
                          1416, VERIFY_FD_STDOUT[seed], capsys)
+
+
+# The same for filtered runs, whose draws interleave differently from a
+# full pass: each check's states and extra draws come from the one
+# generator in row order, frame by frame, whatever rows run beside them.
+# Keyed by (engine, seed, filter flags): (stdout bytes, sha256, texts).
+VERIFY_FILTERED_STDOUT = {
+    ("dual", 7, ("--check", "identities")): (254, (
+        "1cd6e6c8470a5f4a037e43ab4aafcc94f01adfcbce7882a53a9cadb9bb8c2816",
+        ["7.0776717819853729e-16"])),
+    ("dual", 11, ("--check", "identities")): (255, (
+        "c912040ea61276537bff4a208780073644be320a61973247499ce3a638ae164c",
+        ["1.1102230246251565e-15"])),
+    ("dual", 7, ("--frame", "sphere", "--check", "homothety")): (246, (
+        "6cb3493cf3304dc48b7db38c0f2f00027d269e8148dbcae580b0d7f6b4f7ab4b",
+        ["7.7870927133813846e-16"])),
+    ("dual", 11, ("--frame", "sphere", "--check", "homothety")): (247, (
+        "6b0e53b53fccde23958d74e7b4986f6480b5e47187f579195971f7fed0c837f7",
+        ["9.7039121028130637e-16"])),
+    ("dual", 7, ("--frame", "ellipsoid")): (1413, (
+        "995cddc7ebaa80394d44bda4a434970e125ad7321c5401cd9c0f0c74a05d7263",
+        ["1.1102230246251565e-15", "6.0729199446996063e-12",
+         "6.6613381477509392e-16", "1.1102230246251565e-15",
+         "7.4517743110760862e-16", "0", "1.9378934874580978e-06",
+         "0.50226597644221083"])),
+    ("fd", 7, ("--check", "identities")): (252, (
+        "ee0ed2600edc636d5e0617c63d965c8fe91242527a4833773bd09e0ef82401bc",
+        ["7.2876649159780982e-11"])),
+    ("fd", 11, ("--check", "identities")): (253, (
+        "f276bfe5f7443d51b5683ba07d5b68362c6fd738847c8d04f3ee7262a72c6e07",
+        ["8.5273232919291786e-11"])),
+    ("fd", 7, ("--frame", "sphere", "--check", "homothety")): (244, (
+        "2d838cf7d228549817ff6e6e1ce5e8ecae0ea8adb00445607185f9b637471e24",
+        ["2.0095648663440118e-10"])),
+    ("fd", 11, ("--frame", "sphere", "--check", "homothety")): (245, (
+        "17467af845a1013d32eb387c9713763764b6550556e244310945fc78a5bf85df",
+        ["6.1780987864534145e-10"])),
+    ("fd", 7, ("--frame", "ellipsoid")): (1410, (
+        "18e37e081ede3a2b127f02b7a650f8ac4a8d1180e86be0aed894a4175777e277",
+        ["4.8213988357304061e-11", "3.124278613597653e-11",
+         "4.3954229145271029e-11", "6.0409177660147861e-11",
+         "7.4996702918459942e-10", "0", "1.9378934874580978e-06",
+         "0.50226597643568838"])),
+}
+
+
+@pytest.mark.parametrize("engine, seed, flags", sorted(VERIFY_FILTERED_STDOUT))
+def test_filtered_verify_stdout_is_pinned_byte_for_byte(engine, seed, flags,
+                                                        capsys):
+    size, pin = VERIFY_FILTERED_STDOUT[engine, seed, flags]
+    _check_verify_stdout(["verify", "--engine", engine, "--seed", str(seed),
+                          *flags], size, pin, capsys)

@@ -209,6 +209,23 @@ def test_run_checks_rejects_unknown_frame():
         run_checks(frame_filter="torus")
 
 
+@pytest.mark.parametrize("seed, shown", [
+    (-1, "-1"), (1.5, "1.5"), ("a", "'a'"), (None, "None"),
+    (np.int64(-2), "np.int64(-2)"),
+], ids=["negative", "float", "string", "none", "numpy-negative"])
+def test_run_checks_rejects_a_seed_that_is_no_nonnegative_integer(seed,
+                                                                  shown):
+    with pytest.raises(OutOfRange) as info:
+        run_checks(check_filter="kb", seed=seed)
+    assert str(info.value) == \
+        f"seed must be a nonnegative integer, not {shown}"
+
+
+def test_run_checks_takes_an_integer_like_seed():
+    assert run_checks(check_filter="identities", seed=np.int64(7)) == \
+        run_checks(check_filter="identities", seed=7)
+
+
 # The report of `framestream verify --seed 7 --no-timestamp`: names,
 # statuses, tolerances and sample counts exactly, residuals within 1e-6
 # relative.  A change to the frame order, the samplers' draws from the
@@ -246,12 +263,15 @@ def test_homothety_floor_keeps_a_non_homothetic_misfit_large():
     fid = Paraboloid(1.0, 2.0)
     field = builtin_frame(fid)
     states = random_states(fid, 20, np.random.default_rng(7))
-    jet = frame_jet(field, np.array([r for r, _, _ in states]))
+    points = np.array([r for r, _, _ in states])
+    # The jet at the points, then at each point scaled by each scale.
+    jet = frame_jet(field, np.concatenate(
+        [points, verification._scaled_points(points)]))
     residuals = _homothety_residuals(
-        fid, field, np.array([r for r, _, _ in states]), None,
+        fid, field, points, None,
         verification.angle_arrays([mu for _, mu, _ in states],
                                   [omega for _, _, omega in states]),
-        jet, None, DiffConfig())
+        jet, None)
     assert residuals.shape == (120,)
     assert np.median(residuals) > 1e-2
 
