@@ -54,7 +54,7 @@ __all__ = [
     "curvature_report", "direction_from_angles", "directional_derivative",
     "foliation_defect", "frame_jet", "grad_mu", "grad_omega",
     "integral_curve_curvature", "integrate_curve", "jacobian",
-    "kb_transform_residual", "normal_curvature",
+    "kb_transform_residual", "normal_curvature", "orthonormalize",
     "parallel_transport_holonomy", "printed_cyl2_grad_mu", "ray_oracle",
     "run_checks", "shape_operator", "shape_operator_via_fundamental_forms",
     "streaming_coefficients", "winding_term",

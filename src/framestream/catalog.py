@@ -27,7 +27,8 @@ import numpy as np
 from .errors import OutOfRange, OutsideValidRegion
 from .frames import (Constant, CylindricalI, CylindricalII, Ellipsoid,
                      Graph, Paraboloid, Sphere, _each, _on_arrays,
-                     any_true, float_angles, float_array, on_stack)
+                     any_true, float_3vector, float_angles, float_array,
+                     on_stack)
 
 _AUX_KEYS = ("s_tt", "s_tb", "s_bt", "s_bb", "kn_t", "kn_b",
              "kt_b", "kb_t", "winding")
@@ -283,7 +284,7 @@ def _row(fid):
 
 def _aux_at(fid, r):
     """The nine auxiliary scalars at one point r."""
-    x, y, z = (float(r[0]), float(r[1]), float(r[2]))
+    x, y, z = float_3vector(r, "point").tolist()
     return _row(fid)[0](fid, x, y, z)
 
 

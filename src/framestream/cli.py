@@ -18,7 +18,7 @@ from .frames import (BUILTIN_FRAMES, Constant, Sphere, _place_cylinder,
                      _shell_placement, builtin_frame)
 from .streaming import angle_arrays, check_mu, checked_terms
 from .verification import (_circle_loop, _latitude_loop, run_checks,
-                           sampled_conservation, selected_checks)
+                           sampled_conservation)
 
 FRAME_NAMES = tuple(BUILTIN_FRAMES)
 _MIN_HOLONOMY_STEPS = 7
@@ -75,7 +75,9 @@ def _write_out(chunks, args) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _write_doc(doc, args) -> None:
+def _write_doc(args, **body) -> None:
+    """The report {"version": 1, <body>, "meta": ...} as JSON."""
+    doc = {"version": 1, **body, "meta": _meta(args)}
     _write_out([_emit_json(doc) + "\n"], args)
 
 
@@ -171,7 +173,10 @@ def _emit_states(field, points, mus, omegas, args) -> int:
     frame jet, and the directions broadcast against each point's
     scalars in one numpy pass.  When that pass fails, the points are
     replayed one by one, so that the error is that of the first failing
-    point.  Nothing is written when a state fails."""
+    point.  Nothing is written when a state fails.  Unlike the other
+    commands, it prints its errors itself rather than leaving them to
+    main: they name the failing point, and a mu out of range exits 3,
+    as an evaluation failure, although check_mu raises OutOfRange."""
     cfg = _cfg(args)
     angles = angle_arrays(mus, omegas)
     try:
@@ -210,16 +215,14 @@ def _cmd_coeffs(args) -> int:
         else:
             points = [_place_cylinder(args.rho, phi, args.z)]
     else:
-        print("error: provide --point or --rho", file=sys.stderr)
-        return 2
+        raise OutOfRange("provide --point or --rho")
     return _emit_states(field, points, [args.mu], [args.omega], args)
 
 
 def _cmd_sweep(args) -> int:
     field = builtin_frame(_fid(args))
     if args.mu_count < 1 or args.omega_count < 1:
-        print("error: angular counts must be >= 1", file=sys.stderr)
-        return 2
+        raise OutOfRange("angular counts must be >= 1")
     nodes, _ = np.polynomial.legendre.leggauss(args.mu_count)
     omegas = [2.0 * math.pi * j / args.omega_count
               for j in range(args.omega_count)]
@@ -231,19 +234,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # Bad flag values raise OutOfRange here, outside the try: exit 2.
-    cfg = _cfg(args)
-    selected_checks(args.check)
-    try:
-        results = run_checks(frame_filter=args.frame,
-                             check_filter=args.check, seed=args.seed,
-                             cfg=cfg, holonomy_theta=args.theta)
-    except FramestreamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    doc = {"version": 1, "checks": [dataclasses.asdict(c) for c in results],
-           "meta": _meta(args)}
-    _write_doc(doc, args)
+    results = run_checks(frame_filter=args.frame, check_filter=args.check,
+                         seed=args.seed, cfg=_cfg(args),
+                         holonomy_theta=args.theta)
+    _write_doc(args, checks=[dataclasses.asdict(c) for c in results])
     failed = [c for c in results if c.status == "fail"]
     if failed:
         print(f"FAIL: {failed[0].name}", file=sys.stderr)
@@ -252,43 +246,27 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_conservation(args) -> int:
-    fid = _fid(args)
-    # Bad flag values raise OutOfRange here, outside the try: exit 2.
-    cfg = _cfg(args)
-    try:
-        report = sampled_conservation(fid, np.random.default_rng(args.seed),
-                                      cfg)
-    except FramestreamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    report = sampled_conservation(_fid(args), np.random.default_rng(args.seed),
+                                  _cfg(args))
     f_name = g_name = None
     if report.feasible:
         probe = np.array([0.0, 0.0, 2.0])
         f_name = "rho" if abs(report.f_factor(probe) - 2.0) < 1e-12 else "1"
         g_name = "1" if abs(report.g_factor(probe) - 1.0) < 1e-12 else "rho"
-    doc = {"version": 1,
-           "conservation": {"frame": args.frame,
-                            "feasible": report.feasible,
-                            "reason": report.reason,
-                            "f": f_name, "g": g_name,
-                            "samples_checked": report.samples_checked},
-           "meta": _meta(args)}
-    _write_doc(doc, args)
+    _write_doc(args, conservation={
+        "frame": args.frame, "feasible": report.feasible,
+        "reason": report.reason, "f": f_name, "g": g_name,
+        "samples_checked": report.samples_checked})
     return 0
 
 
 def _cmd_holonomy(args) -> int:
-    # Bad flag values raise OutOfRange here: exit 2.
-    _cfg(args)
+    _cfg(args)  # checks --engine and --fd-step
     steps = args.steps
     if steps < _MIN_HOLONOMY_STEPS:
-        print(f"error: --steps must be at least {_MIN_HOLONOMY_STEPS}",
-              file=sys.stderr)
-        return 2
+        raise OutOfRange(f"--steps must be at least {_MIN_HOLONOMY_STEPS}")
     if args.radius <= 0.0:  # nan passes, and exits 3 naming a vertex
-        print(f"error: --radius must be positive, not {args.radius}",
-              file=sys.stderr)
-        return 2
+        raise OutOfRange(f"--radius must be positive, not {args.radius}")
     if args.frame == "constant":
         loop, v0, expected = _circle_loop(args.radius, steps)
         field = builtin_frame(Constant())
@@ -296,18 +274,11 @@ def _cmd_holonomy(args) -> int:
         loop, v0, expected = _latitude_loop(args.theta, steps)
         loop = args.radius * loop
         field = builtin_frame(Sphere())
-    try:
-        angle = parallel_transport_holonomy(field, loop, v0)
-    except FramestreamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    doc = {"version": 1,
-           "holonomy": {"frame": args.frame, "theta": args.theta,
-                        "steps": steps, "angle": angle,
-                        "expected": expected,
-                        "error": abs(angle - expected)},
-           "meta": _meta(args)}
-    _write_doc(doc, args)
+    angle = parallel_transport_holonomy(field, loop, v0)
+    _write_doc(args, holonomy={
+        "frame": args.frame, "theta": args.theta, "steps": steps,
+        "angle": angle, "expected": expected,
+        "error": abs(angle - expected)})
     return 0
 
 
@@ -381,12 +352,13 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise OutOfRange(f"--seed must be at least 0, not {args.seed}")
         return args.func(args)
-    except OutOfRange as exc:
-        # A flag value the parser accepts but a frame, DiffConfig, the
-        # check filter or the seed test above rejects.  The commands
-        # catch failures of the evaluation itself and exit 3.
+    except FramestreamError as exc:
+        # The one map from errors to exit codes.  OutOfRange is a flag
+        # value the parser accepts but a frame id, DiffConfig, the check
+        # filter or a flag test rejects: exit 2.  Any other error is a
+        # failed evaluation: exit 3.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, OutOfRange) else 3
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameScalars, _dot,
                           frame_scalars, jacobian, twist)
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
                      NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
-from .frames import (float_3vector, float_array, float_vector,
+from .frames import (float_3vector, float_array, float_scalar, float_vector,
                      on_stack, raw_components, raw_parts)
 
 
@@ -129,7 +129,11 @@ def shape_operator(normal_field, basis1_field, basis2_field, r,
 
 def normal_curvature(shape: ShapeOperator2x2, omega: float) -> float:
     """Quadratic form of the shape operator in the azimuth direction:
-    FrameScalars.normal_curvature of its entries."""
+    FrameScalars.normal_curvature of its entries.  OutOfRange where
+    omega is not a finite number."""
+    omega = float_scalar(omega, "omega")
+    if not math.isfinite(omega):
+        raise OutOfRange(f"omega = {omega} is not finite")
     (s_tt, s_tb), (s_bt, s_bb) = shape.matrix.tolist()
     leaf = FrameScalars(s_tt, s_tb, s_bt, s_bb, *[0.0] * 5)
     return leaf.normal_curvature(math.cos(omega), math.sin(omega))

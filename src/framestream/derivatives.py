@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +46,9 @@ class DiffConfig:
     def __post_init__(self):
         if self.engine not in (DUAL, FD):
             raise OutOfRange(f"unknown engine {self.engine!r}")
+        if not isinstance(self.fd_step, numbers.Real):
+            raise OutOfRange(f"fd_step must be a number, not "
+                             f"{self.fd_step!r}")
         if not 1e-9 <= self.fd_step <= 1e-2:
             raise OutOfRange("fd_step must lie in [1e-9, 1e-2]")
 

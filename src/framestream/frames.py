@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import numbers
 import warnings
 from typing import Callable
 
@@ -80,15 +81,16 @@ class FramePoint:
 
     Raises NotOrthonormal (a ValueError) with the message of
     frame_defect when a vector is not a finite 3-vector, or the vectors
-    miss unit norm, orthogonality, or b = n x t beyond ``tol``.
+    miss unit norm, orthogonality, or b = n x t beyond ``tol``; and
+    OutOfRange, naming the vector, where it is not an array of numbers.
     """
 
     __slots__ = ("n", "t", "b")
 
     def __init__(self, n, t, b, tol: float = _STRICT_TOL):
-        n = np.asarray(n, dtype=float)
-        t = np.asarray(t, dtype=float)
-        b = np.asarray(b, dtype=float)
+        n = float_array(n, "n")
+        t = float_array(t, "t")
+        b = float_array(b, "b")
         # The test runs on Python floats: for one 3-vector triple it
         # costs a few microseconds, where numpy dot/cross calls cost ~70.
         # A vector of another shape fails it as NaNs do, at its turn.
@@ -187,6 +189,22 @@ def float_3vector(x, what: str) -> np.ndarray:
     if v.shape != (3,):
         raise OutOfRange(f"{what} must be a 3-vector, not of shape {v.shape}")
     return v
+
+
+def float_scalar(x, what: str) -> float:
+    """x as a Python float, NaN and inf kept, or OutOfRange naming
+    ``what`` where it is not a number."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise OutOfRange(f"{what} must be a number: {exc}") from exc
+
+
+def finite_numbers(*values) -> bool:
+    """True if every value is a real number, neither infinite nor NaN:
+    the test of the numbers that a frame id holds."""
+    return all(isinstance(v, numbers.Real) and math.isfinite(v)
+               for v in values)
 
 
 def float_angles(mu, omega) -> tuple:
@@ -304,7 +322,11 @@ class Ellipsoid:
     c: float
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) <= 0:
+        axes = (self.a, self.b, self.c)
+        if not finite_numbers(*axes):
+            raise OutOfRange(
+                f"ellipsoid semi-axes must be finite numbers, not {axes}")
+        if min(axes) <= 0:
             raise OutOfRange("ellipsoid semi-axes must be positive")
 
 
@@ -314,6 +336,11 @@ class Paraboloid:
 
     a: float
     b: float
+
+    def __post_init__(self):
+        if not finite_numbers(self.a, self.b):
+            raise OutOfRange(f"paraboloid coefficients must be finite "
+                             f"numbers, not {(self.a, self.b)}")
 
     def as_graph(self) -> "Graph":
         """The same surface as a Graph id."""

@@ -24,7 +24,7 @@ from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange, PolarDirection)
 from .frames import (_POLAR_TOL, FramePoint, _each, all_true,
                      check_mu_range, direction_from_angles, float_3vector,
-                     float_angles, float_array, float_vector,
+                     float_angles, float_array, float_scalar, float_vector,
                      loose_frames_ok, on_stack)
 
 _BREAKDOWN_RTOL = 1e-10
@@ -347,8 +347,9 @@ def apply_streaming(coeffs: StreamingCoefficients, omega_dir,
 
     OutOfRange where omega_dir is not a 3-vector, InconsistentDirection
     where it does not reconstruct from (mu, omega, frame) within 1e-10
-    (a NaN entry included), and OutOfRange where spatial_grad_psi is not
-    a finite 3-vector."""
+    (a NaN entry included), OutOfRange where spatial_grad_psi is not
+    a finite 3-vector, and OutOfRange where dpsi_dmu or dpsi_domega is
+    not a number."""
     d = float_3vector(omega_dir, "direction")
     _, mu, omega = coeffs.at
     rebuilt = direction_from_angles(coeffs.frame, mu, omega)
@@ -356,5 +357,7 @@ def apply_streaming(coeffs: StreamingCoefficients, omega_dir,
         raise InconsistentDirection(
             "direction does not match the coefficient state")
     grad = float_vector(spatial_grad_psi, "spatial gradient")
+    dpsi_dmu = float_scalar(dpsi_dmu, "dpsi_dmu")
+    dpsi_domega = float_scalar(dpsi_domega, "dpsi_domega")
     return float(d @ grad + coeffs.a_mu * dpsi_dmu
                  + coeffs.a_omega * dpsi_domega)

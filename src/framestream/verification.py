@@ -35,8 +35,8 @@ from .errors import (DegenerateMetric, DomainExit, EvaluationFailure,
                      UnwrapFailure)
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere, _each,
                      all_true, any_true, builtin_frame, float_3vector,
-                     float_array, frame_spec, on_stack, raw_components,
-                     raw_parts)
+                     float_array, float_scalar, frame_spec, on_stack,
+                     raw_components, raw_parts)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
 from .streaming import (MuForm, OmegaForm, angle_arrays, check_mu,
                         checked_terms, grad_mu_from_jet, grad_omega_from_jet,
@@ -103,6 +103,7 @@ def ray_oracle(frame_field, r, omega_dir, step: float = 1e-3
     """
     r = float_array(r, "ray point")
     d = float_array(omega_dir, "ray direction")
+    step = float_scalar(step, "ray step")
     if not 0.0 < step < math.inf:
         raise OutOfRange(f"ray step must be positive and finite, not {step}")
     if r.ndim == 2 and r.shape[1:] == (3,) and d.shape == r.shape:
@@ -277,7 +278,7 @@ def shape_operator_via_fundamental_forms(surface_parametrization, u, v,
     cfg.fd_step; second derivatives use a wider 3e-4 stencil to keep
     roundoff below the 1e-7 route-agreement budget.  The result is
     re-expressed in the orthonormalized (X_u, X_v) basis."""
-    u, v = float(u), float(v)
+    u, v = float_scalar(u, "u"), float_scalar(v, "v")
 
     def chart(a, b):
         return np.asarray(surface_parametrization(a, b), dtype=float)
@@ -690,7 +691,7 @@ def run_checks(frame_filter: str = None, check_filter: str = None,
     states and extra draws, and any other runner runs at its turn.  Then
     each frame makes one stacked frame jet for all the sampled rows
     (_evaluate).  Raises OutOfRange for a seed that is not a nonnegative
-    integer."""
+    integer, or a holonomy_theta that is not a number."""
     frames = default_frames()
     if frame_filter is not None:
         if frame_filter not in frames:
@@ -698,6 +699,7 @@ def run_checks(frame_filter: str = None, check_filter: str = None,
         frames = {frame_filter: frames[frame_filter]}
     wanted = selected_checks(check_filter)
     rng = np.random.default_rng(_nonnegative_int(seed, "seed"))
+    holonomy_theta = float_scalar(holonomy_theta, "holonomy_theta")
     found, drawn = {}, {}
     for name in wanted:
         runner = _CHECKS[name][2]

@@ -135,11 +135,51 @@ def test_bad_frame_exits_2(capsys):
     (["holonomy", "--radius", "-1"], "--radius must be positive, not -1.0"),
     (["holonomy", "--frame", "constant", "--radius", "0"],
      "--radius must be positive, not 0.0"),
+    # A frame id rejects a NaN or infinite parameter before any
+    # evaluation.
+    (["conservation", "--frame", "ellipsoid", "--a", "nan"],
+     "ellipsoid semi-axes must be finite numbers, not (nan, 1.0, 1.0)"),
+    (["conservation", "--frame", "ellipsoid", "--a", "inf"],
+     "ellipsoid semi-axes must be finite numbers, not (inf, 1.0, 1.0)"),
+    (["conservation", "--frame", "paraboloid", "--a", "nan"],
+     "paraboloid coefficients must be finite numbers, not (nan, 2.0)"),
+    (["coeffs", "--frame", "ellipsoid", "--a", "nan", "--point",
+      "1,0.2,0.3", "--mu", "0.3", "--omega", "1"],
+     "ellipsoid semi-axes must be finite numbers"),
+    (["coeffs", "--frame", "sphere", "--mu", "0.5", "--omega", "0"],
+     "provide --point or --rho"),
+    (["sweep", "--frame", "sphere", "--omega-count", "0"],
+     "angular counts must be >= 1"),
 ])
 def test_out_of_range_flag_exits_2(capsys, argv, message):
     rc, out, err = run(capsys, argv)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("error, code", [
+    ("OutOfRange", 2), ("LeftDomain", 3), ("EvaluationFailure", 3),
+    ("NotOrthonormal", 3),
+])
+@pytest.mark.parametrize("command, target", [
+    ("verify", "run_checks"), ("conservation", "sampled_conservation"),
+    ("holonomy", "parallel_transport_holonomy"),
+])
+def test_main_maps_each_error_to_its_exit_code(capsys, monkeypatch, error,
+                                               code, command, target):
+    # The commands raise; main alone prints the error and picks the
+    # code: 2 for OutOfRange, a flag out of range, and 3 for any other
+    # error, a failed evaluation.
+    import framestream
+    import framestream.cli as cli
+
+    def fails(*args, **kwargs):
+        raise getattr(framestream, error)("the message")
+
+    monkeypatch.setattr(cli, target, fails)
+    argv = [command] + (["--frame", "sphere"] if command == "conservation"
+                        else [])
+    assert run(capsys, argv) == (code, "", "error: the message\n")
 
 
 def test_holonomy_bad_fd_step_exits_2(capsys):

@@ -391,6 +391,51 @@ def test_holonomy_of_a_loop_that_steps_back_and_forth(frame, theta, want, k):
     assert abs(parallel_transport_holonomy(field, loop, v0) - want) < 1e-12
 
 
+# diag(1, -1, -1) maps the sphere frame's n to itself, and the forward
+# latitude loop at theta onto the reversed loop at pi - theta, so the
+# two loops have one angle.  Hence no full-turn convention gives the
+# forward loop at theta 2 pi (1 - cos theta) on all of (0, pi) and
+# negates the angle of every reversed loop: the reversed loop at
+# pi - theta would need -2 pi (1 + cos theta), 4 pi away.
+_FLIP = np.array([1.0, -1.0, -1.0])
+
+
+def _random_rotation(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@pytest.mark.parametrize("theta",
+                         np.linspace(0.1, math.pi - 0.1, 8).tolist())
+def test_holonomy_is_invariant_under_rotations_of_the_sphere(theta):
+    sphere = builtin_frame(Sphere())
+    loop, v0, _ = _latitude_loop(theta, 1000)
+    want = parallel_transport_holonomy(sphere, loop, v0)
+    assert parallel_transport_holonomy(sphere, loop * _FLIP,
+                                       v0 * _FLIP) == want
+    reversed_loop = _latitude_loop(math.pi - theta, 1000)[0][::-1].copy()
+    assert abs(parallel_transport_holonomy(sphere, reversed_loop, v0 * _FLIP)
+               - want) < 1e-9
+    q = _random_rotation(7)
+    assert abs(parallel_transport_holonomy(sphere, loop @ q.T, v0 @ q.T)
+               - want) < 1e-12
+
+
+def test_rotated_loop_past_the_equator_is_pinned():
+    sphere = builtin_frame(Sphere())
+    loop, v0, _ = _latitude_loop(2.0, 2000)
+    want = -3.6684558400531198
+    assert parallel_transport_holonomy(sphere, loop, v0) == want
+    assert parallel_transport_holonomy(sphere, loop * _FLIP,
+                                       v0 * _FLIP) == want
+    reversed_loop = _latitude_loop(math.pi - 2.0, 2000)[0][::-1].copy()
+    assert abs(parallel_transport_holonomy(sphere, reversed_loop, v0 * _FLIP)
+               - want) < 1e-9
+
+
 @pytest.mark.parametrize("theta", [math.pi / 6, 1.2, 2.0, 2.8])
 def test_holonomy_independent_of_v0_direction(theta):
     sphere = builtin_frame(Sphere())

@@ -12,7 +12,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from framestream import DiffConfig, verification
+from framestream import (DiffConfig, Sphere, catalog, curvature, streaming,
+                         verification)
 
 ENGINES = [DiffConfig(), DiffConfig(engine="fd")]
 
@@ -58,3 +59,94 @@ def test_jet_mutation_fails_exactly_its_checks(row, cfg, monkeypatch):
 
         monkeypatch.setattr(verification, "frame_jet", mutated)
     assert _failing(cfg) == want
+
+
+# --- mutations of the coefficient assembly, the catalog and holonomy,
+# each a function of the monkeypatch that applies it.
+
+def _wrap(monkeypatch, module, name, change):
+    """module.name replaced by change(original(...)), where verify reads
+    it."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: change(original(*args)))
+
+
+def _tilt_dropped(monkeypatch):
+    # a_omega without omega_tilt, and a tilt of 0, so that the breakdown
+    # still sums.
+    def change(terms):
+        tilt = terms[6]
+        return (terms[0], terms[1] - tilt, *terms[2:6], tilt * 0.0)
+    _wrap(monkeypatch, streaming, "coefficient_terms", change)
+
+
+def _winding_flipped(monkeypatch):
+    _wrap(monkeypatch, streaming, "frame_scalars",
+          lambda k: k._replace(winding=-k.winding))
+
+
+def _kn_swapped(monkeypatch):
+    _wrap(monkeypatch, streaming, "frame_scalars",
+          lambda k: k._replace(kn_t=k.kn_b, kn_b=k.kn_t))
+
+
+def _surface_curve_moved(monkeypatch):
+    # a_mu is unchanged; only its split into the two terms moves.
+    _wrap(monkeypatch, streaming, "_mu_terms",
+          lambda terms: (terms[0] + 1e-3, terms[1] - 1e-3))
+
+
+def _sphere_catalog_winding(monkeypatch):
+    aux, errata, printed = catalog._ENTRIES[Sphere]
+
+    def mutated(fid, x, y, z):
+        values = aux(fid, x, y, z)
+        return (*values[:8], values[8] + 1e-3)
+    monkeypatch.setitem(catalog._ENTRIES, Sphere, (mutated, errata, printed))
+
+
+def _holonomy_halfway(monkeypatch):
+    # Each step rotates its normal only halfway to the next one.
+    # Dropping a single step's rotation out of 1000 fails nothing
+    # instead: the projection onto the next tangent plane after every
+    # step absorbs it.
+    prefix = curvature._prefix_rotations
+
+    def halfway(prev, nxt):
+        mid = prev + nxt
+        return prefix(prev, mid / np.linalg.norm(mid, axis=1)[:, None])
+    monkeypatch.setattr(curvature, "_prefix_rotations", halfway)
+
+
+# name -> (mutation, checks that fail).
+MUTATIONS = {
+    "omega-tilt-dropped": (_tilt_dropped,
+                           {"catalog-agreement", "oracle-agreement"}),
+    "winding-flipped": (_winding_flipped,
+                        {"catalog-agreement", "oracle-agreement",
+                         "form-equivalence"}),
+    "kn-swapped": (_kn_swapped,
+                   {"catalog-agreement", "oracle-agreement",
+                    "form-equivalence"}),
+    "surface-to-curve-1e-3": (_surface_curve_moved, set()),
+    "sphere-catalog-winding-1e-3": (_sphere_catalog_winding,
+                                    {"catalog-agreement"}),
+    "holonomy-halfway-rotations": (_holonomy_halfway,
+                                   {"holonomy-convergence"}),
+}
+
+
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+@pytest.mark.parametrize("row", sorted(MUTATIONS))
+def test_mutation_fails_exactly_its_checks(row, cfg, monkeypatch):
+    mutate, want = MUTATIONS[row]
+    mutate(monkeypatch)
+    assert _failing(cfg) == want
+
+
+def test_halfway_holonomy_rotations_miss_by_1_77(monkeypatch):
+    _holonomy_halfway(monkeypatch)
+    (result,) = verification.run_checks(check_filter="holonomy")
+    assert result.status == "fail"
+    assert round(result.max_residual, 2) == 1.77

@@ -154,3 +154,13 @@ def test_truth_sources_stay_independent():
             frames.raw_parts} <= called
     for fn in called:
         assert not _ENGINE_NAMES & _referenced_names(fn.__code__), fn
+
+
+def test_all_lists_every_public_name():
+    """A star import gets every public name that framestream binds,
+    submodules aside, each once."""
+    import framestream
+    public = [name for name, obj in vars(framestream).items()
+              if not name.startswith("_")
+              and not isinstance(obj, types.ModuleType)]
+    assert sorted(framestream.__all__) == sorted(public)

@@ -6,15 +6,17 @@ import pytest
 
 from framestream import (CheckResult, ConservationReport, Constant,
                          CylindricalI, CylindricalII, DiffConfig, Ellipsoid,
-                         FramestreamError, InconsistentReport, MuForm,
-                         OmegaForm, OutOfRange, Paraboloid, RayOracleResult,
-                         Sphere, builtin_frame, catalog_coefficients,
+                         FramePoint, FramestreamError, InconsistentReport,
+                         MuForm, OmegaForm, OutOfRange, Paraboloid,
+                         RayOracleResult, Sphere, apply_streaming,
+                         builtin_frame, catalog_coefficients,
                          coefficients_from_jet, conservation_check,
                          catalog_entry, curl, curvature_from_parametrization,
-                         curvature_report, directional_derivative,
+                         curvature_report, direction_from_angles,
+                         directional_derivative,
                          foliation_defect, frame_jet, grad_mu, grad_omega,
                          integral_curve_curvature, integrate_curve, jacobian,
-                         kb_transform_residual,
+                         kb_transform_residual, normal_curvature,
                          parallel_transport_holonomy, ray_oracle, run_checks,
                          shape_operator, shape_operator_via_fundamental_forms,
                          streaming_coefficients, verification, winding_term)
@@ -438,6 +440,24 @@ def _unit_x(p):
     return (1.0, 0.0, 0.0)
 
 
+def _apply(dpsi_dmu, dpsi_domega):
+    """apply_streaming at a valid sphere state with the given dPsi."""
+    coeffs = streaming_coefficients(_sphere(), [1.2, 0.3, 0.9], 0.4, 2.0)
+    d = direction_from_angles(coeffs.frame, 0.4, 2.0)
+    return apply_streaming(coeffs, d, UNIT_X, dpsi_dmu, dpsi_domega)
+
+
+def _sphere_chart(theta, phi):
+    return (math.sin(theta) * math.cos(phi),
+            math.sin(theta) * math.sin(phi), math.cos(theta))
+
+
+def _cylinder_shape():
+    field = builtin_frame(CylindricalII())
+    return shape_operator(field.n_field, field.t_field, field.b_field,
+                          [2.0, 0.0, 0.0])
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: streaming_coefficients(_sphere(), [1.0, 0.2], 0.3, 1.0),
      "point must be a 3-vector, not of shape (2,)"),
@@ -589,6 +609,43 @@ def _unit_x(p):
      "point must be a 3-vector, not of length 2"),
     (lambda: _sphere().b_field((1.0,) * 4),
      "point must be a 3-vector, not of length 4"),
+    # Frame ids and DiffConfig hold finite numbers; NaN and inf fail.
+    (lambda: Ellipsoid("a", 1, 1),
+     "ellipsoid semi-axes must be finite numbers, not ('a', 1, 1)"),
+    (lambda: Ellipsoid(math.nan, 1.0, 1.0),
+     "ellipsoid semi-axes must be finite numbers, not (nan, 1.0, 1.0)"),
+    (lambda: Ellipsoid(2.0, math.inf, 1.0),
+     "ellipsoid semi-axes must be finite numbers, not (2.0, inf, 1.0)"),
+    (lambda: Paraboloid(math.nan, 0.5),
+     "paraboloid coefficients must be finite numbers, not (nan, 0.5)"),
+    (lambda: Paraboloid(1.0, "b"),
+     "paraboloid coefficients must be finite numbers, not (1.0, 'b')"),
+    (lambda: DiffConfig(fd_step="a"), "fd_step must be a number, not 'a'"),
+    # A scalar argument that is not a number is named.
+    (lambda: ray_oracle(_sphere(), [1.0, 0.2, 0.4], UNIT_X, "a"),
+     "ray step must be a number: could not convert string to float: 'a'"),
+    (lambda: _apply("a", 0.0), "dpsi_dmu must be a number"),
+    (lambda: _apply(0.0, [1.0, 2.0]), "dpsi_domega must be a number"),
+    (lambda: FramePoint("abc", UNIT_X, UNIT_X),
+     "n must be an array of numbers: could not convert string to float: "
+     "'abc'"),
+    (lambda: FramePoint(UNIT_X, [0.0, "y", 0.0], UNIT_X),
+     "t must be an array of numbers: could not convert string to float: "
+     "'y'"),
+    (lambda: run_checks(holonomy_theta="a"),
+     "holonomy_theta must be a number: could not convert string"),
+    (lambda: catalog_entry(Sphere()).auxiliary["s_tt"]("abc"),
+     "point must be an array of numbers: could not convert string"),
+    (lambda: catalog_entry(Sphere()).auxiliary["s_tt"]([1.0, 2.0]),
+     "point must be a 3-vector, not of shape (2,)"),
+    (lambda: normal_curvature(_cylinder_shape(), "a"),
+     "omega must be a number: could not convert string"),
+    (lambda: normal_curvature(_cylinder_shape(), math.inf),
+     "omega = inf is not finite"),
+    (lambda: shape_operator_via_fundamental_forms(_sphere_chart, "a", 0.0),
+     "u must be a number: could not convert string"),
+    (lambda: shape_operator_via_fundamental_forms(_sphere_chart, 1.0, None),
+     "v must be a number"),
 ], ids=["coefficients", "curvature-report", "winding", "kb-transform",
         "jet-rank-3", "conservation", "oracle-step-0", "oracle-step-nan",
         "oracle-direction", "holonomy-v0-nan", "holonomy-v0-short",
@@ -611,7 +668,15 @@ def _unit_x(p):
         "curvature-report-stack", "kb-transform-stack", "coefficients-stack",
         "coefficients-jet-stack", "conservation-angle-triple",
         "conservation-angle-number", "coefficients-jet-at-point",
-        "n-field-4-vector", "t-field-2-vector", "b-field-4-vector"])
+        "n-field-4-vector", "t-field-2-vector", "b-field-4-vector",
+        "ellipsoid-string", "ellipsoid-nan", "ellipsoid-inf",
+        "paraboloid-nan", "paraboloid-string", "fd-step-string",
+        "oracle-step-string", "apply-dpsi-dmu-string",
+        "apply-dpsi-domega-list", "frame-point-string",
+        "frame-point-t-string", "run-checks-theta-string",
+        "catalog-aux-string", "catalog-aux-2-vector",
+        "normal-curvature-string", "normal-curvature-inf",
+        "fundamental-forms-u-string", "fundamental-forms-v-none"])
 def test_malformed_input_is_out_of_range(call, message):
     with pytest.raises(OutOfRange) as info:
         call()
