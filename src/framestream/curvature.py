@@ -241,10 +241,12 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
     normals (second-order accurate; plain tangent-plane projection is
     only first order except at special latitudes).  The fractional
     angle comes from the start/end comparison in the fixed basis
-    (v0, n x v0); the integer turn count comes from a discrete
-    Gauss-Bonnet estimate.  For loops whose turning sum cannot resolve
-    the orientation (geodesic loops such as a great circle), the
-    positive orientation is assumed.
+    (v0, n x v0); the integer turn count from the transport itself,
+    2 pi - (integral of kappa_g ds).  That is the integral of K dA over
+    the region on the loop's left about n wherever it is a disk: on a
+    sphere the left cap, 2 pi (1 + cos theta) for a reversed latitude
+    loop, and 4 pi for a clockwise circle in a plane.  A step back and
+    forth changes no angle.
 
     The step rotations are composed by a prefix scan, so the cost is
     O(m) numpy work plus one ``raw`` frame call on the loop's
@@ -278,17 +280,15 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
         raise OutOfRange(f"loop has no extent: all {len(pts)} vertices are "
                          f"{tuple(pts[0].tolist())}")
 
-    # Edges and tangents enter only through their directions, so they
-    # come from the loop scaled by a power of two to a largest coordinate
-    # near 1: exact, so ordinary loops keep their bits, while the squares
-    # and cross products of far or tiny loops neither overflow nor
-    # underflow.
+    # Tangents enter only through their directions, so they come from
+    # the loop scaled by a power of two to a largest coordinate near 1:
+    # exact, so ordinary loops keep their bits, while the squares and
+    # cross products of far or tiny loops neither overflow nor underflow.
     pts = np.ldexp(pts, -math.frexp(span)[1])
 
     # Central-difference tangents, vertex i from pts[i-1] to pts[i+1]
     # (cyclic); they serve the tangency precondition and adapted angles.
-    ahead = np.roll(pts[:m], -1, axis=0)
-    tang = ahead - np.roll(pts[:m], 1, axis=0)
+    tang = np.roll(pts[:m], -1, axis=0) - np.roll(pts[:m], 1, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.abs(_dot(normals, tang)) / np.linalg.norm(tang, axis=1)
     off_leaf = np.flatnonzero(slope > 1e-6)  # a zero tangent gives nan
@@ -312,9 +312,11 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
 
     # Adapted-frame drift, used only for the integer turn count: the
-    # angle of the transported vector against the projected tangent at
-    # vertices 0..m, skipping vertices where that tangent vanishes.  The
-    # angle does not depend on the length of u, so u is not normalized.
+    # change of the angle of the transported vector against the projected
+    # tangent over vertices 0..m, that is -(integral of kappa_g ds),
+    # skipping vertices where that tangent vanishes (the repeated vertex
+    # of a step back and forth).  The angle does not depend on the length
+    # of u, so u is not normalized.
     u = _tangential(tang, normals)
     defined = np.linalg.norm(u, axis=1) != 0.0
     idx = np.arange(m + 1) % m
@@ -324,18 +326,11 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
     d = np.diff(angles)
     drift = float(np.sum(np.arctan2(np.sin(d), np.cos(d))))
 
-    # Discrete Gauss-Bonnet turning at vertices 1..m.
-    e_in = _tangential(np.diff(pts, axis=0), n_next)
-    e_out = _tangential(np.roll(ahead - pts[:m], -1, axis=0), n_next)
-    turning = float(np.sum(np.arctan2(_dot(np.cross(e_in, e_out), n_next),
-                                      _dot(e_in, e_out))))
-
     v_end = vecs[-1] - float(vecs[-1] @ n0) * n0
     v_end = v_end / float(np.linalg.norm(v_end))
     principal = math.atan2(float(v_end @ w_start), float(v_end @ v_start))
 
-    orientation = 1.0 if turning > -1.0 else -1.0
-    estimate = 2.0 * math.pi * orientation + drift
+    estimate = 2.0 * math.pi + drift
     turns = round((estimate - principal) / (2.0 * math.pi))
     return principal + 2.0 * math.pi * turns
 

@@ -44,7 +44,7 @@ class DiffConfig:
     fd_step: float = 1e-5
 
     def __post_init__(self):
-        if self.engine not in (DUAL, FD):
+        if not isinstance(self.engine, str) or self.engine not in (DUAL, FD):
             raise OutOfRange(f"unknown engine {self.engine!r}")
         if not isinstance(self.fd_step, numbers.Real):
             raise OutOfRange(f"fd_step must be a number, not "

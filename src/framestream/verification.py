@@ -232,6 +232,9 @@ def conservation_check(frame_field, sample_points, sample_angles,
     factor pairs are emitted for flat and spherical leaves.  Each entry
     of sample_angles is a (mu, omega) pair."""
     points = float_array(sample_points, "sample points")
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise OutOfRange(f"sample points must be an (N, 3) array, not of "
+                         f"shape {points.shape}")
     try:
         mus, omegas = list(zip(*sample_angles, strict=True)) or ((), ())
     except (TypeError, ValueError):  # an entry is no pair
@@ -606,8 +609,10 @@ def _conservation_residuals(fid, field, points, omega, angles, jet, grid):
 
 
 def _latitude_loop(theta: float, steps: int):
-    """The unit-sphere latitude loop at polar angle theta, a start
-    vector tangent to it, and its holonomy 2 pi (1 - cos theta)."""
+    """The unit-sphere latitude loop at polar angle theta, run
+    counterclockwise about the z axis, a start vector tangent to it, and
+    its holonomy 2 pi (1 - cos theta): the area of the cap north of it,
+    on its left, on either side of the equator."""
     phi = np.linspace(0.0, TWO_PI, steps + 1)
     loop = np.column_stack([np.sin(theta) * np.cos(phi),
                             np.sin(theta) * np.sin(phi),
@@ -669,10 +674,18 @@ _CHECKS = {
 }
 
 
+def _check_name_filter(value, what: str):
+    """OutOfRange, naming the filter ``what``, unless value is None or a
+    string."""
+    if value is not None and not isinstance(value, str):
+        raise OutOfRange(f"{what} must be a string or None, not {value!r}")
+
+
 def selected_checks(check_filter: str = None) -> list:
     """Names of the checks whose name contains ``check_filter``, in run
     order; all of them when it is None.  Raises OutOfRange when none
-    matches."""
+    matches, or when check_filter is neither None nor a string."""
+    _check_name_filter(check_filter, "check_filter")
     names = [name for name in _CHECKS
              if check_filter is None or check_filter in name]
     if not names:
@@ -690,8 +703,10 @@ def run_checks(frame_filter: str = None, check_filter: str = None,
     that ``seed`` starts, in run order: a sampled row draws each frame's
     states and extra draws, and any other runner runs at its turn.  Then
     each frame makes one stacked frame jet for all the sampled rows
-    (_evaluate).  Raises OutOfRange for a seed that is not a nonnegative
-    integer, or a holonomy_theta that is not a number."""
+    (_evaluate).  Raises OutOfRange for a filter that is neither None nor
+    a string, a seed that is not a nonnegative integer, or a
+    holonomy_theta that is not a number."""
+    _check_name_filter(frame_filter, "frame_filter")
     frames = default_frames()
     if frame_filter is not None:
         if frame_filter not in frames:

@@ -17,7 +17,8 @@ from framestream import (Constant, CylindricalI, CylindricalII,
 from framestream import dual as dm
 from framestream.cli import main
 from framestream.verification import (_circle_loop, _latitude_loop,
-                                      default_frames, random_states)
+                                      default_frames, random_states,
+                                      run_checks)
 
 
 def latitude_loop(theta, steps, radius=1.0):
@@ -278,13 +279,17 @@ def test_holonomy_counts_full_turns():
     assert abs(got - 2.0 * math.pi) < 1e-9
 
 
-def test_holonomy_clockwise_loop_flips_sign():
+def test_holonomy_clockwise_loop_takes_the_left_cap():
+    # Run backwards, the latitude loop has the south cap on its left.
     sphere = builtin_frame(Sphere())
     theta = math.pi / 3.0
     loop = latitude_loop(theta, 4000)[::-1].copy()
     v0 = np.array([math.cos(theta), 0.0, -math.sin(theta)])
-    got = parallel_transport_holonomy(sphere, loop, v0)
-    assert abs(got + 2.0 * math.pi * (1.0 - math.cos(theta))) < 1e-6
+    want = 2.0 * math.pi * (1.0 + math.cos(theta))
+    assert abs(parallel_transport_holonomy(sphere, loop, v0) - want) < 1e-6
+    backtracked = np.vstack([loop[:12], loop[10:]])
+    assert abs(parallel_transport_holonomy(sphere, backtracked, v0)
+               - want) < 1e-6
 
 
 def test_holonomy_planar_loop_is_zero():
@@ -293,6 +298,15 @@ def test_holonomy_planar_loop_is_zero():
     loop = np.column_stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)])
     got = parallel_transport_holonomy(const, loop, np.array([1.0, 0.0, 0.0]))
     assert got == 0.0
+
+
+def test_holonomy_clockwise_planar_loop_is_two_full_turns():
+    # Its tangent turns -2 pi against the parallel vector, so 2 pi minus
+    # the turning is 4 pi: the loop's left is the plane outside it.
+    loop, v0, _ = _circle_loop(1.0, 1000)
+    got = parallel_transport_holonomy(builtin_frame(Constant()),
+                                      loop[::-1].copy(), v0)
+    assert abs(got - 4.0 * math.pi) < 1e-12
 
 
 def test_holonomy_requires_loop_on_leaf():
@@ -320,7 +334,12 @@ def test_holonomy_second_order_convergence():
 
 # Angles of the per-step loop implementation, recorded before the step
 # rotations were composed by a prefix scan: (theta, steps, direction,
-# angle), direction -1 running the latitude loop backwards.
+# angle), direction -1 running the latitude loop backwards.  That
+# implementation guessed each loop's orientation from a Gauss-Bonnet
+# turning sum, and so gave minus the smaller cap's angle where the left
+# cap is the larger one: the reversed loops at theta < pi / 2 and the
+# forward loops at theta > pi / 2.  The left cap is the whole sphere's
+# 4 pi minus the other cap, so those rows move by exactly 4 pi.
 PINNED_HOLONOMY = [
     (0.5235987755982988, 500, 1, 0.8417693130300827),
     (0.5235987755982988, 500, -1, -0.8417693130300823),
@@ -359,11 +378,19 @@ def latitude_v0(theta):
     return np.array([math.cos(theta), 0.0, -math.sin(theta)])
 
 
+def left_cap_is_larger(theta, direction):
+    """Whether the latitude loop at theta, run forward (direction 1) or
+    backwards (-1), has the larger of its two caps on its left."""
+    return direction * (theta - math.pi / 2.0) > 0.0
+
+
 @pytest.mark.parametrize("theta, steps, direction, want", PINNED_HOLONOMY)
 def test_holonomy_matches_pinned_loop_angles(theta, steps, direction, want):
     loop = latitude_loop(theta, steps)[::direction].copy()
     got = parallel_transport_holonomy(builtin_frame(Sphere()), loop,
                                       latitude_v0(theta))
+    if left_cap_is_larger(theta, direction):
+        want += 4.0 * math.pi
     assert abs(got - want) < 1e-12
 
 
@@ -391,12 +418,46 @@ def test_holonomy_of_a_loop_that_steps_back_and_forth(frame, theta, want, k):
     assert abs(parallel_transport_holonomy(field, loop, v0) - want) < 1e-12
 
 
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("frame, theta", [("sphere", math.pi / 3),
+                                          ("sphere", 2.5), ("plane", None)])
+def test_a_step_back_and_forth_changes_no_angle(frame, theta, direction):
+    if frame == "sphere":
+        loop, v0, _ = _latitude_loop(theta, 50)
+        field = builtin_frame(Sphere())
+    else:
+        loop, v0, _ = _circle_loop(1.0, 50)
+        field = builtin_frame(Constant())
+    loop = loop[::direction].copy()
+    want = parallel_transport_holonomy(field, loop, v0)
+    for k in (0, 10, 25, 48):
+        backtracked = np.vstack([loop[:k + 2], loop[k:]])
+        assert abs(parallel_transport_holonomy(field, backtracked, v0)
+                   - want) < 1e-12
+
+
+# The holonomy check's reference is the left cap 2 pi (1 - cos theta),
+# on both sides of the equator.
+@pytest.mark.parametrize("theta", np.linspace(0.1, math.pi - 0.1, 5).tolist()
+                         + [1.75, 2.0, 2.8])
+def test_holonomy_check_passes_past_the_equator(theta):
+    result, = run_checks(check_filter="holonomy", holonomy_theta=theta)
+    assert result.status == "pass"
+
+
+def test_cli_holonomy_past_the_equator_matches_its_expected(capsys):
+    assert main(["holonomy", "--theta", "2", "--no-timestamp"]) == 0
+    doc = json.loads(capsys.readouterr().out)["holonomy"]
+    assert doc["error"] < 1e-3
+
+
 # diag(1, -1, -1) maps the sphere frame's n to itself, and the forward
 # latitude loop at theta onto the reversed loop at pi - theta, so the
 # two loops have one angle.  Hence no full-turn convention gives the
 # forward loop at theta 2 pi (1 - cos theta) on all of (0, pi) and
 # negates the angle of every reversed loop: the reversed loop at
-# pi - theta would need -2 pi (1 + cos theta), 4 pi away.
+# pi - theta would need -2 pi (1 + cos theta), 4 pi away.  Both loops
+# have the north cap at theta on their left, and both give its angle.
 _FLIP = np.array([1.0, -1.0, -1.0])
 
 
@@ -427,7 +488,9 @@ def test_holonomy_is_invariant_under_rotations_of_the_sphere(theta):
 def test_rotated_loop_past_the_equator_is_pinned():
     sphere = builtin_frame(Sphere())
     loop, v0, _ = _latitude_loop(2.0, 2000)
-    want = -3.6684558400531198
+    # 2 pi (1 - cos 2) to 2e-6: the other cap's -3.6684558400531198 plus
+    # 4 pi, exactly.
+    want = 8.897914774306052
     assert parallel_transport_holonomy(sphere, loop, v0) == want
     assert parallel_transport_holonomy(sphere, loop * _FLIP,
                                        v0 * _FLIP) == want
@@ -475,14 +538,15 @@ def test_holonomy_of_rotated_small_circles(seed):
         if math.acos(abs(axis[2])) > alpha + 0.2:
             break
     sphere = builtin_frame(Sphere())
-    want = 2.0 * math.pi * (1.0 - math.cos(alpha))
+    # The cap on the circle's left: its own, or run backwards the rest.
     for direction in (1, -1):
+        want = 2.0 * math.pi * (1.0 - direction * math.cos(alpha))
         errs = []
         for steps in (400, 800, 1600):
             loop, v0 = small_circle(axis, alpha, steps)
             got = parallel_transport_holonomy(
                 sphere, loop[::direction].copy(), v0)
-            errs.append(abs(got - direction * want))
+            errs.append(abs(got - want))
         assert errs[0] < 1e-3
         assert errs[1] < errs[0] / 3.0 and errs[2] < errs[1] / 3.0
 

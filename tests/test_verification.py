@@ -646,6 +646,23 @@ def _cylinder_shape():
      "u must be a number: could not convert string"),
     (lambda: shape_operator_via_fundamental_forms(_sphere_chart, 1.0, None),
      "v must be a number"),
+    # A name filter is None or a string; an engine is a string.
+    (lambda: run_checks(frame_filter=["sphere"]),
+     "frame_filter must be a string or None, not ['sphere']"),
+    (lambda: run_checks(check_filter=3),
+     "check_filter must be a string or None, not 3"),
+    (lambda: verification.selected_checks(b"holonomy"),
+     "check_filter must be a string or None, not b'holonomy'"),
+    (lambda: DiffConfig(engine=np.array(["dual", "fd"])),
+     "unknown engine array(['dual', 'fd']"),
+    (lambda: DiffConfig(engine=np.array(["dual"])),
+     "unknown engine array(['dual']"),
+    # Sample points are an (N, 3) array before they are counted.
+    (lambda: conservation_check(_sphere(), 1.0, [(0.1, 0.2)] * 8),
+     "sample points must be an (N, 3) array, not of shape ()"),
+    (lambda: conservation_check(_sphere(), [1.0, 0.2, 0.3],
+                                [(0.1, 0.2)] * 8),
+     "sample points must be an (N, 3) array, not of shape (3,)"),
 ], ids=["coefficients", "curvature-report", "winding", "kb-transform",
         "jet-rank-3", "conservation", "oracle-step-0", "oracle-step-nan",
         "oracle-direction", "holonomy-v0-nan", "holonomy-v0-short",
@@ -676,7 +693,10 @@ def _cylinder_shape():
         "frame-point-t-string", "run-checks-theta-string",
         "catalog-aux-string", "catalog-aux-2-vector",
         "normal-curvature-string", "normal-curvature-inf",
-        "fundamental-forms-u-string", "fundamental-forms-v-none"])
+        "fundamental-forms-u-string", "fundamental-forms-v-none",
+        "run-checks-frame-filter-list", "run-checks-check-filter-int",
+        "selected-checks-bytes", "engine-array", "engine-array-of-one",
+        "conservation-scalar-points", "conservation-one-point"])
 def test_malformed_input_is_out_of_range(call, message):
     with pytest.raises(OutOfRange) as info:
         call()
