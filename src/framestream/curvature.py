@@ -9,7 +9,7 @@ import operator
 import numpy as np
 
 from .derivatives import (DEFAULT_CFG, DiffConfig, FrameScalars, _dot,
-                          _probe, directional_derivative, frame_jet,
+                          _matvec, _probe, directional_derivative, frame_jet,
                           frame_scalars, jacobian, twist)
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
                      NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
@@ -160,7 +160,8 @@ def winding_term(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> float:
 
 def integrate_curve(field, r0, tau_span, steps: int):
     """Fixed-step RK4 samples of the integral curve of ``field`` from r0
-    over the pair tau_span, in an integer number of steps, at least 16."""
+    over the pair tau_span, in an integer number of steps, at least 16;
+    OutOfRange naming steps where no array holds that many samples."""
     try:
         steps = operator.index(steps)
     except TypeError:
@@ -172,7 +173,11 @@ def integrate_curve(field, r0, tau_span, steps: int):
         raise OutOfRange(f"tau_span must be a pair, not of shape {span.shape}")
     t0, t1 = span.tolist()
     h = (t1 - t0) / steps
-    out = np.empty((steps + 1, 3))
+    try:
+        out = np.empty((steps + 1, 3))
+    except (ValueError, MemoryError):  # numpy refuses the shape or size
+        raise OutOfRange(f"steps = {steps} asks for more samples than an "
+                         f"array can hold") from None
     r = float_3vector(r0, "start point").copy()
     out[0] = r
 
@@ -214,23 +219,27 @@ def _tangential(vecs, normals):
     return vecs - _dot(vecs, normals)[:, None] * normals
 
 
-def _prefix_rotations(prev, nxt):
-    """Inclusive products R_k ... R_1 of the minimal rotations R_k taking
-    prev[k-1] to nxt[k-1]: R = I + [a]x + [a]x^2 / (1 + c), with
-    a = prev x nxt and c = prev . nxt.
-
-    The products come from a Hillis-Steele scan, ceil(log2 m) batched
-    matmuls; the right side of each update is evaluated before it is
-    stored, so the in-place slice assignment is safe.
-    """
+def _step_rotations(prev, nxt):
+    """The minimal rotations R_k taking prev[k] to nxt[k]:
+    R = I + [a]x + [a]x^2 / (1 + c), with a = prev x nxt and
+    c = prev . nxt."""
     # [a]x: row i is e_i x a.
     ax = np.cross(np.eye(3), np.cross(prev, nxt)[:, None, :])
-    rot = np.eye(3) + ax + (ax @ ax) / (1.0 + _dot(prev, nxt))[:, None, None]
-    k = 1
-    while k < len(rot):
-        rot[k:] = rot[k:] @ rot[:-k]
-        k *= 2
-    return rot
+    return np.eye(3) + ax + (ax @ ax) / (1.0 + _dot(prev, nxt))[:, None, None]
+
+
+def _composed(rot):
+    """The product rot[-1] ... rot[0], in about len(rot) matmuls.
+
+    The factors pair from the end, (rot[-1] rot[-2]) (rot[-3] rot[-4])
+    and so on, level by level, with an odd earliest factor carried up a
+    level: the association of the last product of a Hillis-Steele
+    prefix scan, whose bits the loop angles were pinned with."""
+    rot = rot[::-1]
+    while len(rot) > 1:
+        even = len(rot) & -2
+        rot = np.concatenate([rot[0:even:2] @ rot[1:even:2], rot[even:]])
+    return rot[0]
 
 
 def parallel_transport_holonomy(frame_field, loop, v0) -> float:
@@ -248,9 +257,11 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
     loop, and 4 pi for a clockwise circle in a plane.  A step back and
     forth changes no angle.
 
-    The step rotations are composed by a prefix scan, so the cost is
-    O(m) numpy work plus one ``raw`` frame call on the loop's
-    coordinate arrays (one per vertex for a raw that rejects arrays).
+    The m step rotations form one stack.  Their product takes about m
+    matmuls (_composed), and the drift that counts the turns reads each
+    step alone, so the cost is O(m) numpy work plus one ``raw`` frame
+    call on the loop's coordinate arrays (one per vertex for a raw that
+    rejects arrays).
     """
     pts = float_array(loop, "loop")
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 8:
@@ -304,29 +315,37 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
     v_start = v / nv
     w_start = np.cross(n0, v_start)
 
-    # Step i = 1..m rotates normals[i-1] onto normals[i % m]; vecs[i-1]
-    # is v0 carried through step i.
-    n_next = np.roll(normals, -1, axis=0)
-    vecs = _prefix_rotations(normals, n_next) @ v_start
-    vecs = _tangential(vecs, n_next)
-    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    # Step k = 1..m rotates normals[k-1] onto normals[k % m] by rot[k-1].
+    rot = _step_rotations(normals, np.roll(normals, -1, axis=0))
 
     # Adapted-frame drift, used only for the integer turn count: the
     # change of the angle of the transported vector against the projected
-    # tangent over vertices 0..m, that is -(integral of kappa_g ds),
-    # skipping vertices where that tangent vanishes (the repeated vertex
-    # of a step back and forth).  The angle does not depend on the length
-    # of u, so u is not normalized.
+    # tangent u over vertices 0..m, that is -(integral of kappa_g ds),
+    # skipping vertices where u vanishes (the repeated vertex of a step
+    # back and forth).  Rotations keep angles, so from one kept vertex to
+    # the next the change is the angle of the earlier u, carried through
+    # the steps between them, against the later u.  The angle does not
+    # depend on the length of u, so u is not normalized.
     u = _tangential(tang, normals)
-    defined = np.linalg.norm(u, axis=1) != 0.0
-    idx = np.arange(m + 1) % m
-    carried = np.vstack([v_start, vecs])
-    angles = np.arctan2(_dot(carried, np.cross(normals[idx], u[idx])),
-                        _dot(carried, u[idx]))[defined[idx]]
-    d = np.diff(angles)
-    drift = float(np.sum(np.arctan2(np.sin(d), np.cos(d))))
+    kept = np.flatnonzero(np.linalg.norm(u, axis=1)[np.arange(m + 1) % m]
+                          != 0.0)
+    src, dst = kept[:-1], kept[1:]
+    gaps = dst - src
+    carried = _matvec(rot[src], u[src])
+    for gap in range(1, int(np.max(gaps, initial=1))):
+        far = np.flatnonzero(gaps > gap)
+        carried[far] = _matvec(rot[src[far] + gap], carried[far])
+    dst %= m
+    drift = float(np.sum(np.arctan2(
+        _dot(carried, np.cross(normals[dst], u[dst])),
+        _dot(carried, u[dst]))))
 
-    v_end = vecs[-1] - float(vecs[-1] @ n0) * n0
+    # v0 carried once around, projected onto the start plane twice (the
+    # second time as a 3-vector), in the operations that fixed the bits
+    # of the pinned angles.
+    v_end = _tangential((_composed(rot) @ v_start)[None], normals[:1])
+    v_end = (v_end / np.linalg.norm(v_end, axis=1)[:, None])[0]
+    v_end = v_end - float(v_end @ n0) * n0
     v_end = v_end / float(np.linalg.norm(v_end))
     principal = math.atan2(float(v_end @ w_start), float(v_end @ v_start))
 

@@ -12,9 +12,12 @@ its draws from the one seeded generator, in run order: a check over
 random states (a _Sampled row) draws each frame's states and extra
 draws, and any other check runs at its turn.  Then each frame makes
 one stacked frame jet at the points of every sampled check, and each
-check's residuals read their own rows of it.  A stacked jet gives each
-row the bits of the single-point jet, so each check reports what it
-would report alone."""
+check's residuals read their own rows of it.  The checks that read the
+coefficients (catalog, oracle and homothety) take them from one
+checked_terms call per frame over all their rows of the jet.  A
+stacked jet gives each row the bits of the single-point jet, and a
+stacked assembly each state the bits of its own, so each check reports
+what it would report alone."""
 from __future__ import annotations
 
 import dataclasses
@@ -426,11 +429,17 @@ class _Sampled(NamedTuple):
     ``residuals(fid, field, points, omega, angles, jet, extra)`` returns
     an array of the residuals at one frame's states: ``points`` (N, 3),
     ``omega`` (N,), ``angles`` the (mu, s, c, sn) arrays of angle_arrays
-    and ``jet`` the stacked frame jet at the points, followed by those
-    of ``extra_points(points)`` when that hook is set.  ``extra`` holds
-    what ``draw(rng, count)`` drew right after the frame's states, or
-    None.  The check's worst residual is ``total`` of the residuals of
-    all its frames."""
+    (None when not ``uses_angles``) and ``jet`` the stacked frame jet at
+    the points, followed by those of ``extra_points(points)`` when that
+    hook is set.  ``extra`` holds what ``draw(rng, count)`` drew right
+    after the frame's states, or None.  The check's worst residual is
+    ``total`` of the residuals of all its frames.
+
+    A row whose residuals read a_mu and a_omega at every row of its jet
+    sets ``jet_angles(angles)``, the angle arrays at those rows.
+    _evaluate then passes them as an eighth argument, ``terms``, from
+    one checked_terms call for all such rows of a frame; a residual
+    called without them makes its own calls."""
 
     count: int
     per_state: int
@@ -439,19 +448,24 @@ class _Sampled(NamedTuple):
     draw: Callable = None
     extra_points: Callable = None
     total: Callable = _worst
+    uses_angles: bool = True
+    jet_angles: Callable = None
 
 
 def _draw(row: _Sampled, frames, rng) -> dict:
     """Frame name -> (points, omega, angles, extra) of a sampled row,
     drawn from rng frame by frame: each frame's states by _draw_states,
-    then its extra draws, if the row makes any."""
+    then its extra draws, if the row makes any.  A row that reads no
+    angles draws them all the same, and gets None for them."""
     drawn = {}
     for name, fid in frames.items():
         if row.homothetic and not frame_spec(fid).homothetic:
             continue
         points, mu, omega = _draw_states(fid, row.count, rng)
-        angles = angle_arrays(mu, omega)
-        check_mu(angles[0])
+        angles = None
+        if row.uses_angles:
+            angles = angle_arrays(mu, omega)
+            check_mu(angles[0])
         extra = None if row.draw is None else row.draw(rng, row.count)
         drawn[name] = points, omega, angles, extra
     return drawn
@@ -464,23 +478,50 @@ def _jet_points(row: _Sampled, points):
     return np.concatenate([points, row.extra_points(points)])
 
 
-def _rows(jet: FrameJet, start, stop) -> FrameJet:
-    """Rows start to stop (None: to the end) of a stacked jet, as
-    views."""
-    return FrameJet(jet.n[start:stop], jet.t[start:stop], jet.b[start:stop],
-                    jet.jn[start:stop], jet.jt[start:stop],
-                    jet.jb[start:stop])
+def _rows(jet: FrameJet, rows) -> FrameJet:
+    """The rows of a stacked jet that ``rows`` indexes: a slice, whose
+    rows are views, or an array of row numbers."""
+    return FrameJet(jet.n[rows], jet.t[rows], jet.b[rows], jet.jn[rows],
+                    jet.jt[rows], jet.jb[rows])
+
+
+def _assembled_terms(asks, spans, jet: FrameJet) -> dict:
+    """Check name -> (a_mu, a_omega) at its jet rows, for each asked row
+    with jet_angles, from one checked_terms call on all those rows of
+    the stacked jet: each entry has the bits of its own row's calls.
+    Empty where that call raises, so that each row makes its own calls
+    in row order, and the first failing one raises its error."""
+    wanted = [(name, span, row.jet_angles(states[2]))
+              for (name, row, states), span in zip(asks, spans)
+              if row.jet_angles is not None]
+    if not wanted:
+        return {}
+    index = np.concatenate([np.arange(span.start, span.stop)
+                            for _, span, _ in wanted])
+    try:
+        a_mu, a_omega = checked_terms(_rows(jet, index), *(
+            np.concatenate(column)
+            for column in zip(*(angles for *_, angles in wanted))))[:2]
+    except Exception:  # replayed by the rows' own calls, in row order
+        return {}
+    out, stop = {}, 0
+    for name, span, _ in wanted:
+        start, stop = stop, stop + span.stop - span.start
+        out[name] = a_mu[start:stop], a_omega[start:stop]
+    return out
 
 
 def _evaluate(drawn: dict, frames, cfg) -> dict:
     """Check name -> (worst residual, samples) of the sampled rows in
     ``drawn`` (name -> (row, its draws by _draw)).  Each frame makes one
     stacked frame jet at the points of every row, in row order, and
-    each row's residuals read their own rows of it.  Every entry of a
-    stacked jet has the bits of the single-point jet, so a row's
-    residuals do not depend on the rows beside it; where the stack
-    fails, its points are replayed one by one, and the first failing
-    state, in frame order and then row order, raises its error."""
+    each row's residuals read their own rows of it; the rows that read
+    a_mu and a_omega take them from one assembly (_assembled_terms).
+    Every entry of a stacked jet, and of a stacked assembly, has the
+    bits of the single state, so a row's residuals do not depend on the
+    rows beside it; where a stack fails, its states are replayed, and
+    the first failing state, in frame order and then row order, raises
+    its error."""
     found = {name: [np.zeros(0)] for name in drawn}
     for frame, fid in frames.items():
         asks = [(name, row, states[frame])
@@ -490,13 +531,16 @@ def _evaluate(drawn: dict, frames, cfg) -> dict:
         blocks = [_jet_points(row, states[0]) for _, row, states in asks]
         field = builtin_frame(fid)
         jet = frame_jet(field, np.concatenate(blocks), cfg)
-        stop = 0
-        for (name, row, (points, omega, angles, extra)), block in zip(
-                asks, blocks):
-            start, stop = stop, stop + len(block)
-            found[name].append(row.residuals(fid, field, points, omega,
-                                             angles, _rows(jet, start, stop),
-                                             extra))
+        spans, stop = [], 0
+        for block in blocks:
+            spans.append(slice(stop, stop + len(block)))
+            stop = spans[-1].stop
+        terms = _assembled_terms(asks, spans, jet)
+        for (name, row, (points, omega, angles, extra)), span in zip(
+                asks, spans):
+            found[name].append(row.residuals(
+                fid, field, points, omega, angles, _rows(jet, span), extra,
+                *((terms[name],) if name in terms else ())))
     out = {}
     for name, (row, states) in drawn.items():
         count = sum(len(points) for points, *_ in states.values())
@@ -505,14 +549,28 @@ def _evaluate(drawn: dict, frames, cfg) -> dict:
     return out
 
 
-def _catalog_residuals(fid, field, points, omega, angles, jet, extra):
-    a_mu, a_omega = checked_terms(jet, *angles)[:2]
+def _state_angles(angles):
+    """The angle arrays at the jet rows of a row that reads the jet at
+    its states only."""
+    return angles
+
+
+def _checked(terms, jet, angles):
+    """(a_mu, a_omega): terms, or checked_terms at the jet's rows where
+    terms is None."""
+    return checked_terms(jet, *angles)[:2] if terms is None else terms
+
+
+def _catalog_residuals(fid, field, points, omega, angles, jet, extra,
+                       terms=None):
+    a_mu, a_omega = _checked(terms, jet, angles)
     cat_mu, cat_om = catalog_coefficients(fid, points, angles[0], omega)
     return np.abs(np.concatenate([a_mu - cat_mu, a_omega - cat_om]))
 
 
-def _oracle_residuals(fid, field, points, omega, angles, jet, extra):
-    a_mu, a_omega = checked_terms(jet, *angles)[:2]
+def _oracle_residuals(fid, field, points, omega, angles, jet, extra,
+                      terms=None):
+    a_mu, a_omega = _checked(terms, jet, angles)
     oracle = ray_oracle(field, points, _direction(jet, *angles))
     return np.abs(np.concatenate([a_mu - oracle.dmu_ds,
                                   a_omega - oracle.domega_ds]))
@@ -560,7 +618,13 @@ def _scaled_points(points):
         points, len(_SCALES), axis=0)
 
 
-def _homothety_residuals(fid, field, points, omega, angles, jet, extra):
+def _scaled_angles(angles):
+    """The angle arrays at the states, then at their _scaled_points."""
+    return [np.concatenate([a, np.repeat(a, len(_SCALES))]) for a in angles]
+
+
+def _homothety_residuals(fid, field, points, omega, angles, jet, extra,
+                         terms=None):
     """Relative misfit of a(scale r) = a(r) / scale at three scales; the
     jet holds the N points, then their _scaled_points.
 
@@ -569,10 +633,13 @@ def _homothety_residuals(fid, field, points, omega, angles, jet, extra):
     floor would read the fd engine's absolute error as a large relative
     one."""
     count = len(points)
-    a_mu, a_omega = checked_terms(_rows(jet, 0, count), *angles)[:2]
+    if terms is None:
+        terms = np.concatenate([
+            checked_terms(_rows(jet, slice(0, count)), *angles)[:2],
+            checked_terms(_rows(jet, slice(count, None)), *(
+                np.repeat(a, len(_SCALES)) for a in angles))[:2]], axis=1)
+    (a_mu, s_mu), (a_omega, s_omega) = (np.split(a, [count]) for a in terms)
     scales = np.tile(_SCALES, count)
-    s_mu, s_omega = checked_terms(_rows(jet, count, None), *(
-        np.repeat(a, len(_SCALES)) for a in angles))[:2]
     lead = np.repeat([a_mu, a_omega], len(_SCALES), axis=1)
     trail = np.array([s_mu, s_omega])
     floor = np.repeat(1.0 / np.linalg.norm(points, axis=1), len(_SCALES))
@@ -657,17 +724,20 @@ def _check_kb_transform(cfg):
 # is a _Sampled; any other runner takes (frames, rng, cfg, theta) and
 # returns (worst residual, samples).
 _CHECKS = {
-    "catalog-agreement": (1e-7, False, _Sampled(60, 1, _catalog_residuals)),
-    "oracle-agreement": (1e-6, False, _Sampled(40, 1, _oracle_residuals)),
+    "catalog-agreement": (1e-7, False, _Sampled(
+        60, 1, _catalog_residuals, jet_angles=_state_angles)),
+    "oracle-agreement": (1e-6, False, _Sampled(
+        40, 1, _oracle_residuals, jet_angles=_state_angles)),
     "form-equivalence": (1e-8, False, _Sampled(40, 1, _form_residuals)),
     "frame-identities": (1e-8, False, _Sampled(40, 1, _identity_residuals,
                                                draw=_normal_rows)),
     "homothety": (1e-8, False, _Sampled(20, 3, _homothety_residuals,
                                         homothetic=True,
-                                        extra_points=_scaled_points)),
+                                        extra_points=_scaled_points,
+                                        jet_angles=_scaled_angles)),
     "conservation-trichotomy": (0.0, False, _Sampled(
         _CONSERVATION_POINTS, _CONSERVATION_ANGLES, _conservation_residuals,
-        draw=_angle_rows, total=np.sum)),
+        draw=_angle_rows, total=np.sum, uses_angles=False)),
     "holonomy-convergence": (1e-3, False, _check_holonomy),
     "kb-transform-residual": (
         0.0, True, lambda frames, rng, cfg, theta: _check_kb_transform(cfg)),

@@ -196,6 +196,13 @@ def test_integrate_curve_needs_steps():
         integrate_curve(lambda p: (1.0, 0.0, 0.0), [0, 0, 0], (0, 1), 4)
 
 
+# Only counts whose shape numpy rejects before it allocates anything.
+@pytest.mark.parametrize("steps", [2**63, 2**70])
+def test_integrate_curve_names_steps_no_array_can_hold(steps):
+    with pytest.raises(OutOfRange, match=f"steps = {steps} asks for more"):
+        integrate_curve(lambda p: (1.0, 0.0, 0.0), [0, 0, 0], (0, 1), steps)
+
+
 def test_integrate_curve_names_the_point_as_floats():
     with pytest.raises(LeftDomain) as info:
         integrate_curve(lambda p: (math.log(p[1]), 0.0, 0.0),

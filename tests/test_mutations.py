@@ -111,12 +111,12 @@ def _holonomy_halfway(monkeypatch):
     # Dropping a single step's rotation out of 1000 fails nothing
     # instead: the projection onto the next tangent plane after every
     # step absorbs it.
-    prefix = curvature._prefix_rotations
+    step = curvature._step_rotations
 
     def halfway(prev, nxt):
         mid = prev + nxt
-        return prefix(prev, mid / np.linalg.norm(mid, axis=1)[:, None])
-    monkeypatch.setattr(curvature, "_prefix_rotations", halfway)
+        return step(prev, mid / np.linalg.norm(mid, axis=1)[:, None])
+    monkeypatch.setattr(curvature, "_step_rotations", halfway)
 
 
 # name -> (mutation, checks that fail).

@@ -1,0 +1,126 @@
+"""verify's one coefficient assembly per frame: the rows that read a_mu
+and a_omega (catalog, oracle and homothety) get them from one
+checked_terms call on all their jet rows, with the bits and the errors
+of each row's own calls."""
+import re
+
+import numpy as np
+import pytest
+
+from framestream import (DiffConfig, FramePoint, FramestreamError,
+                         run_checks, verification)
+from framestream.errors import InconsistentBreakdown
+from framestream.streaming import checked_terms
+from framestream.verification import _SCALES, _Sampled, _rows
+
+ENGINES = [DiffConfig(), DiffConfig(engine="fd")]
+
+
+def _own_terms(name, jet, angles):
+    """(a_mu, a_omega) at a row's jet rows from the row's own calls: one
+    at its states, and for homothety one more at their scaled points."""
+    if name != "homothety":
+        return checked_terms(jet, *angles)[:2]
+    count = len(angles[0])
+    base = checked_terms(_rows(jet, slice(0, count)), *angles)[:2]
+    scaled = checked_terms(_rows(jet, slice(count, None)), *(
+        np.repeat(a, len(_SCALES)) for a in angles))[:2]
+    return [np.concatenate(pair) for pair in zip(base, scaled)]
+
+
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+@pytest.mark.parametrize("seed", [7, 11])
+def test_one_assembly_keeps_the_bits_of_each_rows_calls(seed, cfg,
+                                                        monkeypatch):
+    seen = []
+    checks = dict(verification._CHECKS)
+    for name, (tol, report_only, row) in verification._CHECKS.items():
+        if not isinstance(row, _Sampled) or row.jet_angles is None:
+            continue
+
+        # No default for terms: the rows must be handed them.
+        def spy(fid, field, points, omega, angles, jet, extra, terms,
+                name=name, residuals=row.residuals):
+            want = _own_terms(name, jet, angles)
+            seen.append((name, fid, [a.tobytes() for a in terms]
+                         == [a.tobytes() for a in want]))
+            return residuals(fid, field, points, omega, angles, jet, extra,
+                             terms)
+        checks[name] = tol, report_only, row._replace(residuals=spy)
+    monkeypatch.setattr(verification, "_CHECKS", checks)
+    run_checks(seed=seed, cfg=cfg)
+    frames = list(verification.default_frames().values())
+    homothetic = [fid for fid in frames
+                  if verification.frame_spec(fid).homothetic]
+    assert [(name, fid) for name, fid, _ in seen] == [
+        (name, fid) for fid in frames
+        for name in ("catalog-agreement", "oracle-agreement", "homothety")
+        if name != "homothety" or fid in homothetic]
+    assert all(same for *_, same in seen)
+
+
+def _first_row(name):
+    """The first row of the sphere's stacked jet that the check ``name``
+    reads, with every check run."""
+    start = 0
+    for check, (_, _, row) in verification._CHECKS.items():
+        if check == name:
+            return start
+        if isinstance(row, _Sampled):
+            start += len(verification._jet_points(row,
+                                                  np.zeros((row.count, 3))))
+    raise KeyError(name)
+
+
+# Row 5 of homothety's scaled points, past its 20 states.
+SCALED_ROW = _first_row("homothety") + 20 + 5
+CATALOG_ROW = _first_row("catalog-agreement") + 3
+
+
+def _mutated_jets(monkeypatch, changes):
+    """Each stacked frame jet of verify with changes[row](jet, row)
+    applied to the listed rows."""
+    original = verification.frame_jet
+
+    def mutated(field, points, *args):
+        jet = original(field, points, *args)
+        if np.ndim(points) == 2:
+            for row, change in changes.items():
+                change(jet, row)
+        return jet
+    monkeypatch.setattr(verification, "frame_jet", mutated)
+
+
+def _tilted_t(jet, row):
+    jet.t[row] *= 1.5
+
+
+def _nan_jn(jet, row):
+    jet.jn[row] = np.nan
+
+
+def test_a_failing_state_of_a_later_row_raises_its_own_error(monkeypatch):
+    tilted = []
+
+    def tilt(jet, row):
+        _tilted_t(jet, row)
+        tilted.append((jet.n[row], jet.t[row], jet.b[row]))
+    _mutated_jets(monkeypatch, {SCALED_ROW: tilt})
+    with pytest.raises(FramestreamError) as info:
+        run_checks(frame_filter="sphere", seed=7)
+    with pytest.raises(FramestreamError) as want:
+        FramePoint.loose(*tilted[0])
+    assert (type(info.value), str(info.value)) == (type(want.value),
+                                                   str(want.value))
+
+
+def test_an_earlier_rows_failure_still_comes_first(monkeypatch):
+    # A tilted frame at homothety's scaled row fails the frame check of
+    # an assembly of every row at once, ahead of any breakdown; the
+    # catalog's own call, which runs first, fails its breakdown at a
+    # NaN Jacobian.
+    _mutated_jets(monkeypatch, {CATALOG_ROW: _nan_jn,
+                                SCALED_ROW: _tilted_t})
+    with pytest.raises(InconsistentBreakdown,
+                       match=re.escape("a_mu breakdown inconsistent")):
+        run_checks(frame_filter="sphere", seed=7)
