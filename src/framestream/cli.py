@@ -13,7 +13,7 @@ import numpy as np
 
 from .curvature import parallel_transport_holonomy
 from .derivatives import DiffConfig, frame_jet
-from .errors import FramestreamError, OutOfRange
+from .errors import EvaluationFailure, FramestreamError, OutOfRange
 from .frames import (BUILTIN_FRAMES, Constant, Sphere, _place_cylinder,
                      _shell_placement, builtin_frame)
 from .streaming import angle_arrays, check_mu, checked_terms
@@ -167,23 +167,21 @@ def _table_chunks(points, mus, omegas, terms, args):
         yield '\n  ],\n  "meta": ' + _emit_json(_meta(args), 1) + "\n}\n"
 
 
-def _emit_states(field, points, mus, omegas, args) -> int:
+def _emit_states(field, points, mus, omegas, args) -> None:
     """Evaluate every (point, mu, omega) state, point-major, then write
-    the report; returns the exit code.  The points share one stacked
-    frame jet, and the directions broadcast against each point's
-    scalars in one numpy pass.  When that pass fails, the points are
-    replayed one by one, so that the error is that of the first failing
-    point.  Nothing is written when a state fails.  Unlike the other
-    commands, it prints its errors itself rather than leaving them to
-    main: they name the failing point, and a mu out of range exits 3,
-    as an evaluation failure, although check_mu raises OutOfRange."""
+    the report.  The points share one stacked frame jet, and the
+    directions broadcast against each point's scalars in one numpy
+    pass.  When that pass fails, the points are replayed one by one, so
+    that the error is that of the first failing point.  Nothing is
+    written when a state fails.  Its errors are EvaluationFailure, which
+    exits 3: they name the failing point, and a mu out of range is one
+    too, although check_mu raises OutOfRange for it."""
     cfg = _cfg(args)
     angles = angle_arrays(mus, omegas)
     try:
         check_mu(angles[0])
     except FramestreamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        raise EvaluationFailure(str(exc)) from exc
     grid = np.array(points)
     try:
         terms = checked_terms(frame_jet(field, grid, cfg),
@@ -193,14 +191,12 @@ def _emit_states(field, points, mus, omegas, args) -> int:
             try:
                 checked_terms(frame_jet(field, r, cfg), *angles)
             except FramestreamError as exc:
-                print(f"error: frame evaluation failed at point "
-                      f"({r[0]:g},{r[1]:g},{r[2]:g}): {exc}",
-                      file=sys.stderr)
-                return 3
-        print(f"error: frame evaluation failed: {grid_exc}", file=sys.stderr)
-        return 3
+                raise EvaluationFailure(
+                    f"frame evaluation failed at point "
+                    f"({r[0]:g},{r[1]:g},{r[2]:g}): {exc}") from exc
+        raise EvaluationFailure(
+            f"frame evaluation failed: {grid_exc}") from grid_exc
     _write_out(_table_chunks(grid, mus, omegas, terms, args), args)
-    return 0
 
 
 def _cmd_coeffs(args) -> int:
@@ -216,7 +212,8 @@ def _cmd_coeffs(args) -> int:
             points = [_place_cylinder(args.rho, phi, args.z)]
     else:
         raise OutOfRange("provide --point or --rho")
-    return _emit_states(field, points, [args.mu], [args.omega], args)
+    _emit_states(field, points, [args.mu], [args.omega], args)
+    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -228,9 +225,9 @@ def _cmd_sweep(args) -> int:
               for j in range(args.omega_count)]
     points = [np.array([x, y, z])
               for x in args.x for y in args.y for z in args.z]
-    return _emit_states(field, points,
-                        [float(mu) for mu in nodes for _ in omegas],
-                        omegas * len(nodes), args)
+    _emit_states(field, points, [float(mu) for mu in nodes for _ in omegas],
+                 omegas * len(nodes), args)
+    return 0
 
 
 def _cmd_verify(args) -> int:

@@ -14,7 +14,7 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameScalars, _dot,
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
                      NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
 from .frames import (float_3vector, float_array, float_scalar, float_vector,
-                     on_stack, raw_components, raw_parts)
+                     instance_of, on_stack, raw_components, raw_parts)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,7 +130,8 @@ def shape_operator(normal_field, basis1_field, basis2_field, r,
 def normal_curvature(shape: ShapeOperator2x2, omega: float) -> float:
     """Quadratic form of the shape operator in the azimuth direction:
     FrameScalars.normal_curvature of its entries.  OutOfRange where
-    omega is not a finite number."""
+    shape is not a ShapeOperator2x2, or omega is not a finite number."""
+    instance_of(shape, ShapeOperator2x2, "shape")
     omega = float_scalar(omega, "omega")
     if not math.isfinite(omega):
         raise OutOfRange(f"omega = {omega} is not finite")

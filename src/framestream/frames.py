@@ -200,6 +200,15 @@ def float_scalar(x, what: str) -> float:
         raise OutOfRange(f"{what} must be a number: {exc}") from exc
 
 
+def instance_of(x, kind: type, what: str):
+    """x, or OutOfRange naming ``what`` where it is not a ``kind``: the
+    test of a library object handed to the API, such as a frame jet."""
+    if not isinstance(x, kind):
+        raise OutOfRange(f"{what} must be a {kind.__name__}, not "
+                         f"{type(x).__name__}")
+    return x
+
+
 def finite_numbers(*values) -> bool:
     """True if every value is a real number, neither infinite nor NaN:
     the test of the numbers that a frame id holds."""
@@ -662,7 +671,9 @@ def orthonormalize(t, b_tilde):
 
 def angles_from_direction(frame: FramePoint, omega_dir) -> AngularPoint:
     """(mu, omega) of a unit direction relative to a frame; OutOfRange
-    where the direction is not a finite 3-vector, or not unit."""
+    where the frame is not a FramePoint, or the direction is not a
+    finite 3-vector, or not unit."""
+    instance_of(frame, FramePoint, "frame")
     d = float_vector(omega_dir, "direction")
     if abs(d @ d - 1.0) > 1e-10:
         raise OutOfRange("direction must be unit")
@@ -679,7 +690,9 @@ def angles_from_direction(frame: FramePoint, omega_dir) -> AngularPoint:
 
 def direction_from_angles(frame: FramePoint, mu: float, omega: float):
     """Unit direction mu*n + sqrt(1-mu^2)(cos(omega) t + sin(omega) b);
-    OutOfRange for a NaN mu or one outside [-1, 1], or from float_angles."""
+    OutOfRange for a frame that is not a FramePoint, a NaN mu or one
+    outside [-1, 1], or from float_angles."""
+    instance_of(frame, FramePoint, "frame")
     mu, omega = float_angles(mu, omega)
     check_mu_range(mu)
     s = math.sqrt(max(0.0, 1.0 - mu * mu))

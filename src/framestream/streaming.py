@@ -25,7 +25,7 @@ from .errors import (FoliationMissing, InconsistentBreakdown,
 from .frames import (_POLAR_TOL, FramePoint, _each, all_true,
                      check_mu_range, direction_from_angles, float_3vector,
                      float_angles, float_array, float_scalar, float_vector,
-                     loose_frames_ok, on_stack)
+                     instance_of, loose_frames_ok, on_stack)
 
 _BREAKDOWN_RTOL = 1e-10
 _FOLIATION_TOL = 1e-6
@@ -288,9 +288,9 @@ def checked_terms(jet: FrameJet, mu, s, c, sn):
     coefficient_terms takes them.  A stack runs each check on all states
     at once, the frame check first; when one fails, its points are
     replayed one by one, which raises the error of the first failing
-    point.
+    point.  OutOfRange where the jet is not a FrameJet.
     """
-    if jet.n.ndim == 1:
+    if instance_of(jet, FrameJet, "jet").n.ndim == 1:
         FramePoint.loose(jet.n, jet.t, jet.b)
         terms = coefficient_terms(jet, mu, s, c, sn)
         check_breakdown(*terms)
@@ -311,9 +311,9 @@ def checked_terms(jet: FrameJet, mu, s, c, sn):
 def coefficients_from_jet(jet: FrameJet, mu: float, omega: float,
                           at_point=None) -> StreamingCoefficients:
     """Assemble both coefficients from a precomputed frame jet of one
-    point; OutOfRange for the jet of a stack of points, or for an
-    at_point that is not a 3-vector."""
-    if jet.n.ndim != 1:
+    point; OutOfRange for a jet that is not a FrameJet or is that of a
+    stack of points, or for an at_point that is not a 3-vector."""
+    if instance_of(jet, FrameJet, "jet").n.ndim != 1:
         raise OutOfRange(f"the jet must be of one point, not of "
                          f"{len(jet.n)} stacked points")
     mu, s, c, sn = _angles(mu, omega)
@@ -345,11 +345,13 @@ def apply_streaming(coeffs: StreamingCoefficients, omega_dir,
                     dpsi_domega: float) -> float:
     """Assembled Omega . grad Psi from precomputed pieces.
 
-    OutOfRange where omega_dir is not a 3-vector, InconsistentDirection
-    where it does not reconstruct from (mu, omega, frame) within 1e-10
-    (a NaN entry included), OutOfRange where spatial_grad_psi is not
-    a finite 3-vector, and OutOfRange where dpsi_dmu or dpsi_domega is
-    not a number."""
+    OutOfRange where coeffs is not a StreamingCoefficients or omega_dir
+    is not a 3-vector, InconsistentDirection where omega_dir does not
+    reconstruct from (mu, omega, frame) within 1e-10 (a NaN entry
+    included), OutOfRange where spatial_grad_psi is not a finite
+    3-vector, and OutOfRange where dpsi_dmu or dpsi_domega is not a
+    number."""
+    instance_of(coeffs, StreamingCoefficients, "coeffs")
     d = float_3vector(omega_dir, "direction")
     _, mu, omega = coeffs.at
     rebuilt = direction_from_angles(coeffs.frame, mu, omega)

@@ -14,10 +14,10 @@ draws, and any other check runs at its turn.  Then each frame makes
 one stacked frame jet at the points of every sampled check, and each
 check's residuals read their own rows of it.  The checks that read the
 coefficients (catalog, oracle and homothety) take them from one
-checked_terms call per frame over all their rows of the jet.  A
-stacked jet gives each row the bits of the single-point jet, and a
-stacked assembly each state the bits of its own, so each check reports
-what it would report alone."""
+checked_terms call per frame over all their rows of the jet, the only
+place verify assembles them.  A stacked jet gives each row the bits of
+the single-point jet, and a stacked assembly each state the bits of its
+own, so each check reports what it would report alone."""
 from __future__ import annotations
 
 import dataclasses
@@ -429,17 +429,18 @@ class _Sampled(NamedTuple):
     ``residuals(fid, field, points, omega, angles, jet, extra)`` returns
     an array of the residuals at one frame's states: ``points`` (N, 3),
     ``omega`` (N,), ``angles`` the (mu, s, c, sn) arrays of angle_arrays
-    (None when not ``uses_angles``) and ``jet`` the stacked frame jet at
-    the points, followed by those of ``extra_points(points)`` when that
-    hook is set.  ``extra`` holds what ``draw(rng, count)`` drew right
-    after the frame's states, or None.  The check's worst residual is
-    ``total`` of the residuals of all its frames.
+    (None for a row that reads only the jet) and ``jet`` the stacked
+    frame jet at the points, followed by those of ``extra_points(points)``
+    when that hook is set.  ``extra`` holds what ``draw(rng, count)``
+    drew right after the frame's states, or None.  The check's worst
+    residual is ``total`` of the residuals of all its frames.
 
-    A row whose residuals read a_mu and a_omega at every row of its jet
-    sets ``jet_angles(angles)``, the angle arrays at those rows.
-    _evaluate then passes them as an eighth argument, ``terms``, from
-    one checked_terms call for all such rows of a frame; a residual
-    called without them makes its own calls."""
+    ``reads`` says what the residuals read beyond the jet: "jet" for
+    nothing, "angles" for the angle arrays, and "terms" for a_mu and
+    a_omega at every row of the jet as well, which _evaluate passes as
+    an eighth argument, ``terms``, from the frame's one assembly
+    (_assembled_terms).  There each state's extra points follow one
+    another and read its angles."""
 
     count: int
     per_state: int
@@ -448,8 +449,7 @@ class _Sampled(NamedTuple):
     draw: Callable = None
     extra_points: Callable = None
     total: Callable = _worst
-    uses_angles: bool = True
-    jet_angles: Callable = None
+    reads: str = "angles"
 
 
 def _draw(row: _Sampled, frames, rng) -> dict:
@@ -463,7 +463,7 @@ def _draw(row: _Sampled, frames, rng) -> dict:
             continue
         points, mu, omega = _draw_states(fid, row.count, rng)
         angles = None
-        if row.uses_angles:
+        if row.reads != "jet":
             angles = angle_arrays(mu, omega)
             check_mu(angles[0])
         extra = None if row.draw is None else row.draw(rng, row.count)
@@ -487,28 +487,28 @@ def _rows(jet: FrameJet, rows) -> FrameJet:
 
 def _assembled_terms(asks, spans, jet: FrameJet) -> dict:
     """Check name -> (a_mu, a_omega) at its jet rows, for each asked row
-    with jet_angles, from one checked_terms call on all those rows of
+    that reads "terms", from one checked_terms call on all those rows of
     the stacked jet: each entry has the bits of its own row's calls.
-    Empty where that call raises, so that each row makes its own calls
-    in row order, and the first failing one raises its error."""
-    wanted = [(name, span, row.jet_angles(states[2]))
-              for (name, row, states), span in zip(asks, spans)
-              if row.jet_angles is not None]
-    if not wanted:
+    Each state's extra points follow one another and read its angles.
+    Its errors are those of checked_terms: the frame check of every row
+    first, then the breakdown check, each naming its first failing
+    row."""
+    names, index, columns = [], [], []
+    for (name, row, (points, _, angles, _)), span in zip(asks, spans):
+        if row.reads == "terms":
+            rows = np.arange(span.start, span.stop)
+            extras = len(rows) // len(points) - 1
+            names.append(name)
+            index.append(rows)
+            columns.append([np.concatenate([a, np.repeat(a, extras)])
+                            for a in angles])
+    if not names:
         return {}
-    index = np.concatenate([np.arange(span.start, span.stop)
-                            for _, span, _ in wanted])
-    try:
-        a_mu, a_omega = checked_terms(_rows(jet, index), *(
-            np.concatenate(column)
-            for column in zip(*(angles for *_, angles in wanted))))[:2]
-    except Exception:  # replayed by the rows' own calls, in row order
-        return {}
-    out, stop = {}, 0
-    for name, span, _ in wanted:
-        start, stop = stop, stop + span.stop - span.start
-        out[name] = a_mu[start:stop], a_omega[start:stop]
-    return out
+    a_mu, a_omega = checked_terms(_rows(jet, np.concatenate(index)),
+                                  *map(np.concatenate, zip(*columns)))[:2]
+    bounds = np.cumsum([len(rows) for rows in index])[:-1]
+    return dict(zip(names, zip(np.split(a_mu, bounds),
+                               np.split(a_omega, bounds))))
 
 
 def _evaluate(drawn: dict, frames, cfg) -> dict:
@@ -519,9 +519,10 @@ def _evaluate(drawn: dict, frames, cfg) -> dict:
     a_mu and a_omega take them from one assembly (_assembled_terms).
     Every entry of a stacked jet, and of a stacked assembly, has the
     bits of the single state, so a row's residuals do not depend on the
-    rows beside it; where a stack fails, its states are replayed, and
-    the first failing state, in frame order and then row order, raises
-    its error."""
+    rows beside it.  Frame by frame, the jet raises the error of its
+    first failing point, then the assembly that of its first failing
+    state, by stage (frame check, then breakdown), then the rows' own
+    residuals in row order."""
     found = {name: [np.zeros(0)] for name in drawn}
     for frame, fid in frames.items():
         asks = [(name, row, states[frame])
@@ -540,7 +541,7 @@ def _evaluate(drawn: dict, frames, cfg) -> dict:
                 asks, spans):
             found[name].append(row.residuals(
                 fid, field, points, omega, angles, _rows(jet, span), extra,
-                *((terms[name],) if name in terms else ())))
+                *((terms[name],) if row.reads == "terms" else ())))
     out = {}
     for name, (row, states) in drawn.items():
         count = sum(len(points) for points, *_ in states.values())
@@ -549,28 +550,16 @@ def _evaluate(drawn: dict, frames, cfg) -> dict:
     return out
 
 
-def _state_angles(angles):
-    """The angle arrays at the jet rows of a row that reads the jet at
-    its states only."""
-    return angles
-
-
-def _checked(terms, jet, angles):
-    """(a_mu, a_omega): terms, or checked_terms at the jet's rows where
-    terms is None."""
-    return checked_terms(jet, *angles)[:2] if terms is None else terms
-
-
 def _catalog_residuals(fid, field, points, omega, angles, jet, extra,
-                       terms=None):
-    a_mu, a_omega = _checked(terms, jet, angles)
+                       terms):
+    a_mu, a_omega = terms
     cat_mu, cat_om = catalog_coefficients(fid, points, angles[0], omega)
     return np.abs(np.concatenate([a_mu - cat_mu, a_omega - cat_om]))
 
 
 def _oracle_residuals(fid, field, points, omega, angles, jet, extra,
-                      terms=None):
-    a_mu, a_omega = _checked(terms, jet, angles)
+                      terms):
+    a_mu, a_omega = terms
     oracle = ray_oracle(field, points, _direction(jet, *angles))
     return np.abs(np.concatenate([a_mu - oracle.dmu_ds,
                                   a_omega - oracle.domega_ds]))
@@ -618,26 +607,17 @@ def _scaled_points(points):
         points, len(_SCALES), axis=0)
 
 
-def _scaled_angles(angles):
-    """The angle arrays at the states, then at their _scaled_points."""
-    return [np.concatenate([a, np.repeat(a, len(_SCALES))]) for a in angles]
-
-
 def _homothety_residuals(fid, field, points, omega, angles, jet, extra,
-                         terms=None):
-    """Relative misfit of a(scale r) = a(r) / scale at three scales; the
-    jet holds the N points, then their _scaled_points.
+                         terms):
+    """Relative misfit of a(scale r) = a(r) / scale at three scales;
+    terms hold a_mu and a_omega at the N points, then at their
+    _scaled_points.
 
     The misfit is relative to |a(r)|, floored at the coefficient scale
     1/|r| that homothety fixes: where a(r) nearly vanishes, a fixed
     floor would read the fd engine's absolute error as a large relative
     one."""
     count = len(points)
-    if terms is None:
-        terms = np.concatenate([
-            checked_terms(_rows(jet, slice(0, count)), *angles)[:2],
-            checked_terms(_rows(jet, slice(count, None)), *(
-                np.repeat(a, len(_SCALES)) for a in angles))[:2]], axis=1)
     (a_mu, s_mu), (a_omega, s_omega) = (np.split(a, [count]) for a in terms)
     scales = np.tile(_SCALES, count)
     lead = np.repeat([a_mu, a_omega], len(_SCALES), axis=1)
@@ -725,19 +705,19 @@ def _check_kb_transform(cfg):
 # returns (worst residual, samples).
 _CHECKS = {
     "catalog-agreement": (1e-7, False, _Sampled(
-        60, 1, _catalog_residuals, jet_angles=_state_angles)),
+        60, 1, _catalog_residuals, reads="terms")),
     "oracle-agreement": (1e-6, False, _Sampled(
-        40, 1, _oracle_residuals, jet_angles=_state_angles)),
+        40, 1, _oracle_residuals, reads="terms")),
     "form-equivalence": (1e-8, False, _Sampled(40, 1, _form_residuals)),
     "frame-identities": (1e-8, False, _Sampled(40, 1, _identity_residuals,
                                                draw=_normal_rows)),
     "homothety": (1e-8, False, _Sampled(20, 3, _homothety_residuals,
                                         homothetic=True,
                                         extra_points=_scaled_points,
-                                        jet_angles=_scaled_angles)),
+                                        reads="terms")),
     "conservation-trichotomy": (0.0, False, _Sampled(
         _CONSERVATION_POINTS, _CONSERVATION_ANGLES, _conservation_residuals,
-        draw=_angle_rows, total=np.sum, uses_angles=False)),
+        draw=_angle_rows, total=np.sum, reads="jet")),
     "holonomy-convergence": (1e-3, False, _check_holonomy),
     "kb-transform-residual": (
         0.0, True, lambda frames, rng, cfg, theta: _check_kb_transform(cfg)),

@@ -8,8 +8,8 @@ from framestream import (CheckResult, ConservationReport, Constant,
                          CylindricalI, CylindricalII, DiffConfig, Ellipsoid,
                          FramePoint, FramestreamError, InconsistentReport,
                          MuForm, OmegaForm, OutOfRange, Paraboloid,
-                         RayOracleResult, Sphere, apply_streaming,
-                         builtin_frame, catalog_coefficients,
+                         RayOracleResult, Sphere, angles_from_direction,
+                         apply_streaming, builtin_frame, catalog_coefficients,
                          coefficients_from_jet, conservation_check,
                          catalog_entry, curl, curvature_from_parametrization,
                          curvature_report, direction_from_angles,
@@ -21,6 +21,7 @@ from framestream import (CheckResult, ConservationReport, Constant,
                          shape_operator, shape_operator_via_fundamental_forms,
                          streaming_coefficients, verification, winding_term)
 from framestream.cli import main
+from framestream.streaming import checked_terms
 from framestream.verification import (_angle_grid, default_graph_id,
                                       random_states)
 
@@ -269,11 +270,12 @@ def test_homothety_floor_keeps_a_non_homothetic_misfit_large():
     # The jet at the points, then at each point scaled by each scale.
     jet = frame_jet(field, np.concatenate(
         [points, verification._scaled_points(points)]))
-    residuals = _homothety_residuals(
-        fid, field, points, None,
-        verification.angle_arrays([mu for _, mu, _ in states],
-                                  [omega for _, _, omega in states]),
-        jet, None)
+    angles = verification.angle_arrays([mu for _, mu, _ in states],
+                                       [omega for _, _, omega in states])
+    terms = checked_terms(jet, *(np.concatenate([a, np.repeat(a, 3)])
+                                 for a in angles))[:2]
+    residuals = _homothety_residuals(fid, field, points, None, angles, jet,
+                                     None, terms)
     assert residuals.shape == (120,)
     assert np.median(residuals) > 1e-2
 
@@ -663,6 +665,19 @@ def _cylinder_shape():
     (lambda: conservation_check(_sphere(), [1.0, 0.2, 0.3],
                                 [(0.1, 0.2)] * 8),
      "sample points must be an (N, 3) array, not of shape (3,)"),
+    # An object that is not the library type an argument names.
+    (lambda: coefficients_from_jet(object(), 0.3, 1.1),
+     "jet must be a FrameJet, not object"),
+    (lambda: checked_terms(object(), 0.3, 0.9, 0.5, 0.8),
+     "jet must be a FrameJet, not object"),
+    (lambda: apply_streaming(object(), UNIT_X, UNIT_X, 0.0, 0.0),
+     "coeffs must be a StreamingCoefficients, not object"),
+    (lambda: direction_from_angles(object(), 0.3, 1.1),
+     "frame must be a FramePoint, not object"),
+    (lambda: angles_from_direction(object(), UNIT_X),
+     "frame must be a FramePoint, not object"),
+    (lambda: normal_curvature(object(), 0.3),
+     "shape must be a ShapeOperator2x2, not object"),
 ], ids=["coefficients", "curvature-report", "winding", "kb-transform",
         "jet-rank-3", "conservation", "oracle-step-0", "oracle-step-nan",
         "oracle-direction", "holonomy-v0-nan", "holonomy-v0-short",
@@ -696,7 +711,10 @@ def _cylinder_shape():
         "fundamental-forms-u-string", "fundamental-forms-v-none",
         "run-checks-frame-filter-list", "run-checks-check-filter-int",
         "selected-checks-bytes", "engine-array", "engine-array-of-one",
-        "conservation-scalar-points", "conservation-one-point"])
+        "conservation-scalar-points", "conservation-one-point",
+        "coefficients-jet-object", "checked-terms-jet-object",
+        "apply-coeffs-object", "direction-frame-object",
+        "angles-frame-object", "normal-curvature-shape-object"])
 def test_malformed_input_is_out_of_range(call, message):
     with pytest.raises(OutOfRange) as info:
         call()

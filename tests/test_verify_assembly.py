@@ -1,15 +1,13 @@
 """verify's one coefficient assembly per frame: the rows that read a_mu
 and a_omega (catalog, oracle and homothety) get them from one
-checked_terms call on all their jet rows, with the bits and the errors
-of each row's own calls."""
-import re
-
+checked_terms call on all their jet rows, with the bits of each row's
+own calls and the errors of checked_terms, stage by stage."""
 import numpy as np
 import pytest
 
 from framestream import (DiffConfig, FramePoint, FramestreamError,
                          run_checks, verification)
-from framestream.errors import InconsistentBreakdown
+from framestream.errors import NotOrthonormal
 from framestream.streaming import checked_terms
 from framestream.verification import _SCALES, _Sampled, _rows
 
@@ -35,7 +33,7 @@ def test_one_assembly_keeps_the_bits_of_each_rows_calls(seed, cfg,
     seen = []
     checks = dict(verification._CHECKS)
     for name, (tol, report_only, row) in verification._CHECKS.items():
-        if not isinstance(row, _Sampled) or row.jet_angles is None:
+        if not isinstance(row, _Sampled) or row.reads != "terms":
             continue
 
         # No default for terms: the rows must be handed them.
@@ -114,13 +112,25 @@ def test_a_failing_state_of_a_later_row_raises_its_own_error(monkeypatch):
                                                    str(want.value))
 
 
-def test_an_earlier_rows_failure_still_comes_first(monkeypatch):
-    # A tilted frame at homothety's scaled row fails the frame check of
-    # an assembly of every row at once, ahead of any breakdown; the
-    # catalog's own call, which runs first, fails its breakdown at a
-    # NaN Jacobian.
+def test_every_rows_frame_check_comes_before_any_breakdown(monkeypatch):
+    # The one assembly checks the frames of all its rows before any
+    # breakdown: the tilted frame at homothety's scaled row fails ahead
+    # of the NaN Jacobian at an earlier catalog row.
     _mutated_jets(monkeypatch, {CATALOG_ROW: _nan_jn,
                                 SCALED_ROW: _tilted_t})
-    with pytest.raises(InconsistentBreakdown,
-                       match=re.escape("a_mu breakdown inconsistent")):
+    with pytest.raises(NotOrthonormal) as info:
         run_checks(frame_filter="sphere", seed=7)
+    assert (type(info.value), str(info.value)) == (
+        NotOrthonormal, "t is not unit within 1e-08")
+
+
+def test_each_sampled_row_reads_one_of_three_inputs():
+    # A "terms" row's extra points read the angles of their states,
+    # repeated in turn, so there must be a whole number of them each.
+    points = np.ones((7, 3))
+    for name, (_, _, row) in verification._CHECKS.items():
+        if not isinstance(row, _Sampled):
+            continue
+        assert row.reads in ("jet", "angles", "terms"), name
+        if row.reads == "terms" and row.extra_points is not None:
+            assert len(row.extra_points(points)) % len(points) == 0, name
