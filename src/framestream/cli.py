@@ -131,11 +131,15 @@ def _table_chunks(points, mus, omegas, terms, args):
     a non-finite point, and the breakdown check of checked_terms a
     non-finite computed value.
 
-    The record format is cut at its column separator, so the text of
-    each point and of each direction is rendered once.  In a chunk,
-    each distinct computed value is rendered once, keyed by its bits so
-    that 0.0 and -0.0 keep their own text, and the chunk is one format
-    string filled by one % with those texts."""
+    The record format is split once into its literal pieces around the
+    m computed columns, and the text of each point (its head) and of
+    each direction (its mid, with the first literal appended) is
+    rendered once.  A chunk of rows is a (rows, 2m + 2) object array of
+    cells, joined into one text: head, mid, then each computed value
+    followed by the literal after it, the last literal carrying the
+    row separator, which the table's last row drops.  Each distinct
+    computed value of a chunk is formatted once, keyed by its bits so
+    that 0.0 and -0.0 keep their own text."""
     if args.format == "csv":
         yield ",".join(CSV_COLUMNS) + "\n"
         record, sep, row_sep = _CSV_ROW + "\n", ",", ""
@@ -143,26 +147,35 @@ def _table_chunks(points, mus, omegas, terms, args):
         yield '{\n  "version": 1,\n  "records": [\n'
         record, sep, row_sep = _JSON_RECORD, ",\n", ",\n"
     pieces = record.split(sep)  # x, y, z; mu, omega; the computed columns
-    head, mid, tail = (sep.join(pieces[:3]) + sep,
-                       sep.join(pieces[3:5]) + sep, sep.join(pieces[5:]))
-    heads = [head % tuple(p) for p in points.tolist()]
-    tail = tail.replace("%.17g", "%s")
-    mids = [mid % d + tail for d in zip(mus, omegas)]
+    head, mid = sep.join(pieces[:3]) + sep, sep.join(pieces[3:5]) + sep
+    literals = sep.join(pieces[5:]).split("%.17g")
+    m = len(literals) - 1
+    heads = np.array([head % tuple(p) for p in points.tolist()],
+                     dtype=object)
+    mids = np.array([mid % d + literals[0] for d in zip(mus, omegas)],
+                    dtype=object)
     k = len(mids)
-    values = np.stack([term.ravel() for term in terms[:len(pieces) - 5]],
-                      axis=1)
-    for lo in range(0, len(values), _CHUNK_ROWS):
+    values = np.stack([term.ravel() for term in terms[:m]], axis=1)
+    n = len(values)
+    cells = np.empty((min(_CHUNK_ROWS, n), 2 * m + 2), dtype=object)
+    cells[:, 3::2] = np.array(literals[1:-1] + [literals[-1] + row_sep],
+                              dtype=object)
+    for lo in range(0, n, _CHUNK_ROWS):
         chunk = values[lo:lo + _CHUNK_ROWS]
+        rows = np.arange(lo, lo + len(chunk))
         keys, inverse = np.unique(chunk.view(np.uint64),
                                   return_inverse=True)
-        # An object array, so that one gather puts each cell's text in
-        # place.
-        texts = np.array(["%.17g" % v for v in keys.view(float).tolist()],
+        # "%.17g" text never holds a space.
+        texts = np.array((" ".join(["%.17g"] * len(keys))
+                          % tuple(keys.view(float).tolist())).split(" "),
                          dtype=object)
-        fmt = row_sep.join([heads[i // k] + mids[i % k]
-                            for i in range(lo, lo + len(chunk))])
-        yield (row_sep if lo else "") + fmt % tuple(
-            texts[inverse.ravel()].tolist())
+        block = cells[:len(chunk)]
+        block[:, 0] = heads[rows // k]
+        block[:, 1] = mids[rows % k]
+        block[:, 2::2] = texts[inverse].reshape(len(chunk), m)
+        if lo + len(chunk) == n:
+            block[-1, -1] = literals[-1]
+        yield "".join(block.ravel().tolist())
     if args.format == "json":
         yield '\n  ],\n  "meta": ' + _emit_json(_meta(args), 1) + "\n}\n"
 

@@ -209,14 +209,16 @@ def test_row_format_matches_fmt_on_special_values():
     assert cli._CSV_ROW % row == ",".join(_fmt(v) for v in row)
 
 
-def _crafted_table():
-    """3 points by 5 directions, 15 rows: three chunks of 7 rows, the
-    last one partial, with computed values that a dedupe keyed on
-    anything but the bits would render wrong."""
+def _crafted_table(n_points=3, n_directions=5):
+    """n_points points by n_directions directions, at most 15 rows; by
+    default 3 by 5, three chunks of 7 rows, the last one partial.  The
+    computed values are ones that a dedupe keyed on anything but the
+    bits would render wrong: +-0.0, 5e-324 and neighbours by one ulp in
+    the first row, and values repeated within and across chunks."""
     rng = np.random.default_rng(3)
-    points = rng.uniform(-2.0, 2.0, size=(3, 3))
-    mus = rng.uniform(-0.9, 0.9, size=5).tolist()
-    omegas = rng.uniform(0.0, 6.0, size=5).tolist()
+    points = rng.uniform(-2.0, 2.0, size=(n_points, 3))
+    mus = rng.uniform(-0.9, 0.9, size=n_directions).tolist()
+    omegas = rng.uniform(0.0, 6.0, size=n_directions).tolist()
     values = rng.uniform(-2.0, 2.0, size=(15, 7))
     x = float(values[1, 0])
     values[0, :2] = 0.0, -0.0
@@ -225,7 +227,10 @@ def _crafted_table():
     values[3:5] = -0.0
     values[6, 5] = values[7, 0] = values[7, 3] = 1.0 / 3.0
     values[8:14, 2] = 0.0
-    return points, mus, omegas, tuple(values.T.reshape(7, 3, 5))
+    values[0, 2:6] = 5e-324, x, np.nextafter(x, -math.inf), -5e-324
+    rows = values[:n_points * n_directions]
+    return points, mus, omegas, tuple(rows.T.reshape(7, n_points,
+                                                     n_directions))
 
 
 def _crafted_args(fmt):
@@ -233,16 +238,20 @@ def _crafted_args(fmt):
                               no_timestamp=True)
 
 
+def _crafted_text(points, mus, omegas, terms, fmt):
+    """The table as _render writes one record dict per row."""
+    records = [dict(zip(cli.TABLE_COLUMNS,
+                        [*map(float, points[i]), mus[j], omegas[j],
+                         *(float(t[i, j]) for t in terms)]))
+               for i in range(len(points)) for j in range(len(mus))]
+    return _render(records, "dual", fmt)
+
+
 @pytest.mark.parametrize("fmt", ("json", "csv"))
 def test_table_text_keys_each_value_on_its_bits(fmt):
-    points, mus, omegas, terms = _crafted_table()
-    got = "".join(cli._table_chunks(points, mus, omegas, terms,
-                                    _crafted_args(fmt)))
-    names = cli.TABLE_COLUMNS
-    records = [dict(zip(names, [*map(float, points[i]), mus[j], omegas[j],
-                                *(float(t[i, j]) for t in terms)]))
-               for i in range(3) for j in range(5)]
-    assert got == _render(records, "dual", fmt)
+    table = _crafted_table()
+    got = "".join(cli._table_chunks(*table, _crafted_args(fmt)))
+    assert got == _crafted_text(*table, fmt)
 
 
 @pytest.mark.parametrize("fmt, extra", (("json", 2), ("csv", 1)))
@@ -254,6 +263,19 @@ def test_table_text_stays_chunked(fmt, extra):
                                     _crafted_args(fmt)))
     assert cli._CHUNK_ROWS == 7
     assert len(chunks) == math.ceil(15 / cli._CHUNK_ROWS) + extra
+
+
+@pytest.mark.parametrize("fmt, extra", (("json", 2), ("csv", 1)))
+@pytest.mark.parametrize("shape", ((1, 1), (7, 1), (2, 7)),
+                         ids=("1-row", "7-rows", "14-rows"))
+def test_table_text_at_chunk_boundaries(shape, fmt, extra):
+    # A one-row table and tables of whole chunks only, where a row
+    # separator left on the last row would show; the 15-row table with
+    # its partial last chunk is the one the two tests above render.
+    table = _crafted_table(*shape)
+    chunks = list(cli._table_chunks(*table, _crafted_args(fmt)))
+    assert len(chunks) == math.ceil(shape[0] * shape[1] / 7) + extra
+    assert "".join(chunks) == _crafted_text(*table, fmt)
 
 
 # sha256 and length of the benchmark's sweep report (sphere frame, a
