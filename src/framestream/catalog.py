@@ -15,6 +15,8 @@ The chart chain (_norm_chain, _gram_schmidt_chain, _along and the
 ellipsoid's chart rates) unpacks each vector once and writes every
 component out, with the operations of the per-index formula in its
 order, so one state runs no generator or helper call per component.
+The angles share the coefficient path's domain (check_mu), but not its
+conversion to sqrt(1 - mu^2), cos and sin.
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ import numpy as np
 from .errors import OutOfRange, OutsideValidRegion
 from .frames import (Constant, CylindricalI, CylindricalII, Ellipsoid,
                      Graph, Paraboloid, Sphere, _each, _on_arrays,
-                     any_true, float_3vector, float_angles, float_array,
-                     on_stack)
+                     any_true, check_mu, float_3vector, float_angles,
+                     float_array, on_stack)
 
 _AUX_KEYS = ("s_tt", "s_tb", "s_bt", "s_bb", "kn_t", "kn_b",
              "kt_b", "kb_t", "winding")
@@ -46,29 +48,23 @@ def _sqrt(v):
     return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
 
 
-def _polar_sine(mu: float) -> float:
-    return math.sqrt(max(0.0, 1.0 - mu * mu))
-
-
 def _assemble(aux, mu, omega):
-    """a_mu, a_omega from the nine auxiliary scalars, in _AUX_KEYS order.
+    """a_mu, a_omega from the nine auxiliary scalars, in _AUX_KEYS order;
+    mu passes check_mu first, so s is never 0.
 
     Aux convention: s_ab = a . grad_b n; kn_t/kn_b are the t and b
     components of kappa^n = -grad_n n; kt_b = b . kappa^t;
     kb_t = t . kappa^b; winding = t . grad_n b.
     """
+    check_mu(mu)
     s_tt, s_tb, s_bt, s_bb, kn_t, kn_b, kt_b, kb_t, winding = aux
-    s = _each(_polar_sine, mu)
+    s = _sqrt(1.0 - mu * mu)
     c, sn = _each(math.cos, omega), _each(math.sin, omega)
     quad = c * c * s_tt + sn * c * (s_tb + s_bt) + sn * sn * s_bb
     a_mu = (1.0 - mu * mu) * quad - mu * s * (c * kn_t + sn * kn_b)
     t_dn = s * c * s_tt + s * sn * s_tb - mu * kn_t
     b_dn = s * c * s_bt + s * sn * s_bb - mu * kn_b
-    tilt = -mu * (-sn * t_dn + c * b_dn)
-    if isinstance(s, np.ndarray):
-        tilt = np.divide(tilt, s, out=np.zeros_like(s), where=s != 0.0)
-    else:
-        tilt = 0.0 if s == 0.0 else tilt / s
+    tilt = -mu * (-sn * t_dn + c * b_dn) / s
     a_omega = s * (c * kt_b - sn * kb_t) + mu * winding + tilt
     return a_mu, a_omega
 
@@ -310,6 +306,7 @@ def catalog_coefficients(fid, r, mu, omega):
     say), or where a point, mu or omega is not finite, the states go one
     by one through the single-state call, which raises the first failing
     state's error.  Every entry of a stacked result has the single-state bits.
+    Each mu must pass check_mu, as in streaming_coefficients.
     """
     aux = _row(fid)[0]
     pts = float_array(r, "catalog point")

@@ -15,8 +15,8 @@ from .curvature import parallel_transport_holonomy
 from .derivatives import DiffConfig, frame_jet
 from .errors import EvaluationFailure, FramestreamError, OutOfRange
 from .frames import (BUILTIN_FRAMES, Constant, Sphere, _place_cylinder,
-                     _shell_placement, builtin_frame)
-from .streaming import angle_arrays, check_mu, checked_terms
+                     _shell_placement, angle_arrays, builtin_frame, check_mu)
+from .streaming import checked_terms
 from .verification import (_circle_loop, _latitude_loop, run_checks,
                            sampled_conservation)
 
@@ -186,15 +186,11 @@ def _emit_states(field, points, mus, omegas, args) -> None:
     directions broadcast against each point's scalars in one numpy
     pass.  When that pass fails, the points are replayed one by one, so
     that the error is that of the first failing point.  Nothing is
-    written when a state fails.  Its errors are EvaluationFailure, which
-    exits 3: they name the failing point, and a mu out of range is one
-    too, although check_mu raises OutOfRange for it."""
+    written when a state fails.  A mu fails check_mu first (exit 2 or
+    3, by type); a point's error is an EvaluationFailure naming it."""
     cfg = _cfg(args)
     angles = angle_arrays(mus, omegas)
-    try:
-        check_mu(angles[0])
-    except FramestreamError as exc:
-        raise EvaluationFailure(str(exc)) from exc
+    check_mu(angles[0])
     grid = np.array(points)
     try:
         terms = checked_terms(frame_jet(field, grid, cfg),

@@ -4,7 +4,9 @@ Positions are Cartesian.  Frame fields are pure callables on scalar
 triples so the dual-number engine can push tangents straight through
 them; the built-in ones also take equal-length arrays (or array Duals)
 for many points at once.  The ``eval`` wrapper validates and returns
-numpy vectors.
+numpy vectors.  The direction chart (mu, omega) lives here whole: its
+conversion (_angles, angle_arrays) and its domain (check_mu_range,
+check_mu), which the coefficient path and the catalog share.
 """
 from __future__ import annotations
 
@@ -642,6 +644,51 @@ def check_mu_range(mu: float) -> None:
         raise OutOfRange(f"mu = {mu} outside [-1, 1]")
 
 
+def check_mu(mu) -> None:
+    """check_mu_range, then PolarDirection for mu at +-1, where a state's
+    azimuth is undefined.  For an array the entry of largest magnitude
+    (or the first NaN) decides; an empty one passes."""
+    if isinstance(mu, np.ndarray):
+        if not mu.size:
+            return
+        mu = float(mu[np.argmax(np.abs(mu))])
+    check_mu_range(mu)
+    if 1.0 - mu * mu < _POLAR_TOL:
+        raise PolarDirection("omega undefined for mu at +-1")
+
+
+def _angles(mu, omega):
+    """(mu, s, c, sn) of one direction, as coefficient_terms takes them;
+    OutOfRange, from float_angles, for a non-number or non-finite omega."""
+    mu, omega = float_angles(mu, omega)
+    s = math.sqrt(max(0.0, 1.0 - mu * mu))
+    return mu, s, math.cos(omega), math.sin(omega)
+
+
+def angle_arrays(mus, omegas):
+    """Arrays (mu, s, c, sn) for paired lists of mu and omega, each entry
+    with the bits of _angles at that state.  Columns of finite numbers
+    convert as arrays, through on_stack; any other input is replayed
+    state by state, so that the first bad entry raises its own
+    OutOfRange.  Lists of unequal length, or inputs that are not lists,
+    raise OutOfRange before any state is read."""
+    try:
+        paired = len(mus) == len(omegas)
+    except TypeError:  # no length: a number, say
+        paired = False
+    if not paired:
+        raise OutOfRange("mu and omega must be paired lists")
+
+    def as_arrays():
+        mu, omega = float_array(mus, "mu"), float_array(omegas, "omega")
+        if mu.ndim != 1 or mu.shape != omega.shape:
+            raise OutOfRange("mu and omega must be paired lists")
+        s = np.sqrt(np.fmax(0.0, 1.0 - mu * mu))
+        return mu.copy(), s, _each(math.cos, omega), _each(math.sin, omega)
+
+    return on_stack(as_arrays, _angles, mus, omegas)
+
+
 def float_vector(x, what: str) -> np.ndarray:
     """x as a float 3-vector, or OutOfRange naming ``what`` where it is
     not a finite 3-vector."""
@@ -691,14 +738,12 @@ def angles_from_direction(frame: FramePoint, omega_dir) -> AngularPoint:
 def direction_from_angles(frame: FramePoint, mu: float, omega: float):
     """Unit direction mu*n + sqrt(1-mu^2)(cos(omega) t + sin(omega) b);
     OutOfRange for a frame that is not a FramePoint, a NaN mu or one
-    outside [-1, 1], or from float_angles."""
+    outside [-1, 1], or from _angles."""
     instance_of(frame, FramePoint, "frame")
-    mu, omega = float_angles(mu, omega)
+    mu, s, c, sn = _angles(mu, omega)
     check_mu_range(mu)
-    s = math.sqrt(max(0.0, 1.0 - mu * mu))
     # The arithmetic runs on floats, in the order of the array expression
-    # mu n + s cos(omega) t + s sin(omega) b; the cosine and sine stay
-    # numpy's, which may round otherwise than math's.
-    sc, ss = s * float(np.cos(omega)), s * float(np.sin(omega))
+    # mu n + s cos(omega) t + s sin(omega) b.
+    sc, ss = s * c, s * sn
     return np.array([mu * n + sc * t + ss * b for n, t, b in zip(
         frame.n.tolist(), frame.t.tolist(), frame.b.tolist())])

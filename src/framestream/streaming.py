@@ -8,12 +8,12 @@ enters numpy only for the contractions, so one state and a stack give
 the same bits.  One state makes them all in two numpy calls: Omega
 joins (n, t, b) in frame_scalars' matmuls (scalars_along), which give
 t . (jn @ Omega) and b . (jn @ Omega) beside the nine scalars; a stack
-makes jn @ Omega and its two dots in calls of their own."""
+makes jn @ Omega and its two dots in calls of their own.  The angles and
+their domain come from the direction chart in frames."""
 from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 
 import numpy as np
 
@@ -21,11 +21,11 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
                           _direction, _dot, _matvec, frame_jet,
                           frame_scalars, scalars_along, twist)
 from .errors import (FoliationMissing, InconsistentBreakdown,
-                     InconsistentDirection, OutOfRange, PolarDirection)
-from .frames import (_POLAR_TOL, FramePoint, _each, all_true,
-                     check_mu_range, direction_from_angles, float_3vector,
-                     float_angles, float_array, float_scalar, float_vector,
-                     instance_of, loose_frames_ok, on_stack)
+                     InconsistentDirection, OutOfRange)
+from .frames import (FramePoint, _angles, all_true, check_mu, check_mu_range,
+                     direction_from_angles, float_3vector, float_scalar,
+                     float_vector, instance_of, loose_frames_ok)
+from .frames import angle_arrays  # noqa: F401  (re-exported)
 
 _BREAKDOWN_RTOL = 1e-10
 _FOLIATION_TOL = 1e-6
@@ -84,49 +84,6 @@ def check_breakdown(a_mu, a_omega, mu_surface, mu_curve_n, omega_curve,
     if not all_true(abs(a_omega - omega_curve - omega_wind - omega_tilt)
                     / omega_size <= _BREAKDOWN_RTOL):
         raise InconsistentBreakdown("a_omega breakdown inconsistent")
-
-
-def _angles(mu, omega):
-    """(mu, s, c, sn) of one direction, as coefficient_terms takes them;
-    OutOfRange, from float_angles, for a non-number or non-finite omega."""
-    mu, omega = float_angles(mu, omega)
-    s = math.sqrt(max(0.0, 1.0 - mu * mu))
-    return mu, s, math.cos(omega), math.sin(omega)
-
-
-def angle_arrays(mus, omegas):
-    """Arrays (mu, s, c, sn) for paired lists of mu and omega, each entry
-    with the bits of _angles at that state.  Columns of finite numbers
-    convert as arrays, through on_stack; any other input is replayed
-    state by state, so that the first bad entry raises its own
-    OutOfRange.  Lists of unequal length, or inputs that are not lists,
-    raise OutOfRange before any state is read."""
-    try:
-        paired = len(mus) == len(omegas)
-    except TypeError:  # no length: a number, say
-        paired = False
-    if not paired:
-        raise OutOfRange("mu and omega must be paired lists")
-
-    def as_arrays():
-        mu, omega = float_array(mus, "mu"), float_array(omegas, "omega")
-        if mu.ndim != 1 or mu.shape != omega.shape:
-            raise OutOfRange("mu and omega must be paired lists")
-        s = np.sqrt(np.fmax(0.0, 1.0 - mu * mu))
-        return mu.copy(), s, _each(math.cos, omega), _each(math.sin, omega)
-
-    return on_stack(as_arrays, _angles, mus, omegas)
-
-
-def check_mu(mu) -> None:
-    """Raise OutOfRange for mu outside [-1, 1] and PolarDirection for mu
-    at +-1, where omega is undefined.  For an array the entry of largest
-    magnitude (or the first NaN) decides."""
-    if isinstance(mu, np.ndarray):
-        mu = float(mu[np.argmax(np.abs(mu))])
-    check_mu_range(mu)
-    if 1.0 - mu * mu < _POLAR_TOL:
-        raise PolarDirection("omega undefined for mu at +-1")
 
 
 def _mu_terms(k: FrameScalars, mu, s, c, sn):

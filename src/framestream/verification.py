@@ -37,13 +37,12 @@ from .errors import (DegenerateMetric, DomainExit, EvaluationFailure,
                      InconsistentReport, OutOfRange, PolarDirection,
                      UnwrapFailure)
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere, _each,
-                     all_true, any_true, builtin_frame, float_3vector,
-                     float_array, float_scalar, frame_spec, on_stack,
-                     raw_components, raw_parts)
+                     all_true, angle_arrays, any_true, builtin_frame,
+                     check_mu, float_3vector, float_array, float_scalar,
+                     frame_spec, on_stack, raw_components, raw_parts)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
-from .streaming import (MuForm, OmegaForm, angle_arrays, check_mu,
-                        checked_terms, grad_mu_from_jet, grad_omega_from_jet,
-                        has_leaf)
+from .streaming import (MuForm, OmegaForm, checked_terms, grad_mu_from_jet,
+                        grad_omega_from_jet, has_leaf)
 
 TWO_PI = 2.0 * math.pi
 
@@ -710,7 +709,8 @@ _CHECKS = {
         40, 1, _oracle_residuals, reads="terms")),
     "form-equivalence": (1e-8, False, _Sampled(40, 1, _form_residuals)),
     "frame-identities": (1e-8, False, _Sampled(40, 1, _identity_residuals,
-                                               draw=_normal_rows)),
+                                               draw=_normal_rows,
+                                               reads="jet")),
     "homothety": (1e-8, False, _Sampled(20, 3, _homothety_residuals,
                                         homothetic=True,
                                         extra_points=_scaled_points,

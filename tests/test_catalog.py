@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from framestream import (Constant, CylindricalI, CylindricalII, Ellipsoid,
-                         Graph, OutsideValidRegion, Paraboloid, Sphere,
+                         FramestreamError, Graph, OutOfRange,
+                         OutsideValidRegion, Paraboloid, Sphere,
                          builtin_frame, catalog_coefficients, catalog_entry,
                          printed_cyl2_grad_mu, streaming_coefficients)
 from framestream.verification import default_graph_id, random_states
@@ -147,3 +148,32 @@ def test_entries_reject_singular_locus():
 def test_unknown_id_rejected():
     with pytest.raises(OutsideValidRegion):
         catalog_entry(42)
+
+
+@pytest.mark.parametrize("mu", [1.5, -1.5, math.nan, 1.0, -1.0])
+def test_catalog_domain_is_that_of_the_coefficients(mu):
+    """OutOfRange for a NaN mu or one outside [-1, 1] and PolarDirection
+    at +-1, with streaming_coefficients' text, for one state and for
+    the second state of a stack."""
+    r = np.array([1.0, 0.5, 0.2])
+    with pytest.raises(FramestreamError) as want:
+        streaming_coefficients(builtin_frame(Sphere()), r, mu, 0.3)
+    for call in (lambda: catalog_coefficients(Sphere(), r, mu, 0.3),
+                 lambda: catalog_coefficients(Sphere(), np.array([r, r]),
+                                              [0.2, mu], [0.3, 0.3])):
+        with pytest.raises(FramestreamError) as got:
+            call()
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+def test_catalog_stack_raises_its_first_failing_state():
+    # The first state is on the sphere's axis, the second has mu > 1.
+    with pytest.raises(OutsideValidRegion):
+        catalog_coefficients(Sphere(), np.array([[0.0, 0.0, 1.0],
+                                                 [1.0, 0.5, 0.2]]),
+                             [0.2, 1.5], [0.3, 0.3])
+    with pytest.raises(OutOfRange):
+        catalog_coefficients(Sphere(), np.array([[1.0, 0.5, 0.2],
+                                                 [0.0, 0.0, 1.0]]),
+                             [1.5, 0.2], [0.3, 0.3])

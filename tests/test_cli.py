@@ -75,11 +75,19 @@ def test_coeffs_matches_ellipsoid_engine(capsys):
     assert abs(rec["a_omega"] + 0.820993417881) < 1e-6
 
 
-def test_coeffs_exit_3_on_nan_mu(capsys):
-    # A NaN mu is left to the mu range check, an evaluation failure.
+def test_coeffs_exit_2_on_nan_mu(capsys):
+    # A NaN mu fails the mu range check, a bad flag.
     rc, out, err = run(capsys, ["coeffs", "--frame", "sphere", "--point",
                                 "1,0,1", "--mu", "nan", "--omega", "1"])
-    assert (rc, out, err) == (3, "", "error: mu = nan outside [-1, 1]\n")
+    assert (rc, out, err) == (2, "", "error: mu = nan outside [-1, 1]\n")
+
+
+def test_coeffs_exit_3_on_polar_mu(capsys):
+    # mu = 1 is a direction, but one with no azimuth: PolarDirection.
+    rc, out, err = run(capsys, ["coeffs", "--frame", "sphere", "--point",
+                                "1,0,1", "--mu", "1", "--omega", "1"])
+    assert (rc, out, err) == (3, "", "error: omega undefined for mu at "
+                                     "+-1\n")
 
 
 def test_coeffs_exit_3_on_singular_point(capsys):

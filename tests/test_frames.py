@@ -10,7 +10,8 @@ from framestream import (Constant, CylindricalI, CylindricalII, DegeneratePoint,
                          angles_from_direction, apply_streaming,
                          builtin_frame, direction_from_angles,
                          orthonormalize, streaming_coefficients)
-from framestream.frames import BUILTIN_FRAMES, frame_defect, loose_frames_ok
+from framestream.frames import (BUILTIN_FRAMES, check_mu, frame_defect,
+                                loose_frames_ok)
 from framestream.verification import default_frames, random_states
 
 
@@ -121,6 +122,22 @@ def test_direction_chart_rejects_bad_vectors(call, expected):
 def test_angles_reject_a_direction_that_is_not_unit(direction):
     with pytest.raises(OutOfRange, match="^direction must be unit$"):
         _angles(direction)
+
+
+def test_check_mu_passes_an_empty_array():
+    # No state, nothing to check.
+    assert check_mu(np.empty(0)) is None
+
+
+@pytest.mark.parametrize("mus, error, message", [
+    ([0.2, -1.0, 0.5], PolarDirection, "omega undefined for mu at +-1"),
+    ([0.2, 1.5, math.nan], OutOfRange, "mu = nan outside [-1, 1]"),
+], ids=["polar", "nan-beyond-range"])
+def test_check_mu_of_an_array_is_that_of_its_worst_entry(mus, error,
+                                                         message):
+    with pytest.raises(error) as info:
+        check_mu(np.array(mus))
+    assert str(info.value) == message
 
 
 def test_direction_rejects_bad_mu():

@@ -154,6 +154,11 @@ def test_truth_sources_stay_independent():
             frames.raw_parts} <= called
     for fn in called:
         assert not _ENGINE_NAMES & _referenced_names(fn.__code__), fn
+    # The catalog shares the coefficient path's domain, not its angle
+    # arithmetic.
+    called = _called_functions(catalog.catalog_coefficients)
+    assert frames.check_mu in called
+    assert not {frames._angles, frames.angle_arrays} & called
 
 
 def test_all_lists_every_public_name():

@@ -107,8 +107,6 @@ def test_coeffs_matches_per_state_reference(name, engine, fmt, capsys):
      "--z=1:1:1"],
     ["coeffs", "--frame", "cylindrical-i", "--point", "1,0,0",
      "--point", "0,0,1", "--mu", "0.2", "--omega", "1"],
-    ["coeffs", "--frame", "sphere", "--point", "1,0,1", "--mu", "1.5",
-     "--omega", "1"],
 ])
 def test_failing_state_writes_no_file(argv, tmp_path, capsys):
     out = tmp_path / "report.out"
@@ -117,6 +115,15 @@ def test_failing_state_writes_no_file(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_out_of_range_mu_writes_no_file(tmp_path, capsys):
+    # A mu outside [-1, 1] is a bad flag: exit 2, before any evaluation.
+    out = tmp_path / "report.out"
+    assert main(["coeffs", "--frame", "sphere", "--point", "1,0,1", "--mu",
+                 "1.5", "--omega", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: mu = 1.5 outside [-1, 1]\n"
 
 
 # The grid pass fails as a whole; its points are replayed one by one, so

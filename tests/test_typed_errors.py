@@ -1,0 +1,65 @@
+"""Malformed angles through the public calls that take (mu, omega).
+
+Each call must return or raise a FramestreamError, never a raw Python
+or numpy exception, with the bad value as mu or as omega.  The catalog
+shares the domain of the coefficient path: at each bad mu it raises
+the type that streaming_coefficients raises."""
+import math
+
+import numpy as np
+import pytest
+
+from framestream import (FramestreamError, Sphere, builtin_frame,
+                         catalog_coefficients, coefficients_from_jet,
+                         direction_from_angles, frame_jet, grad_mu,
+                         grad_omega, streaming_coefficients)
+
+_FID = Sphere()
+_FIELD = builtin_frame(_FID)
+_POINT = np.array([1.0, 0.5, 0.2])
+_JET = frame_jet(_FIELD, _POINT)
+_FRAME = _FIELD.eval(_POINT)
+_STACK = np.array([[0.8, -0.4, 0.6], _POINT])
+_GOOD = 0.3, 1.1
+
+BAD_ANGLES = [math.nan, math.inf, -math.inf, 1.5, -1.0000001, 1.0, -1.0,
+              "a", None, [], np.zeros((2, 2)), 1 + 1j, True, 2**70]
+
+CALLS = {
+    "streaming_coefficients":
+        lambda mu, omega: streaming_coefficients(_FIELD, _POINT, mu, omega),
+    "coefficients_from_jet":
+        lambda mu, omega: coefficients_from_jet(_JET, mu, omega),
+    "grad_mu": lambda mu, omega: grad_mu(_FIELD, _POINT, mu, omega),
+    "grad_omega": lambda mu, omega: grad_omega(_FIELD, _POINT, mu, omega),
+    "catalog": lambda mu, omega: catalog_coefficients(_FID, _POINT, mu,
+                                                      omega),
+    # The bad value is the second state of a stack of two.
+    "catalog-stack": lambda mu, omega: catalog_coefficients(
+        _FID, _STACK, [_GOOD[0], mu], [_GOOD[1], omega]),
+    "direction_from_angles":
+        lambda mu, omega: direction_from_angles(_FRAME, mu, omega),
+}
+
+
+def _raised(name, mu, omega):
+    """The FramestreamError type that CALLS[name] raises, or None where
+    it returns; any other exception fails the test, naming the call."""
+    try:
+        CALLS[name](mu, omega)
+    except FramestreamError as exc:
+        return type(exc)
+    except Exception as exc:  # an untyped escape
+        pytest.fail(f"{name}(mu={mu!r}, omega={omega!r}) raised "
+                    f"{type(exc).__name__}: {exc}")
+    return None
+
+
+@pytest.mark.parametrize("position", ["mu", "omega"])
+@pytest.mark.parametrize("name", list(CALLS))
+def test_bad_angles_raise_typed_errors(name, position):
+    for bad in BAD_ANGLES:
+        mu, omega = (bad, _GOOD[1]) if position == "mu" else (_GOOD[0], bad)
+        found = _raised(name, mu, omega)
+        if name.startswith("catalog") and position == "mu":
+            assert found is _raised("streaming_coefficients", mu, omega), bad
