@@ -252,16 +252,21 @@ def checked_terms(jet: FrameJet, mu, s, c, sn):
         terms = coefficient_terms(jet, mu, s, c, sn)
         check_breakdown(*terms)
         return terms
-    if not loose_frames_ok(jet.n, jet.t, jet.b):
-        for i in range(len(jet.n)):
-            FramePoint.loose(jet.n[i], jet.t[i], jet.b[i])
-    terms = coefficient_terms(jet, mu, s, c, sn)
-    try:
-        check_breakdown(*terms)
-    except InconsistentBreakdown:
-        for i in range(len(jet.n)):
-            check_breakdown(*(term[i] for term in terms))
-        raise
+    # An inf in a stacked jet meets an inf of the other sign, or a zero,
+    # where a float state would too: the NaN it gives fails the checks,
+    # which raise their typed errors, not numpy's warnings.  The replay
+    # runs on numpy scalars, which warn as arrays do.
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not loose_frames_ok(jet.n, jet.t, jet.b):
+            for i in range(len(jet.n)):
+                FramePoint.loose(jet.n[i], jet.t[i], jet.b[i])
+        terms = coefficient_terms(jet, mu, s, c, sn)
+        try:
+            check_breakdown(*terms)
+        except InconsistentBreakdown:
+            for i in range(len(jet.n)):
+                check_breakdown(*(term[i] for term in terms))
+            raise
     return terms
 
 

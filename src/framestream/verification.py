@@ -10,14 +10,17 @@ bits.
 The check suite runs in two phases.  Every selected check first takes
 its draws from the one seeded generator, in run order: a check over
 random states (a _Sampled row) draws each frame's states and extra
-draws, and any other check runs at its turn.  Then each frame makes
-one stacked frame jet at the points of every sampled check, and each
-check's residuals read their own rows of it.  The checks that read the
-coefficients (catalog, oracle and homothety) take them from one
-checked_terms call per frame over all their rows of the jet, the only
-place verify assembles them.  A stacked jet gives each row the bits of
-the single-point jet, and a stacked assembly each state the bits of its
-own, so each check reports what it would report alone."""
+draws, and converts the angles of all of them at once; any other check
+runs at its turn.  Then each frame makes one stacked frame jet at the
+points of every sampled check, and the frames' jets are joined into one
+pass-wide jet.  The checks that read the coefficients (catalog, oracle
+and homothety) take them from one checked_terms call over all their
+rows of it, the only place verify assembles them.  The checks that
+need no frame (form-equivalence and frame-identities) run once over
+the rows of every frame; the others run frame by frame on their own
+rows.  A stacked jet gives each row the bits of the single-point jet,
+and a stacked assembly or residual each state the bits of its own, so
+each check reports what it would report alone."""
 from __future__ import annotations
 
 import dataclasses
@@ -232,7 +235,7 @@ def conservation_check(frame_field, sample_points, sample_angles,
     Feasible only when kappa^n vanishes and the leaf normal curvature
     C(r, omega) is azimuth-independent at every sample; the two known
     factor pairs are emitted for flat and spherical leaves.  Each entry
-    of sample_angles is a (mu, omega) pair."""
+    of sample_angles is a (mu, omega) pair, in the domain of check_mu."""
     points = float_array(sample_points, "sample points")
     if points.ndim != 2 or points.shape[1] != 3:
         raise OutOfRange(f"sample points must be an (N, 3) array, not of "
@@ -241,7 +244,8 @@ def conservation_check(frame_field, sample_points, sample_angles,
         mus, omegas = list(zip(*sample_angles, strict=True)) or ((), ())
     except (TypeError, ValueError):  # an entry is no pair
         raise OutOfRange("sample angles must be (mu, omega) pairs") from None
-    _, _, c, sn = angle_arrays(mus, omegas)
+    mu, _, c, sn = angle_arrays(mus, omegas)
+    check_mu(mu)
     if len(points) < 8 or len(c) < 8:
         raise OutOfRange("need at least 8 spatial and 8 angular samples")
     return _conservation_report(frame_jet(frame_field, points, cfg), c, sn)
@@ -437,9 +441,14 @@ class _Sampled(NamedTuple):
     ``reads`` says what the residuals read beyond the jet: "jet" for
     nothing, "angles" for the angle arrays, and "terms" for a_mu and
     a_omega at every row of the jet as well, which _evaluate passes as
-    an eighth argument, ``terms``, from the frame's one assembly
+    an eighth argument, ``terms``, from the pass's one assembly
     (_assembled_terms).  There each state's extra points follow one
-    another and read its angles."""
+    another and read its angles.
+
+    A ``pass_wide`` row reads neither the frame nor its field: its
+    residuals run once, on the states of all frames in frame order,
+    each argument joined over them and ``fid`` and ``field`` None.  It
+    reads no terms and adds no extra points."""
 
     count: int
     per_state: int
@@ -449,24 +458,33 @@ class _Sampled(NamedTuple):
     extra_points: Callable = None
     total: Callable = _worst
     reads: str = "angles"
+    pass_wide: bool = False
 
 
 def _draw(row: _Sampled, frames, rng) -> dict:
     """Frame name -> (points, omega, angles, extra) of a sampled row,
     drawn from rng frame by frame: each frame's states by _draw_states,
-    then its extra draws, if the row makes any.  A row that reads no
-    angles draws them all the same, and gets None for them."""
-    drawn = {}
+    then its extra draws, if the row makes any.  The angles of every
+    frame's states are converted and checked at once, then split by
+    frame.  A row that reads no angles draws them all the same, and gets
+    None for them."""
+    drawn, mus = {}, []
     for name, fid in frames.items():
         if row.homothetic and not frame_spec(fid).homothetic:
             continue
         points, mu, omega = _draw_states(fid, row.count, rng)
-        angles = None
-        if row.reads != "jet":
-            angles = angle_arrays(mu, omega)
-            check_mu(angles[0])
         extra = None if row.draw is None else row.draw(rng, row.count)
-        drawn[name] = points, omega, angles, extra
+        drawn[name] = points, omega, None, extra
+        mus.append(mu)
+    if row.reads == "jet" or not drawn:
+        return drawn
+    angles = angle_arrays(np.concatenate(mus), np.concatenate(
+        [omega for _, omega, _, _ in drawn.values()]))
+    check_mu(angles[0])
+    for name, part in zip(list(drawn), zip(*(np.split(a, len(drawn))
+                                             for a in angles))):
+        points, omega, _, extra = drawn[name]
+        drawn[name] = points, omega, part, extra
     return drawn
 
 
@@ -484,63 +502,130 @@ def _rows(jet: FrameJet, rows) -> FrameJet:
                     jet.jt[rows], jet.jb[rows])
 
 
-def _assembled_terms(asks, spans, jet: FrameJet) -> dict:
-    """Check name -> (a_mu, a_omega) at its jet rows, for each asked row
-    that reads "terms", from one checked_terms call on all those rows of
-    the stacked jet: each entry has the bits of its own row's calls.
-    Each state's extra points follow one another and read its angles.
-    Its errors are those of checked_terms: the frame check of every row
-    first, then the breakdown check, each naming its first failing
-    row."""
-    names, index, columns = [], [], []
-    for (name, row, (points, _, angles, _)), span in zip(asks, spans):
-        if row.reads == "terms":
-            rows = np.arange(span.start, span.stop)
-            extras = len(rows) // len(points) - 1
-            names.append(name)
-            index.append(rows)
+_JET_FIELDS = [field.name for field in dataclasses.fields(FrameJet)]
+
+
+class _Ask(NamedTuple):
+    """A sampled row's draws on one frame, and the rows of the pass-wide
+    jet that hold its jet points."""
+
+    fid: object
+    field: object
+    name: str
+    row: _Sampled
+    states: tuple
+    span: slice
+
+
+def _part(name: str, row: _Sampled):
+    """The part of the pass-wide jet that holds a row's jet points: one
+    (None) for every row that reads "terms", one of its own (its name)
+    for any other row."""
+    return None if row.reads == "terms" else name
+
+
+def _pass_jet(drawn: dict, frames, cfg) -> tuple:
+    """The pass-wide stacked jet of the sampled rows in ``drawn``, the
+    _Ask of each row on each frame, frame by frame and in row order
+    within a frame, and part -> its rows of the jet (_part).  Each frame
+    makes one stacked frame jet at the jet points of all its rows, in
+    frame order, and is dropped once copied into the pass-wide jet.
+    That holds the parts one after another, in the order of their first
+    rows, and each part its asks' rows in ask order, so a part's rows,
+    and an ask's, are one slice."""
+    plan = []
+    for frame, fid in frames.items():
+        own = [(name, row, states[frame], _jet_points(row, states[frame][0]))
+               for name, (row, states) in drawn.items() if frame in states]
+        if own:
+            plan.append((fid, own))
+    sizes = {_part(name, row): 0 for name, (row, _) in drawn.items()}
+    for _, own in plan:
+        for name, row, _, block in own:
+            sizes[_part(name, row)] += len(block)
+    parts, stop = {}, 0
+    for part, size in sizes.items():
+        parts[part], stop = slice(stop, stop + size), stop + size
+    heads = {part: rows.start for part, rows in parts.items()}
+    jet = FrameJet(*(np.empty((stop, 3)) for _ in range(3)),
+                   *(np.empty((stop, 3, 3)) for _ in range(3)))
+    asks = []
+    for fid, own in plan:
+        field = builtin_frame(fid)
+        whole = frame_jet(field, np.concatenate([b for *_, b in own]), cfg)
+        start = 0
+        for name, row, states, block in own:
+            part = _part(name, row)
+            span = slice(heads[part], heads[part] + len(block))
+            for f in _JET_FIELDS:
+                getattr(jet, f)[span] = getattr(whole, f)[
+                    start:start + len(block)]
+            heads[part], start = span.stop, start + len(block)
+            asks.append(_Ask(fid, field, name, row, states, span))
+        del whole
+    return jet, asks, parts
+
+
+def _assembled_terms(asks, jet: FrameJet, rows: slice):
+    """An iterator over (a_mu, a_omega) at the jet rows of each ask whose
+    row reads "terms", in ask order, from one checked_terms call on the
+    jet rows of them all, ``rows``: each entry has the bits of its own
+    row's calls.  Each state's extra points follow one another and read
+    its angles.  Its errors are those of checked_terms: the frame check
+    of every row first, then the breakdown check, each naming its first
+    failing row in ask order."""
+    sizes, columns = [], []
+    for ask in asks:
+        if ask.row.reads == "terms":
+            points, _, angles, _ = ask.states
+            sizes.append(ask.span.stop - ask.span.start)
+            extras = sizes[-1] // len(points) - 1
             columns.append([np.concatenate([a, np.repeat(a, extras)])
                             for a in angles])
-    if not names:
-        return {}
-    a_mu, a_omega = checked_terms(_rows(jet, np.concatenate(index)),
+    if not sizes:
+        return iter(())
+    a_mu, a_omega = checked_terms(_rows(jet, rows),
                                   *map(np.concatenate, zip(*columns)))[:2]
-    bounds = np.cumsum([len(rows) for rows in index])[:-1]
-    return dict(zip(names, zip(np.split(a_mu, bounds),
-                               np.split(a_omega, bounds))))
+    bounds = np.cumsum(sizes)[:-1]
+    return zip(np.split(a_mu, bounds), np.split(a_omega, bounds))
+
+
+def _joined(states):
+    """(points, omega, angles, extra) of a pass_wide row: each of its
+    frames' draws joined in frame order, None where they are None."""
+    points, omega, angles, extra = zip(*states)
+    return (np.concatenate(points), np.concatenate(omega),
+            None if angles[0] is None
+            else tuple(map(np.concatenate, zip(*angles))),
+            None if extra[0] is None else np.concatenate(extra))
 
 
 def _evaluate(drawn: dict, frames, cfg) -> dict:
     """Check name -> (worst residual, samples) of the sampled rows in
-    ``drawn`` (name -> (row, its draws by _draw)).  Each frame makes one
-    stacked frame jet at the points of every row, in row order, and
-    each row's residuals read their own rows of it; the rows that read
-    a_mu and a_omega take them from one assembly (_assembled_terms).
+    ``drawn`` (name -> (row, its draws by _draw)).  The rows read one
+    pass-wide jet (_pass_jet), and those that read a_mu and a_omega
+    take them from one assembly over the whole pass (_assembled_terms).
     Every entry of a stacked jet, and of a stacked assembly, has the
     bits of the single state, so a row's residuals do not depend on the
-    rows beside it.  Frame by frame, the jet raises the error of its
-    first failing point, then the assembly that of its first failing
-    state, by stage (frame check, then breakdown), then the rows' own
-    residuals in row order."""
+    rows beside it.  The jets raise first, frame by frame, the error of
+    their first failing point; then the assembly that of its first
+    failing state, by stage (frame check, then breakdown); then the
+    residuals: of each frame's rows, frame by frame in row order, and
+    then of each pass_wide row, once over all its frames."""
+    jet, asks, parts = _pass_jet(drawn, frames, cfg)
+    terms = _assembled_terms(asks, jet, parts.get(None))
     found = {name: [np.zeros(0)] for name in drawn}
-    for frame, fid in frames.items():
-        asks = [(name, row, states[frame])
-                for name, (row, states) in drawn.items() if frame in states]
-        if not asks:
-            continue
-        blocks = [_jet_points(row, states[0]) for _, row, states in asks]
-        field = builtin_frame(fid)
-        jet = frame_jet(field, np.concatenate(blocks), cfg)
-        spans, stop = [], 0
-        for block in blocks:
-            spans.append(slice(stop, stop + len(block)))
-            stop = spans[-1].stop
-        terms = _assembled_terms(asks, spans, jet)
-        for (name, row, (points, omega, angles, extra)), span in zip(
-                asks, spans):
+    for fid, field, name, row, (points, omega, angles, extra), span in asks:
+        if not row.pass_wide:
             found[name].append(row.residuals(
                 fid, field, points, omega, angles, _rows(jet, span), extra,
-                *((terms[name],) if row.reads == "terms" else ())))
+                *((next(terms),) if row.reads == "terms" else ())))
+    for name, (row, states) in drawn.items():
+        if row.pass_wide and states:
+            points, omega, angles, extra = _joined(states.values())
+            found[name].append(row.residuals(
+                None, None, points, omega, angles, _rows(jet, parts[name]),
+                extra))
     out = {}
     for name, (row, states) in drawn.items():
         count = sum(len(points) for points, *_ in states.values())
@@ -707,10 +792,11 @@ _CHECKS = {
         60, 1, _catalog_residuals, reads="terms")),
     "oracle-agreement": (1e-6, False, _Sampled(
         40, 1, _oracle_residuals, reads="terms")),
-    "form-equivalence": (1e-8, False, _Sampled(40, 1, _form_residuals)),
+    "form-equivalence": (1e-8, False, _Sampled(40, 1, _form_residuals,
+                                               pass_wide=True)),
     "frame-identities": (1e-8, False, _Sampled(40, 1, _identity_residuals,
                                                draw=_normal_rows,
-                                               reads="jet")),
+                                               reads="jet", pass_wide=True)),
     "homothety": (1e-8, False, _Sampled(20, 3, _homothety_residuals,
                                         homothetic=True,
                                         extra_points=_scaled_points,

@@ -412,6 +412,25 @@ def test_checked_terms_replay_raises_for_a_nan_row(monkeypatch):
     assert calls == [(3,), (), "ok", ()]
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_checked_terms_raise_typed_errors_for_a_non_finite_jacobian(bad):
+    # An inf meets an inf of the other sign in the terms, whose NaN
+    # fails the breakdown check: the typed error, with no numpy warning
+    # (which the test settings turn into errors) on the way.
+    from framestream import InconsistentBreakdown
+    fid = BUILTIN_FRAMES["sphere"].default
+    states = random_states(fid, 3, np.random.default_rng(4))
+    jet = frame_jet(builtin_frame(fid), np.array([r for r, _, _ in states]))
+    angles = angle_arrays([m for _, m, _ in states],
+                          [o for _, _, o in states])
+    jn = jet.jn.copy()
+    jn[1, 0, 0] = bad
+    with pytest.raises(InconsistentBreakdown,
+                       match="a_mu breakdown inconsistent"):
+        checked_terms(FrameJet(jet.n, jet.t, jet.b, jn, jet.jt, jet.jb),
+                      *angles)
+
+
 def test_checked_terms_reject_a_nan_in_a_single_point_jet():
     from framestream import InconsistentBreakdown
     field = builtin_frame(BUILTIN_FRAMES["sphere"].default)

@@ -2,8 +2,8 @@
 
 Each call must return or raise a FramestreamError, never a raw Python
 or numpy exception, with the bad value as mu or as omega.  The catalog
-shares the domain of the coefficient path: at each bad mu it raises
-the type that streaming_coefficients raises."""
+and conservation_check share the domain of the coefficient path: at
+each bad mu they raise the type that streaming_coefficients raises."""
 import math
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 
 from framestream import (FramestreamError, Sphere, builtin_frame,
                          catalog_coefficients, coefficients_from_jet,
-                         direction_from_angles, frame_jet, grad_mu,
+                         conservation_check, direction_from_angles, frame_jet, grad_mu,
                          grad_omega, streaming_coefficients)
 
 _FID = Sphere()
@@ -21,6 +21,7 @@ _JET = frame_jet(_FIELD, _POINT)
 _FRAME = _FIELD.eval(_POINT)
 _STACK = np.array([[0.8, -0.4, 0.6], _POINT])
 _GOOD = 0.3, 1.1
+_SAMPLES = _POINT + 0.1 * np.arange(8)[:, None]
 
 BAD_ANGLES = [math.nan, math.inf, -math.inf, 1.5, -1.0000001, 1.0, -1.0,
               "a", None, [], np.zeros((2, 2)), 1 + 1j, True, 2**70]
@@ -39,7 +40,13 @@ CALLS = {
         _FID, _STACK, [_GOOD[0], mu], [_GOOD[1], omega]),
     "direction_from_angles":
         lambda mu, omega: direction_from_angles(_FRAME, mu, omega),
+    # The bad value is the last of eight sample angles.
+    "conservation_check": lambda mu, omega: conservation_check(
+        _FIELD, _SAMPLES, [_GOOD] * 7 + [(mu, omega)]),
 }
+
+# The calls whose mu domain is that of streaming_coefficients.
+SAME_DOMAIN = ("catalog", "catalog-stack", "conservation_check")
 
 
 def _raised(name, mu, omega):
@@ -61,5 +68,5 @@ def test_bad_angles_raise_typed_errors(name, position):
     for bad in BAD_ANGLES:
         mu, omega = (bad, _GOOD[1]) if position == "mu" else (_GOOD[0], bad)
         found = _raised(name, mu, omega)
-        if name.startswith("catalog") and position == "mu":
+        if name in SAME_DOMAIN and position == "mu":
             assert found is _raised("streaming_coefficients", mu, omega), bad

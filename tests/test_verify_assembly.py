@@ -1,12 +1,15 @@
-"""verify's one coefficient assembly per frame: the rows that read a_mu
+"""verify's one coefficient assembly per pass: the rows that read a_mu
 and a_omega (catalog, oracle and homothety) get them from one
-checked_terms call on all their jet rows, with the bits of each row's
-own calls and the errors of checked_terms, stage by stage."""
+checked_terms call on all their jet rows of every frame, with the bits
+of each row's own calls and the errors of checked_terms, stage by
+stage.  The frame-free rows (form-equivalence and frame-identities)
+run once over the states of all frames, with the bits of per-frame
+calls."""
 import numpy as np
 import pytest
 
 from framestream import (DiffConfig, FramePoint, FramestreamError,
-                         run_checks, verification)
+                         builtin_frame, frame_jet, run_checks, verification)
 from framestream.errors import NotOrthonormal
 from framestream.streaming import checked_terms
 from framestream.verification import _SCALES, _Sampled, _rows
@@ -75,14 +78,15 @@ SCALED_ROW = _first_row("homothety") + 20 + 5
 CATALOG_ROW = _first_row("catalog-agreement") + 3
 
 
-def _mutated_jets(monkeypatch, changes):
-    """Each stacked frame jet of verify with changes[row](jet, row)
-    applied to the listed rows."""
+def _mutated_jets(monkeypatch, changes, frame=None):
+    """Each stacked frame jet of verify, or only that of ``frame``, with
+    changes[row](jet, row) applied to the listed rows."""
     original = verification.frame_jet
 
     def mutated(field, points, *args):
         jet = original(field, points, *args)
-        if np.ndim(points) == 2:
+        if np.ndim(points) == 2 and frame in (
+                None, verification.frame_spec(field.fid).name):
             for row, change in changes.items():
                 change(jet, row)
         return jet
@@ -134,3 +138,67 @@ def test_each_sampled_row_reads_one_of_three_inputs():
         assert row.reads in ("jet", "angles", "terms"), name
         if row.reads == "terms" and row.extra_points is not None:
             assert len(row.extra_points(points)) % len(points) == 0, name
+        # A pass-wide row's jet rows are its states, frame after frame.
+        if row.pass_wide:
+            assert row.reads != "terms" and row.extra_points is None, name
+
+
+def test_a_later_frames_frame_check_comes_before_an_earlier_breakdown(
+        monkeypatch):
+    # One assembly serves every frame: the tilted frame in the
+    # ellipsoid's catalog rows fails ahead of the NaN Jacobian in the
+    # sphere's, though the sphere's jet comes first.
+    frames = list(verification.default_frames())
+    assert frames.index("sphere") < frames.index("ellipsoid")
+    _mutated_jets(monkeypatch, {CATALOG_ROW: _nan_jn}, "sphere")
+    _mutated_jets(monkeypatch, {CATALOG_ROW: _tilted_t}, "ellipsoid")
+    with pytest.raises(NotOrthonormal) as info:
+        run_checks(seed=7)
+    assert str(info.value) == "t is not unit within 1e-08"
+
+
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+def test_a_full_pass_assembles_the_coefficients_once(cfg, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0].n))
+        return checked_terms(*args)
+    monkeypatch.setattr(verification, "checked_terms", counted)
+    run_checks(seed=7, cfg=cfg)
+    # catalog 60 and oracle 40 states on each of the 7 frames, and
+    # homothety 20 states with 3 scaled points each on the 4 homothetic
+    # frames.
+    assert calls == [7 * (60 + 40) + 4 * 20 * (1 + len(_SCALES))]
+
+
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+def test_pass_wide_rows_keep_the_bits_of_per_frame_calls(cfg, monkeypatch):
+    seen = {}
+    checks = dict(verification._CHECKS)
+    for name, (tol, report_only, row) in verification._CHECKS.items():
+        if not isinstance(row, _Sampled) or not row.pass_wide:
+            continue
+
+        def spy(*args, name=name, residuals=row.residuals):
+            seen[name] = args, residuals(*args)
+            return seen[name][1]
+        checks[name] = tol, report_only, row._replace(residuals=spy)
+    monkeypatch.setattr(verification, "_CHECKS", checks)
+    run_checks(seed=7, cfg=cfg)
+    assert sorted(seen) == ["form-equivalence", "frame-identities"]
+    for name, (args, found) in seen.items():
+        fid, field, points, omega, angles, jet, extra = args
+        assert (fid, field) == (None, None)
+        count = verification._CHECKS[name][2].count
+        blocks = found.reshape(-1, len(points))
+        for k, fid in enumerate(verification.default_frames().values()):
+            rows = slice(k * count, (k + 1) * count)
+            field = builtin_frame(fid)
+            own = verification._CHECKS[name][2].residuals(
+                fid, field, points[rows], omega[rows],
+                None if angles is None else tuple(a[rows] for a in angles),
+                frame_jet(field, points[rows], cfg),
+                None if extra is None else extra[rows])
+            assert blocks[:, rows].tobytes() == own.reshape(
+                len(blocks), count).tobytes(), (name, fid)
