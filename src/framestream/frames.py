@@ -719,14 +719,15 @@ def orthonormalize(t, b_tilde):
 def angles_from_direction(frame: FramePoint, omega_dir) -> AngularPoint:
     """(mu, omega) of a unit direction relative to a frame; OutOfRange
     where the frame is not a FramePoint, or the direction is not a
-    finite 3-vector, or not unit."""
+    finite 3-vector, or not unit, and PolarDirection from check_mu where
+    it runs along n.  mu = d . n is clamped to [-1, 1] first, where the
+    unit tolerance on d lets it stray."""
     instance_of(frame, FramePoint, "frame")
     d = float_vector(omega_dir, "direction")
     if abs(d @ d - 1.0) > 1e-10:
         raise OutOfRange("direction must be unit")
-    mu = float(d @ frame.n)
-    if 1.0 - mu * mu < _POLAR_TOL:
-        raise PolarDirection("azimuth undefined for directions parallel to n")
+    mu = float(np.clip(d @ frame.n, -1.0, 1.0))
+    check_mu(mu)
     omega = float(np.arctan2(d @ frame.b, d @ frame.t))
     if omega < 0.0:
         omega += 2.0 * np.pi

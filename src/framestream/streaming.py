@@ -115,15 +115,10 @@ def leaf_defect(jet: FrameJet, form):
     return twist(getattr(jet, leaf), getattr(jet, "j" + leaf))
 
 
-def has_leaf(jet: FrameJet, form):
-    """Whether ``form``'s leaf exists: a defect within _FOLIATION_TOL, or
-    NaN, so that the route's NaN is not dropped."""
-    return ~(np.abs(leaf_defect(jet, form)) > _FOLIATION_TOL)
-
-
 def _on_leaf(jet: FrameJet, form, value):
-    """value where ``form``'s leaf exists, as has_leaf tests it at one
-    point, or where the form reads no leaf; else FoliationMissing."""
+    """value where ``form``'s leaf exists at the jet's one point (a leaf
+    defect within _FOLIATION_TOL, or NaN, so that the route's NaN is not
+    dropped) or where the form reads no leaf; else FoliationMissing."""
     if form in _LEAF:
         defect = leaf_defect(jet, form)
         if abs(defect) > _FOLIATION_TOL:
@@ -150,8 +145,8 @@ def grad_mu_from_jet(jet: FrameJet, mu, s, c, sn, form: MuForm):
         return surface + curve_n
     if form is not MuForm.CURVE_CURVATURE:
         raise OutOfRange(f"unknown mu form {form!r}")
-    # The route that form-equivalence compares against the shape
-    # operator: the n-components of kappa^t and kappa^b.
+    # The route through the n-components of kappa^t and kappa^b, in
+    # place of the shape operator of n.
     n_kt = -_dot(n, _matvec(jet.jt, t))
     n_kb = -_dot(n, _matvec(jet.jb, b))
     cross = _dot(n, _matvec(jet.jt, b)) + _dot(n, _matvec(jet.jb, t))

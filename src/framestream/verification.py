@@ -15,12 +15,11 @@ runs at its turn.  Then each frame makes one stacked frame jet at the
 points of every sampled check, and the frames' jets are joined into one
 pass-wide jet.  The checks that read the coefficients (catalog, oracle
 and homothety) take them from one checked_terms call over all their
-rows of it, the only place verify assembles them.  The checks that
-need no frame (form-equivalence and frame-identities) run once over
-the rows of every frame; the others run frame by frame on their own
-rows.  A stacked jet gives each row the bits of the single-point jet,
-and a stacked assembly or residual each state the bits of its own, so
-each check reports what it would report alone."""
+rows of it, the only place verify assembles them.  Every check then
+runs frame by frame on its own rows.  A stacked jet gives each row the
+bits of the single-point jet, and a stacked assembly or residual each
+state the bits of its own, so each check reports what it would report
+alone."""
 from __future__ import annotations
 
 import dataclasses
@@ -44,8 +43,7 @@ from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere, _each,
                      check_mu, float_3vector, float_array, float_scalar,
                      frame_spec, on_stack, raw_components, raw_parts)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
-from .streaming import (MuForm, OmegaForm, checked_terms, grad_mu_from_jet,
-                        grad_omega_from_jet, has_leaf)
+from .streaming import checked_terms
 
 TWO_PI = 2.0 * math.pi
 
@@ -432,23 +430,16 @@ class _Sampled(NamedTuple):
     ``residuals(fid, field, points, omega, angles, jet, extra)`` returns
     an array of the residuals at one frame's states: ``points`` (N, 3),
     ``omega`` (N,), ``angles`` the (mu, s, c, sn) arrays of angle_arrays
-    (None for a row that reads only the jet) and ``jet`` the stacked
-    frame jet at the points, followed by those of ``extra_points(points)``
+    (None unless the row reads ``terms``) and ``jet`` the stacked frame
+    jet at the points, followed by those of ``extra_points(points)``
     when that hook is set.  ``extra`` holds what ``draw(rng, count)``
     drew right after the frame's states, or None.  The check's worst
     residual is ``total`` of the residuals of all its frames.
 
-    ``reads`` says what the residuals read beyond the jet: "jet" for
-    nothing, "angles" for the angle arrays, and "terms" for a_mu and
-    a_omega at every row of the jet as well, which _evaluate passes as
-    an eighth argument, ``terms``, from the pass's one assembly
-    (_assembled_terms).  There each state's extra points follow one
-    another and read its angles.
-
-    A ``pass_wide`` row reads neither the frame nor its field: its
-    residuals run once, on the states of all frames in frame order,
-    each argument joined over them and ``fid`` and ``field`` None.  It
-    reads no terms and adds no extra points."""
+    A ``terms`` row reads a_mu and a_omega at every row of the jet as
+    well, which _evaluate passes as an eighth argument, ``terms``, from
+    the pass's one assembly (_assembled_terms).  There each state's
+    extra points follow one another and read its angles."""
 
     count: int
     per_state: int
@@ -457,8 +448,7 @@ class _Sampled(NamedTuple):
     draw: Callable = None
     extra_points: Callable = None
     total: Callable = _worst
-    reads: str = "angles"
-    pass_wide: bool = False
+    terms: bool = False
 
 
 def _draw(row: _Sampled, frames, rng) -> dict:
@@ -466,8 +456,8 @@ def _draw(row: _Sampled, frames, rng) -> dict:
     drawn from rng frame by frame: each frame's states by _draw_states,
     then its extra draws, if the row makes any.  The angles of every
     frame's states are converted and checked at once, then split by
-    frame.  A row that reads no angles draws them all the same, and gets
-    None for them."""
+    frame.  A row that reads no terms draws the angles all the same, and
+    gets None for them."""
     drawn, mus = {}, []
     for name, fid in frames.items():
         if row.homothetic and not frame_spec(fid).homothetic:
@@ -476,7 +466,7 @@ def _draw(row: _Sampled, frames, rng) -> dict:
         extra = None if row.draw is None else row.draw(rng, row.count)
         drawn[name] = points, omega, None, extra
         mus.append(mu)
-    if row.reads == "jet" or not drawn:
+    if not row.terms or not drawn:
         return drawn
     angles = angle_arrays(np.concatenate(mus), np.concatenate(
         [omega for _, omega, _, _ in drawn.values()]))
@@ -517,36 +507,25 @@ class _Ask(NamedTuple):
     span: slice
 
 
-def _part(name: str, row: _Sampled):
-    """The part of the pass-wide jet that holds a row's jet points: one
-    (None) for every row that reads "terms", one of its own (its name)
-    for any other row."""
-    return None if row.reads == "terms" else name
-
-
 def _pass_jet(drawn: dict, frames, cfg) -> tuple:
     """The pass-wide stacked jet of the sampled rows in ``drawn``, the
     _Ask of each row on each frame, frame by frame and in row order
-    within a frame, and part -> its rows of the jet (_part).  Each frame
-    makes one stacked frame jet at the jet points of all its rows, in
-    frame order, and is dropped once copied into the pass-wide jet.
-    That holds the parts one after another, in the order of their first
-    rows, and each part its asks' rows in ask order, so a part's rows,
-    and an ask's, are one slice."""
+    within a frame, and the slice of the jet's rows that the terms rows
+    hold.  Each frame makes one stacked frame jet at the jet points of
+    all its rows, in frame order, and is dropped once copied into the
+    pass-wide jet.  That holds the rows of every terms ask first, then
+    those of every other ask, each in ask order, so the terms rows, and
+    an ask's, are one slice."""
     plan = []
     for frame, fid in frames.items():
         own = [(name, row, states[frame], _jet_points(row, states[frame][0]))
                for name, (row, states) in drawn.items() if frame in states]
         if own:
             plan.append((fid, own))
-    sizes = {_part(name, row): 0 for name, (row, _) in drawn.items()}
-    for _, own in plan:
-        for name, row, _, block in own:
-            sizes[_part(name, row)] += len(block)
-    parts, stop = {}, 0
-    for part, size in sizes.items():
-        parts[part], stop = slice(stop, stop + size), stop + size
-    heads = {part: rows.start for part, rows in parts.items()}
+    split = sum(len(block) for _, own in plan
+                for _, row, _, block in own if row.terms)
+    stop = sum(len(block) for _, own in plan for *_, block in own)
+    heads = {True: 0, False: split}
     jet = FrameJet(*(np.empty((stop, 3)) for _ in range(3)),
                    *(np.empty((stop, 3, 3)) for _ in range(3)))
     asks = []
@@ -555,20 +534,19 @@ def _pass_jet(drawn: dict, frames, cfg) -> tuple:
         whole = frame_jet(field, np.concatenate([b for *_, b in own]), cfg)
         start = 0
         for name, row, states, block in own:
-            part = _part(name, row)
-            span = slice(heads[part], heads[part] + len(block))
+            span = slice(heads[row.terms], heads[row.terms] + len(block))
             for f in _JET_FIELDS:
                 getattr(jet, f)[span] = getattr(whole, f)[
                     start:start + len(block)]
-            heads[part], start = span.stop, start + len(block)
+            heads[row.terms], start = span.stop, start + len(block)
             asks.append(_Ask(fid, field, name, row, states, span))
         del whole
-    return jet, asks, parts
+    return jet, asks, slice(0, split)
 
 
 def _assembled_terms(asks, jet: FrameJet, rows: slice):
     """An iterator over (a_mu, a_omega) at the jet rows of each ask whose
-    row reads "terms", in ask order, from one checked_terms call on the
+    row reads terms, in ask order, from one checked_terms call on the
     jet rows of them all, ``rows``: each entry has the bits of its own
     row's calls.  Each state's extra points follow one another and read
     its angles.  Its errors are those of checked_terms: the frame check
@@ -576,7 +554,7 @@ def _assembled_terms(asks, jet: FrameJet, rows: slice):
     failing row in ask order."""
     sizes, columns = [], []
     for ask in asks:
-        if ask.row.reads == "terms":
+        if ask.row.terms:
             points, _, angles, _ = ask.states
             sizes.append(ask.span.stop - ask.span.start)
             extras = sizes[-1] // len(points) - 1
@@ -590,16 +568,6 @@ def _assembled_terms(asks, jet: FrameJet, rows: slice):
     return zip(np.split(a_mu, bounds), np.split(a_omega, bounds))
 
 
-def _joined(states):
-    """(points, omega, angles, extra) of a pass_wide row: each of its
-    frames' draws joined in frame order, None where they are None."""
-    points, omega, angles, extra = zip(*states)
-    return (np.concatenate(points), np.concatenate(omega),
-            None if angles[0] is None
-            else tuple(map(np.concatenate, zip(*angles))),
-            None if extra[0] is None else np.concatenate(extra))
-
-
 def _evaluate(drawn: dict, frames, cfg) -> dict:
     """Check name -> (worst residual, samples) of the sampled rows in
     ``drawn`` (name -> (row, its draws by _draw)).  The rows read one
@@ -610,22 +578,14 @@ def _evaluate(drawn: dict, frames, cfg) -> dict:
     rows beside it.  The jets raise first, frame by frame, the error of
     their first failing point; then the assembly that of its first
     failing state, by stage (frame check, then breakdown); then the
-    residuals: of each frame's rows, frame by frame in row order, and
-    then of each pass_wide row, once over all its frames."""
-    jet, asks, parts = _pass_jet(drawn, frames, cfg)
-    terms = _assembled_terms(asks, jet, parts.get(None))
+    residuals of each frame's rows, frame by frame in row order."""
+    jet, asks, terms_rows = _pass_jet(drawn, frames, cfg)
+    terms = _assembled_terms(asks, jet, terms_rows)
     found = {name: [np.zeros(0)] for name in drawn}
     for fid, field, name, row, (points, omega, angles, extra), span in asks:
-        if not row.pass_wide:
-            found[name].append(row.residuals(
-                fid, field, points, omega, angles, _rows(jet, span), extra,
-                *((next(terms),) if row.reads == "terms" else ())))
-    for name, (row, states) in drawn.items():
-        if row.pass_wide and states:
-            points, omega, angles, extra = _joined(states.values())
-            found[name].append(row.residuals(
-                None, None, points, omega, angles, _rows(jet, parts[name]),
-                extra))
+        found[name].append(row.residuals(
+            fid, field, points, omega, angles, _rows(jet, span), extra,
+            *((next(terms),) if row.terms else ())))
     out = {}
     for name, (row, states) in drawn.items():
         count = sum(len(points) for points, *_ in states.values())
@@ -647,19 +607,6 @@ def _oracle_residuals(fid, field, points, omega, angles, jet, extra,
     oracle = ray_oracle(field, points, _direction(jet, *angles))
     return np.abs(np.concatenate([a_mu - oracle.dmu_ds,
                                   a_omega - oracle.domega_ds]))
-
-
-def _form_residuals(fid, field, points, omega, angles, jet, extra):
-    """The spread of each coefficient over its routes at each state,
-    less the routes whose leaf is missing there; NaN if a kept one is."""
-    spreads = []
-    for grad, forms in ((grad_mu_from_jet, MuForm),
-                        (grad_omega_from_jet, OmegaForm)):
-        vals = np.array([grad(jet, *angles, form) for form in forms])
-        kept = np.array([has_leaf(jet, form) for form in forms])
-        spreads.append(np.max(vals, axis=0, where=kept, initial=-np.inf)
-                       - np.min(vals, axis=0, where=kept, initial=np.inf))
-    return np.concatenate(spreads)
 
 
 def _normal_rows(rng, count):
@@ -789,21 +736,18 @@ def _check_kb_transform(cfg):
 # returns (worst residual, samples).
 _CHECKS = {
     "catalog-agreement": (1e-7, False, _Sampled(
-        60, 1, _catalog_residuals, reads="terms")),
+        60, 1, _catalog_residuals, terms=True)),
     "oracle-agreement": (1e-6, False, _Sampled(
-        40, 1, _oracle_residuals, reads="terms")),
-    "form-equivalence": (1e-8, False, _Sampled(40, 1, _form_residuals,
-                                               pass_wide=True)),
+        40, 1, _oracle_residuals, terms=True)),
     "frame-identities": (1e-8, False, _Sampled(40, 1, _identity_residuals,
-                                               draw=_normal_rows,
-                                               reads="jet", pass_wide=True)),
+                                               draw=_normal_rows)),
     "homothety": (1e-8, False, _Sampled(20, 3, _homothety_residuals,
                                         homothetic=True,
                                         extra_points=_scaled_points,
-                                        reads="terms")),
+                                        terms=True)),
     "conservation-trichotomy": (0.0, False, _Sampled(
         _CONSERVATION_POINTS, _CONSERVATION_ANGLES, _conservation_residuals,
-        draw=_angle_rows, total=np.sum, reads="jet")),
+        draw=_angle_rows, total=np.sum)),
     "holonomy-convergence": (1e-3, False, _check_holonomy),
     "kb-transform-residual": (
         0.0, True, lambda frames, rng, cfg, theta: _check_kb_transform(cfg)),

@@ -56,14 +56,14 @@ def test_traced_verify_pass_counts_raw_calls(tracing, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_traced_form_equivalence_evaluates_one_stacked_jet(tracing, capsys):
+def test_traced_frame_identities_evaluates_one_stacked_jet(tracing, capsys):
     # The 40 sphere states share one stacked frame jet, one raw call on
     # array Duals (a replay point by point would make 41), and every
-    # form route reads the whole stack.
+    # identity reads the whole stack.
     tracer = tracing.Tracer()
     with tracer.traced_pass():
         rc = cli.main(["verify", "--frame", "sphere", "--check",
-                       "form-equivalence", "--no-timestamp"])
+                       "frame-identities", "--no-timestamp"])
     out = capsys.readouterr().out
     assert rc == 0
     metrics = tracer.layer_metrics(len(out.encode()), 0.0)
@@ -94,8 +94,8 @@ def test_traced_sweep_is_one_grid_pass(tracing, tmp_path, capsys):
 
 # Per-layer counts of one traced `verify --seed 7`.  Dual jets, one raw
 # call each: one stacked jet per frame (7) at the states of every
-# sampled check (catalog, oracle, forms, identities, homothety with its
-# scaled points, and conservation), and the kb-transform point.  Raw
+# sampled check (catalog, oracle, identities, homothety with its scaled
+# points, and conservation), and the kb-transform point.  Raw
 # calls on float arrays: one per frame for all of its ray oracle probes
 # (7) and one per holonomy loop (3).  The catalog and the ray oracle
 # take each frame's states as one stack.

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from framestream import OutOfRange, run_checks
 from framestream.cli import main
 from framestream.verification import CheckResult
 
@@ -200,6 +201,24 @@ def test_verify_unknown_check_exits_2(capsys):
     rc, out, err = run(capsys, ["verify", "--check", "nosuch"])
     assert rc == 2 and out == ""
     assert "unknown check 'nosuch'" in err
+
+
+def test_verify_form_equivalence_is_no_check(capsys):
+    # The row is gone: naming it is a bad flag, and the error lists the
+    # seven checks that remain.
+    rc, out, err = run(capsys, ["verify", "--check", "form-equivalence"])
+    assert rc == 2 and out == ""
+    assert err == ("error: unknown check 'form-equivalence'; checks are "
+                   "catalog-agreement, oracle-agreement, frame-identities, "
+                   "homothety, conservation-trichotomy, holonomy-convergence, "
+                   "kb-transform-residual\n")
+    with pytest.raises(OutOfRange, match="^unknown check 'form-equivalence'"):
+        run_checks(check_filter="form-equivalence")
+    # "form" still matches, inside "transform".
+    rc, out, _ = run(capsys, ["verify", "--check", "form", "--no-timestamp"])
+    assert rc == 0
+    assert [check["name"] for check in json.loads(out)["checks"]] == [
+        "kb-transform-residual"]
 
 
 def test_bad_point_exits_2(capsys):

@@ -75,9 +75,14 @@ def test_angle_roundtrip():
 
 
 def test_angles_reject_polar_direction():
+    # One polar rule, check_mu's: mu = d . n is clamped to [-1, 1]
+    # first, so a direction just past unit length along n is polar too.
     frame = builtin_frame(Constant()).eval([0.0, 0.0, 1.0])
-    with pytest.raises(PolarDirection):
-        angles_from_direction(frame, (0.0, 0.0, 1.0))
+    for direction in [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+                      (0.0, 0.0, 1.0 + 4e-11)]:
+        with pytest.raises(PolarDirection) as info:
+            angles_from_direction(frame, direction)
+        assert str(info.value) == "omega undefined for mu at +-1", direction
 
 
 def _apply_streaming(direction=None, grad=(0.5, -1.0, 0.25)):

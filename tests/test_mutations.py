@@ -124,11 +124,9 @@ MUTATIONS = {
     "omega-tilt-dropped": (_tilt_dropped,
                            {"catalog-agreement", "oracle-agreement"}),
     "winding-flipped": (_winding_flipped,
-                        {"catalog-agreement", "oracle-agreement",
-                         "form-equivalence"}),
+                        {"catalog-agreement", "oracle-agreement"}),
     "kn-swapped": (_kn_swapped,
-                   {"catalog-agreement", "oracle-agreement",
-                    "form-equivalence"}),
+                   {"catalog-agreement", "oracle-agreement"}),
     "surface-to-curve-1e-3": (_surface_curve_moved, set()),
     "sphere-catalog-winding-1e-3": (_sphere_catalog_winding,
                                     {"catalog-agreement"}),

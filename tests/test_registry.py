@@ -78,8 +78,9 @@ def test_frame_scalars_match_catalog_aux(name, engine):
 
 
 def test_compared_routes_do_not_use_the_shared_scalars(monkeypatch):
-    # form-equivalence checks the shared scalars against these routes,
-    # so they must not call frame_scalars themselves.
+    # The acceptance suite's form agreement (criterion 5) checks the
+    # shared scalars against these routes, so they must not call
+    # frame_scalars themselves.
     def refuse(jet):
         raise AssertionError("frame_scalars called")
     monkeypatch.setattr(streaming, "frame_scalars", refuse)

@@ -160,13 +160,13 @@ def test_verify_draws_the_states_of_random_states(seed, monkeypatch):
     them: those of random_states on the same generator, bit for bit."""
     seen = []
 
-    def spy(fid, field, points, omega, angles, jet, extra):
+    def spy(fid, field, points, omega, angles, jet, extra, terms):
         seen.append((fid, points, angles[0], omega))
         assert jet.n.tobytes() == frame_jet(field, points).n.tobytes()
         return np.zeros(0)
 
     monkeypatch.setattr(verification, "_CHECKS", {
-        "spy": (0.0, False, verification._Sampled(60, 1, spy))})
+        "spy": (0.0, False, verification._Sampled(60, 1, spy, terms=True))})
     [result] = run_checks(seed=seed)
     assert (result.max_residual, result.samples) == (0.0, 7 * 60)
     frames = default_frames()

@@ -18,13 +18,13 @@ from framestream import dual as dm
 from framestream.cli import main
 from framestream.curvature import parallel_transport_holonomy
 from framestream.derivatives import FrameJet, _direction, frame_scalars
-from framestream.frames import BUILTIN_FRAMES, FramePoint, loose_frames_ok
-from framestream.streaming import (angle_arrays, checked_terms,
-                                   coefficient_terms, grad_mu_from_jet,
-                                   grad_omega_from_jet, has_leaf,
+from framestream.frames import (BUILTIN_FRAMES, FramePoint, _angles,
+                               loose_frames_ok)
+from framestream.streaming import (_FOLIATION_TOL, angle_arrays,
+                                   checked_terms, coefficient_terms,
+                                   grad_mu_from_jet, grad_omega_from_jet,
                                    leaf_defect)
-from framestream.verification import (_form_residuals, _latitude_loop,
-                                      random_states)
+from framestream.verification import _latitude_loop, random_states
 
 ENGINES = [DiffConfig(), DiffConfig(engine="fd")]
 JET_FIELDS = ("n", "t", "b", "jn", "jt", "jb")
@@ -176,67 +176,57 @@ def test_catalog_stack_with_a_non_finite_point_has_the_state_bits():
             == np.array(want, dtype=float).T.copy().tobytes())
 
 
-# --- form-equivalence masks the routes whose leaf is missing -------------
+# --- the surface routes need their leaf ----------------------------------
 
-def _form_states(name, count, seed):
-    fid = BUILTIN_FRAMES[name].default
-    field = builtin_frame(fid)
-    states = random_states(fid, count, np.random.default_rng(seed))
-    return fid, field, states, frame_jet(field, np.array(
+def _ellipsoid_states(count, seed):
+    field = builtin_frame(BUILTIN_FRAMES["ellipsoid"].default)
+    states = random_states(field.fid, count, np.random.default_rng(seed))
+    return field, states, frame_jet(field, np.array(
         [r for r, _, _ in states]))
 
 
-def test_form_residuals_match_a_per_state_loop_with_mixed_leaves():
-    fid, field, states, jet = _form_states("ellipsoid", 200, 7)
+def _surface_route(field, r, mu, omega, form):
+    """grad_omega by ``form`` at one state, None where its leaf is
+    missing."""
+    try:
+        return grad_omega(field, r, mu, omega, form)
+    except FoliationMissing:
+        return None
+
+
+def test_surface_routes_need_a_leaf_at_all_but_a_few_ellipsoid_states():
     # b-leaves at 2 of the 200 states, t-leaves at none.
-    assert int(has_leaf(jet, OmegaForm.SURFACE_B).sum()) == 2
-    assert not has_leaf(jet, OmegaForm.SURFACE_T).any()
-    got = _form_residuals(fid, field, None, None, angle_arrays(
-        [mu for _, mu, _ in states], [omega for _, _, omega in states]),
-        jet, None)
-    want = {grad_mu: [], grad_omega: []}
-    for r, mu, omega in states:
-        for grad, forms in ((grad_mu, MuForm), (grad_omega, OmegaForm)):
-            vals = []
-            for form in forms:
-                try:
-                    vals.append(grad(field, r, mu, omega, form))
-                except FoliationMissing:
-                    continue
-            want[grad].append(np.ptp(vals))
-    assert got.tobytes() == np.concatenate(list(want.values())).tobytes()
+    field, states, jet = _ellipsoid_states(200, 7)
+    angles = angle_arrays([mu for _, mu, _ in states],
+                          [omega for _, _, omega in states])
+    for form, kept in ((OmegaForm.SURFACE_B, 2), (OmegaForm.SURFACE_T, 0)):
+        found = [_surface_route(field, *state, form) for state in states]
+        on_leaf = [value is not None for value in found]
+        assert sum(on_leaf) == kept, form
+        # The stacked leaf defect marks the same states, and where the
+        # leaf exists the route has the bits of its stacked value.
+        assert (np.abs(leaf_defect(jet, form))
+                <= _FOLIATION_TOL).tolist() == on_leaf, form
+        stacked = grad_omega_from_jet(jet, *angles, form)
+        assert [value for value in found if value is not None] == \
+            stacked[on_leaf].tolist(), form
 
 
 def test_a_nan_leaf_defect_keeps_its_route(monkeypatch):
-    from framestream import derivatives, verification
-    fid, field, states, jet = _form_states("ellipsoid", 6, 7)
-    axial = derivatives.axial_vector
-
-    def nan_defect_at_3(j):
-        out = axial(j)
-        out[3] = math.nan
-        return out
-
-    def nan_surface_b_at_0_and_3(jet, mu, s, c, sn, form):
-        value = grad_omega_from_jet(jet, mu, s, c, sn, form)
-        if form is OmegaForm.SURFACE_B:
-            value[[0, 3]] = math.nan
-        return value
-
-    monkeypatch.setattr(derivatives, "axial_vector", nan_defect_at_3)
-    monkeypatch.setattr(verification, "grad_omega_from_jet",
-                        nan_surface_b_at_0_and_3)
-    assert has_leaf(jet, OmegaForm.SURFACE_B).tolist() == [
-        False, False, False, True, False, False]
-    spreads = _form_residuals(fid, field, None, None, angle_arrays(
-        [mu for _, mu, _ in states], [omega for _, _, omega in states]),
-        jet, None)
-    # State 0 has no b-leaf, so its NaN route is left out; the b-leaf
-    # defect of state 3 is NaN, so its route is kept, and the NaN with it.
-    omega = spreads[len(states):]
-    assert math.isnan(omega[3])
-    assert np.isfinite(np.delete(omega, 3)).all()
-    assert np.isfinite(spreads[:len(states)]).all()
+    # A NaN defect is no evidence that the leaf is missing, so the route
+    # returns its value where a finite defect would raise.
+    from framestream import derivatives
+    field, states, _ = _ellipsoid_states(6, 7)
+    r, mu, omega = states[0]
+    form = OmegaForm.SURFACE_B
+    assert _surface_route(field, r, mu, omega, form) is None
+    want = grad_omega_from_jet(frame_jet(field, r), *_angles(mu, omega),
+                               form)
+    assert math.isfinite(want)
+    monkeypatch.setattr(derivatives, "axial_vector",
+                        lambda j: np.full(j.shape[:-1], math.nan))
+    assert math.isnan(leaf_defect(frame_jet(field, r), form))
+    assert grad_omega(field, r, mu, omega, form) == want
 
 
 def _twisted(x, y, z):
@@ -471,23 +461,23 @@ def test_ray_oracle_nan_probe_flows_into_the_result(vector):
 
 # --- verify stdout, byte for byte -----------------------------------------
 
-# sha256 and max_residual texts of `framestream verify --seed S
-# --no-timestamp` stdout (1418 bytes each), as the per-state jets gave;
-# the homothety residuals are relative to max(|a(r)|, 1/|r|), and the
-# catalog-agreement residuals are those of the component-wise catalog
-# (it rounds its dot products as written, where numpy's 3-vector @ and
-# LAPACK's solve round otherwise).
+# Stdout size, sha256 and max_residual texts of `framestream verify
+# --seed S --no-timestamp`, as the per-state jets gave; the homothety
+# residuals are relative to max(|a(r)|, 1/|r|), and the catalog-agreement
+# residuals are those of the component-wise catalog (it rounds its dot
+# products as written, where numpy's 3-vector @ and LAPACK's solve round
+# otherwise).
 VERIFY_STDOUT = {
-    7: ("daa3f5fcd40017572ceff27d1e8675c55071a05d39ee48652821d99e4daf80bc",
+    7: (1253, (
+        "2666c8e432a7ae687e7856ae47efd56b36129d07880e8cb0ccc748153315349e",
         ["1.7763568394002505e-15", "7.2737371681341756e-12",
-         "8.8817841970012523e-16", "8.4073162882840642e-16",
-         "5.8651439880473732e-16", "0", "1.9378934874580978e-06",
-         "0.50226597644221083"]),
-    11: ("bd49746c137822e8bdcb44966c8cad311f77273fceb1e3ff29db6207ca948403",
-         ["8.8817841970012523e-16", "8.957723451885613e-12",
-          "9.4368957093138306e-16", "1.4866580189121237e-15",
-          "1.4748043775073984e-15", "0", "1.9378934874580978e-06",
-          "0.50226597644221083"]),
+         "1.1102230246251565e-15", "6.788109660987731e-16", "0",
+         "1.9378934874580978e-06", "0.50226597644221083"])),
+    11: (1254, (
+        "0b83f097573220dc23949e1b4a2b66877367d591e36ac39808a0dd765a857cfe",
+        ["8.8817841970012523e-16", "8.957723451885613e-12",
+         "1.3322676295501878e-15", "8.3916507137548172e-16", "0",
+         "1.9378934874580978e-06", "0.50226597644221083"])),
 }
 
 
@@ -503,31 +493,31 @@ def _check_verify_stdout(argv, size, pin, capsys):
 
 @pytest.mark.parametrize("seed", sorted(VERIFY_STDOUT))
 def test_verify_stdout_is_pinned_byte_for_byte(seed, capsys):
-    _check_verify_stdout(["verify", "--seed", str(seed)], 1418,
-                         VERIFY_STDOUT[seed], capsys)
+    _check_verify_stdout(["verify", "--seed", str(seed)],
+                         *VERIFY_STDOUT[seed], capsys)
 
 
-# The same for `framestream verify --engine fd --seed S --no-timestamp`
-# (1416 bytes each), as the per-point fd jets gave before a stacked fd
-# jet was one raw call on all its stencil probes.
+# The same for `framestream verify --engine fd --seed S --no-timestamp`,
+# as the per-point fd jets gave before a stacked fd jet was one raw call
+# on all its stencil probes.
 VERIFY_FD_STDOUT = {
-    7: ("3502eaf2feb4a8ea7175f71f1b6983448758e67e83ae896520d73202f83049f8",
+    7: (1251, (
+        "7d7f063cedd3d5e24894662d4518cb4fb8f3e76acec1546c08464ad995e8e000",
         ["6.5997735054779127e-11", "5.3855586656936794e-11",
-         "9.3064972395140444e-11", "7.9619547066478447e-11",
-         "1.0262156670880971e-09", "0", "1.9378934874580978e-06",
-         "0.50226597643568838"]),
-    11: ("c7b6cf30911c03ed318460ba9c59adef719d352427f3cd02b5608dd02f603e70",
-         ["5.592964980039028e-11", "8.2604742490666183e-11",
-          "7.6886497168970891e-11", "6.9126135371355701e-11",
-          "4.6784143707297385e-10", "0", "1.9378934874580978e-06",
-          "0.50226597643568838"]),
+         "4.7827602989158891e-11", "3.659350384099361e-10", "0",
+         "1.9378934874580978e-06", "0.50226597643568838"])),
+    11: (1252, (
+        "0b8d3a6caf8af5a61d7f094a76517e50a6933ad461e280ee19501d4ccbab14d3",
+        ["5.592964980039028e-11", "8.2604742490666183e-11",
+         "1.3395728970522214e-10", "5.2715917158742462e-10", "0",
+         "1.9378934874580978e-06", "0.50226597643568838"])),
 }
 
 
 @pytest.mark.parametrize("seed", sorted(VERIFY_FD_STDOUT))
 def test_verify_fd_stdout_is_pinned_byte_for_byte(seed, capsys):
     _check_verify_stdout(["verify", "--engine", "fd", "--seed", str(seed)],
-                         1416, VERIFY_FD_STDOUT[seed], capsys)
+                         *VERIFY_FD_STDOUT[seed], capsys)
 
 
 # The same for filtered runs, whose draws interleave differently from a
@@ -547,12 +537,11 @@ VERIFY_FILTERED_STDOUT = {
     ("dual", 11, ("--frame", "sphere", "--check", "homothety")): (247, (
         "6b0e53b53fccde23958d74e7b4986f6480b5e47187f579195971f7fed0c837f7",
         ["9.7039121028130637e-16"])),
-    ("dual", 7, ("--frame", "ellipsoid")): (1413, (
-        "995cddc7ebaa80394d44bda4a434970e125ad7321c5401cd9c0f0c74a05d7263",
+    ("dual", 7, ("--frame", "ellipsoid")): (1250, (
+        "d7e5eadaa3f6214b17fa9033c9e92dea983ac6bfdddfb3459347053e8ccb633f",
         ["1.1102230246251565e-15", "6.0729199446996063e-12",
-         "6.6613381477509392e-16", "1.1102230246251565e-15",
-         "7.4517743110760862e-16", "0", "1.9378934874580978e-06",
-         "0.50226597644221083"])),
+         "4.4408920985006262e-16", "7.2477408299030929e-16", "0",
+         "1.9378934874580978e-06", "0.50226597644221083"])),
     ("fd", 7, ("--check", "identities")): (252, (
         "ee0ed2600edc636d5e0617c63d965c8fe91242527a4833773bd09e0ef82401bc",
         ["7.2876649159780982e-11"])),
@@ -565,12 +554,11 @@ VERIFY_FILTERED_STDOUT = {
     ("fd", 11, ("--frame", "sphere", "--check", "homothety")): (245, (
         "17467af845a1013d32eb387c9713763764b6550556e244310945fc78a5bf85df",
         ["6.1780987864534145e-10"])),
-    ("fd", 7, ("--frame", "ellipsoid")): (1410, (
-        "18e37e081ede3a2b127f02b7a650f8ac4a8d1180e86be0aed894a4175777e277",
+    ("fd", 7, ("--frame", "ellipsoid")): (1247, (
+        "a3d0d74a1e0f0827dffcdca249b6a2dcdceaab02ed8234cce9022311ba5db00e",
         ["4.8213988357304061e-11", "3.124278613597653e-11",
-         "4.3954229145271029e-11", "6.0409177660147861e-11",
-         "7.4996702918459942e-10", "0", "1.9378934874580978e-06",
-         "0.50226597643568838"])),
+         "3.7177816381017692e-11", "8.5951846443357611e-10", "0",
+         "1.9378934874580978e-06", "0.50226597643568838"])),
 }
 
 

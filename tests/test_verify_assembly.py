@@ -2,14 +2,14 @@
 and a_omega (catalog, oracle and homothety) get them from one
 checked_terms call on all their jet rows of every frame, with the bits
 of each row's own calls and the errors of checked_terms, stage by
-stage.  The frame-free rows (form-equivalence and frame-identities)
-run once over the states of all frames, with the bits of per-frame
-calls."""
+stage.  The rows that read no terms (frame-identities and conservation)
+read their own rows of the pass-wide jet, frame by frame, with the bits
+of each frame's own jet."""
 import numpy as np
 import pytest
 
 from framestream import (DiffConfig, FramePoint, FramestreamError,
-                         builtin_frame, frame_jet, run_checks, verification)
+                         frame_jet, run_checks, verification)
 from framestream.errors import NotOrthonormal
 from framestream.streaming import checked_terms
 from framestream.verification import _SCALES, _Sampled, _rows
@@ -36,7 +36,7 @@ def test_one_assembly_keeps_the_bits_of_each_rows_calls(seed, cfg,
     seen = []
     checks = dict(verification._CHECKS)
     for name, (tol, report_only, row) in verification._CHECKS.items():
-        if not isinstance(row, _Sampled) or row.reads != "terms":
+        if not isinstance(row, _Sampled) or not row.terms:
             continue
 
         # No default for terms: the rows must be handed them.
@@ -128,19 +128,16 @@ def test_every_rows_frame_check_comes_before_any_breakdown(monkeypatch):
         NotOrthonormal, "t is not unit within 1e-08")
 
 
-def test_each_sampled_row_reads_one_of_three_inputs():
-    # A "terms" row's extra points read the angles of their states,
+def test_each_terms_rows_extra_points_repeat_whole_states():
+    # A terms row's extra points read the angles of their states,
     # repeated in turn, so there must be a whole number of them each.
     points = np.ones((7, 3))
     for name, (_, _, row) in verification._CHECKS.items():
         if not isinstance(row, _Sampled):
             continue
-        assert row.reads in ("jet", "angles", "terms"), name
-        if row.reads == "terms" and row.extra_points is not None:
+        assert row.terms in (False, True), name
+        if row.terms and row.extra_points is not None:
             assert len(row.extra_points(points)) % len(points) == 0, name
-        # A pass-wide row's jet rows are its states, frame after frame.
-        if row.pass_wide:
-            assert row.reads != "terms" and row.extra_points is None, name
 
 
 def test_a_later_frames_frame_check_comes_before_an_earlier_breakdown(
@@ -174,31 +171,29 @@ def test_a_full_pass_assembles_the_coefficients_once(cfg, monkeypatch):
 
 @pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
 def test_pass_wide_rows_keep_the_bits_of_per_frame_calls(cfg, monkeypatch):
-    seen = {}
+    # The rows of the pass-wide jet after the terms rows: each frame's
+    # rows of a check that reads no terms give its residuals the bits of
+    # that frame's own jet at its states.
+    seen = []
     checks = dict(verification._CHECKS)
     for name, (tol, report_only, row) in verification._CHECKS.items():
-        if not isinstance(row, _Sampled) or not row.pass_wide:
+        if not isinstance(row, _Sampled) or row.terms:
             continue
 
         def spy(*args, name=name, residuals=row.residuals):
-            seen[name] = args, residuals(*args)
-            return seen[name][1]
+            seen.append((name, args, residuals(*args)))
+            return seen[-1][2]
         checks[name] = tol, report_only, row._replace(residuals=spy)
     monkeypatch.setattr(verification, "_CHECKS", checks)
     run_checks(seed=7, cfg=cfg)
-    assert sorted(seen) == ["form-equivalence", "frame-identities"]
-    for name, (args, found) in seen.items():
+    assert [(name, args[0]) for name, args, _ in seen] == [
+        (name, fid) for fid in verification.default_frames().values()
+        for name in ("frame-identities", "conservation-trichotomy")]
+    monkeypatch.undo()
+    for name, args, found in seen:
         fid, field, points, omega, angles, jet, extra = args
-        assert (fid, field) == (None, None)
-        count = verification._CHECKS[name][2].count
-        blocks = found.reshape(-1, len(points))
-        for k, fid in enumerate(verification.default_frames().values()):
-            rows = slice(k * count, (k + 1) * count)
-            field = builtin_frame(fid)
-            own = verification._CHECKS[name][2].residuals(
-                fid, field, points[rows], omega[rows],
-                None if angles is None else tuple(a[rows] for a in angles),
-                frame_jet(field, points[rows], cfg),
-                None if extra is None else extra[rows])
-            assert blocks[:, rows].tobytes() == own.reshape(
-                len(blocks), count).tobytes(), (name, fid)
+        assert angles is None
+        own = verification._CHECKS[name][2].residuals(
+            fid, field, points, omega, None, frame_jet(field, points, cfg),
+            extra)
+        assert found.tobytes() == own.tobytes(), (name, fid)
