@@ -9,9 +9,11 @@ A one-point evaluation does its elementwise steps (the fd probes and
 Richardson step, the direction Omega) on Python floats, in the
 operation order of the stacked arrays, and uses numpy only for the
 contractions, whose bits come from its BLAS kernels: so one point and
-a stack give the same bits.  Every contraction of the frame scalars,
-with any extra vector such as Omega, is one item of two broadcast
-numpy calls (_contractions).
+a stack give the same bits.  At one point every contraction of the
+frame scalars, with any extra vector such as Omega, is one item of two
+broadcast numpy calls (_contractions); a stack makes only the six
+matvecs and nine dots that the scalars read, each in a call of its own
+(_stacked_scalars).
 
 The fd stencil of one point runs its probes in one loop inside one
 try, which names a failing probe as _probe does, and takes the
@@ -298,9 +300,8 @@ def _dot(u, v):
 
 def _contractions(jet: FrameJet, *extra):
     """(sn, st, sb) with sn[V][W] = W . (jn @ V), likewise st for jt and
-    sb for jb, for V, W in (n, t, b, *extra): extra vectors have the
-    frame vectors' shape.  Nested lists of floats for one point, arrays
-    of one entry per point for a stack.
+    sb for jb, for V, W in (n, t, b, *extra) at one point: extra vectors
+    are 3-vectors.  Nested lists of floats.
 
     One stacked matvec gives every J @ V and one stacked dot every
     W . (J @ V).  Each item goes through the BLAS kernel that ``jn @ t``
@@ -309,8 +310,8 @@ def _contractions(jet: FrameJet, *extra):
     v = np.array([jet.n, jet.t, jet.b, *extra])
     jv = np.matmul(np.array([jet.jn, jet.jt, jet.jb])[:, None],
                    v[None, ..., None])
-    dots = np.matmul(v[None, None, ..., None, :], jv[:, :, None])[..., 0, 0]
-    return dots.tolist() if dots.ndim == 3 else dots
+    return np.matmul(v[None, None, :, None, :],
+                     jv[:, :, None])[..., 0, 0].tolist()
 
 
 def _scalars(sn, st, sb) -> FrameScalars:
@@ -321,10 +322,27 @@ def _scalars(sn, st, sb) -> FrameScalars:
                         -sn[n][b], -st[t][b], -sb[b][t], sb[n][t])
 
 
+def _stacked_scalars(jet: FrameJet) -> FrameScalars:
+    """The nine scalars of a stacked jet from the six matvecs (jn n,
+    jn t, jn b, jt t, jb b, jb n) and the nine dots that they read, each
+    through _matvec and _dot: every item keeps the BLAS kernel, and so
+    the bits, that it has among _contractions' items."""
+    n, t, b = jet.n, jet.t, jet.b
+    jn_n, jn_t, jn_b = (_matvec(jet.jn, v) for v in (n, t, b))
+    jt_t, jb_b, jb_n = (_matvec(jet.jt, t), _matvec(jet.jb, b),
+                        _matvec(jet.jb, n))
+    return FrameScalars(_dot(jn_t, t), _dot(jn_b, t), _dot(jn_t, b),
+                        _dot(jn_b, b), -_dot(jn_n, t), -_dot(jn_n, b),
+                        -_dot(jt_t, b), -_dot(jb_b, t), _dot(jb_n, t))
+
+
 def frame_scalars(jet: FrameJet) -> FrameScalars:
-    """The nine scalars of a frame jet, one point or stacked, from two
-    numpy calls (see _contractions)."""
-    return _scalars(*_contractions(jet))
+    """The nine scalars of a frame jet: at one point from two numpy
+    calls (see _contractions), on a stack from only the contractions
+    that they read (_stacked_scalars)."""
+    if jet.n.ndim == 1:
+        return _scalars(*_contractions(jet))
+    return _stacked_scalars(jet)
 
 
 def scalars_along(jet: FrameJet, omega):

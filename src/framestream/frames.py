@@ -537,7 +537,7 @@ _GRAPH_BOX = ((-1.5, 1.5), (-1.5, 1.5))
 
 
 def _place_cylinder(rho, phi, z):
-    return rho * math.cos(phi), rho * math.sin(phi), z
+    return rho * _each(math.cos, phi), rho * _each(math.sin, phi), z
 
 
 def _shell_placement(a=1.0, b=1.0, c=1.0):
@@ -545,16 +545,17 @@ def _shell_placement(a=1.0, b=1.0, c=1.0):
     c cos(theta)) of draws (scale, theta, phi); the box keeps theta
     0.3 rad clear of the poles."""
     def place(scale, theta, phi):
-        return (scale * (a * math.sin(theta) * math.cos(phi)),
-                scale * (b * math.sin(theta) * math.sin(phi)),
-                scale * (c * math.cos(theta)))
+        sin_theta = _each(math.sin, theta)
+        return (scale * (a * sin_theta * _each(math.cos, phi)),
+                scale * (b * sin_theta * _each(math.sin, phi)),
+                scale * (c * _each(math.cos, theta)))
     return place
 
 
 def _graph_placement(g: Graph):
     """The point (x, y, f(x, y)) of draws (x, y), f called on floats."""
     f = g.f
-    return lambda x, y: (x, y, float(f(x, y)))
+    return lambda x, y: (x, y, _each(lambda u, v: float(f(u, v)), x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +570,10 @@ class FrameSpec:
 
     A sample of the frame's comfort zone is one uniform draw in each
     (low, high) range of ``box``, in that order, placed at a point by
-    ``place(id)``; the placement takes the draws of one sample as
-    Python floats, so its math calls give the bits of scalar code."""
+    ``place(id)``.  The placement takes the draws of one sample as
+    Python floats, or those of many as equal-length column arrays, and
+    returns the point's three coordinates alike; its math calls run per
+    entry (_each), so every entry has the bits of scalar code."""
 
     name: str            # the CLI --frame value
     default: object      # the id verify uses; the CLI's --a/--b/--c
@@ -578,7 +581,8 @@ class FrameSpec:
     raw: Callable        # id -> raw(x, y, z)
     homothetic: bool     # coefficients scale as 1/|r| under r -> k r
     box: tuple           # the (low, high) range of each draw of a sample
-    place: Callable      # id -> place(*draws) -> the point (x, y, z)
+    place: Callable      # id -> place(*draws) -> the point (x, y, z),
+                         # on floats or on column arrays
     conservation: tuple  # (feasible, reason) expected for the default
 
 
@@ -698,6 +702,17 @@ def float_vector(x, what: str) -> np.ndarray:
     return v
 
 
+def unit_within(v: np.ndarray, tol: float, entries=None) -> bool:
+    """True if the 3-vector v is unit within tol, |v . v - 1| <= tol.
+    v . v is formed only where each entry of v (or of ``entries``, its
+    Python floats where the caller has them) lies within 2 in magnitude,
+    so that it cannot overflow: a vector with a larger entry, an inf or a
+    NaN is not unit."""
+    x, y, z = v.tolist() if entries is None else entries
+    return (abs(x) <= 2.0 and abs(y) <= 2.0 and abs(z) <= 2.0
+            and abs(float(v @ v) - 1.0) <= tol)
+
+
 def orthonormalize(t, b_tilde):
     """Project b_tilde orthogonal to unit t and normalize explicitly.
 
@@ -707,7 +722,7 @@ def orthonormalize(t, b_tilde):
     """
     t = float_vector(t, "t")
     b_tilde = float_vector(b_tilde, "b_tilde")
-    if abs(t @ t - 1.0) > 1e-10:
+    if not unit_within(t, 1e-10):
         raise OutOfRange("t must be unit")
     w = b_tilde - (t @ b_tilde) * t
     norm = float(np.linalg.norm(w))
@@ -724,7 +739,7 @@ def angles_from_direction(frame: FramePoint, omega_dir) -> AngularPoint:
     unit tolerance on d lets it stray."""
     instance_of(frame, FramePoint, "frame")
     d = float_vector(omega_dir, "direction")
-    if abs(d @ d - 1.0) > 1e-10:
+    if not unit_within(d, 1e-10):
         raise OutOfRange("direction must be unit")
     mu = float(np.clip(d @ frame.n, -1.0, 1.0))
     check_mu(mu)

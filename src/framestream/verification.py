@@ -41,7 +41,8 @@ from .errors import (DegenerateMetric, DomainExit, EvaluationFailure,
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere, _each,
                      all_true, angle_arrays, any_true, builtin_frame,
                      check_mu, float_3vector, float_array, float_scalar,
-                     frame_spec, on_stack, raw_components, raw_parts)
+                     frame_spec, on_stack, raw_components, raw_parts,
+                     unit_within)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
 from .streaming import checked_terms
 
@@ -131,7 +132,8 @@ def _one_ray(frame_field, r, d, step):
     Python floats, from five raw calls.  A raw that raises at a probe
     gives DomainExit; one whose vectors are not 3 long, the
     EvaluationFailure of raw_components."""
-    if not abs(float(d @ d) - 1.0) <= 1e-10:
+    (x, y, z), (u, v, w) = r.tolist(), d.tolist()
+    if not unit_within(d, 1e-10, (u, v, w)):
         raise OutOfRange("ray direction must be unit")
     # The probes run in the order the checks need them: s = 0 first, then
     # the stencil from -step up, stopping at the first that fails; its
@@ -139,7 +141,6 @@ def _one_ray(frame_field, r, d, step):
     # which see NaN at the probes not taken.
     ss = [-step, -step / 2.0, 0.0, step / 2.0, step]
     # The probes on floats, in the operation order of _stacked_rays.
-    (x, y, z), (u, v, w) = r.tolist(), d.tolist()
     rows = [(x + s * u, y + s * v, z + s * w) for s in ss]
     outs = [_NAN_FRAME] * 5
     failure = None
@@ -187,23 +188,26 @@ def _stacked_rays(frame_field, r, d, step):
 def _ray_rates(mus, dts, dbs, step):
     """(dmu_ds, domega_ds, richardson_error_estimate) from Omega . n,
     Omega . t and Omega . b at the probes s = -step, -step/2, 0, step/2,
-    step: five floats each for one ray, or five arrays of one entry per
+    step: five floats each for one ray, or (5, N) arrays of one entry per
     ray.  PolarDirection where a ray runs along n at s = 0, and
     UnwrapFailure where its azimuth jumps between probes.  Array entries
-    get the bits of floats: the arithmetic rounds alike on both, and the
-    math calls run per entry."""
+    get the bits of floats: the arithmetic rounds alike on both, the
+    unwrap and the error estimate make the same operations on arrays
+    (_unwrapped, _richardson_error), and math.atan2 runs per entry."""
     if any_true(1.0 - mus[2] * mus[2] <= 1e-10):
         raise PolarDirection("ray parallel to n at the base point")
-    oms = [_each(math.atan2, dbs[0], dts[0])]
-    for k in range(1, 5):
-        oms.append(_each(_next_azimuth, oms[k - 1], dbs[k], dts[k]))
+    if isinstance(dts, np.ndarray):
+        oms = _unwrapped(dts, dbs)
+    else:
+        oms = [math.atan2(dbs[0], dts[0])]
+        for k in range(1, 5):
+            oms.append(_next_azimuth(oms[k - 1], dbs[k], dts[k]))
     dmu_h = (mus[4] - mus[0]) / (2.0 * step)
     dom_h = (oms[4] - oms[0]) / (2.0 * step)
     dmu_h2 = (mus[3] - mus[1]) / (2.0 * (step / 2.0))
     dom_h2 = (oms[3] - oms[1]) / (2.0 * (step / 2.0))
     return ((4.0 * dmu_h2 - dmu_h) / 3.0, (4.0 * dom_h2 - dom_h) / 3.0,
-            _each(_richardson_error, abs(dmu_h2 - dmu_h),
-                  abs(dom_h2 - dom_h)))
+            _richardson_error(abs(dmu_h2 - dmu_h), abs(dom_h2 - dom_h)))
 
 
 def _next_azimuth(prev: float, db: float, dt: float) -> float:
@@ -214,14 +218,43 @@ def _next_azimuth(prev: float, db: float, dt: float) -> float:
     if not math.isnan(jump):  # a NaN azimuth flows into domega_ds
         jump -= TWO_PI * round(jump / TWO_PI)
     if abs(jump) > math.pi / 2.0:
-        raise UnwrapFailure(
-            f"azimuth jump {jump:.3f} between probes; "
-            "reduce the step or move off the polar direction")
+        raise _unwrap_failure(jump)
     return prev + jump
 
 
-def _richardson_error(err_mu: float, err_om: float) -> float:
+def _unwrap_failure(jump: float) -> UnwrapFailure:
+    return UnwrapFailure(
+        f"azimuth jump {jump:.3f} between probes; "
+        "reduce the step or move off the polar direction")
+
+
+def _unwrapped(dts, dbs) -> list:
+    """The five unwrapped azimuths of the rays of a stack, from the
+    (5, N) arrays of Omega . t and Omega . b at their probes:
+    _next_azimuth's operations on arrays, probe by probe.  np.round
+    rounds half to even, as round does, and a NaN jump is kept as it is;
+    UnwrapFailure names the first jump beyond pi/2 at the first probe
+    that has one."""
+    azimuths = _each(math.atan2, dbs.ravel(), dts.ravel()).reshape(dbs.shape)
+    oms = [azimuths[0]]
+    for az in azimuths[1:]:
+        jump = az - oms[-1]
+        jump = np.where(np.isnan(jump), jump,
+                        jump - TWO_PI * np.round(jump / TWO_PI))
+        beyond = np.abs(jump) > math.pi / 2.0
+        if beyond.any():
+            raise _unwrap_failure(float(jump[np.argmax(beyond)]))
+        oms.append(oms[-1] + jump)
+    return oms
+
+
+def _richardson_error(err_mu, err_om):
+    """max(err_mu, err_om) / 3, NaN if either is NaN, on floats or
+    arrays."""
     # NaN-keeping: Python's max drops a NaN that is not its first argument.
+    if isinstance(err_mu, np.ndarray):
+        return np.where(np.isnan(err_mu + err_om), math.nan,
+                        np.fmax(err_mu, err_om)) / 3.0
     return (math.nan if math.isnan(err_mu + err_om)
             else max(err_mu, err_om)) / 3.0
 
@@ -367,13 +400,17 @@ _ANGLE_BOX = ((-0.9, 0.9), (0.0, TWO_PI))
 
 def _uniform_rows(rng, count, box) -> np.ndarray:
     """A (count, len(box)) array of uniform draws, one in each (low,
-    high) range of ``box`` per row: one generator call whose doubles,
-    consumed in the same order, are those of a scalar
-    ``rng.uniform(low, high)`` call per entry, row by row.  Raises
+    high) range of ``box`` per row: one block of doubles from
+    ``rng.random``, consumed in the order of a scalar
+    ``rng.uniform(low, high)`` call per entry, row by row, and mapped
+    by that call's arithmetic, low + (high - low) * double.  The entries
+    have its bits as long as numpy's C code does not contract that
+    arithmetic into a fused multiply-add, which holds for the x86-64
+    wheels (test_random_states_match_scalar_draws checks it).  Raises
     OutOfRange for a count that is not a nonnegative integer."""
     rows = _nonnegative_int(count, "count")
     low, high = np.array(box).T
-    return rng.uniform(low, high, size=(rows, len(box)))
+    return low + (high - low) * rng.random((rows, len(box)))
 
 
 def _nonnegative_int(value, what: str) -> int:
@@ -392,14 +429,13 @@ def _nonnegative_int(value, what: str) -> int:
 def _draw_states(fid, count: int, rng) -> tuple:
     """The (N, 3) points and the (N,) mu and omega arrays of ``count``
     non-degenerate states in a frame's comfort zone: the draws of each
-    state's point, placed by its registry row on Python floats, then mu
-    in (-0.9, 0.9) and omega in (0, 2 pi)."""
+    state's point, then mu in (-0.9, 0.9) and omega in (0, 2 pi).  The
+    registry row places every point in one call on the draws' columns,
+    each entry with the bits of its placement on floats."""
     spec = frame_spec(fid)
-    place = spec.place(fid)
     k = len(spec.box)
     rows = _uniform_rows(rng, count, spec.box + _ANGLE_BOX)
-    points = np.array([place(*row) for row in rows[:, :k].tolist()],
-                      dtype=float).reshape(-1, 3)
+    points = np.column_stack(spec.place(fid)(*rows[:, :k].T))
     mu, omega = rows[:, k:].T.copy()
     return points, mu, omega
 

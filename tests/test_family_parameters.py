@@ -5,15 +5,18 @@ verify runs each family at one parameter set, where a raw that misreads
 a parameter can still agree with the catalog: the registry ellipsoid is
 (2, 1, 1), and there b = c.  These states come from random_states of a
 triaxial ellipsoid, a paraboloid with a negative coefficient and a
-second graph, and each check keeps verify's tolerance."""
+second graph, and each check keeps verify's tolerance.  There, too, a
+stacked jet's scalars and terms have the bits of the per-point calls."""
 import math
 
 import numpy as np
 import pytest
 
-from framestream import (Ellipsoid, Graph, Paraboloid, builtin_frame,
-                         frame_jet, verification)
-from framestream.streaming import angle_arrays, checked_terms
+from framestream import (DiffConfig, Ellipsoid, Graph, Paraboloid,
+                         builtin_frame, frame_jet, verification)
+from framestream.derivatives import frame_scalars
+from framestream.streaming import (angle_arrays, checked_terms,
+                                   coefficient_terms)
 from framestream.verification import (_catalog_residuals,
                                       _identity_residuals, _oracle_residuals,
                                       random_states)
@@ -54,3 +57,23 @@ def test_checks_hold_at_non_default_family_parameters(name):
     h = rng.normal(size=(len(points), 3))
     assert np.max(_identity_residuals(*args, h)) <= _tolerance(
         "frame-identities")
+
+
+@pytest.mark.parametrize("cfg", [DiffConfig(), DiffConfig(engine="fd")],
+                         ids=["dual", "fd"])
+@pytest.mark.parametrize("name", list(FIDS))
+def test_stacked_scalars_and_terms_keep_the_per_point_bits(name, cfg):
+    fid = FIDS[name]
+    field = builtin_frame(fid)
+    states = random_states(fid, 30, np.random.default_rng(11))
+    points = np.array([r for r, _, _ in states])
+    angles = angle_arrays([mu for _, mu, _ in states],
+                          [om for _, _, om in states])
+    jet = frame_jet(field, points, cfg)
+    stacked = [*frame_scalars(jet), *coefficient_terms(jet, *angles)]
+    for i, r in enumerate(points):
+        one = frame_jet(field, r, cfg)
+        own = [*frame_scalars(one),
+               *coefficient_terms(one, *(float(a[i]) for a in angles))]
+        assert [np.float64(x).tobytes() for x in own] == [
+            x[i].tobytes() for x in stacked], i

@@ -5,12 +5,14 @@ of uniforms.  The reference below draws them one scalar at a time, as
 the package once did; the block draw must give the same states bit for
 bit and leave the generator in the same state.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from framestream import OutOfRange, frame_jet, run_checks, verification
+from framestream import (OutOfRange, frame_jet, frames, run_checks,
+                         verification)
 from framestream.frames import (BUILTIN_FRAMES, Constant, CylindricalI,
                                 CylindricalII, Ellipsoid, Graph, Paraboloid,
                                 Sphere)
@@ -180,6 +182,40 @@ def test_verify_draws_the_states_of_random_states(seed, monkeypatch):
         assert mu.tobytes() == np.array([m for _, m, _ in want]).tobytes()
         assert omega.tobytes() == np.array(
             [om for _, _, om in want]).tobytes()
+
+
+def test_a_pass_places_each_frame_draw_at_once_and_unwraps_on_arrays(
+        monkeypatch):
+    """A full seed-7 pass calls each registry placement once per frame
+    draw, on the draws' columns: 7 frames for each of catalog, oracle,
+    identities and conservation and 4 homothetic ones, 32 calls; and its
+    ray-oracle stacks unwrap on arrays, never ray by ray."""
+    calls = []
+
+    def counted(spec):
+        def place(fid):
+            inner = spec.place(fid)
+
+            def spy(*draws):
+                calls.append(spec.name)
+                return inner(*draws)
+            return spy
+        return dataclasses.replace(spec, place=place)
+
+    monkeypatch.setattr(frames, "_SPEC_BY_TYPE", {
+        kind: counted(spec) for kind, spec in frames._SPEC_BY_TYPE.items()})
+    unwraps = []
+    next_azimuth = verification._next_azimuth
+
+    def counted_unwrap(*args):
+        unwraps.append(args)
+        return next_azimuth(*args)
+
+    monkeypatch.setattr(verification, "_next_azimuth", counted_unwrap)
+    assert all(r.status == "pass" for r in run_checks(seed=7)
+               if r.status != "report-only")
+    assert len(calls) == 32
+    assert unwraps == []
 
 
 # --- angle arrays ---------------------------------------------------------

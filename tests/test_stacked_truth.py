@@ -18,7 +18,8 @@ from framestream import (DegeneratePoint, DomainExit, EvaluationFailure,
                          builtin_frame, catalog, catalog_coefficients)
 from framestream.curvature import _loop_normals
 from framestream.frames import BUILTIN_FRAMES, direction_from_angles
-from framestream.verification import default_frames, random_states, ray_oracle
+from framestream.verification import (_stacked_rays, default_frames,
+                                      random_states, ray_oracle)
 
 FRAMES = sorted(BUILTIN_FRAMES)
 
@@ -162,6 +163,54 @@ def test_stacked_ray_oracle_keeps_a_nan_probe():
     assert np.isnan(single[1]).all() and np.isnan(single[2]).all()
     for name, want in zip(_RESULT_FIELDS, single):
         assert _same(getattr(stacked, name), want)
+
+
+def test_stacked_unwrap_crosses_the_branch_cut_beside_a_nan_probe():
+    ellipsoid = builtin_frame(BUILTIN_FRAMES["ellipsoid"].default)
+
+    def raw(x, y, z):
+        n, t, b = ellipsoid.raw(x, y, z)
+        # Probes beyond x = 1.9 have no azimuth reference.
+        nan = np.where(x > 1.9, math.nan, 0.0)
+        return n, tuple(c + nan for c in t), b
+
+    field = _Counted(FrameField(raw, "nan-beyond"))
+    # The first ray's azimuth sits at omega = pi at s = 0 and crosses the
+    # branch cut of atan2 between its probes; the second's probes at
+    # s > 0 are NaN.
+    states = [(np.array([1.0, 0.4, 0.3]), 0.3, math.pi),
+              (np.array([1.9, 0.3, 0.2]), 0.2, 0.4),
+              (np.array([0.8, -0.5, 0.6]), -0.4, 2.0)]
+    points, dirs = _rays(ellipsoid, states)
+    r, d = points[0], dirs[0]
+    azimuths = [math.atan2(d @ f.b, d @ f.t) for f in (
+        ellipsoid.eval(r + s * d) for s in (-1e-3, 1e-3))]
+    assert azimuths[0] > 3.0 and azimuths[1] < -3.0
+    stacked = ray_oracle(field, points, dirs)
+    assert field.calls == 1  # the array unwrap took the whole stack
+    single = _fields([ray_oracle(field, r, d) for r, d in zip(points, dirs)])
+    assert abs(single[1][0]) < 1.0  # unwrapped: no 2 pi / step
+    assert np.isnan(single[1][1]) and np.isnan(single[2][1])
+    for name, want in zip(_RESULT_FIELDS, single):
+        assert _same(getattr(stacked, name), want)
+
+
+def test_stacked_unwrap_raises_the_first_failing_rays_jump():
+    sphere = builtin_frame(BUILTIN_FRAMES["sphere"].default)
+    field = _Counted(sphere)
+    # Rays 1 and 3 pass next to the z-axis, where the azimuth turns by
+    # more than pi/2 between probes, by different angles.
+    points = np.array([[1.0, 0.4, 0.3], [2.5e-4, 1e-4, 1.0],
+                       [0.5, -0.2, 0.9], [2.5e-4, -1e-7, 1.0]])
+    dirs = np.array([[0.0, 0.6, 0.8], [-1.0, 0.0, 0.0], [0.6, 0.8, 0.0],
+                     [-1.0, 0.0, 0.0]])
+    with pytest.raises(UnwrapFailure, match="azimuth jump"):
+        _stacked_rays(sphere, points, dirs, 1e-3)
+    loop = _raised(lambda: [ray_oracle(sphere, r, d)
+                            for r, d in zip(points, dirs)])
+    assert loop[0] is UnwrapFailure
+    assert _raised(lambda: ray_oracle(field, points, dirs)) == loop
+    assert field.calls == 1 + 2 * 5  # the stack, then rays 0 and 1
 
 
 def _sphere_rays_with(bad):

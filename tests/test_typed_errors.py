@@ -1,4 +1,5 @@
-"""Malformed angles through the public calls that take (mu, omega).
+"""Malformed angles through the public calls that take (mu, omega), and
+huge vector entries through those that test a vector for unit norm.
 
 Each call must return or raise a FramestreamError, never a raw Python
 or numpy exception, with the bad value as mu or as omega.  The catalog
@@ -9,10 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from framestream import (FramestreamError, Sphere, builtin_frame,
+from framestream import (FramestreamError, OutOfRange, Sphere,
+                         angles_from_direction, builtin_frame,
                          catalog_coefficients, coefficients_from_jet,
                          conservation_check, direction_from_angles, frame_jet, grad_mu,
-                         grad_omega, streaming_coefficients)
+                         grad_omega, orthonormalize, ray_oracle,
+                         streaming_coefficients)
 
 _FID = Sphere()
 _FIELD = builtin_frame(_FID)
@@ -70,3 +73,31 @@ def test_bad_angles_raise_typed_errors(name, position):
         found = _raised(name, mu, omega)
         if name in SAME_DOMAIN and position == "mu":
             assert found is _raised("streaming_coefficients", mu, omega), bad
+
+
+# --- vectors whose squared norm overflows --------------------------------
+
+def _huge_calls(big):
+    """The calls that test a vector for unit norm, each with one entry
+    ``big``: a one-ray and a stacked ray oracle (whose replay is the
+    one-ray path), angles_from_direction and orthonormalize's t."""
+    rays = np.array([_POINT, _POINT])
+    return {
+        "ray_oracle": lambda: ray_oracle(_FIELD, _POINT, [big, 0.0, 0.0]),
+        "ray_oracle-stack": lambda: ray_oracle(
+            _FIELD, rays, [[0.0, 0.6, 0.8], [0.0, big, 0.0]]),
+        "angles_from_direction": lambda: angles_from_direction(
+            _FRAME, [0.0, 0.0, big]),
+        "orthonormalize": lambda: orthonormalize([big, 0.0, 0.0],
+                                                 [0.0, 1.0, 0.0]),
+    }
+
+
+@pytest.mark.parametrize("big", [1e200, 1e308])
+@pytest.mark.parametrize("name", list(_huge_calls(1.0)))
+def test_huge_vector_entries_raise_out_of_range_without_a_warning(name,
+                                                                  big):
+    # Warnings are errors here: an overflow in the unit-norm test would
+    # escape as a RuntimeWarning before the typed error.
+    with pytest.raises(OutOfRange, match="must be unit"):
+        _huge_calls(big)[name]()
