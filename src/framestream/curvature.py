@@ -9,7 +9,7 @@ import operator
 import numpy as np
 
 from .derivatives import (DEFAULT_CFG, DiffConfig, FrameScalars, _dot,
-                          _matvec, _probe, directional_derivative, frame_jet,
+                          _probe, directional_derivative, frame_jet,
                           frame_scalars, jacobian, twist)
 from .errors import (DegenerateTangent, EvaluationFailure, LeftDomain,
                      NotOnLeaf, NotOrthonormal, NotUnitField, OutOfRange)
@@ -220,20 +220,39 @@ def _tangential(vecs, normals):
     return vecs - _dot(vecs, normals)[:, None] * normals
 
 
+def _col_dot(u, v):
+    """u . v for each column of (3, m) arrays, in contiguous column
+    arithmetic: no per-item kernel, so not _dot's bits."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _col_cross(u, v):
+    """u x v for each column of (3, m) arrays, as a (3, m) array, in the
+    operations of np.cross on rows, whose bits it has."""
+    return np.array([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
+
+
 def _step_rotations(prev, nxt):
-    """The minimal rotations R_k taking prev[k] to nxt[k]:
-    R = I + [a]x + [a]x^2 / (1 + c), with a = prev x nxt and
+    """The minimal rotations R_k taking prev[k] to nxt[k], rows of (m, 3)
+    arrays: R = I + [a]x + [a]x^2 / (1 + c), with a = prev x nxt and
     c = prev . nxt."""
-    # a = prev x nxt is freed before the sums below allocate their
-    # (m, 3, 3) temporaries.
-    ax = _skew(np.cross(prev, nxt))
-    return np.eye(3) + ax + (ax @ ax) / (1.0 + _dot(prev, nxt))[:, None, None]
+    # a = prev x nxt is freed before the square allocates its (m, 3, 3)
+    # block, and the sums run in place: I + [a]x rounds as [a]x + I.
+    ax = _skew(_col_cross(prev.T, nxt.T))
+    square = ax @ ax
+    square /= (1.0 + _dot(prev, nxt))[:, None, None]
+    ax += np.eye(3)
+    ax += square
+    return ax
 
 
 def _skew(a):
-    """The matrices [a]x of the rows of a, whose product with v is a x v."""
-    a0, a1, a2 = a.T
-    ax = np.zeros((len(a), 3, 3))
+    """The matrices [a]x of the columns of the (3, m) array a, whose
+    product with v is a x v."""
+    a0, a1, a2 = a
+    ax = np.zeros((len(a0), 3, 3))
     ax[:, 2, 1], ax[:, 0, 2], ax[:, 1, 0] = a0, a1, a2
     # One negated column at a time: negating all three at once raised
     # the peak RSS of a verify pass by about 0.15 MB.
@@ -241,6 +260,12 @@ def _skew(a):
     ax[:, 2, 0] = -a1
     ax[:, 0, 1] = -a2
     return ax
+
+
+def _carried(rot, v):
+    """R_j @ v[:, j] for each column j of the (3, k) array v, where rot
+    holds the entries of R_j in row-major order in its 9 rows, (9, k)."""
+    return rot[0::3] * v[0] + rot[1::3] * v[1] + rot[2::3] * v[2]
 
 
 def _composed(rot):
@@ -272,51 +297,61 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
     loop, and 4 pi for a clockwise circle in a plane.  A step back and
     forth changes no angle.
 
-    The m step rotations form one stack.  Their product takes about m
-    matmuls (_composed), and the drift that counts the turns reads each
-    step alone, so the cost is O(m) numpy work plus one ``raw`` frame
-    call on the loop's coordinate arrays (one per vertex for a raw that
-    rejects arrays).
+    Only the step rotations (their ``ax @ ax`` and ``_dot(prev, nxt)``)
+    and their product (_composed) run per-item BLAS kernels: their bits
+    are the angle's.  The drift that counts the turns reaches the angle
+    only through the rounding of a number of turns, and the checks on
+    the loop and its normals only compare against bounds, so those run
+    as contiguous arithmetic on the (3, m) coordinate columns.  The m
+    step rotations form one stack, their product takes about m matmuls
+    and the drift reads each step alone, so the cost is O(m) numpy work
+    plus one ``raw`` frame call on the loop's coordinate arrays (one per
+    vertex for a raw that rejects arrays).
     """
     pts = float_array(loop, "loop")
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 8:
         raise OutOfRange("loop must be an (N,3) array with N >= 8")
-    not_finite = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    cols = np.ascontiguousarray(pts.T)
+    not_finite = np.flatnonzero(~np.isfinite(cols).all(axis=0))
     if not_finite.size:
         i = not_finite[0]
         raise LeftDomain(f"loop vertex {i} is not finite: "
                          f"{tuple(pts[i].tolist())}")
     v = float_vector(v0, "v0")
-    span = float(np.abs(pts).max())
+    top, bottom = cols.max(axis=1), cols.min(axis=1)
+    span = max(float(top.max()), -float(bottom.min()))
     # The loop is open when its ends are farther apart than 1e-9 of its
-    # extent, the largest side of its bounding box.  hypot, unlike a
-    # norm through squares, does not overflow.
-    extent = float(np.ptp(pts, axis=0).max())
-    if math.hypot(*(pts[0] - pts[-1]).tolist()) > 1e-9 * extent:
-        pts = np.vstack([pts, pts[0]])
-    m = pts.shape[0] - 1  # closed: pts[m] == pts[0]
-    normals = _loop_normals(frame_field, pts[:m])
-    not_unit = np.flatnonzero(~(np.abs(_dot(normals, normals) - 1.0)
+    # extent, the largest side of its bounding box; its m vertices are
+    # then all of pts, and otherwise all but the last, which closes it.
+    # hypot, unlike a norm through squares, does not overflow.
+    extent = float((top - bottom).max())
+    m = len(pts) - 1
+    if math.hypot(*(cols[:, 0] - cols[:, -1]).tolist()) > 1e-9 * extent:
+        m += 1
+    normals = _loop_normals(frame_field, cols[:, :m].T)
+    ncol = normals.T
+    not_unit = np.flatnonzero(~(np.abs(_col_dot(ncol, ncol) - 1.0)
                                 <= 1e-8))  # nan fails the test too
     if not_unit.size:
         i = not_unit[0]
         raise LeftDomain(f"frame normal at loop vertex {i} is not a finite "
                          f"unit vector: {tuple(pts[i].tolist())}")
     if extent == 0.0:
-        raise OutOfRange(f"loop has no extent: all {len(pts)} vertices are "
+        raise OutOfRange(f"loop has no extent: all {m + 1} vertices are "
                          f"{tuple(pts[0].tolist())}")
 
     # Tangents enter only through their directions, so they come from
     # the loop scaled by a power of two to a largest coordinate near 1:
-    # exact, so ordinary loops keep their bits, while the squares and
-    # cross products of far or tiny loops neither overflow nor underflow.
-    pts = np.ldexp(pts, -math.frexp(span)[1])
+    # exact, while the squares and cross products of far or tiny loops
+    # neither overflow nor underflow.
+    x = np.ldexp(cols[:, :m], -math.frexp(span)[1])
 
-    # Central-difference tangents, vertex i from pts[i-1] to pts[i+1]
-    # (cyclic); they serve the tangency precondition and adapted angles.
-    tang = np.roll(pts[:m], -1, axis=0) - np.roll(pts[:m], 1, axis=0)
+    # Central-difference tangents, vertex i from x[:, i-1] to x[:, i+1]
+    # (cyclic); they serve the tangency precondition and the drift.
+    tang = np.roll(x, -1, axis=1) - np.roll(x, 1, axis=1)
+    along_n = _col_dot(ncol, tang)
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.abs(_dot(normals, tang)) / np.linalg.norm(tang, axis=1)
+        slope = np.abs(along_n) / np.sqrt(_col_dot(tang, tang))
     off_leaf = np.flatnonzero(slope > 1e-6)  # a zero tangent gives nan
     if off_leaf.size:
         raise NotOnLeaf(
@@ -341,19 +376,21 @@ def parallel_transport_holonomy(frame_field, loop, v0) -> float:
     # the next the change is the angle of the earlier u, carried through
     # the steps between them, against the later u.  The angle does not
     # depend on the length of u, so u is not normalized.
-    u = _tangential(tang, normals)
-    kept = np.flatnonzero(np.linalg.norm(u, axis=1)[np.arange(m + 1) % m]
-                          != 0.0)
+    u = tang - along_n * ncol
+    defined = _col_dot(u, u) != 0.0
+    kept = np.flatnonzero(np.append(defined, defined[0]))  # m is 0 again
     src, dst = kept[:-1], kept[1:]
     gaps = dst - src
-    carried = _matvec(rot[src], u[src])
+    entries = rot.reshape(m, 9).T
+    carried = _carried(entries, u)[:, src]
     for gap in range(1, int(np.max(gaps, initial=1))):
         far = np.flatnonzero(gaps > gap)
-        carried[far] = _matvec(rot[src[far] + gap], carried[far])
+        carried[:, far] = _carried(entries[:, src[far] + gap],
+                                   carried[:, far])
     dst %= m
     drift = float(np.sum(np.arctan2(
-        _dot(carried, np.cross(normals[dst], u[dst])),
-        _dot(carried, u[dst]))))
+        _col_dot(carried, _col_cross(ncol[:, dst], u[:, dst])),
+        _col_dot(carried, u[:, dst]))))
 
     # v0 carried once around, projected onto the start plane twice (the
     # second time as a 3-vector), in the operations that fixed the bits

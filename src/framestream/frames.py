@@ -290,11 +290,13 @@ def raw_parts(frame_field, pts, dual=False) -> tuple:
     """The raw at the rows of an (N, 3) array pts, from one call on
     their coordinate arrays (array Duals seeded with the identity when
     dual), or from none where N = 0: the (N, 9) values of the nine
-    components and their (N, 9, 3) tangents, zero for a float
-    component.  Raises, for a replay, on a component that is neither a
-    float nor an array of N entries."""
+    components and, when dual, their (N, 9, 3) tangents, zero for a
+    float component; None in place of the tangents when not dual.
+    Raises, for a replay, on a component that is neither a float nor an
+    array of N entries."""
     count = len(pts)
-    vals, tans = np.empty((count, 9)), np.zeros((count, 9, 3))
+    vals = np.empty((count, 9))
+    tans = np.zeros((count, 9, 3)) if dual else None
     if not count:
         return vals, tans
     cols = dm.seed_gradient(pts) if dual else np.ascontiguousarray(pts.T)
@@ -303,8 +305,9 @@ def raw_parts(frame_field, pts, dual=False) -> tuple:
         if any(np.shape(part) not in ((), (count,)) for part in parts):
             raise ValueError("component of another length")
         vals[:, k] = parts[0]
-        for j, part in enumerate(parts[1:]):
-            tans[:, k, j] = part
+        if dual:
+            for j, part in enumerate(parts[1:]):
+                tans[:, k, j] = part
     return vals, tans
 
 
@@ -718,15 +721,27 @@ def orthonormalize(t, b_tilde):
 
     The normalization divides by the Euclidean norm of the projected
     residual, not by any closed-form denominator.  OutOfRange where t or
-    b_tilde is not a finite 3-vector, or t is not unit.
+    b_tilde is not a finite 3-vector, or t is not unit; ParallelInput
+    where that norm is below 1e-10.
     """
     t = float_vector(t, "t")
     b_tilde = float_vector(b_tilde, "b_tilde")
     if not unit_within(t, 1e-10):
         raise OutOfRange("t must be unit")
-    w = b_tilde - (t @ b_tilde) * t
-    norm = float(np.linalg.norm(w))
-    if norm < 1e-10:
+    scale = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = b_tilde - (t @ b_tilde) * t
+        norm = float(np.linalg.norm(w))
+    if not math.isfinite(norm):
+        # An entry of b_tilde near the top of the float range overflowed
+        # the projection or the squares of the norm.  The same steps on
+        # b_tilde scaled by a power of two, exactly, to a largest entry
+        # below 1 give w and its norm scaled by that power.
+        scale = math.frexp(float(np.abs(b_tilde).max()))[1]
+        b_tilde = np.ldexp(b_tilde, -scale)
+        w = b_tilde - (t @ b_tilde) * t
+        norm = float(np.linalg.norm(w))
+    if norm < math.ldexp(1e-10, -scale):
         raise ParallelInput("b_tilde parallel to t")
     return t, w / norm
 

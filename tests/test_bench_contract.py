@@ -97,14 +97,15 @@ def test_traced_sweep_is_one_grid_pass(tracing, tmp_path, capsys):
 # sampled check (catalog, oracle, identities, homothety with its scaled
 # points, and conservation), and the kb-transform point.  Raw
 # calls on float arrays: one per frame for all of its ray oracle probes
-# (7) and one per holonomy loop (3).  The catalog and the ray oracle
-# take each frame's states as one stack.
+# (7) and one per holonomy loop (3), each loop one transport call.  The
+# catalog and the ray oracle take each frame's states as one stack.
 VERIFY_SEED_7_COUNTS = {
     "derivatives.frame_jet.dual.calls": 8,
     "frames.raw.dual.calls": 8,
     "frames.raw.float.calls": 10,
     "catalog.catalog_coefficients.calls": 7,
     "verification.ray_oracle.calls": 7,
+    "curvature.parallel_transport_holonomy.calls": 3,
 }
 
 

@@ -56,6 +56,27 @@ def test_orthonormalize_rejects_parallel():
         orthonormalize((1.0, 0.0, 0.0), (2.0, 1e-12, 0.0))
 
 
+@pytest.mark.parametrize("t, b_tilde, want", [
+    ((1.0, 0.0, 0.0), (0.0, 1e200, 1e200), (0.0, 0.5 ** 0.5, 0.5 ** 0.5)),
+    ((1.0, 0.0, 0.0), (0.0, 1e308, 0.0), (0.0, 1.0, 0.0)),
+    ((0.6, 0.8, 0.0), (1.5e308, 1.5e308, 0.0), (0.8, -0.6, 0.0)),
+], ids=["squares-overflow", "1e308", "projection-overflows"])
+def test_orthonormalize_rescales_a_huge_b_tilde(t, b_tilde, want):
+    # Under the suite's warnings-as-errors, an overflow warning fails.
+    _, b = orthonormalize(t, b_tilde)
+    assert np.allclose(b, want, rtol=0.0, atol=1e-15)
+    assert abs(float(b @ b) - 1.0) <= 1e-15
+
+
+def test_orthonormalize_keeps_the_bits_of_ordinary_inputs():
+    t, b_tilde = np.array([0.6, 0.8, 0.0]), np.array([0.3, -2.0, 1e-3])
+    w = b_tilde - (t @ b_tilde) * t
+    _, b = orthonormalize(t, b_tilde)
+    assert b.tobytes() == (w / np.linalg.norm(w)).tobytes()
+    with pytest.raises(ParallelInput):
+        orthonormalize((1.0, 0.0, 0.0), (1e300, 0.0, 0.0))
+
+
 def test_orthonormalize_requires_unit_t():
     with pytest.raises(OutOfRange):
         orthonormalize((2.0, 0.0, 0.0), (0.0, 1.0, 0.0))

@@ -12,6 +12,7 @@ from framestream.derivatives import _dot
 from framestream.errors import FramestreamError, LeftDomain, NotOnLeaf
 from framestream.errors import OutOfRange
 from framestream.frames import float_array, float_vector
+from framestream.verification import _circle_loop, _latitude_loop
 
 
 # --- frozen copy of the scan-based transport ------------------------------
@@ -88,8 +89,10 @@ def _old_holonomy(frame_field, loop, v0):
 
 # --- the loop grid ---------------------------------------------------------
 
-def _latitude(theta, steps, radius=1.0):
-    phi = np.linspace(0.0, 2.0 * np.pi, steps + 1)
+def _latitude(theta, steps, radius=1.0, times=1):
+    """The latitude loop at theta in ``steps`` steps per turn, run
+    ``times`` times, and a start vector tangent to it."""
+    phi = np.linspace(0.0, 2.0 * np.pi * times, steps * times + 1)
     loop = radius * np.column_stack([
         np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
         np.cos(theta) * np.ones_like(phi)])
@@ -159,3 +162,60 @@ def test_holonomy_keeps_the_bits_of_the_prefix_scan():
              if _outcome(parallel_transport_holonomy, field, loop, v0)
              != _outcome(_old_holonomy, field, loop, v0)]
     assert moved == []
+
+
+def _stress_cases():
+    """(id, frame, loop, v0) that stress the layouts the transport reads
+    and its turn count: loops run more than once; Fortran-ordered,
+    negative-stride, open and integer loops; a NaN vertex; a short loop that
+    steps back and forth many times; and the loops of verify's holonomy
+    check at four polar angles."""
+    sphere, plane = builtin_frame(Sphere()), builtin_frame(Constant())
+    for times in (2, 3):
+        for direction in (1, -1):
+            loop, v0 = _latitude(1.1, 64, times=times)
+            yield (f"turns-{times}-{direction}", sphere,
+                   loop[::direction].copy(), v0)
+    loop, v0 = _latitude(0.7, 100)
+    yield "fortran", sphere, np.asfortranarray(loop), v0
+    yield "negative-stride", sphere, loop[::-1], v0
+    yield "open", sphere, loop[:-1], v0
+    square = [(0, 0, 3), (1, 0, 3), (2, 0, 3), (2, 1, 3), (2, 2, 3),
+              (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 0, 3)]
+    yield "integer-plane", plane, np.array(square), np.array([1, 1, 0])
+    yield ("integer-plane-open", plane, np.array(square[:-1]),
+           np.array([1, 1, 0]))
+    ring = [(5, 0, 0), (4, 3, 0), (3, 4, 0), (0, 5, 0), (-3, 4, 0),
+            (-4, 3, 0), (-5, 0, 0), (-4, -3, 0), (-3, -4, 0), (0, -5, 0),
+            (3, -4, 0), (4, -3, 0)]
+    yield "integer-sphere", sphere, np.array(ring), np.array([0, 0, 1])
+    nan_loop = loop.copy()
+    nan_loop[5] = (np.nan, 0.0, 0.0)
+    yield "nan-vertex-5", sphere, nan_loop, v0
+    loop, v0 = _latitude(0.9, 10)
+    yield "back-20", sphere, _back_and_forth(loop, 3, 20), v0
+    for theta in (0.3, math.pi / 3.0, 2.0, 2.9):
+        for steps in (1000, 2000):
+            loop, v0, _ = _latitude_loop(theta, steps)
+            yield f"check-{theta:.3f}-{steps}", sphere, loop, v0
+    loop, v0, _ = _circle_loop(1.0, 2000)  # the same at every theta
+    yield "check-circle", plane, loop, v0
+
+
+def test_holonomy_keeps_the_bits_on_layouts_and_turn_counts():
+    cases = list(_stress_cases())
+    assert len(cases) == 21
+    moved = [name for name, field, loop, v0 in cases
+             if _outcome(parallel_transport_holonomy, field, loop, v0)
+             != _outcome(_old_holonomy, field, loop, v0)]
+    assert moved == []
+    # The cases reach both outcomes, and the loop run three times turns
+    # v0 by three times the cap's area, modulo full turns.
+    outcomes = {name: _outcome(parallel_transport_holonomy, field, loop, v0)
+                for name, field, loop, v0 in cases}
+    assert outcomes["nan-vertex-5"][0] == "LeftDomain"
+    assert "vertex 5 " in outcomes["nan-vertex-5"][1]
+    assert isinstance(outcomes["integer-plane"], bytes)
+    three = np.frombuffer(outcomes["turns-3-1"], dtype=np.float64)[0]
+    cap = 2.0 * np.pi * (1.0 - math.cos(1.1))
+    assert abs(math.remainder(three - 3.0 * cap, 2.0 * np.pi)) < 1e-2
