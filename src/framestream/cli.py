@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -288,7 +289,10 @@ def _cmd_holonomy(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: no command may mutate a value
+    that it holds, such as the default axes of sweep."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--engine", choices=("dual", "fd"), default="dual")
     common.add_argument("--fd-step", type=float, default=1e-5)

@@ -79,12 +79,15 @@ def frame_defect(n, t, b, tol: float):
 
 
 class FramePoint:
-    """Right-handed orthonormal triple at one point.
+    """Right-handed orthonormal triple at one point, or at each row of
+    (N, 3) stacks n, t and b.
 
     Raises NotOrthonormal (a ValueError) with the message of
     frame_defect when a vector is not a finite 3-vector, or the vectors
     miss unit norm, orthogonality, or b = n x t beyond ``tol``; and
     OutOfRange, naming the vector, where it is not an array of numbers.
+    A stack whose columns fail is tested row by row, so that the first
+    failing row raises its error.
     """
 
     __slots__ = ("n", "t", "b")
@@ -93,13 +96,21 @@ class FramePoint:
         n = float_array(n, "n")
         t = float_array(t, "t")
         b = float_array(b, "b")
-        # The test runs on Python floats: for one 3-vector triple it
-        # costs a few microseconds, where numpy dot/cross calls cost ~70.
-        # A vector of another shape fails it as NaNs do, at its turn.
-        bad = (math.nan,) * 3
-        defect = frame_defect(n.tolist() if n.shape == (3,) else bad,
-                              t.tolist() if t.shape == (3,) else bad,
-                              b.tolist() if b.shape == (3,) else bad, tol)
+        if n.ndim == 2 and n.shape[1] == 3 and t.shape == b.shape == n.shape:
+            # Arrays overflow to inf and make nan as floats do, unflagged.
+            with np.errstate(over="ignore", invalid="ignore"):
+                defect = frame_defect(n.T, t.T, b.T, tol)
+            if defect is not None:
+                for row in zip(n, t, b):
+                    FramePoint(*row, tol)
+        else:
+            # One triple is tested on Python floats: a few microseconds,
+            # where numpy dot/cross calls cost ~70.  A vector of another
+            # shape fails the test as NaNs do, at its turn.
+            bad = (math.nan,) * 3
+            defect = frame_defect(n.tolist() if n.shape == (3,) else bad,
+                                  t.tolist() if t.shape == (3,) else bad,
+                                  b.tolist() if b.shape == (3,) else bad, tol)
         if defect is not None:
             raise NotOrthonormal(defect)
         self.n = n
@@ -114,14 +125,6 @@ class FramePoint:
 
     def __repr__(self):
         return f"FramePoint(n={self.n}, t={self.t}, b={self.b})"
-
-
-def loose_frames_ok(n, t, b) -> bool:
-    """True if FramePoint.loose accepts (n[i], t[i], b[i]) for every
-    row i of the (N, 3) stacks: frame_defect on all rows at once."""
-    # Python floats overflow to inf and make nan without a flag.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return frame_defect(n.T, t.T, b.T, _LOOSE_TOL) is None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -746,13 +749,19 @@ def orthonormalize(t, b_tilde):
     return t, w / norm
 
 
+def _one_frame(frame, what: str = "frame") -> None:
+    """OutOfRange unless frame is a FramePoint of one point."""
+    if instance_of(frame, FramePoint, what).n.ndim != 1:
+        raise OutOfRange(f"{what} must be of one point, not {len(frame.n)}")
+
+
 def angles_from_direction(frame: FramePoint, omega_dir) -> AngularPoint:
     """(mu, omega) of a unit direction relative to a frame; OutOfRange
-    where the frame is not a FramePoint, or the direction is not a
-    finite 3-vector, or not unit, and PolarDirection from check_mu where
-    it runs along n.  mu = d . n is clamped to [-1, 1] first, where the
-    unit tolerance on d lets it stray."""
-    instance_of(frame, FramePoint, "frame")
+    where the frame is not a FramePoint of one point, or the direction
+    is not a finite 3-vector, or not unit, and PolarDirection from
+    check_mu where it runs along n.  mu = d . n is clamped to [-1, 1]
+    first, where the unit tolerance on d lets it stray."""
+    _one_frame(frame)
     d = float_vector(omega_dir, "direction")
     if not unit_within(d, 1e-10):
         raise OutOfRange("direction must be unit")
@@ -768,9 +777,9 @@ def angles_from_direction(frame: FramePoint, omega_dir) -> AngularPoint:
 
 def direction_from_angles(frame: FramePoint, mu: float, omega: float):
     """Unit direction mu*n + sqrt(1-mu^2)(cos(omega) t + sin(omega) b);
-    OutOfRange for a frame that is not a FramePoint, a NaN mu or one
-    outside [-1, 1], or from _angles."""
-    instance_of(frame, FramePoint, "frame")
+    OutOfRange for a frame that is not a FramePoint of one point, a NaN
+    mu or one outside [-1, 1], or from _angles."""
+    _one_frame(frame)
     mu, s, c, sn = _angles(mu, omega)
     check_mu_range(mu)
     # The arithmetic runs on floats, in the order of the array expression

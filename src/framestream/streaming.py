@@ -22,10 +22,10 @@ from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
                           frame_scalars, scalars_along, twist)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange)
-from .frames import (FramePoint, _angles, all_true, check_mu, check_mu_range,
-                     direction_from_angles, float_3vector, float_scalar,
-                     float_vector, instance_of, loose_frames_ok)
-from .frames import angle_arrays  # noqa: F401  (re-exported)
+from .frames import (FramePoint, _angles, _one_frame, all_true, angle_arrays,
+                     check_mu, check_mu_range, direction_from_angles,
+                     float_3vector, float_array, float_scalar, float_vector,
+                     instance_of, on_stack)
 
 _BREAKDOWN_RTOL = 1e-10
 _FOLIATION_TOL = 1e-6
@@ -51,7 +51,10 @@ class StreamingCoefficients:
     breakdown keys: mu_surface, mu_curve_n, omega_curve, omega_wind,
     omega_tilt.  The tilt entry is the azimuth drift produced by the
     mu-level change along the ray; without it the assembled
-    Omega . grad Psi fails the linear-function identity.
+    Omega . grad Psi fails the linear-function identity.  at is the
+    state (point, mu, omega).  For a stack of N states every field
+    holds one entry per state: (N,) arrays, an (N, 3) point array, and
+    a frame of (N, 3) vectors.
     """
 
     a_mu: float
@@ -242,56 +245,99 @@ def checked_terms(jet: FrameJet, mu, s, c, sn):
     replayed one by one, which raises the error of the first failing
     point.  OutOfRange where the jet is not a FrameJet.
     """
-    if instance_of(jet, FrameJet, "jet").n.ndim == 1:
-        FramePoint.loose(jet.n, jet.t, jet.b)
-        terms = coefficient_terms(jet, mu, s, c, sn)
-        check_breakdown(*terms)
-        return terms
-    # An inf in a stacked jet meets an inf of the other sign, or a zero,
-    # where a float state would too: the NaN it gives fails the checks,
-    # which raise their typed errors, not numpy's warnings.  The replay
-    # runs on numpy scalars, which warn as arrays do.
+    FramePoint.loose(instance_of(jet, FrameJet, "jet").n, jet.t, jet.b)
+    # An inf in a jet meets an inf of the other sign, or a zero, where a
+    # float state would too: the NaN it gives fails the check, which
+    # raises its typed error, not numpy's warnings.  The replay of a
+    # stack runs on numpy scalars, which warn as arrays do.
     with np.errstate(invalid="ignore", over="ignore"):
-        if not loose_frames_ok(jet.n, jet.t, jet.b):
-            for i in range(len(jet.n)):
-                FramePoint.loose(jet.n[i], jet.t[i], jet.b[i])
         terms = coefficient_terms(jet, mu, s, c, sn)
         try:
             check_breakdown(*terms)
         except InconsistentBreakdown:
-            for i in range(len(jet.n)):
-                check_breakdown(*(term[i] for term in terms))
+            if jet.n.ndim == 2:  # a stack: its first failing point raises
+                for i in range(len(jet.n)):
+                    check_breakdown(*(term[i] for term in terms))
             raise
     return terms
 
 
-def coefficients_from_jet(jet: FrameJet, mu: float, omega: float,
+def _coefficients(terms, at, n, t, b) -> StreamingCoefficients:
+    """The result of coefficient_terms' seven values at the state ``at``:
+    the frame (n, t, b) passes FramePoint.loose, then the breakdown."""
+    return StreamingCoefficients(terms[0], terms[1], dict(zip((
+        "mu_surface", "mu_curve_n", "omega_curve", "omega_wind",
+        "omega_tilt"), terms[2:])), at, FramePoint.loose(n, t, b))
+
+
+def _on_states(jet_at, one_state, points, mu, omega, *inputs):
+    """The result at the stacked states (points, mu, omega) from the
+    stacked jet_at(), through on_stack: its replay runs one_state, the
+    single-state call, on each row of (points, *inputs, mu, omega), so
+    the first failing state raises its own error.  OutOfRange unless mu
+    and omega hold one angle per point."""
+    try:
+        paired = len(mu) == len(omega) == len(points)
+    except TypeError:  # no length: a number, say
+        paired = False
+    if not paired:
+        raise OutOfRange(f"mu and omega must be lists of one angle for "
+                         f"each of the {len(points)} states")
+
+    def attempt():
+        jet, angles = jet_at(), angle_arrays(mu, omega)
+        check_mu(angles[0])
+        return _coefficients(coefficient_terms(jet, *angles), (
+            points.copy(), angles[0], np.array(omega, float)),
+            jet.n, jet.t, jet.b)
+
+    def fields(*row):
+        c = one_state(*row)
+        return (c.a_mu, c.a_omega, *c.breakdown.values(), *c.at,
+                c.frame.n, c.frame.t, c.frame.b)
+
+    out = on_stack(attempt, fields, points, *inputs, mu, omega)
+    if isinstance(out, StreamingCoefficients):
+        return out
+    return _coefficients(out[:7], out[7:10], *out[10:])
+
+
+def coefficients_from_jet(jet: FrameJet, mu, omega,
                           at_point=None) -> StreamingCoefficients:
     """Assemble both coefficients from a precomputed frame jet of one
-    point; OutOfRange for a jet that is not a FrameJet or is that of a
-    stack of points, or for an at_point that is not a 3-vector."""
+    point, with float mu and omega; or of N stacked points, with N mu
+    and N omega values and an (N, 3) at_point, by _on_states' rule.
+    OutOfRange for a jet that is not a FrameJet, or for an at_point of
+    another shape than the jet's points."""
     if instance_of(jet, FrameJet, "jet").n.ndim != 1:
-        raise OutOfRange(f"the jet must be of one point, not of "
-                         f"{len(jet.n)} stacked points")
+        points = float_array(np.zeros(jet.n.shape) if at_point is None
+                             else at_point, "point")
+        if points.shape != jet.n.shape:
+            raise OutOfRange(f"point must be of shape {jet.n.shape}, not "
+                             f"{points.shape}")
+        return _on_states(
+            lambda: jet, lambda p, *row: coefficients_from_jet(
+                FrameJet(*row[:6]), *row[6:], at_point=p),
+            points, mu, omega, jet.n, jet.t, jet.b, jet.jn, jet.jt, jet.jb)
     mu, s, c, sn = _angles(mu, omega)
     check_mu(mu)
     at_point = (np.zeros(3) if at_point is None
                 else float_3vector(at_point, "point").copy())
-    (a_mu, a_omega, mu_surface, mu_curve_n, omega_curve, omega_wind,
-     omega_tilt) = coefficient_terms(jet, mu, s, c, sn)
-    breakdown = {"mu_surface": mu_surface, "mu_curve_n": mu_curve_n,
-                 "omega_curve": omega_curve, "omega_wind": omega_wind,
-                 "omega_tilt": omega_tilt}
-    return StreamingCoefficients(
-        a_mu=a_mu, a_omega=a_omega, breakdown=breakdown,
-        at=(at_point, mu, float(omega)),
-        frame=FramePoint.loose(jet.n, jet.t, jet.b))
+    return _coefficients(coefficient_terms(jet, mu, s, c, sn),
+                         (at_point, mu, float(omega)), jet.n, jet.t, jet.b)
 
 
 def streaming_coefficients(frame_field, r, mu, omega,
                            cfg: DiffConfig = DEFAULT_CFG
                            ) -> StreamingCoefficients:
-    """Both streaming coefficients and their breakdown at one state."""
+    """Both streaming coefficients and their breakdown at one state, or
+    at each state of a stack: an (N, 3) array r with N mu and N omega
+    values, by the stack rule of _on_states."""
+    r = float_array(r, "point")
+    if r.ndim == 2 and r.shape[1] == 3:
+        return _on_states(lambda: frame_jet(frame_field, r, cfg),
+                          lambda p, m, o: streaming_coefficients(
+                              frame_field, p, m, o, cfg), r, mu, omega)
     r = float_3vector(r, "point")
     jet = frame_jet(frame_field, r, cfg)
     return coefficients_from_jet(jet, mu, omega, at_point=r)
@@ -302,13 +348,14 @@ def apply_streaming(coeffs: StreamingCoefficients, omega_dir,
                     dpsi_domega: float) -> float:
     """Assembled Omega . grad Psi from precomputed pieces.
 
-    OutOfRange where coeffs is not a StreamingCoefficients or omega_dir
-    is not a 3-vector, InconsistentDirection where omega_dir does not
-    reconstruct from (mu, omega, frame) within 1e-10 (a NaN entry
-    included), OutOfRange where spatial_grad_psi is not a finite
-    3-vector, and OutOfRange where dpsi_dmu or dpsi_domega is not a
-    number."""
-    instance_of(coeffs, StreamingCoefficients, "coeffs")
+    OutOfRange where coeffs is not a StreamingCoefficients of one state
+    or omega_dir is not a 3-vector, InconsistentDirection where
+    omega_dir does not reconstruct from (mu, omega, frame) within 1e-10
+    (a NaN entry included), OutOfRange where spatial_grad_psi is not a
+    finite 3-vector, and OutOfRange where dpsi_dmu or dpsi_domega is not
+    a number."""
+    _one_frame(instance_of(coeffs, StreamingCoefficients, "coeffs").frame,
+               "coeffs")
     d = float_3vector(omega_dir, "direction")
     _, mu, omega = coeffs.at
     rebuilt = direction_from_angles(coeffs.frame, mu, omega)

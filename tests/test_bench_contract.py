@@ -74,8 +74,9 @@ def test_traced_frame_identities_evaluates_one_stacked_jet(tracing, capsys):
 
 def test_traced_sweep_is_one_grid_pass(tracing, tmp_path, capsys):
     # The 100 grid points share one stacked frame jet, one raw call on
-    # array Duals (a replay point by point would make 101), with the
-    # frame check vectorized and no per-state assembly.
+    # array Duals (a replay point by point would make 101), with one
+    # frame check, FramePoint.loose on the whole stack, and no per-state
+    # assembly.
     tracer = tracing.Tracer()
     out = tmp_path / "sweep.json"
     with tracer.traced_pass():
@@ -87,7 +88,7 @@ def test_traced_sweep_is_one_grid_pass(tracing, tmp_path, capsys):
     metrics = tracer.layer_metrics(out.stat().st_size, 0.0)
     assert metrics["derivatives.frame_jet.dual.calls"] == 1
     assert metrics["frames.raw.dual.calls"] == 1
-    assert metrics["frames.FramePoint.loose.calls"] == 0
+    assert metrics["frames.FramePoint.loose.calls"] == 1
     assert metrics["streaming.coefficients_from_jet.calls"] == 0
     capsys.readouterr()
 

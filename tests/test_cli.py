@@ -394,3 +394,25 @@ def test_frame_choices_and_overrides_read_the_registry(capsys):
     assert default == explicit != changed
     sphere = run(capsys, argv + ["--frame", "sphere"])[1]
     assert run(capsys, argv + ["--frame", "sphere", "--a", "5"])[1] == sphere
+
+
+def test_parser_built_once_keeps_the_sweep_default_axes(capsys):
+    # The parser is built once per process, so every sweep shares its
+    # default --x/--y/--z arrays.  Defaults, then explicit axes, then
+    # defaults again print what a freshly built parser prints for each.
+    import framestream.cli as cli
+
+    default = ["sweep", "--frame", "sphere", "--no-timestamp"]
+    explicit = default + ["--x=0.4:1.3:3", "--y=0.3:0.8:2",
+                          "--z=-0.5:0.7:2", "--format", "csv"]
+    argvs = (default, explicit, default)
+
+    def fresh(argv):
+        cli._build_parser.cache_clear()
+        return run(capsys, argv)
+
+    want = [fresh(argv) for argv in argvs]
+    cli._build_parser.cache_clear()
+    assert [run(capsys, argv) for argv in argvs] == want
+    assert cli._build_parser.cache_info().misses == 1
+    assert want[0] == want[2] != want[1] and want[0][0] == 0

@@ -10,8 +10,7 @@ from framestream import (Constant, CylindricalI, CylindricalII, DegeneratePoint,
                          angles_from_direction, apply_streaming,
                          builtin_frame, direction_from_angles,
                          orthonormalize, streaming_coefficients)
-from framestream.frames import (BUILTIN_FRAMES, check_mu, frame_defect,
-                                loose_frames_ok)
+from framestream.frames import BUILTIN_FRAMES, check_mu, frame_defect
 from framestream.verification import default_frames, random_states
 
 
@@ -314,7 +313,9 @@ def test_frame_defect_names_each_failure_kind(kind):
     # A stack fails where one of its frames does, with the same message.
     stack = [np.array([c, v, c], dtype=float)
              for c, v in zip(CANONICAL, (n, t, b))]
-    assert not loose_frames_ok(*stack)
+    with pytest.raises(NotOrthonormal) as info:
+        FramePoint.loose(*stack)
+    assert str(info.value) == message
     with np.errstate(over="ignore", invalid="ignore"):
         assert frame_defect(*(v.T for v in stack), 1e-8) == message
 
@@ -324,8 +325,9 @@ def test_frame_defect_accepts_within_its_tolerances():
     frame = ((0.0, 0.0, 1.0 + 0.99e-8), (1.0, 0.0, 0.99e-8), (0.0, 1.0, 0.0))
     assert frame_defect(*frame, 1e-8) is None
     FramePoint.loose(*frame)
-    assert loose_frames_ok(*(np.array([c, v])
-                             for c, v in zip(CANONICAL, frame)))
+    stack = FramePoint.loose(*(np.array([c, v])
+                               for c, v in zip(CANONICAL, frame)))
+    assert stack.n.shape == stack.t.shape == stack.b.shape == (2, 3)
 
 
 @pytest.mark.parametrize("r", [(1.0, 0.5, 0.25, 2.0), (1.0, 0.5), 1.0,

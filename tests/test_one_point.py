@@ -12,8 +12,9 @@ import struct
 import numpy as np
 import pytest
 
-from framestream import (DiffConfig, builtin_frame, catalog_coefficients,
-                         frame_jet, ray_oracle)
+from framestream import (DiffConfig, FramestreamError, builtin_frame,
+                         catalog_coefficients, coefficients_from_jet,
+                         frame_jet, ray_oracle, streaming)
 from framestream.frames import direction_from_angles
 from framestream.streaming import (_angles, angle_arrays, checked_terms,
                                    coefficient_terms, streaming_coefficients)
@@ -50,6 +51,96 @@ def test_single_state_coefficients_have_the_stacked_bits(seed, cfg):
         stacked = np.stack(checked_terms(frame_jet(field, points, cfg),
                                          *angle_arrays(mus, omegas)), axis=1)
         assert one.tobytes() == stacked.tobytes(), field.name
+
+
+def _fields(coeffs):
+    """The seven coefficient fields of a result, then its state and its
+    frame, each as one float array (stacked over the states of a list)."""
+    if isinstance(coeffs, list):
+        return [np.array(column) for column in zip(*map(_fields, coeffs))]
+    return [np.asarray(x, dtype=float) for x in (
+        coeffs.a_mu, coeffs.a_omega, *coeffs.breakdown.values(),
+        *coeffs.at, coeffs.frame.n, coeffs.frame.t, coeffs.frame.b)]
+
+
+def _scatter_stacks():
+    """(field, points, mus, omegas) of every default frame, 400 states
+    each, drawn as the benchmark's scatter workload draws them at seed
+    7."""
+    rng = np.random.default_rng(7)
+    stacks = []
+    for fid in default_frames().values():
+        states = random_states(fid, 400, rng)
+        stacks.append((builtin_frame(fid), np.array([r for r, _, _ in states]),
+                       [mu for _, mu, _ in states],
+                       [omega for _, _, omega in states]))
+    return stacks
+
+
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+def test_stacked_coefficients_have_the_per_state_bits(cfg):
+    for field, points, mus, omegas in _scatter_stacks():
+        want = _fields([streaming_coefficients(field, r, mu, omega, cfg)
+                        for r, mu, omega in zip(points, mus, omegas)])
+        stacked = streaming_coefficients(field, points, mus, omegas, cfg)
+        from_jet = coefficients_from_jet(frame_jet(field, points, cfg), mus,
+                                         omegas, at_point=points)
+        for got in (stacked, from_jet):
+            assert [x.tobytes() for x in _fields(got)] == \
+                [x.tobytes() for x in want], field.name
+
+
+def test_a_stack_that_fails_over_keeps_the_per_state_bits(monkeypatch):
+    # Where the array attempt raises but no state does, the states'
+    # single-state results are stacked into one result.
+    field, points, mus, omegas = _cases(7)[3]
+    want = _fields(streaming_coefficients(field, points, mus, omegas))
+    monkeypatch.setattr(streaming, "angle_arrays", _raises)
+    got = streaming_coefficients(field, points, mus, omegas)
+    assert [x.tobytes() for x in _fields(got)] == [x.tobytes() for x in want]
+
+
+def _raises(*args):
+    raise FloatingPointError("overflow")
+
+
+def _error(call):
+    try:
+        call()
+    except FramestreamError as exc:
+        return type(exc), str(exc)
+    pytest.fail("no error")
+
+
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+def test_a_failing_stack_raises_its_first_failing_state_error(cfg):
+    field = builtin_frame(default_frames()["sphere"])
+    points = np.array([[1.0, 0.5, 0.2], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    one = _error(lambda: streaming_coefficients(field, points[1], 0.3, 1.1,
+                                                cfg))
+    assert one[0].__name__ == "EvaluationFailure"
+    assert one[1] == "field raised at probe (0.0, 0.0, 1.0)"
+    assert _error(lambda: streaming_coefficients(
+        field, points, [0.3] * 3, [1.1] * 3, cfg)) == one
+    # A polar mu at the first state wins over the later bad points; at
+    # the second state, the bad point of that state comes first.
+    polar = _error(lambda: streaming_coefficients(field, points[0], 1.0, 1.1,
+                                                  cfg))
+    assert _error(lambda: streaming_coefficients(
+        field, points, [1.0, 0.3, 0.3], [1.1] * 3, cfg)) == polar
+    assert _error(lambda: streaming_coefficients(
+        field, points, [0.3, 1.0, 0.3], [1.1] * 3, cfg)) == one
+
+
+@pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])
+def test_a_stack_of_no_states_returns_empty_arrays(cfg):
+    field = builtin_frame(default_frames()["graph"])
+    for coeffs in (streaming_coefficients(field, np.empty((0, 3)), [], [],
+                                          cfg),
+                   coefficients_from_jet(frame_jet(field, np.empty((0, 3)),
+                                                   cfg), [], [])):
+        shapes = [x.shape for x in _fields(coeffs)]
+        assert shapes == [(0,)] * 7 + [(0, 3), (0,), (0,)] + [(0, 3)] * 3
 
 
 @pytest.mark.parametrize("seed", [7, 11])

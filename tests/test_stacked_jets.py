@@ -18,8 +18,7 @@ from framestream import dual as dm
 from framestream.cli import main
 from framestream.curvature import parallel_transport_holonomy
 from framestream.derivatives import FrameJet, _direction, frame_scalars
-from framestream.frames import (BUILTIN_FRAMES, FramePoint, _angles,
-                               loose_frames_ok)
+from framestream.frames import BUILTIN_FRAMES, FramePoint, _angles
 from framestream.streaming import (_FOLIATION_TOL, angle_arrays,
                                    checked_terms, coefficient_terms,
                                    grad_mu_from_jet, grad_omega_from_jet,
@@ -276,7 +275,17 @@ def test_short_vector_in_a_stack_names_the_first_point(cfg):
 
 # --- vectorized checks with a per-state replay ----------------------------
 
-def test_loose_frames_ok_agrees_with_frame_point_row_by_row():
+def _loose_message(n, t, b):
+    """The message of the NotOrthonormal that FramePoint.loose raises at
+    (n, t, b), one frame or a stack, or None where it accepts them."""
+    try:
+        FramePoint.loose(n, t, b)
+    except NotOrthonormal as exc:
+        return str(exc)
+    return None
+
+
+def test_stacked_frame_point_agrees_with_frame_point_row_by_row():
     rng = np.random.default_rng(5)
     jet = frame_jet(builtin_frame(BUILTIN_FRAMES["ellipsoid"].default),
                     np.array([r for r, _, _ in random_states(
@@ -291,18 +300,19 @@ def test_loose_frames_ok_agrees_with_frame_point_row_by_row():
     n, t, b = (np.concatenate([u, u[:len(bad)]]) for u in (n, t, b))
     for i, (v, x) in enumerate(bad, start=200):
         (n, t, b)[v][i, i % 3] = x
-    accepted = []
+    messages = []
     for i in range(len(n)):
-        try:
-            FramePoint.loose(n[i], t[i], b[i])
-            accepted.append(True)
-        except NotOrthonormal:
-            accepted.append(False)
-        assert loose_frames_ok(n[i:i + 1], t[i:i + 1],
-                               b[i:i + 1]) == accepted[-1]
+        messages.append(_loose_message(n[i], t[i], b[i]))
+        assert _loose_message(n[i:i + 1], t[i:i + 1],
+                              b[i:i + 1]) == messages[-1]
+    accepted = [m is None for m in messages]
     assert 10 < sum(accepted) < 190 and not any(accepted[200:])
-    assert loose_frames_ok(n, t, b) == all(accepted)
-    assert loose_frames_ok(n[:200], t[:200], b[:200]) == all(accepted[:200])
+    # A stack raises the error of its first failing row, or accepts.
+    first = next(m for m in messages if m is not None)
+    assert _loose_message(n, t, b) == first
+    assert _loose_message(n[200:], t[200:], b[200:]) == messages[200]
+    good = np.array(accepted)
+    assert _loose_message(n[good], t[good], b[good]) is None
 
 
 @pytest.mark.parametrize("cfg", ENGINES, ids=["dual", "fd"])

@@ -4,16 +4,19 @@ huge vector entries through those that test a vector for unit norm.
 Each call must return or raise a FramestreamError, never a raw Python
 or numpy exception, with the bad value as mu or as omega.  The catalog
 and conservation_check share the domain of the coefficient path: at
-each bad mu they raise the type that streaming_coefficients raises."""
+each bad mu they raise the type that streaming_coefficients raises, and
+a stack of states raises at each bad angle the type that its
+single-state call raises there."""
 import math
 
 import numpy as np
 import pytest
 
 from framestream import (FramestreamError, OutOfRange, Sphere,
-                         angles_from_direction, builtin_frame,
-                         catalog_coefficients, coefficients_from_jet,
-                         conservation_check, direction_from_angles, frame_jet, grad_mu,
+                         angles_from_direction, apply_streaming,
+                         builtin_frame, catalog_coefficients,
+                         coefficients_from_jet, conservation_check,
+                         direction_from_angles, frame_jet, grad_mu,
                          grad_omega, orthonormalize, ray_oracle,
                          streaming_coefficients)
 
@@ -23,6 +26,7 @@ _POINT = np.array([1.0, 0.5, 0.2])
 _JET = frame_jet(_FIELD, _POINT)
 _FRAME = _FIELD.eval(_POINT)
 _STACK = np.array([[0.8, -0.4, 0.6], _POINT])
+_STACK_JET = frame_jet(_FIELD, _STACK)
 _GOOD = 0.3, 1.1
 _SAMPLES = _POINT + 0.1 * np.arange(8)[:, None]
 
@@ -41,6 +45,11 @@ CALLS = {
     # The bad value is the second state of a stack of two.
     "catalog-stack": lambda mu, omega: catalog_coefficients(
         _FID, _STACK, [_GOOD[0], mu], [_GOOD[1], omega]),
+    # The bad value is the second state of a stack of two.
+    "streaming_coefficients-stack": lambda mu, omega: streaming_coefficients(
+        _FIELD, _STACK, [_GOOD[0], mu], [_GOOD[1], omega]),
+    "coefficients_from_jet-stack": lambda mu, omega: coefficients_from_jet(
+        _STACK_JET, [_GOOD[0], mu], [_GOOD[1], omega]),
     "direction_from_angles":
         lambda mu, omega: direction_from_angles(_FRAME, mu, omega),
     # The bad value is the last of eight sample angles.
@@ -50,6 +59,9 @@ CALLS = {
 
 # The calls whose mu domain is that of streaming_coefficients.
 SAME_DOMAIN = ("catalog", "catalog-stack", "conservation_check")
+# The stacked coefficient calls and their single-state calls.
+ONE_STATE = {"streaming_coefficients-stack": "streaming_coefficients",
+             "coefficients_from_jet-stack": "coefficients_from_jet"}
 
 
 def _raised(name, mu, omega):
@@ -73,6 +85,43 @@ def test_bad_angles_raise_typed_errors(name, position):
         found = _raised(name, mu, omega)
         if name in SAME_DOMAIN and position == "mu":
             assert found is _raised("streaming_coefficients", mu, omega), bad
+        if name in ONE_STATE:
+            assert found is _raised(ONE_STATE[name], mu, omega), bad
+
+
+# --- stacks of states that the coefficient calls refuse --------------------
+
+def _stacked_coeffs():
+    return streaming_coefficients(_FIELD, _STACK, [0.3, 0.4], [1.1, 2.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: streaming_coefficients(_FIELD, _STACK, [0.3], [1.1]),
+     "mu and omega must be lists of one angle for each of the 2 states"),
+    (lambda: streaming_coefficients(_FIELD, _STACK, [0.3] * 3, [1.1] * 3),
+     "mu and omega must be lists of one angle for each of the 2 states"),
+    (lambda: streaming_coefficients(_FIELD, _STACK[:, :2], [0.3] * 2,
+                                    [1.1] * 2),
+     "point must be a 3-vector, not of shape (2, 2)"),
+    (lambda: coefficients_from_jet(_STACK_JET, 0.3, 1.1),
+     "mu and omega must be lists of one angle for each of the 2 states"),
+    (lambda: coefficients_from_jet(_STACK_JET, [0.3] * 2, [1.1] * 2,
+                                   at_point=_POINT),
+     "point must be of shape (2, 3), not (3,)"),
+    (lambda: apply_streaming(_stacked_coeffs(), [1.0, 0.0, 0.0],
+                             [1.0, 0.0, 0.0], 0.0, 0.0),
+     "coeffs must be of one point, not 2"),
+    (lambda: direction_from_angles(_stacked_coeffs().frame, 0.3, 1.1),
+     "frame must be of one point, not 2"),
+    (lambda: angles_from_direction(_stacked_coeffs().frame, [1.0, 0.0, 0.0]),
+     "frame must be of one point, not 2"),
+], ids=["angles-fewer", "angles-more", "points-n-by-2", "jet-scalar-angles",
+        "jet-at-point", "apply-stacked-coeffs", "direction-stacked-frame",
+        "angles-stacked-frame"])
+def test_malformed_stacks_are_out_of_range(call, message):
+    with pytest.raises(OutOfRange) as info:
+        call()
+    assert str(info.value) == message
 
 
 # --- vectors whose squared norm overflows --------------------------------

@@ -568,10 +568,6 @@ def _cylinder_shape():
     (lambda: kb_transform_residual(builtin_frame(Ellipsoid(2.0, 1.0, 1.0)),
                                    STACK),
      "point must be a 3-vector, not of shape (2, 3)"),
-    (lambda: streaming_coefficients(_sphere(), STACK, 0.3, 1.0),
-     "point must be a 3-vector, not of shape (2, 3)"),
-    (lambda: coefficients_from_jet(frame_jet(_sphere(), STACK), 0.3, 1.0),
-     "the jet must be of one point, not of 2 stacked points"),
     # Each sample angle is a (mu, omega) pair.
     (lambda: conservation_check(_sphere(), [[1.0, 0.2, 0.3]] * 8,
                                 [(0.1, 0.2, 0.3)] * 8),
@@ -675,9 +671,9 @@ def _cylinder_shape():
         "integrate-steps-string", "integrate-span-string",
         "integrate-start-point", "grad-mu-stack", "grad-mu-surface-stack",
         "grad-omega-stack", "grad-omega-surface-stack", "winding-stack",
-        "curvature-report-stack", "kb-transform-stack", "coefficients-stack",
-        "coefficients-jet-stack", "conservation-angle-triple",
-        "conservation-angle-number", "coefficients-jet-at-point",
+        "curvature-report-stack", "kb-transform-stack",
+        "conservation-angle-triple", "conservation-angle-number",
+        "coefficients-jet-at-point",
         "n-field-4-vector", "t-field-2-vector", "b-field-4-vector",
         "ellipsoid-string", "ellipsoid-nan", "ellipsoid-inf",
         "paraboloid-nan", "paraboloid-string", "fd-step-string",
