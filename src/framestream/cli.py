@@ -23,6 +23,13 @@ from .verification import (_circle_loop, _latitude_loop, run_checks,
 
 FRAME_NAMES = tuple(BUILTIN_FRAMES)
 _MIN_HOLONOMY_STEPS = 7
+# Upper bounds on the count flags, each tested before anything of that
+# size is allocated: a holonomy step holds about 0.4 KB, a sweep state
+# about 0.2 KB and 0.3 KB of JSON text, and --mu-count n asks for an
+# n x n Legendre companion matrix and its eigenvalues.
+_MAX_HOLONOMY_STEPS = 10**6
+_MAX_SWEEP_STATES = 10**6
+_MAX_ANGLE_COUNT = 1000
 TABLE_COLUMNS = ("x", "y", "z", "mu", "omega", "a_mu", "a_omega",
                  "mu_surface", "mu_curve_n", "omega_curve", "omega_wind",
                  "omega_tilt")
@@ -117,6 +124,9 @@ def _parse_axis(text: str):
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise argparse.ArgumentTypeError("axis count must be >= 1")
+    if count > _MAX_SWEEP_STATES:  # then so are the sweep's states
+        raise argparse.ArgumentTypeError(
+            f"axis count must be at most {_MAX_SWEEP_STATES}")
     return np.linspace(lo, hi, count)
 
 
@@ -230,6 +240,13 @@ def _cmd_sweep(args) -> int:
     field = builtin_frame(_fid(args))
     if args.mu_count < 1 or args.omega_count < 1:
         raise OutOfRange("angular counts must be >= 1")
+    if max(args.mu_count, args.omega_count) > _MAX_ANGLE_COUNT:
+        raise OutOfRange(f"angular counts must be at most {_MAX_ANGLE_COUNT}")
+    states = (len(args.x) * len(args.y) * len(args.z) * args.mu_count
+              * args.omega_count)
+    if states > _MAX_SWEEP_STATES:
+        raise OutOfRange(f"sweep of {states} states exceeds the bound of "
+                         f"{_MAX_SWEEP_STATES}")
     nodes, _ = np.polynomial.legendre.leggauss(args.mu_count)
     omegas = [2.0 * math.pi * j / args.omega_count
               for j in range(args.omega_count)]
@@ -272,6 +289,8 @@ def _cmd_holonomy(args) -> int:
     steps = args.steps
     if steps < _MIN_HOLONOMY_STEPS:
         raise OutOfRange(f"--steps must be at least {_MIN_HOLONOMY_STEPS}")
+    if steps > _MAX_HOLONOMY_STEPS:
+        raise OutOfRange(f"--steps must be at most {_MAX_HOLONOMY_STEPS}")
     if args.radius <= 0.0:  # nan passes, and exits 3 naming a vertex
         raise OutOfRange(f"--radius must be positive, not {args.radius}")
     if args.frame == "constant":

@@ -10,10 +10,12 @@ Richardson step, the direction Omega) on Python floats, in the
 operation order of the stacked arrays, and uses numpy only for the
 contractions, whose bits come from its BLAS kernels: so one point and
 a stack give the same bits.  At one point every contraction of the
-frame scalars, with any extra vector such as Omega, is one item of two
-broadcast numpy calls (_contractions); a stack makes only the six
-matvecs and nine dots that the scalars read, each in a call of its own
-(_stacked_scalars).
+frame scalars is one item of two broadcast numpy calls (_contractions),
+which take the vectors as the rows of one array and the Jacobians as
+one (3, 3, 3) array: the one-state assembly in streaming hands them the
+flat parts of _point_parts, reshaped, with Omega as a fourth row, and
+builds no FrameJet.  A stack makes only the six matvecs and nine dots
+that the scalars read, each in a call of its own (_stacked_scalars).
 
 The fd stencil of one point runs its probes in one loop inside one
 try, which names a failing probe as _probe does, and takes the
@@ -298,18 +300,16 @@ def _dot(u, v):
     return np.matmul(v[..., None, :], u[..., None])[..., 0, 0]
 
 
-def _contractions(jet: FrameJet, *extra):
+def _contractions(v, j):
     """(sn, st, sb) with sn[V][W] = W . (jn @ V), likewise st for jt and
-    sb for jb, for V, W in (n, t, b, *extra) at one point: extra vectors
-    are 3-vectors.  Nested lists of floats.
+    sb for jb, for V, W the rows of v, (K, 3), and j = [jn, jt, jb], a
+    C-contiguous (3, 3, 3) array, at one point.  Nested lists of floats.
 
     One stacked matvec gives every J @ V and one stacked dot every
     W . (J @ V).  Each item goes through the BLAS kernel that ``jn @ t``
     and ``t @ x`` use on their own, so the scalars keep those bits
     (``einsum`` does not)."""
-    v = np.array([jet.n, jet.t, jet.b, *extra])
-    jv = np.matmul(np.array([jet.jn, jet.jt, jet.jb])[:, None],
-                   v[None, ..., None])
+    jv = np.matmul(j[:, None], v[None, ..., None])
     return np.matmul(v[None, None, :, None, :],
                      jv[:, :, None])[..., 0, 0].tolist()
 
@@ -341,22 +341,14 @@ def frame_scalars(jet: FrameJet) -> FrameScalars:
     calls (see _contractions), on a stack from only the contractions
     that they read (_stacked_scalars)."""
     if jet.n.ndim == 1:
-        return _scalars(*_contractions(jet))
+        return _scalars(*_contractions(np.array([jet.n, jet.t, jet.b]),
+                                       np.array([jet.jn, jet.jt, jet.jb])))
     return _stacked_scalars(jet)
-
-
-def scalars_along(jet: FrameJet, omega):
-    """frame_scalars(jet) with t . (jn @ omega) and b . (jn @ omega), for
-    a direction omega of the frame vectors' shape: omega rides in the
-    same two numpy calls as a fourth vector, and each item keeps the
-    bits of its own matvec and dot."""
-    sn, st, sb = _contractions(jet, omega)
-    return _scalars(sn, st, sb), sn[3][1], sn[3][2]
 
 
 def _point_parts(frame_field, r, cfg: DiffConfig):
     """The nine components at one point r, an ndarray of shape (3,),
-    and their (9, 3) Jacobian."""
+    and their (9, 3) Jacobian, both C-contiguous."""
     comps = functools.partial(raw_components, frame_field)
     if cfg.engine == DUAL:
         flat = _probe(comps, dm.seed_gradient(r.tolist()))

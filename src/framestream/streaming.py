@@ -2,14 +2,17 @@
 term, in every derivable form, plus the assembled directional
 derivative Omega . grad Psi.
 
-The term algebra is written once, over floats or arrays.  One state
-runs it on Python floats, in the operation order of a stack, and
+The term algebra is written once (_terms), over floats or arrays.  One
+state runs it on Python floats, in the operation order of a stack, and
 enters numpy only for the contractions, so one state and a stack give
-the same bits.  One state makes them all in two numpy calls: Omega
-joins (n, t, b) in frame_scalars' matmuls (scalars_along), which give
-t . (jn @ Omega) and b . (jn @ Omega) beside the nine scalars; a stack
-makes jn @ Omega and its two dots in calls of their own.  The angles and
-their domain come from the direction chart in frames."""
+the same bits.  One state is assembled from the flat parts of its
+point, the nine frame components and their (9, 3) Jacobian, with no
+frame jet (_state_coefficients): Omega joins (n, t, b) as a fourth row
+in the two numpy calls of derivatives._contractions, which give
+t . (jn @ Omega) and b . (jn @ Omega) beside the nine scalars.  A stack
+makes jn @ Omega and its two dots in calls of their own
+(coefficient_terms).  The angles and their domain come from the
+direction chart in frames."""
 from __future__ import annotations
 
 import dataclasses
@@ -18,8 +21,9 @@ import enum
 import numpy as np
 
 from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
-                          _direction, _dot, _matvec, frame_jet,
-                          frame_scalars, scalars_along, twist)
+                          _combine, _contractions, _direction, _dot,
+                          _matvec, _point_parts, _scalars, frame_jet,
+                          frame_scalars, twist)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange)
 from .frames import (FramePoint, _angles, _one_frame, all_true, angle_arrays,
@@ -211,21 +215,21 @@ def coefficient_terms(jet: FrameJet, mu, s, c, sn):
     same quantities from its own hand-derived scalars, and the ray
     oracle checks both without any jet.
     """
-    if jet.n.ndim == 1 and not isinstance(mu, np.ndarray):
-        # One state: t . (jn @ Omega) and b . (jn @ Omega) come out of
-        # frame_scalars' two numpy calls.  A stack keeps its own calls:
-        # there the extra items would cost more than the calls saved.
-        k, t_dn, b_dn = scalars_along(jet, _direction(jet, mu, s, c, sn))
-    else:
-        k = frame_scalars(jet)
-        if isinstance(mu, np.ndarray) and mu.ndim == 2:
-            # An axis for the directions on the jet and the scalars:
-            # views of (N, 1, ...) that repeat nothing per direction.
-            jet = FrameJet(*(getattr(jet, f.name)[:, None]
-                             for f in dataclasses.fields(jet)))
-            k = FrameScalars(*(x[:, None] for x in k))
-        dn_along = _matvec(jet.jn, _direction(jet, mu, s, c, sn))
-        t_dn, b_dn = _dot(jet.t, dn_along), _dot(jet.b, dn_along)
+    k = frame_scalars(jet)
+    if isinstance(mu, np.ndarray) and mu.ndim == 2:
+        # An axis for the directions on the jet and the scalars: views
+        # of (N, 1, ...) that repeat nothing per direction.
+        jet = FrameJet(*(getattr(jet, f.name)[:, None]
+                         for f in dataclasses.fields(jet)))
+        k = FrameScalars(*(x[:, None] for x in k))
+    dn_along = _matvec(jet.jn, _direction(jet, mu, s, c, sn))
+    return _terms(k, _dot(jet.t, dn_along), _dot(jet.b, dn_along),
+                  mu, s, c, sn)
+
+
+def _terms(k: FrameScalars, t_dn, b_dn, mu, s, c, sn):
+    """coefficient_terms' seven values from the nine scalars k and
+    t . (jn @ Omega), b . (jn @ Omega)."""
     mu_surface, mu_curve_n = _mu_terms(k, mu, s, c, sn)
     omega_curve, omega_wind = _omega_terms(k, mu, s, c, sn)
     omega_tilt = -mu * (-sn * t_dn + c * b_dn) / s
@@ -302,14 +306,58 @@ def _on_states(jet_at, one_state, points, mu, omega, *inputs):
     return _coefficients(out[:7], out[7:10], *out[10:])
 
 
+def _state_coefficients(vals, jacs, at, mu, omega) -> StreamingCoefficients:
+    """The result at one state (at, mu, omega) from the flat parts of its
+    point: the nine frame components (n, t, b), a (9,) array, and their
+    C-contiguous (9, 3) Jacobian.  The angles are checked first, then
+    at.  Omega is formed on the floats of one tolist, in the operation
+    order of a stack, and joins (n, t, b) in _contractions' two numpy
+    calls: t . (jn @ Omega) and b . (jn @ Omega) come out beside the
+    nine scalars, each item with the bits of its own matvec and dot, so
+    one state has the bits of coefficient_terms."""
+    mu, s, c, sn = _angles(mu, omega)
+    check_mu(mu)
+    at = float_3vector(at, "point").copy()
+    x = vals.tolist()
+    along = [_combine(mu, s, c, sn, *v) for v in zip(x[0:3], x[3:6], x[6:9])]
+    cn, ct, cb = _contractions(np.concatenate([vals, along]).reshape(4, 3),
+                               jacs.reshape(3, 3, 3))
+    return _coefficients(
+        _terms(_scalars(cn, ct, cb), cn[3][1], cn[3][2], mu, s, c, sn),
+        (at, mu, float(omega)), vals[0:3], vals[3:6], vals[6:9])
+
+
+# The shape of each FrameJet field at one point.
+_JET_SHAPES = {"n": (3,), "t": (3,), "b": (3,), "jn": (3, 3), "jt": (3, 3),
+               "jb": (3, 3)}
+
+
+def _checked_jet(jet) -> FrameJet:
+    """jet with float array fields, all of one point, (3,) vectors and
+    (3, 3) Jacobians, or all of N stacked points, (N, 3) and (N, 3, 3);
+    OutOfRange, naming the field, for any other, and for a jet that is
+    not a FrameJet."""
+    instance_of(jet, FrameJet, "jet")
+    fields = {name: float_array(getattr(jet, name), f"jet.{name}")
+              for name in _JET_SHAPES}
+    lead = fields["n"].shape[:-1][:1]
+    for name, x in fields.items():
+        if x.shape != lead + _JET_SHAPES[name]:
+            raise OutOfRange(f"jet.{name} must be of shape "
+                             f"{lead + _JET_SHAPES[name]}, not {x.shape}")
+    return FrameJet(**fields)
+
+
 def coefficients_from_jet(jet: FrameJet, mu, omega,
                           at_point=None) -> StreamingCoefficients:
     """Assemble both coefficients from a precomputed frame jet of one
     point, with float mu and omega; or of N stacked points, with N mu
     and N omega values and an (N, 3) at_point, by _on_states' rule.
-    OutOfRange for a jet that is not a FrameJet, or for an at_point of
-    another shape than the jet's points."""
-    if instance_of(jet, FrameJet, "jet").n.ndim != 1:
+    OutOfRange for a jet that is not a FrameJet or has a field of
+    another shape (see _checked_jet), or for an at_point of another
+    shape than the jet's points."""
+    jet = _checked_jet(jet)
+    if jet.n.ndim != 1:
         points = float_array(np.zeros(jet.n.shape) if at_point is None
                              else at_point, "point")
         if points.shape != jet.n.shape:
@@ -319,12 +367,10 @@ def coefficients_from_jet(jet: FrameJet, mu, omega,
             lambda: jet, lambda p, *row: coefficients_from_jet(
                 FrameJet(*row[:6]), *row[6:], at_point=p),
             points, mu, omega, jet.n, jet.t, jet.b, jet.jn, jet.jt, jet.jb)
-    mu, s, c, sn = _angles(mu, omega)
-    check_mu(mu)
-    at_point = (np.zeros(3) if at_point is None
-                else float_3vector(at_point, "point").copy())
-    return _coefficients(coefficient_terms(jet, mu, s, c, sn),
-                         (at_point, mu, float(omega)), jet.n, jet.t, jet.b)
+    return _state_coefficients(
+        np.concatenate([jet.n, jet.t, jet.b]),
+        np.concatenate([jet.jn, jet.jt, jet.jb]),
+        np.zeros(3) if at_point is None else at_point, mu, omega)
 
 
 def streaming_coefficients(frame_field, r, mu, omega,
@@ -332,15 +378,16 @@ def streaming_coefficients(frame_field, r, mu, omega,
                            ) -> StreamingCoefficients:
     """Both streaming coefficients and their breakdown at one state, or
     at each state of a stack: an (N, 3) array r with N mu and N omega
-    values, by the stack rule of _on_states."""
+    values, by the stack rule of _on_states.  One state is assembled
+    from its point's flat parts (_state_coefficients), with no jet."""
     r = float_array(r, "point")
     if r.ndim == 2 and r.shape[1] == 3:
         return _on_states(lambda: frame_jet(frame_field, r, cfg),
                           lambda p, m, o: streaming_coefficients(
                               frame_field, p, m, o, cfg), r, mu, omega)
     r = float_3vector(r, "point")
-    jet = frame_jet(frame_field, r, cfg)
-    return coefficients_from_jet(jet, mu, omega, at_point=r)
+    return _state_coefficients(*_point_parts(frame_field, r, cfg), r, mu,
+                               omega)
 
 
 def apply_streaming(coeffs: StreamingCoefficients, omega_dir,

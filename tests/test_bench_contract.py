@@ -124,19 +124,30 @@ def test_traced_verify_seed_7_counts_are_pinned(tracing, capsys):
 # Per-state counts of the one-state path that the scatter workload runs:
 # the dual jet is one raw call on Duals; the fd jet 13 raw calls on
 # floats (the point and 12 stencil probes) and the ray 5; each of the two
-# streaming_coefficients calls assembles once and checks its frame once.
-# A speed-up that skips a probe or a check moves one of these.
+# streaming_coefficients calls checks its frame once.  One state is
+# assembled from its point's flat parts, with no frame jet, so the traced
+# coefficients_from_jet sees none of it; the test counts the assembly
+# itself.  A speed-up that skips a probe or a check moves one of these.
 ONE_STATE_COUNTS = {
     "frames.raw.float.calls": 18,
     "frames.raw.dual.calls": 1,
     "frames.FramePoint.loose.calls": 2,
-    "streaming.coefficients_from_jet.calls": 2,
+    "streaming.coefficients_from_jet.calls": 0,
     "catalog.catalog_coefficients.calls": 1,
     "verification.ray_oracle.calls": 1,
 }
 
 
-def test_traced_one_state_pass_counts_every_probe_and_check(tracing):
+def test_traced_one_state_pass_counts_every_probe_and_check(tracing,
+                                                            monkeypatch):
+    assembly = streaming._state_coefficients
+    assembled = []
+
+    def counted(*args):
+        assembled.append(args)
+        return assembly(*args)
+
+    monkeypatch.setattr(streaming, "_state_coefficients", counted)
     rng = np.random.default_rng(7)
     fd = DiffConfig(engine="fd")
     tracer = tracing.Tracer()
@@ -146,12 +157,15 @@ def test_traced_one_state_pass_counts_every_probe_and_check(tracing):
             field = frames.builtin_frame(fid)
             for r, mu, omega in verification.random_states(fid, 1, rng):
                 dual = streaming.streaming_coefficients(field, r, mu, omega)
+                assert len(assembled) == 2 * states + 1
                 streaming.streaming_coefficients(field, r, mu, omega, fd)
                 catalog.catalog_coefficients(fid, r, mu, omega)
                 verification.ray_oracle(field, r, frames.direction_from_angles(
                     dual.frame, mu, omega))
                 states += 1
     assert states == 7
+    # Each streaming_coefficients call assembles once: two per state.
+    assert len(assembled) == 2 * states
     metrics = tracer.layer_metrics(0, 0.0)
     assert {name: metrics[name] / states
             for name in ONE_STATE_COUNTS} == ONE_STATE_COUNTS

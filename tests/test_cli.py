@@ -159,6 +159,15 @@ def test_bad_frame_exits_2(capsys):
      "provide --point or --rho"),
     (["sweep", "--frame", "sphere", "--omega-count", "0"],
      "angular counts must be >= 1"),
+    # Each count one above its bound, refused before any allocation.
+    (["sweep", "--frame", "sphere", "--mu-count", "1001"],
+     "angular counts must be at most 1000"),
+    (["sweep", "--frame", "sphere", "--omega-count", "1001"],
+     "angular counts must be at most 1000"),
+    (["sweep", "--frame", "sphere", "--x=0.5:1.5:101", "--y=0:1:9901",
+      "--mu-count", "1", "--omega-count", "1"],
+     "sweep of 1000001 states exceeds the bound of 1000000"),
+    (["holonomy", "--steps", "1000001"], "--steps must be at most 1000000"),
 ])
 def test_out_of_range_flag_exits_2(capsys, argv, message):
     rc, out, err = run(capsys, argv)
@@ -359,6 +368,13 @@ def test_holonomy_steps_below_minimum_exit_2(capsys, steps):
                                 "--no-timestamp"])
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and "at least 7" in err
+
+
+def test_sweep_axis_count_above_the_bound_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--frame", "sphere", "--x=0:1:1000001"])
+    assert info.value.code == 2
+    assert "axis count must be at most 1000000" in capsys.readouterr().err
 
 
 def test_holonomy_minimum_steps_runs(capsys):

@@ -7,6 +7,7 @@ and conservation_check share the domain of the coefficient path: at
 each bad mu they raise the type that streaming_coefficients raises, and
 a stack of states raises at each bad angle the type that its
 single-state call raises there."""
+import dataclasses
 import math
 
 import numpy as np
@@ -122,6 +123,31 @@ def test_malformed_stacks_are_out_of_range(call, message):
     with pytest.raises(OutOfRange) as info:
         call()
     assert str(info.value) == message
+
+
+# --- frame jets built by hand with malformed fields ------------------------
+
+@pytest.mark.parametrize("jet, fields, message", [
+    (_JET, {"jn": np.zeros((2, 3))},
+     "jet.jn must be of shape (3, 3), not (2, 3)"),
+    (_JET, {"n": np.zeros(4)}, "jet.n must be of shape (3,), not (4,)"),
+    (_JET, {"jn": None}, "jet.jn must be of shape (3, 3), not ()"),
+    (_JET, {"jn": np.full((3, 3), "a")},
+     "jet.jn must be an array of numbers"),
+    (_STACK_JET, {"jb": _JET.jb},
+     "jet.jb must be of shape (2, 3, 3), not (3, 3)"),
+], ids=["jn-2-by-3", "n-of-4", "jn-none", "jn-strings", "stack-jb-of-one"])
+def test_malformed_jets_are_out_of_range(jet, fields, message):
+    with pytest.raises(OutOfRange) as info:
+        coefficients_from_jet(dataclasses.replace(jet, **fields), *_GOOD)
+    assert str(info.value).startswith(message)
+
+
+def test_a_jet_of_lists_reads_as_arrays():
+    jet = dataclasses.replace(_JET, n=_JET.n.tolist())
+    got = coefficients_from_jet(jet, *_GOOD)
+    want = coefficients_from_jet(_JET, *_GOOD)
+    assert (got.a_mu, got.a_omega) == (want.a_mu, want.a_omega)
 
 
 # --- vectors whose squared norm overflows --------------------------------
