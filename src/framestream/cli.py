@@ -114,14 +114,22 @@ def _parse_point(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("point must be x,y,z")
-    return np.array([float(p) for p in parts])
+    try:
+        return np.array([float(p) for p in parts])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "point must be x,y,z numbers") from None
 
 
 def _parse_axis(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("axis must be min:max:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "axis must be min:max:count, with an integer count") from None
     if count < 1:
         raise argparse.ArgumentTypeError("axis count must be >= 1")
     if count > _MAX_SWEEP_STATES:  # then so are the sweep's states

@@ -12,14 +12,18 @@ contractions, whose bits come from its BLAS kernels: so one point and
 a stack give the same bits.  At one point every contraction of the
 frame scalars is one item of two broadcast numpy calls (_contractions),
 which take the vectors as the rows of one array and the Jacobians as
-one (3, 3, 3) array: the one-state assembly in streaming hands them the
-flat parts of _point_parts, reshaped, with Omega as a fourth row, and
-builds no FrameJet.  A stack makes only the six matvecs and nine dots
-that the scalars read, each in a call of its own (_stacked_scalars).
+one (3, 3, 3) array.  _point_values reads the raw at one point once:
+the nine components as Python floats and their (9, 3) Jacobian.  The
+one-state assembly in streaming carries those floats to its one array
+of rows, with Omega as a fourth row, and builds no FrameJet; frame_jet
+wraps them in an array.  A stack makes only the six matvecs and nine
+dots that the scalars read, each in a call of its own
+(_stacked_scalars).
 
-The fd stencil of one point runs its probes in one loop inside one
-try, which names a failing probe as _probe does, and takes the
-Richardson step of every (component, direction) pair in one list
+The fd stencil of one point calls the raw bare at each probe, in one
+loop inside one try, which names a failing probe as _probe does; each
+output passes the raw's one shape test (frames._flat_raw).  The
+Richardson step of every (component, direction) pair is one list
 comprehension (_richardson), the formula that the stacked stencil
 maps over its direction axis.
 """
@@ -35,8 +39,8 @@ import numpy as np
 
 from . import dual as dm
 from .errors import EvaluationFailure, OutOfRange
-from .frames import (float_3vector, float_array, on_stack, raw_components,
-                     raw_parts)
+from .frames import (_flat_raw, float_3vector, float_array, on_stack,
+                     raw_components, raw_parts)
 
 DUAL = "dual"
 FD = "fd"
@@ -106,14 +110,14 @@ def _differences(f, cfg):
                                 cfg.fd_step), axis=-1)
 
 
-def _point_stencil(field, r, dirs, h):
+def _point_stencil(raw, flat, r, dirs, h):
     """The derivatives at one point r, three Python floats, along each
-    of ``dirs``, float 3-tuples, of a field whose output at a probe is a
-    flat sequence of numbers: a (components, directions) array,
-    Richardson-extrapolated over {h, h/2}.
+    of ``dirs``, float 3-tuples, of a field whose output at a probe p is
+    flat(raw(*p), p), a flat sequence of numbers: a (components,
+    directions) array, Richardson-extrapolated over {h, h/2}.
 
     The probes r + step * dir run in one loop, in the order and the
-    operation order of _stencil, and a probe where the field raises is
+    operation order of _stencil, and a probe where raw or flat raises is
     named in an EvaluationFailure, as _probe names it.  One _richardson
     on floats then gives every (component, direction) entry in C order,
     with the bits of the stacked one; numpy only stores the result."""
@@ -124,7 +128,7 @@ def _point_stencil(field, r, dirs, h):
         for u, v, w in dirs:
             for s in steps:
                 p = (x + u * s, y + v * s, z + w * s)
-                outs.append(field(p))
+                outs.append(flat(raw(*p), p))
     except EvaluationFailure:
         raise
     except Exception as exc:
@@ -145,15 +149,15 @@ def _field_stencil(field, r, dirs, h):
     output has another shape than those before it."""
     shapes = set()
 
-    def flat(p):
-        out = np.asarray(field(p), dtype=float)
+    def flat(out, p):
+        out = np.asarray(out, dtype=float)
         shapes.add(out.shape)
         if len(shapes) != 1:
             raise EvaluationFailure(f"field returned values of shapes "
                                     f"{sorted(shapes)} at the probes")
         return out.ravel().tolist()
 
-    derivs = _point_stencil(flat, r, dirs, h)
+    derivs = _point_stencil(lambda *p: field(p), flat, r, dirs, h)
     return derivs.reshape(*shapes.pop(), len(dirs))
 
 
@@ -346,21 +350,23 @@ def frame_scalars(jet: FrameJet) -> FrameScalars:
     return _stacked_scalars(jet)
 
 
-def _point_parts(frame_field, r, cfg: DiffConfig):
-    """The nine components at one point r, an ndarray of shape (3,),
-    and their (9, 3) Jacobian, both C-contiguous."""
-    comps = functools.partial(raw_components, frame_field)
+def _point_values(frame_field, r, cfg: DiffConfig):
+    """The nine components at one point r, an ndarray of shape (3,), as
+    a list of floats, and their C-contiguous (9, 3) Jacobian: from one
+    raw call on Duals, or on the point and then its 12 stencil probes."""
+    comps, p = functools.partial(raw_components, frame_field), r.tolist()
     if cfg.engine == DUAL:
-        flat = _probe(comps, dm.seed_gradient(r.tolist()))
-        dual = dm.Dual
-        vals = np.array([c.val if c.__class__ is dual else c
-                         for c in flat], dtype=float)
-        jacs = np.array([(c.e0, c.e1, c.e2) if c.__class__ is dual
-                         else (0.0, 0.0, 0.0) for c in flat], dtype=float)
+        dual, vals, tans = dm.Dual, [], []
+        for c in _probe(comps, dm.seed_gradient(p)):
+            is_dual = c.__class__ is dual
+            vals.append(c.val if is_dual else c)
+            tans += (c.e0, c.e1, c.e2) if is_dual else (0.0, 0.0, 0.0)
+        vals = np.array(vals, dtype=float).tolist()
+        jacs = np.array(tans, dtype=float).reshape(9, 3)
     else:
-        p = r.tolist()
-        vals = np.array(_probe(comps, tuple(p)), dtype=float)
-        jacs = _point_stencil(comps, p, _AXES, cfg.fd_step)
+        vals = np.array(_probe(comps, tuple(p)), dtype=float).tolist()
+        jacs = _point_stencil(frame_field.raw, _flat_raw, p, _AXES,
+                              cfg.fd_step)
     return vals, jacs
 
 
@@ -390,9 +396,10 @@ def frame_jet(frame_field, r, cfg: DiffConfig = DEFAULT_CFG) -> FrameJet:
         raise OutOfRange(f"point must be a 3-vector or an (N, 3) array, "
                          f"not of shape {r.shape}")
     if r.ndim == 1:
-        vals, jacs = _point_parts(frame_field, r, cfg)
+        vals, jacs = _point_values(frame_field, r, cfg)
+        vals = np.array(vals)
     else:
         vals, jacs = on_stack(lambda: _stack_parts(frame_field, r, cfg),
-                              lambda p: _point_parts(frame_field, p, cfg), r)
+                              lambda p: _point_values(frame_field, p, cfg), r)
     return FrameJet(vals[..., 0:3], vals[..., 3:6], vals[..., 6:9],
                     jacs[..., 0:3, :], jacs[..., 3:6, :], jacs[..., 6:9, :])

@@ -188,5 +188,5 @@ def seed_gradient(r):
         x, y, z = np.ascontiguousarray(r.T)
     else:
         x, y, z = float(r[0]), float(r[1]), float(r[2])
-    return (Dual(x, 1.0, 0.0, 0.0), Dual(y, 0.0, 1.0, 0.0),
-            Dual(z, 0.0, 0.0, 1.0))
+    return (_dual(x, 1.0, 0.0, 0.0), _dual(y, 0.0, 1.0, 0.0),
+            _dual(z, 0.0, 0.0, 1.0))

@@ -280,8 +280,14 @@ def raw_components(frame_field, p) -> tuple:
     order n, t, b: flat sequences convert to arrays faster than nested
     ones."""
     # The raw field is looked up at each call, so a wrapped instance
-    # attribute sees every probe; a raw without a triple fails here.
-    n, t, b = frame_field.raw(p[0], p[1], p[2])
+    # attribute sees every probe.
+    return _flat_raw(frame_field.raw(p[0], p[1], p[2]), p)
+
+
+def _flat_raw(out, p) -> tuple:
+    """raw_components of the raw's output ``out`` at probe p."""
+    # The one test of its shape: a raw without a triple fails here.
+    n, t, b = out
     if len(n) != 3 or len(t) != 3 or len(b) != 3:
         raise EvaluationFailure(
             f"field returned vectors of lengths ({len(n)}, {len(t)}, "

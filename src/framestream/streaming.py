@@ -5,14 +5,15 @@ derivative Omega . grad Psi.
 The term algebra is written once (_terms), over floats or arrays.  One
 state runs it on Python floats, in the operation order of a stack, and
 enters numpy only for the contractions, so one state and a stack give
-the same bits.  One state is assembled from the flat parts of its
-point, the nine frame components and their (9, 3) Jacobian, with no
-frame jet (_state_coefficients): Omega joins (n, t, b) as a fourth row
-in the two numpy calls of derivatives._contractions, which give
-t . (jn @ Omega) and b . (jn @ Omega) beside the nine scalars.  A stack
-makes jn @ Omega and its two dots in calls of their own
-(coefficient_terms).  The angles and their domain come from the
-direction chart in frames."""
+the same bits.  One state is assembled with no frame jet
+(_state_coefficients): its nine frame components arrive as the Python
+floats of derivatives._point_values, Omega is formed on them, and
+numpy is entered twice: one array of the rows (n, t, b, Omega), which
+is also the result's frame, and _contractions' two calls on it and the
+(9, 3) Jacobian, which give t . (jn @ Omega) and b . (jn @ Omega)
+beside the nine scalars.  A stack makes jn @ Omega and its two dots in
+calls of their own (coefficient_terms).  The angles and their domain
+come from the direction chart in frames."""
 from __future__ import annotations
 
 import dataclasses
@@ -22,7 +23,7 @@ import numpy as np
 
 from .derivatives import (DEFAULT_CFG, DiffConfig, FrameJet, FrameScalars,
                           _combine, _contractions, _direction, _dot,
-                          _matvec, _point_parts, _scalars, frame_jet,
+                          _matvec, _point_values, _scalars, frame_jet,
                           frame_scalars, twist)
 from .errors import (FoliationMissing, InconsistentBreakdown,
                      InconsistentDirection, OutOfRange)
@@ -269,9 +270,10 @@ def checked_terms(jet: FrameJet, mu, s, c, sn):
 def _coefficients(terms, at, n, t, b) -> StreamingCoefficients:
     """The result of coefficient_terms' seven values at the state ``at``:
     the frame (n, t, b) passes FramePoint.loose, then the breakdown."""
-    return StreamingCoefficients(terms[0], terms[1], dict(zip((
-        "mu_surface", "mu_curve_n", "omega_curve", "omega_wind",
-        "omega_tilt"), terms[2:])), at, FramePoint.loose(n, t, b))
+    return StreamingCoefficients(terms[0], terms[1], {
+        "mu_surface": terms[2], "mu_curve_n": terms[3],
+        "omega_curve": terms[4], "omega_wind": terms[5],
+        "omega_tilt": terms[6]}, at, FramePoint.loose(n, t, b))
 
 
 def _on_states(jet_at, one_state, points, mu, omega, *inputs):
@@ -306,25 +308,25 @@ def _on_states(jet_at, one_state, points, mu, omega, *inputs):
     return _coefficients(out[:7], out[7:10], *out[10:])
 
 
-def _state_coefficients(vals, jacs, at, mu, omega) -> StreamingCoefficients:
-    """The result at one state (at, mu, omega) from the flat parts of its
-    point: the nine frame components (n, t, b), a (9,) array, and their
-    C-contiguous (9, 3) Jacobian.  The angles are checked first, then
-    at.  Omega is formed on the floats of one tolist, in the operation
-    order of a stack, and joins (n, t, b) in _contractions' two numpy
-    calls: t . (jn @ Omega) and b . (jn @ Omega) come out beside the
-    nine scalars, each item with the bits of its own matvec and dot, so
-    one state has the bits of coefficient_terms."""
+def _state_coefficients(x, jacs, point, mu, omega) -> StreamingCoefficients:
+    """The result at one state (point(), mu, omega) from the flat parts of
+    its point: the nine frame components (n, t, b), Python floats, and
+    their C-contiguous (9, 3) Jacobian.  The angles are checked first,
+    then point() gives the checked point, which the result owns.  Omega
+    is formed on the floats, in the operation order of a stack, and is
+    the fourth row of one array with (n, t, b), which _contractions' two
+    numpy calls read: t . (jn @ Omega) and b . (jn @ Omega) come out
+    beside the nine scalars, each item with the bits of its own matvec
+    and dot, as in coefficient_terms.  The frame is rows 0-2 of it."""
     mu, s, c, sn = _angles(mu, omega)
     check_mu(mu)
-    at = float_3vector(at, "point").copy()
-    x = vals.tolist()
+    at = point()
     along = [_combine(mu, s, c, sn, *v) for v in zip(x[0:3], x[3:6], x[6:9])]
-    cn, ct, cb = _contractions(np.concatenate([vals, along]).reshape(4, 3),
-                               jacs.reshape(3, 3, 3))
+    rows = np.array(x + along).reshape(4, 3)
+    cn, ct, cb = _contractions(rows, jacs.reshape(3, 3, 3))
     return _coefficients(
         _terms(_scalars(cn, ct, cb), cn[3][1], cn[3][2], mu, s, c, sn),
-        (at, mu, float(omega)), vals[0:3], vals[3:6], vals[6:9])
+        (at, mu, float(omega)), rows[0], rows[1], rows[2])
 
 
 # The shape of each FrameJet field at one point.
@@ -368,9 +370,10 @@ def coefficients_from_jet(jet: FrameJet, mu, omega,
                 FrameJet(*row[:6]), *row[6:], at_point=p),
             points, mu, omega, jet.n, jet.t, jet.b, jet.jn, jet.jt, jet.jb)
     return _state_coefficients(
-        np.concatenate([jet.n, jet.t, jet.b]),
-        np.concatenate([jet.jn, jet.jt, jet.jb]),
-        np.zeros(3) if at_point is None else at_point, mu, omega)
+        [*jet.n.tolist(), *jet.t.tolist(), *jet.b.tolist()],
+        np.concatenate([jet.jn, jet.jt, jet.jb]), lambda: float_3vector(
+            np.zeros(3) if at_point is None else at_point, "point").copy(),
+        mu, omega)
 
 
 def streaming_coefficients(frame_field, r, mu, omega,
@@ -386,8 +389,8 @@ def streaming_coefficients(frame_field, r, mu, omega,
                           lambda p, m, o: streaming_coefficients(
                               frame_field, p, m, o, cfg), r, mu, omega)
     r = float_3vector(r, "point")
-    return _state_coefficients(*_point_parts(frame_field, r, cfg), r, mu,
-                               omega)
+    return _state_coefficients(*_point_values(frame_field, r, cfg), r.copy,
+                               mu, omega)
 
 
 def apply_streaming(coeffs: StreamingCoefficients, omega_dir,

@@ -39,9 +39,9 @@ from .errors import (DegenerateMetric, DomainExit, EvaluationFailure,
                      InconsistentReport, OutOfRange, PolarDirection,
                      UnwrapFailure)
 from .frames import (BUILTIN_FRAMES, Constant, Ellipsoid, Sphere, _each,
-                     all_true, angle_arrays, any_true, builtin_frame,
-                     check_mu, float_3vector, float_array, float_scalar,
-                     frame_spec, on_stack, raw_components, raw_parts,
+                     _flat_raw, all_true, angle_arrays, any_true,
+                     builtin_frame, check_mu, float_3vector, float_array,
+                     float_scalar, frame_spec, on_stack, raw_parts,
                      unit_within)
 from .frames import default_graph_id  # noqa: F401  (re-exported)
 from .streaming import checked_terms
@@ -146,7 +146,7 @@ def _one_ray(frame_field, r, d, step):
     failure = None
     for k in (2, 0, 1, 3, 4):
         try:
-            outs[k] = raw_components(frame_field, rows[k])
+            outs[k] = _flat_raw(frame_field.raw(*rows[k]), rows[k])
         except EvaluationFailure:
             raise
         except Exception as exc:
@@ -156,10 +156,9 @@ def _one_ray(frame_field, r, d, step):
             failure = k, exc
             break
     # Omega . (n, t, b) of each probe as a row-by-row dot, which rounds
-    # as d @ n does (a stacked matvec does not).
-    f = np.array(outs, dtype=float).reshape(5, 3, 3)
-    found = _ray_rates(*np.matmul(f[:, :, None, :], d)[:, :, 0].T.tolist(),
-                       step)
+    # as d @ n does (a stacked matvec does not), on the values packed flat.
+    f = np.fromiter(sum(outs, ()), float, 45).reshape(15, 1, 3)
+    found = _ray_rates(*np.matmul(f, d).reshape(5, 3).T.tolist(), step)
     if failure is not None:
         k, exc = failure
         raise DomainExit(f"ray probe left the domain at s={ss[k]}") from exc

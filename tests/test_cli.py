@@ -377,6 +377,23 @@ def test_sweep_axis_count_above_the_bound_exits_2(capsys):
     assert "axis count must be at most 1000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--frame", "sphere", "--x=a:b:3"],
+     "argument --x: axis must be min:max:count, with an integer count"),
+    (["sweep", "--frame", "sphere", "--x=0:1:2.5"],
+     "argument --x: axis must be min:max:count, with an integer count"),
+    (["coeffs", "--frame", "sphere", "--point", "a,b,c", "--mu", "0.3",
+      "--omega", "1.1"], "argument --point: point must be x,y,z numbers"),
+], ids=["axis-letters", "axis-fractional-count", "point-letters"])
+def test_malformed_flag_text_exits_2_without_private_names(argv, message,
+                                                           capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "_parse_" not in err
+
+
 def test_holonomy_minimum_steps_runs(capsys):
     rc, out, _ = run(capsys, ["holonomy", "--steps", "7", "--no-timestamp"])
     assert rc == 0

@@ -12,8 +12,8 @@ from framestream import DiffConfig, builtin_frame, directional_derivative
 from framestream import catalog, derivatives, jacobian
 from framestream import dual as dm
 from framestream.errors import EvaluationFailure
-from framestream.frames import (Ellipsoid, Paraboloid, _each, _on_arrays,
-                                raw_components)
+from framestream.frames import (Ellipsoid, Paraboloid, _each, _flat_raw,
+                                _on_arrays, raw_components)
 from framestream.verification import default_frames, random_states
 
 FD = DiffConfig(engine="fd")
@@ -372,11 +372,13 @@ def _same_array(a, b):
 @pytest.mark.parametrize("seed", [7, 11])
 def test_point_stencil_keeps_its_bits_on_every_frame(seed, h):
     for name, fid in default_frames().items():
-        comps = functools.partial(raw_components, builtin_frame(fid))
+        field = builtin_frame(fid)
+        comps = functools.partial(raw_components, field)
         for r, _, _ in _states(fid, seed):
             p = np.asarray(r, dtype=float).tolist()
             assert _same_array(
-                derivatives._point_stencil(comps, p, derivatives._AXES, h),
+                derivatives._point_stencil(field.raw, _flat_raw, p,
+                                           derivatives._AXES, h),
                 _old_point_stencil(comps, p, derivatives._AXES, h)), name
 
 
